@@ -98,14 +98,12 @@ def nome(alpha: float) -> float:
     return math.exp(-math.pi * alpha)
 
 
-def params_from_modulus(k: float) -> EllipticParams:
-    """Fill the full parameter bundle from a modulus in (0, 1)."""
-    if not 0.0 < k < 1.0:
-        raise DomainError(f"modulus must lie strictly inside (0, 1), got {k}")
-    k_prime = complementary_modulus(k)
+def _bundle(k: float, k_prime: float, alpha: float | None = None) -> EllipticParams:
+    """The bundle of a modulus pair; alpha defaults to the pair's own K'/K."""
     m_direct = agm(1.0, k_prime)   # pi / (2 K)
     m_comp = agm(1.0, k)           # pi / (2 K')
-    alpha = m_direct / m_comp
+    if alpha is None:
+        alpha = m_direct / m_comp
     return EllipticParams(
         alpha=alpha,
         k=k,
@@ -116,6 +114,13 @@ def params_from_modulus(k: float) -> EllipticParams:
         big_e_prime=complete_e(k_prime),
         q=math.exp(-math.pi * alpha),
     )
+
+
+def params_from_modulus(k: float) -> EllipticParams:
+    """Fill the full parameter bundle from a modulus in (0, 1)."""
+    if not 0.0 < k < 1.0:
+        raise DomainError(f"modulus must lie strictly inside (0, 1), got {k}")
+    return _bundle(k, complementary_modulus(k))
 
 
 def oracle_k_quadrature(k: float) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .elliptic import EllipticParams, complementary_modulus
 from .errors import DomainError
@@ -47,10 +48,29 @@ def _check(params: EllipticParams) -> None:
         raise DomainError(f"alpha must be positive, got {params.alpha}")
 
 
-def product_one_minus(params: EllipticParams) -> SeriesValue:
-    """prod_{n>=1} (1 - exp(-2 pi alpha n)) and its eta-quotient closed form."""
-    _check(params)
-    x = math.exp(-2.0 * math.pi * params.alpha)
+def _sum(term: Callable[[int], float], ratio: float, first: int = 0,
+         total: float = 0.0, weight: float = 1.0,
+         alternate: bool = False) -> tuple[float, float, int]:
+    """Add weight * term(n) for n = first, first + 1, ... onto ``total``.
+
+    Terms are positive and shrink at least geometrically with ``ratio``;
+    summation stops at the first term below _TERM_FLOOR, which bounds the
+    rest.  ``alternate`` flips the sign of every odd n.  Returns the sum,
+    the tail bound and the number of terms added.
+    """
+    n = first
+    t = 1.0
+    while n < _MAX_TERMS:
+        t = term(n)
+        if t < _TERM_FLOOR:
+            break
+        total += -weight * t if alternate and n % 2 else weight * t
+        n += 1
+    return total, 2.0 * weight * t / (1.0 - ratio), n - first
+
+
+def _product(x: float, sign: float) -> tuple[float, float, int]:
+    """prod_{n>=1} (1 + sign * x^n) for 0 < x < 1, with its tail bound."""
     prod = 1.0
     term = 1.0
     n = 0
@@ -58,9 +78,15 @@ def product_one_minus(params: EllipticParams) -> SeriesValue:
         term *= x
         if term < _TERM_FLOOR:
             break
-        prod *= 1.0 - term
+        prod *= 1.0 + sign * term
         n += 1
-    tail = prod * 2.0 * term / (1.0 - x)
+    return prod, prod * 2.0 * term / (1.0 - x), n
+
+
+def product_one_minus(params: EllipticParams) -> SeriesValue:
+    """prod_{n>=1} (1 - exp(-2 pi alpha n)) and its eta-quotient closed form."""
+    _check(params)
+    prod, tail, n = _product(math.exp(-2.0 * math.pi * params.alpha), -1.0)
     k, kp, big_k = params.k, params.k_prime, params.big_k
     closed = math.exp(math.pi * params.alpha / 12.0) * (
         2.0 * k * kp * big_k ** 3 / math.pi ** 3) ** (1.0 / 6.0)
@@ -70,17 +96,7 @@ def product_one_minus(params: EllipticParams) -> SeriesValue:
 def product_one_plus(params: EllipticParams) -> SeriesValue:
     """prod_{n>=1} (1 + exp(-pi alpha n))."""
     _check(params)
-    x = math.exp(-math.pi * params.alpha)
-    prod = 1.0
-    term = 1.0
-    n = 0
-    while n < _MAX_TERMS:
-        term *= x
-        if term < _TERM_FLOOR:
-            break
-        prod *= 1.0 + term
-        n += 1
-    tail = prod * 2.0 * term / (1.0 - x)
+    prod, tail, n = _product(math.exp(-math.pi * params.alpha), 1.0)
     closed = math.exp(math.pi * params.alpha / 24.0) * (
         math.sqrt(params.k) / (2.0 * params.k_prime)) ** (1.0 / 6.0)
     return SeriesValue(prod, closed, tail, n)
@@ -90,16 +106,8 @@ def lambert_alternating(params: EllipticParams) -> SeriesValue:
     """sum_{n>=0} (-1)^n / (exp(pi alpha (2n+1)) - 1) = K/(2 pi) - 1/4."""
     _check(params)
     a = math.pi * params.alpha
-    total = 0.0
-    n = 0
-    term = 1.0
-    while n < _MAX_TERMS:
-        term = 1.0 / math.expm1(a * (2 * n + 1))
-        if term < _TERM_FLOOR:
-            break
-        total += term if n % 2 == 0 else -term
-        n += 1
-    tail = 2.0 * term / (1.0 - math.exp(-2.0 * a))
+    total, tail, n = _sum(lambda n: 1.0 / math.expm1(a * (2 * n + 1)),
+                          math.exp(-2.0 * a), alternate=True)
     closed = params.big_k / (2.0 * math.pi) - 0.25
     return SeriesValue(total, closed, tail, n)
 
@@ -108,36 +116,20 @@ def sinh2_sum_integer(params: EllipticParams) -> SeriesValue:
     """sum_{n>=1} 1/sinh^2(pi alpha n)."""
     _check(params)
     a = math.pi * params.alpha
-    total = 0.0
-    n = 1
-    term = 1.0
-    while n < _MAX_TERMS:
-        term = 1.0 / math.sinh(a * n) ** 2
-        if term < _TERM_FLOOR:
-            break
-        total += term
-        n += 1
-    tail = 2.0 * term / (1.0 - math.exp(-2.0 * a))
+    total, tail, n = _sum(lambda n: 1.0 / math.sinh(a * n) ** 2,
+                          math.exp(-2.0 * a), first=1)
     K, E = params.big_k, params.big_e
     closed = (1.0 / 6.0 - 2.0 * K * E / math.pi ** 2
               + 2.0 * (2.0 - params.k ** 2) * K * K / (3.0 * math.pi ** 2))
-    return SeriesValue(total, closed, tail, n - 1)
+    return SeriesValue(total, closed, tail, n)
 
 
 def sinh2_sum_odd(params: EllipticParams) -> SeriesValue:
     """sum_{n>=0} 1/sinh^2(pi alpha (2n+1)/2)."""
     _check(params)
     a = math.pi * params.alpha
-    total = 0.0
-    n = 0
-    term = 1.0
-    while n < _MAX_TERMS:
-        term = 1.0 / math.sinh(0.5 * a * (2 * n + 1)) ** 2
-        if term < _TERM_FLOOR:
-            break
-        total += term
-        n += 1
-    tail = 2.0 * term / (1.0 - math.exp(-2.0 * a))
+    total, tail, n = _sum(lambda n: 1.0 / math.sinh(0.5 * a * (2 * n + 1)) ** 2,
+                          math.exp(-2.0 * a))
     K, E = params.big_k, params.big_e
     closed = 2.0 * K * (K - E) / math.pi ** 2
     return SeriesValue(total, closed, tail, n)
@@ -148,16 +140,9 @@ def sqrt2_cosh_sum_odd(params: EllipticParams) -> SeriesValue:
     _check(params)
     a = math.pi * params.alpha
     r2 = math.sqrt(2.0)
-    total = 0.0
-    n = 0
-    term = 1.0
-    while n < _MAX_TERMS:
-        term = 1.0 / (r2 * math.cosh(0.25 * a * (2 * n + 1)) - 1.0)
-        if term < _TERM_FLOOR:
-            break
-        total += term
-        n += 1
-    tail = 2.0 * term / (1.0 - math.exp(-0.5 * a))
+    total, tail, n = _sum(
+        lambda n: 1.0 / (r2 * math.cosh(0.25 * a * (2 * n + 1)) - 1.0),
+        math.exp(-0.5 * a))
     k, K = params.k, params.big_k
     closed = k * K / math.pi * (1.0 + math.sqrt(2.0 + 2.0 / k))
     return SeriesValue(total, closed, tail, n)
@@ -168,35 +153,22 @@ def sqrt2_cosh_sum_bilateral(params: EllipticParams) -> SeriesValue:
     _check(params)
     a = math.pi * params.alpha
     r2 = math.sqrt(2.0)
-    total = 1.0 / (r2 - 1.0)
-    n = 1
-    term = 1.0
-    while n < _MAX_TERMS:
-        term = 1.0 / (r2 * math.cosh(0.5 * a * n) - 1.0)
-        if term < _TERM_FLOOR:
-            break
-        total += 2.0 * term
-        n += 1
-    tail = 4.0 * term / (1.0 - math.exp(-0.5 * a))
+    # the n = 0 term, then n and -n together
+    total, tail, n = _sum(lambda n: 1.0 / (r2 * math.cosh(0.5 * a * n) - 1.0),
+                          math.exp(-0.5 * a), first=1,
+                          total=1.0 / (r2 - 1.0), weight=2.0)
     k, K = params.k, params.big_k
     closed = 2.0 * K / math.pi * (1.0 + math.sqrt(2.0 + 2.0 * k))
-    return SeriesValue(total, closed, tail, n)
+    return SeriesValue(total, closed, tail, n + 1)
 
 
 def cosh_third_sum(params: EllipticParams) -> SeriesValue:
     """sum_{n>=0} 1/(2 cosh(pi alpha (2n+1)/3) - 1)."""
     _check(params)
     a = math.pi * params.alpha
-    total = 0.0
-    n = 0
-    term = 1.0
-    while n < _MAX_TERMS:
-        term = 1.0 / (2.0 * math.cosh(a * (2 * n + 1) / 3.0) - 1.0)
-        if term < _TERM_FLOOR:
-            break
-        total += term
-        n += 1
-    tail = 2.0 * term / (1.0 - math.exp(-2.0 * a / 3.0))
+    total, tail, n = _sum(
+        lambda n: 1.0 / (2.0 * math.cosh(a * (2 * n + 1) / 3.0) - 1.0),
+        math.exp(-2.0 * a / 3.0))
     closed = params.k * params.big_k / math.pi * cn_imag_third(params)
     return SeriesValue(total, closed, tail, n)
 
@@ -238,17 +210,9 @@ def lambert_plain(alpha: float, odd: bool = False) -> SeriesValue:
     if alpha <= 0.0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     a = math.pi * alpha
-    total = 0.0
-    n = 0
-    term = 1.0
-    while n < _MAX_TERMS:
-        arg = a * (2 * n + 1) if odd else 2.0 * a * (n + 1)
-        term = 1.0 / math.expm1(arg)
-        if term < _TERM_FLOOR:
-            break
-        total += term
-        n += 1
-    tail = 2.0 * term / (1.0 - math.exp(-2.0 * a))
+    total, tail, n = _sum(
+        lambda n: 1.0 / math.expm1(a * (2 * n + 1) if odd else 2.0 * a * (n + 1)),
+        math.exp(-2.0 * a))
     return SeriesValue(total, None, tail, n)
 
 

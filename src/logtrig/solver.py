@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .elliptic import EllipticParams, agm, complementary_modulus, complete_e
+from .elliptic import EllipticParams, _bundle, agm, complementary_modulus
 from .errors import DomainError, SolverError
 
 __all__ = ["SolverConfig", "alpha_from_modulus", "modulus_from_alpha"]
@@ -84,15 +84,4 @@ def modulus_from_alpha(alpha: float, cfg: SolverConfig | None = None) -> Ellipti
         # in double precision (roughly alpha outside (0.09, 13))
         raise SolverError(
             f"modulus pair for alpha={alpha} degenerates in double precision")
-    m_direct = agm(1.0, k_prime)
-    m_comp = agm(1.0, k)
-    return EllipticParams(
-        alpha=alpha,
-        k=k,
-        k_prime=k_prime,
-        big_k=math.pi / (2.0 * m_direct),
-        big_k_prime=math.pi / (2.0 * m_comp),
-        big_e=complete_e(k),
-        big_e_prime=complete_e(k_prime),
-        q=math.exp(-math.pi * alpha),
-    )
+    return _bundle(k, k_prime, alpha)
