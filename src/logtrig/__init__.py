@@ -22,7 +22,7 @@ from .series import (SeriesValue, cn_imag_third, cosh_third_sum, gamma_fn,
                      lambert_alternating, lambert_plain, product_one_minus,
                      product_one_plus, sinh2_sum_integer, sinh2_sum_odd,
                      sqrt2_cosh_sum_bilateral, sqrt2_cosh_sum_odd)
-from .solver import SolverConfig, alpha_from_modulus, modulus_from_alpha
+from .solver import alpha_from_modulus, modulus_from_alpha
 
 __all__ = [
     "__version__",
@@ -30,7 +30,7 @@ __all__ = [
     "EllipticParams", "agm", "complete_k", "complete_e",
     "complementary_modulus", "nome", "params_from_modulus",
     "oracle_k_quadrature",
-    "SolverConfig", "alpha_from_modulus", "modulus_from_alpha",
+    "alpha_from_modulus", "modulus_from_alpha",
     "SeriesValue", "product_one_minus", "product_one_plus",
     "lambert_alternating", "sinh2_sum_integer", "sinh2_sum_odd",
     "sqrt2_cosh_sum_odd", "sqrt2_cosh_sum_bilateral", "cosh_third_sum",

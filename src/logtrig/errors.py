@@ -8,11 +8,7 @@ class DomainError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Root finding failed to converge; carries the last bracket."""
-
-    def __init__(self, message: str, bracket: tuple[float, float] | None = None):
-        super().__init__(message)
-        self.bracket = bracket
+    """No double-precision modulus pair reproduces the requested alpha."""
 
 
 class AccuracyError(RuntimeError):

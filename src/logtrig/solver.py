@@ -1,35 +1,27 @@
 """Inversion of alpha = K'(k)/K(k) for the modulus.
 
-The map k -> K'/K is strictly decreasing from +inf (k -> 0) to 0 (k -> 1),
-so bisection always succeeds inside a bracket.  To keep full relative
-accuracy the solve always targets the smaller of the pair (k, k'): for
-alpha < 1 the mirrored problem 1/alpha is solved and the roles swapped,
-since alpha(k') = 1/alpha(k).
+The inverse has a closed form through the nome q = exp(-pi alpha):
+k = theta2(q)^2 / theta3(q)^2 (Borwein & Borwein, *Pi and the AGM*, ch. 2).
+To keep full relative accuracy it is always evaluated for the smaller of
+the pair (k, k'): for alpha < 1 the mirrored ratio 1/alpha is used and the
+roles swapped, since alpha(k') = 1/alpha(k).  Then q <= exp(-pi) and a few
+theta terms reach double precision.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .elliptic import EllipticParams, _bundle, agm, complementary_modulus
 from .errors import DomainError, SolverError
 
-__all__ = ["SolverConfig", "alpha_from_modulus", "modulus_from_alpha"]
+__all__ = ["alpha_from_modulus", "modulus_from_alpha"]
 
-
-@dataclass(frozen=True)
-class SolverConfig:
-    tol_alpha: float = 1e-13
-    max_iter: int = 200
-    bracket_lo: float = 1e-12
-    bracket_hi: float = 1.0 - 1e-12
-
-    def __post_init__(self):
-        if not (0.0 < self.bracket_lo < self.bracket_hi < 1.0):
-            raise DomainError("bracket must satisfy 0 < lo < hi < 1")
-        if self.tol_alpha <= 0.0 or self.max_iter <= 0:
-            raise DomainError("tol_alpha and max_iter must be positive")
+# With q <= exp(-pi) the first omitted terms, q^20 and q^25, sit far below
+# one ulp of the leading 1.
+_THETA_TERMS = 4
+# Accepted |K'/K - alpha| relative to alpha.
+_TOL_ALPHA = 1e-13
 
 
 def alpha_from_modulus(k: float) -> float:
@@ -39,49 +31,32 @@ def alpha_from_modulus(k: float) -> float:
     return agm(1.0, complementary_modulus(k)) / agm(1.0, k)
 
 
-def _solve_decreasing(alpha: float, cfg: SolverConfig) -> float:
-    """Bisection for alpha(k) = alpha with alpha >= 1, so k <= 1/sqrt(2)."""
-    lo, hi = cfg.bracket_lo, cfg.bracket_hi
-    if alpha > 10.0:
-        # asymptotic seed k ~ 4 sqrt(q) keeps the bracket tight
-        seed = 4.0 * math.exp(-0.5 * math.pi * alpha)
-        lo = max(5e-300, 0.25 * seed)
-        hi = min(hi, max(4.0 * seed, 1e-8))
-    f_lo = alpha_from_modulus(lo) - alpha
-    f_hi = alpha_from_modulus(hi) - alpha
-    if f_lo < 0.0 or f_hi > 0.0:
-        raise SolverError(f"alpha={alpha} not bracketed by ({lo}, {hi})",
-                          bracket=(lo, hi))
-    for _ in range(cfg.max_iter):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if alpha_from_modulus(mid) - alpha > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    k = 0.5 * (lo + hi)
-    if abs(alpha_from_modulus(k) - alpha) > cfg.tol_alpha * alpha:
-        raise SolverError(
-            f"residual above tol_alpha={cfg.tol_alpha} for alpha={alpha}",
-            bracket=(lo, hi))
-    return k
+def _small_modulus(alpha: float) -> float:
+    """k = 4 sqrt(q) (sum_{n>=0} q^(n(n+1)) / (1 + 2 sum_{n>=1} q^(n^2)))^2
+    for alpha >= 1, so k <= 1/sqrt(2)."""
+    q = math.exp(-math.pi * alpha)
+    theta2 = sum(q ** (n * (n + 1)) for n in range(_THETA_TERMS))
+    theta3 = 1.0 + 2.0 * sum(q ** (n * n) for n in range(1, _THETA_TERMS + 1))
+    return 4.0 * math.sqrt(q) * (theta2 / theta3) ** 2
 
 
-def modulus_from_alpha(alpha: float, cfg: SolverConfig | None = None) -> EllipticParams:
+def modulus_from_alpha(alpha: float) -> EllipticParams:
     """Parameter bundle whose ratio K'/K equals the prescribed alpha."""
     if not alpha > 0.0 or math.isinf(alpha) or math.isnan(alpha):
         raise DomainError(f"alpha must be a positive real, got {alpha}")
-    cfg = cfg or SolverConfig()
     if alpha >= 1.0:
-        k = _solve_decreasing(alpha, cfg)
+        k = _small_modulus(alpha)
         k_prime = complementary_modulus(k)
     else:
-        k_prime = _solve_decreasing(1.0 / alpha, cfg)
+        k_prime = _small_modulus(1.0 / alpha)
         k = complementary_modulus(k_prime)
     if not (0.0 < k < 1.0 and 0.0 < k_prime < 1.0):
         # one modulus is within half an ulp of 1; the pair cannot be carried
         # in double precision (roughly alpha outside (0.09, 13))
         raise SolverError(
             f"modulus pair for alpha={alpha} degenerates in double precision")
-    return _bundle(k, k_prime, alpha)
+    params = _bundle(k, k_prime, alpha)
+    if abs(params.big_k_prime / params.big_k - alpha) > _TOL_ALPHA * alpha:
+        raise SolverError(f"residual K'/K - alpha above {_TOL_ALPHA:g} "
+                          f"relative for alpha={alpha}")
+    return params

@@ -1,11 +1,12 @@
 """Modulus solver: inverting alpha = K'/K."""
 
 import math
+import random
 
 import pytest
 
-from logtrig import (DomainError, SolverConfig, SolverError,
-                     alpha_from_modulus, modulus_from_alpha)
+from logtrig import (DomainError, SolverError, alpha_from_modulus,
+                     modulus_from_alpha)
 
 # classical singular moduli: alpha = sqrt(2) gives sqrt(2)-1,
 # alpha = sqrt(3) gives (sqrt(3)-1)/(2 sqrt(2)), alpha = 2 gives 3-2 sqrt(2)
@@ -69,17 +70,9 @@ def test_unrepresentable_modulus_pair_is_refused():
             modulus_from_alpha(alpha)
 
 
-def test_solver_error_carries_bracket():
-    cfg = SolverConfig(bracket_lo=0.5, bracket_hi=0.6)
-    with pytest.raises(SolverError) as info:
-        modulus_from_alpha(3.0, cfg)
-    assert info.value.bracket == (0.5, 0.6)
-
-
 def test_solver_tolerance_honoured():
-    cfg = SolverConfig(tol_alpha=1e-13)
     for alpha in (0.3, 1.0, 2.5):
-        ep = modulus_from_alpha(alpha, cfg)
+        ep = modulus_from_alpha(alpha)
         assert abs(ep.big_k_prime / ep.big_k - alpha) <= 1e-12 * alpha
 
 
@@ -92,8 +85,18 @@ def test_domain_errors():
             alpha_from_modulus(bad)
 
 
-def test_config_validation():
-    with pytest.raises(DomainError):
-        SolverConfig(bracket_lo=0.5, bracket_hi=0.4)
-    with pytest.raises(DomainError):
-        SolverConfig(tol_alpha=-1.0)
+def test_modulus_matches_mpmath():
+    # independent oracle: k = theta2^2/theta3^2 and k' = theta4^2/theta3^2
+    # at q = exp(-pi alpha), in 40-digit arithmetic
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(2012)
+    with mpmath.workdps(40):
+        for _ in range(200):
+            alpha = 0.1 * 120.0 ** rng.random()
+            q = mpmath.exp(-mpmath.pi * alpha)
+            theta3 = mpmath.jtheta(3, 0, q)
+            k = float((mpmath.jtheta(2, 0, q) / theta3) ** 2)
+            k_prime = float((mpmath.jtheta(4, 0, q) / theta3) ** 2)
+            ep = modulus_from_alpha(alpha)
+            assert abs(ep.k - k) <= 1e-14 * k, alpha
+            assert abs(ep.k_prime - k_prime) <= 1e-14 * k_prime, alpha
