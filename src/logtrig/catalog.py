@@ -37,6 +37,7 @@ __all__ = [
     "catalog",
     "case_by_id",
     "default_params_grid",
+    "case_params",
     "evaluate_lhs",
     "evaluate_rhs",
     "verify_case",
@@ -426,11 +427,6 @@ def _p2_f(p: Params):
     return lambda x, w: (w + a) / (x * x + (w + a) ** 2)
 
 
-def _p3_f(p: Params):
-    al = p["alpha"]
-    return lambda x, w: math.sin(w / al) / cosh_plus_cos(x / al, w / al)
-
-
 def _p4_f(p: Params):
     al = p["alpha"]
     return lambda x, w: math.sinh(x / al) / cosh_plus_cos(x / al, w / al)
@@ -726,7 +722,7 @@ _add(IdentityCase(
 _add(IdentityCase(
     id="DISC-P3", description="sin(log-term)/(cosh + cos) on (0, pi), zero value",
     interval=(0.0, PI), param_kind="alpha", map_kind="log-sin", freq=2.0,
-    osc_ends=("lower", "upper"), integrand=_p3_f, rhs=lambda p: 0.0,
+    osc_ends=("lower", "upper"), integrand=_l2_f, rhs=lambda p: 0.0,
     domain=lambda p: p["alpha"] > 0.0, interior_points=_spike_points,
     tail_points=_p34_tail_ladder))
 
@@ -771,10 +767,6 @@ def case_by_id(case_id: str) -> IdentityCase:
         raise DomainError(f"unknown case id {case_id!r}") from None
 
 
-def case_index(case_id: str) -> int:
-    return next(i for i, c in enumerate(_CASES) if c.id == case_id)
-
-
 def default_params_grid(case: IdentityCase,
                         alpha_grid: Sequence[float] = ALPHA_GRID,
                         a_grid: Sequence[float] = A_GRID,
@@ -794,9 +786,15 @@ def default_params_grid(case: IdentityCase,
     return [dict(case.fixed_params)]
 
 
-def _merged_params(case: IdentityCase, params: Params) -> Params:
+def case_params(case: IdentityCase, params: Params) -> Params:
+    """``params`` laid over the case's fixed parameters.
+
+    Raises DomainError when the merged point lies outside the case domain.
+    """
     merged = dict(case.fixed_params)
     merged.update(params)
+    if not case.domain(merged):
+        raise DomainError(f"{case.id}: parameters {merged} are outside the case domain")
     return merged
 
 
@@ -810,50 +808,48 @@ def _build_oscillations(case: IdentityCase, params: Params) -> list[EndpointOsci
     return oscs
 
 
+def _integrate(case: IdentityCase, params: Params, points: Sequence[float],
+               tol: float, atol: float) -> QuadratureResult:
+    """Quadrature of the case integrand at merged ``params``.
+
+    A complex integrand is integrated as its real and imaginary parts in
+    two passes; the result then carries the complex value and the summed
+    error estimates and counts.
+    """
+    g = case.integrand(params)
+    a, b = case.interval
+    oscs = _build_oscillations(case, params)
+    kw = dict(tol=tol, atol=atol, points=points,
+              tail_points=case.tail_points(params))
+    if not case.complex_valued:
+        return integrate_endpoint_oscillatory(g, a, b, oscs, **kw)
+    re = integrate_endpoint_oscillatory(lambda x, w: g(x, w).real, a, b, oscs, **kw)
+    im = integrate_endpoint_oscillatory(lambda x, w: g(x, w).imag, a, b, oscs, **kw)
+    return QuadratureResult(complex(re.value, im.value),
+                            re.error_estimate + im.error_estimate,
+                            re.evaluations + im.evaluations,
+                            re.subdivisions + im.subdivisions)
+
+
 def evaluate_lhs(case: IdentityCase, params: Params,
                  rtol: float = 1e-8, atol: float = 1e-10
                  ) -> tuple[float | complex, QuadratureResult]:
     """Quadrature side of one case at one parameter point."""
-    params = _merged_params(case, params)
-    if not case.domain(params):
-        raise DomainError(f"{case.id}: parameters {params} outside the case domain")
-    g = case.integrand(params)
-    pts = case.interior_points(params)
-    ladder = case.tail_points(params)
-    oscs = _build_oscillations(case, params)
-    a, b = case.interval
-    qtol = max(rtol * 0.02, 5e-13)
-    qatol = max(atol * 0.02, 5e-15)
-    if case.complex_valued:
-        re = integrate_endpoint_oscillatory(
-            lambda x, w: g(x, w).real, a, b, oscs, tol=qtol, atol=qatol, points=pts)
-        im = integrate_endpoint_oscillatory(
-            lambda x, w: g(x, w).imag, a, b, oscs, tol=qtol, atol=qatol, points=pts)
-        merged = QuadratureResult(
-            abs(complex(re.value, im.value)),
-            re.error_estimate + im.error_estimate,
-            re.evaluations + im.evaluations,
-            re.subdivisions + im.subdivisions)
-        return complex(re.value, im.value), merged
-    res = integrate_endpoint_oscillatory(g, a, b, oscs, tol=qtol, atol=qatol,
-                                         points=pts, tail_points=ladder)
+    params = case_params(case, params)
+    res = _integrate(case, params, case.interior_points(params),
+                     max(rtol * 0.02, 5e-13), max(atol * 0.02, 5e-15))
     return res.value, res
 
 
 def evaluate_rhs(case: IdentityCase, params: Params) -> float | complex:
     """Closed-form side of one case at one parameter point."""
-    params = _merged_params(case, params)
-    if not case.domain(params):
-        raise DomainError(f"{case.id}: parameters {params} outside the case domain")
-    return case.rhs(params)
+    return case.rhs(case_params(case, params))
 
 
 def verify_case(case: IdentityCase, params: Params,
                 rtol: float = 1e-8, atol: float = 1e-10) -> VerificationRow:
     """Check one (case, parameter) pair; numerics failures become error rows."""
-    merged = _merged_params(case, params)
-    if not case.domain(merged):
-        raise DomainError(f"{case.id}: parameters {merged} outside the case domain")
+    case_params(case, params)
     try:
         rhs = evaluate_rhs(case, params)
         lhs, cost = evaluate_lhs(case, params, rtol=rtol, atol=atol)
@@ -893,22 +889,13 @@ def contour_trace(alpha: float, n_points: int = 128,
     ``n_points`` seeds the interior panel grid, guarding against pole
     proximity when alpha sits near its domain edge.
     """
-    if alpha <= LN2 / PI:
-        raise DomainError(f"contour pinches a pole unless alpha > ln2/pi, got {alpha}")
     case = case_by_id("DISC-CONTOUR")
     params = {"alpha": alpha}
-    g = case.integrand(params)
-    oscs = _build_oscillations(case, params)
+    if not case.domain(params):
+        raise DomainError(f"contour pinches a pole unless alpha > ln2/pi, got {alpha}")
     seed = [x for (x, _, _) in contour_path_points(alpha, max(64, n_points // 2))]
-    qtol = max(rtol * 0.1, 5e-13)
-    qatol = max(atol * 0.1, 5e-15)
-    re = integrate_endpoint_oscillatory(
-        lambda x, w: g(x, w).real, -PI / 2, PI / 2, oscs, tol=qtol, atol=qatol,
-        points=seed)
-    im = integrate_endpoint_oscillatory(
-        lambda x, w: g(x, w).imag, -PI / 2, PI / 2, oscs, tol=qtol, atol=qatol,
-        points=seed)
-    return complex(re.value, im.value)
+    return _integrate(case, params, seed, max(rtol * 0.1, 5e-13),
+                      max(atol * 0.1, 5e-15)).value
 
 
 def residue_count_appa(theta: float, a: float) -> int:

@@ -15,8 +15,8 @@ import math
 import os
 import sys
 
-from .catalog import (case_by_id, contour_path_points, contour_trace,
-                      verify_case)
+from .catalog import (case_by_id, case_params, contour_path_points,
+                      contour_trace, verify_case)
 from .errors import AccuracyError, DomainError, SolverError
 from .report import RunConfig, render_report, run_verification
 from .solver import modulus_from_alpha
@@ -31,9 +31,12 @@ def _parse_value(text: str) -> float:
     if key in _VALUE_LITERALS:
         return _VALUE_LITERALS[key]
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise DomainError(f"cannot parse numeric value {text!r}") from None
+    if not math.isfinite(value):
+        raise DomainError(f"numeric value must be finite, got {text!r}")
+    return value
 
 
 def _parse_list(text: str) -> tuple[float, ...]:
@@ -135,11 +138,10 @@ def _eval_params(args, case) -> dict[str, float]:
 def _cmd_eval(args) -> int:
     case = case_by_id(args.case_id)
     params = _eval_params(args, case)
-    merged = dict(case.fixed_params)
-    merged.update(params)
-    if not case.domain(merged):
-        print(f"{case.id}: parameters {merged} are outside the case domain "
-              "(skipped)")
+    try:
+        merged = case_params(case, params)
+    except DomainError as exc:
+        print(f"{exc} (skipped)")
         return 2
     row = verify_case(case, params, rtol=args.rtol, atol=args.atol)
     shown = ", ".join(f"{k}={v:.12g}" for k, v in merged.items())

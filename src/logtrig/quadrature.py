@@ -40,7 +40,7 @@ __all__ = [
 class QuadratureResult:
     """Value of an integration run plus its a-posteriori error bound."""
 
-    value: float
+    value: float | complex
     error_estimate: float
     evaluations: int
     subdivisions: int

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .catalog import (ALPHA_GRID, A_GRID, GAMMA_GRID, THETA_GRID,
-                      VerificationRow, case_by_id, catalog,
+                      VerificationRow, case_by_id, case_params, catalog,
                       default_params_grid, verify_case)
 from .errors import DomainError
 
@@ -88,9 +88,9 @@ def run_verification(config: RunConfig) -> VerificationReport:
         for params in default_params_grid(case, config.alpha_grid,
                                           config.a_grid, config.theta_grid,
                                           config.gamma_grid):
-            merged = dict(case.fixed_params)
-            merged.update(params)
-            if not case.domain(merged):
+            try:
+                case_params(case, params)
+            except DomainError:
                 slots.append(VerificationRow(case.id, params, None, None,
                                              None, None, "skipped", 0))
             else:

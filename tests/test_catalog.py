@@ -107,6 +107,12 @@ def test_appa_reference_point():
     assert abs(lhs - APPA_RHS) < 1e-9
 
 
+def test_complex_cost_carries_the_lhs():
+    lhs, cost = evaluate_lhs(case_by_id("APPA"), {"theta": PI / 4.0, "a": -1.0})
+    assert isinstance(lhs, complex)
+    assert cost.value == lhs
+
+
 def test_verify_case_row():
     row = verify_case(case_by_id("T2"), {"alpha": 1.0})
     assert row.status == "pass"
@@ -192,6 +198,11 @@ def test_contour_trace():
         assert abs(value.imag) < 1e-9
     with pytest.raises(DomainError):
         contour_trace(0.2)
+
+
+def test_contour_trace_rejects_nan_alpha():
+    with pytest.raises(DomainError):
+        contour_trace(math.nan)
 
 
 def test_contour_path_points():

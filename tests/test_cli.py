@@ -139,6 +139,18 @@ def test_contour_domain_error(capsys):
     assert main(["contour", "--alpha", "0.1"]) == 2
 
 
+def test_contour_rejects_non_finite_alpha(capsys):
+    for bad in ("nan", "inf"):
+        assert main(["contour", "--alpha", bad]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_verify_rejects_non_finite_value(capsys):
+    assert main(["verify", "--case", "DISC-P1", "--a", "inf",
+                 "--format", "json", "--jobs", "1"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_io_error_status(tmp_path):
     missing_dir = tmp_path / "no" / "such" / "dir" / "r.json"
     code = main(["verify", "--case", "T2", "--alpha", "1",
