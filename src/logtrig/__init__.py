@@ -16,7 +16,7 @@ from .catalog import (IdentityCase, VerificationRow, catalog, case_by_id,
                       evaluate_rhs, residue_count_appa, verify_case)
 from .quadrature import (EndpointOscillation, QuadratureResult,
                          integrate_adaptive, integrate_endpoint_oscillatory,
-                         jump_points_arctan, tanh_sinh)
+                         tanh_sinh)
 from .report import RunConfig, VerificationReport, render_report, run_verification
 from .series import (SeriesValue, cn_imag_third, cosh_third_sum, gamma_fn,
                      lambert_alternating, lambert_plain, product_one_minus,
@@ -36,7 +36,7 @@ __all__ = [
     "sqrt2_cosh_sum_odd", "sqrt2_cosh_sum_bilateral", "cosh_third_sum",
     "cn_imag_third", "lambert_plain", "gamma_fn",
     "QuadratureResult", "EndpointOscillation", "integrate_adaptive",
-    "integrate_endpoint_oscillatory", "tanh_sinh", "jump_points_arctan",
+    "integrate_endpoint_oscillatory", "tanh_sinh",
     "IdentityCase", "VerificationRow", "catalog", "case_by_id",
     "evaluate_lhs", "evaluate_rhs", "verify_case", "contour_trace",
     "contour_path_points", "residue_count_appa",

@@ -17,6 +17,7 @@ real.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -24,8 +25,7 @@ from typing import Callable, Sequence
 from .elliptic import EllipticParams
 from .errors import AccuracyError, DomainError, SolverError
 from .quadrature import (EndpointOscillation, QuadratureResult,
-                         integrate_endpoint_oscillatory, jump_points_arctan,
-                         tail_split)
+                         integrate_endpoint_oscillatory)
 from .series import (gamma_fn, lambert_plain, cn_imag_third,
                      product_one_minus, product_one_plus,
                      sinh2_sum_integer, sinh2_sum_odd)
@@ -48,6 +48,7 @@ __all__ = [
     "A_GRID",
     "THETA_GRID",
     "GAMMA_GRID",
+    "PARAM_NAMES",
 ]
 
 LN2 = math.log(2.0)
@@ -61,21 +62,29 @@ GAMMA_GRID = (0.0, 1.0, 2.0, 2.5)
 
 Params = dict[str, float]
 
+# Parameters each param_kind takes, outermost grid loop first.  The other
+# kind, "fixed", takes none: its cases run at their ``fixed_params``.
+PARAM_NAMES: dict[str, tuple[str, ...]] = {
+    "alpha": ("alpha",), "a": ("a",), "a-theta": ("theta", "a"),
+    "a-gamma": ("gamma", "a")}
+
 
 @dataclass(frozen=True)
 class IdentityCase:
     id: str
     description: str
     interval: tuple[float, float]
-    param_kind: str                # "alpha" | "a" | "a-theta" | "a-gamma" | "fixed"
+    param_kind: str                # a key of PARAM_NAMES, or "fixed"
     map_kind: str                  # "log-cos" | "log-sin" | "log-sin-half"
     freq: float                    # oscillation multiplier c; 0 = decay only
     osc_ends: tuple[str, ...]      # which interval ends need the transform
     integrand: Callable[[Params], Callable[[float, float], float | complex]]
     rhs: Callable[[Params], float | complex]
     domain: Callable[[Params], bool]
-    complex_valued: bool = False
-    interior_points: Callable[[Params], tuple[float, ...]] = lambda p: ()
+    complex_valued: bool = False   # descriptive; complex values take one pass
+    interior_points: Callable[[Params], tuple[float, ...]] = lambda p: ()  # fixed in x
+    # t-positions of narrow features; the engine cuts at them on both
+    # sides of the tail split
     tail_points: Callable[[Params], Callable | None] = lambda p: None
     fixed_params: Params = field(default_factory=dict)
 
@@ -362,12 +371,6 @@ def _t7_rhs(p: Params) -> float:
             - SQRT3 * ep.k * ep.big_k / 2.0 * cn_imag_third(ep))
 
 
-def _t7_points(p: Params) -> tuple[float, ...]:
-    al = p["alpha"]
-    t_split = tail_split(2.0 * PI * al / 1.5)
-    return tuple(jump_points_arctan(al, t_max=t_split))
-
-
 def _theta2_f(p: Params):
     a, th = p["a"], p["theta"]
     return lambda x, w: math.cos(2.0 * x) / complex(w - a, x + th)
@@ -430,21 +433,6 @@ def _p2_f(p: Params):
 def _p4_f(p: Params):
     al = p["alpha"]
     return lambda x, w: math.sinh(x / al) / cosh_plus_cos(x / al, w / al)
-
-
-def _spike_points(p: Params) -> tuple[float, ...]:
-    """Interior abscissae where cos(w/alpha) = -1 pinches cosh(x/alpha) - 1."""
-    al = p["alpha"]
-    t_split = tail_split(PI * al)
-    pts = []
-    m = 0
-    while True:
-        t = PI * al * (2 * m + 1)
-        if t >= t_split:
-            break
-        pts.append(math.asin(0.5 * math.exp(-t)))
-        m += 1
-    return tuple(pts)
 
 
 def _p34_tail_ladder(p: Params):
@@ -643,8 +631,7 @@ _add(IdentityCase(
     id="S3-T7", description="arctan(tanh/cot) kernel weighted by cos x on (0, 2 pi)",
     interval=(0.0, 2.0 * PI), param_kind="alpha", map_kind="log-sin-half",
     freq=1.5, osc_ends=("lower", "upper"), integrand=_t7_f, rhs=_t7_rhs,
-    domain=lambda p: p["alpha"] > 3.0 * LN2 / PI,
-    interior_points=_t7_points))
+    domain=lambda p: p["alpha"] > 3.0 * LN2 / PI))
 
 _add(IdentityCase(
     id="THETA2", description="cos 2x kernel with shifted pole i(x+theta) - a",
@@ -717,22 +704,21 @@ _add(IdentityCase(
     rhs=lambda p: 4.0 * PI * p["a"] / (PI ** 2 + 4.0 * p["a"] ** 2),
     domain=lambda p: True))
 
-# freq 2 halves the chunk so the cos = -1 pinch points of these two kernels
-# land exactly on panel boundaries of the transformed tail.
+# freq 2 makes the period pi alpha, so the cos = -1 pinch points of these two
+# kernels, at t = (2m+1) pi alpha, fall on the quarter-period lattice that the
+# engine cuts at on both sides of the tail split; the ladder adds narrower cuts.
 _add(IdentityCase(
     id="DISC-P3", description="sin(log-term)/(cosh + cos) on (0, pi), zero value",
     interval=(0.0, PI), param_kind="alpha", map_kind="log-sin", freq=2.0,
     osc_ends=("lower", "upper"), integrand=_l2_f, rhs=lambda p: 0.0,
-    domain=lambda p: p["alpha"] > 0.0, interior_points=_spike_points,
-    tail_points=_p34_tail_ladder))
+    domain=lambda p: p["alpha"] > 0.0, tail_points=_p34_tail_ladder))
 
 _add(IdentityCase(
     id="DISC-P4", description="sinh(x/a)/(cosh + cos) on (0, pi), tanh closed form",
     interval=(0.0, PI), param_kind="alpha", map_kind="log-sin", freq=2.0,
     osc_ends=("lower", "upper"), integrand=_p4_f,
     rhs=lambda p: PI * math.tanh(0.25 * PI / p["alpha"]),
-    domain=lambda p: p["alpha"] > 0.0, interior_points=_spike_points,
-    tail_points=_p34_tail_ladder))
+    domain=lambda p: p["alpha"] > 0.0, tail_points=_p34_tail_ladder))
 
 _add(IdentityCase(
     id="DISC-IM", description="sinh/cosh roles of x and the log term exchanged",
@@ -773,17 +759,13 @@ def default_params_grid(case: IdentityCase,
                         theta_grid: Sequence[float] = THETA_GRID,
                         gamma_grid: Sequence[float] = GAMMA_GRID) -> list[Params]:
     """Parameter records for one case, in canonical (sorted) order."""
-    if case.param_kind == "alpha":
-        return [{"alpha": v} for v in sorted(alpha_grid)]
-    if case.param_kind == "a":
-        return [{"a": v} for v in sorted(a_grid)]
-    if case.param_kind == "a-theta":
-        return [{"theta": t, "a": v}
-                for t in sorted(theta_grid) for v in sorted(a_grid)]
-    if case.param_kind == "a-gamma":
-        return [{"gamma": g, "a": v}
-                for g in sorted(gamma_grid) for v in sorted(a_grid)]
-    return [dict(case.fixed_params)]
+    if case.param_kind == "fixed":
+        return [dict(case.fixed_params)]
+    grids = {"alpha": alpha_grid, "a": a_grid, "theta": theta_grid,
+             "gamma": gamma_grid}
+    names = PARAM_NAMES[case.param_kind]
+    return [dict(zip(names, values))
+            for values in itertools.product(*(sorted(grids[n]) for n in names))]
 
 
 def case_params(case: IdentityCase, params: Params) -> Params:
@@ -810,25 +792,12 @@ def _build_oscillations(case: IdentityCase, params: Params) -> list[EndpointOsci
 
 def _integrate(case: IdentityCase, params: Params, points: Sequence[float],
                tol: float, atol: float) -> QuadratureResult:
-    """Quadrature of the case integrand at merged ``params``.
-
-    A complex integrand is integrated as its real and imaginary parts in
-    two passes; the result then carries the complex value and the summed
-    error estimates and counts.
-    """
-    g = case.integrand(params)
+    """Quadrature of the case integrand at merged ``params``, in one pass
+    whether the integrand is real or complex."""
     a, b = case.interval
-    oscs = _build_oscillations(case, params)
-    kw = dict(tol=tol, atol=atol, points=points,
-              tail_points=case.tail_points(params))
-    if not case.complex_valued:
-        return integrate_endpoint_oscillatory(g, a, b, oscs, **kw)
-    re = integrate_endpoint_oscillatory(lambda x, w: g(x, w).real, a, b, oscs, **kw)
-    im = integrate_endpoint_oscillatory(lambda x, w: g(x, w).imag, a, b, oscs, **kw)
-    return QuadratureResult(complex(re.value, im.value),
-                            re.error_estimate + im.error_estimate,
-                            re.evaluations + im.evaluations,
-                            re.subdivisions + im.subdivisions)
+    return integrate_endpoint_oscillatory(
+        case.integrand(params), a, b, _build_oscillations(case, params),
+        tol=tol, atol=atol, points=points, tail_points=case.tail_points(params))
 
 
 def evaluate_lhs(case: IdentityCase, params: Params,

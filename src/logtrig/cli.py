@@ -15,8 +15,8 @@ import math
 import os
 import sys
 
-from .catalog import (case_by_id, case_params, contour_path_points,
-                      contour_trace, verify_case)
+from .catalog import (PARAM_NAMES, case_by_id, case_params,
+                      contour_path_points, contour_trace, verify_case)
 from .errors import AccuracyError, DomainError, SolverError
 from .report import RunConfig, render_report, run_verification
 from .solver import modulus_from_alpha
@@ -108,27 +108,20 @@ def _cmd_verify(args) -> int:
         grids["gamma_grid"] = _parse_list(args.gamma)
     case_filter = tuple(c.strip() for c in args.case.split(",") if c.strip())
     config = RunConfig(case_filter=case_filter, rtol=args.rtol,
-                       atol=args.atol, format=args.format,
-                       output_path=args.out, jobs=args.jobs, **grids)
+                       atol=args.atol, format=args.format, jobs=args.jobs,
+                       **grids)
     report = run_verification(config)
     _write_output(render_report(report), args.out)
     return report.exit_status
 
 
 def _eval_params(args, case) -> dict[str, float]:
-    provided = {}
-    if args.alpha is not None:
-        provided["alpha"] = _parse_value(args.alpha)
-    if args.a_value is not None:
-        provided["a"] = _parse_value(args.a_value)
-    if args.theta is not None:
-        provided["theta"] = _parse_value(args.theta)
-    if args.gamma is not None:
-        provided["gamma"] = _parse_value(args.gamma)
+    given = {"alpha": args.alpha, "a": args.a_value, "theta": args.theta,
+             "gamma": args.gamma}
+    provided = {k: _parse_value(v) for k, v in given.items() if v is not None}
     if case.param_kind == "fixed":
         return dict(case.fixed_params)
-    needed = {"alpha": ["alpha"], "a": ["a"], "a-theta": ["theta", "a"],
-              "a-gamma": ["gamma", "a"]}[case.param_kind]
+    needed = PARAM_NAMES[case.param_kind]
     missing = [k for k in needed if k not in provided]
     if missing:
         raise DomainError(f"case {case.id} needs --{'/--'.join(missing)}")

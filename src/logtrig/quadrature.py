@@ -31,8 +31,6 @@ __all__ = [
     "integrate_adaptive",
     "integrate_endpoint_oscillatory",
     "tanh_sinh",
-    "tail_split",
-    "jump_points_arctan",
 ]
 
 
@@ -114,13 +112,22 @@ def _qk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     return resk * h, abs((resk - resg) * h)
 
 
+def _fsum(values: Iterable[float | complex]) -> float | complex:
+    """math.fsum that also takes complex values, summing each part exactly."""
+    values = list(values)
+    if any(isinstance(v, complex) for v in values):
+        return complex(math.fsum(v.real for v in values),
+                       math.fsum(v.imag for v in values))
+    return math.fsum(values)
+
+
 def _initial_segments(a: float, b: float, points: Iterable[float]) -> list[tuple[float, float]]:
     cuts = sorted({p for p in points if a < p < b})
     edges = [a] + cuts + [b]
     return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
 
 
-def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
+def integrate_adaptive(f: Callable[[float], float | complex], a: float, b: float,
                        tol: float = 1e-10, *, atol: float = 1e-14,
                        points: Sequence[float] = (),
                        limit: int = 4096) -> QuadratureResult:
@@ -128,7 +135,9 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
 
     ``points`` lists interior abscissae where the integrand has known
     features (near-poles, jumps, boundary layers); they become panel
-    boundaries so bisection can chase the feature from both sides.
+    boundaries so bisection can chase the feature from both sides.  A
+    complex f is integrated in one pass; a panel's error is then the modulus
+    of its complex Kronrod-Gauss difference.
     """
     if not a < b:
         raise DomainError(f"need a < b, got [{a}, {b}]")
@@ -173,7 +182,7 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
         total_err += e1 + e2 - err
     vals = frozen_vals + [v for (_, _, _, _, v, _) in heap]
     errs = frozen_err + math.fsum(e for (_, _, _, _, _, e) in heap)
-    value = math.fsum(vals)
+    value = _fsum(vals)
     if errs > max(atol, tol * abs(value)) * 1.001:
         raise AccuracyError(
             f"tolerance not reached (err {errs:.3e})",
@@ -269,7 +278,7 @@ def _tail_measure(map_kind: str, t: float) -> float:
     return 2.0 * base if map_kind == "log-sin-half" else base
 
 
-def tail_split(period: float | None) -> float:
+def _tail_split(period: float | None) -> float:
     """t at which integration switches from x-space to the transformed tail.
 
     One full oscillation period into the tail, floored so the interior
@@ -281,8 +290,25 @@ def tail_split(period: float | None) -> float:
     return max(2.0, min(period, 30.0))
 
 
+def _feature_cuts(lo: float, hi: float, quarter: float | None,
+                  tail_points: Callable[[float, float], Sequence[float]] | None
+                  ) -> list[float]:
+    """t-positions in (lo, hi) where panels are cut: the quarter-period
+    lattice, where tan poles and cos = -1 pinch points sit, plus the
+    caller's narrow features (``tail_points``)."""
+    cuts: list[float] = []
+    if quarter is not None:
+        j = math.floor(lo / quarter) + 1
+        while j * quarter < hi:
+            cuts.append(j * quarter)
+            j += 1
+    if tail_points is not None:
+        cuts.extend(tail_points(lo, hi))
+    return cuts
+
+
 def integrate_endpoint_oscillatory(
-        f: Callable[[float, float], float], a: float, b: float,
+        f: Callable[[float, float], float | complex], a: float, b: float,
         oscillations: Sequence[EndpointOscillation],
         tol: float = 1e-9, *, atol: float = 1e-11,
         points: Sequence[float] = (), t_max: float = 60.0,
@@ -290,12 +316,17 @@ def integrate_endpoint_oscillatory(
         ) -> QuadratureResult:
     """Integrate f(x, w) over [a, b], w being the case's log-trig value.
 
-    The interior panel evaluates w directly from x.  Near each flagged
-    endpoint the integral continues in t = -w, so the integrand receives the
-    exact pair (x(t), -t); one chunk spans one oscillation period (a fixed
-    step when ``freq`` is 0) with panel boundaries on the quarter-period
-    lattice, which is where tan poles and cos = -1 spikes sit.  Chunks are
+    f may be complex-valued; it is then integrated in one pass with a
+    complex accumulator.  The interior panel evaluates w directly from x.
+    Near each flagged endpoint the integral continues in t = -w, so the
+    integrand receives the exact pair (x(t), -t); one chunk spans one
+    oscillation period (a fixed step when ``freq`` is 0).  Chunks are
     accumulated until two consecutive whole chunks fall below tolerance.
+
+    Log-periodic features are cut on both sides of the split point: the
+    quarter-period lattice in t and the t-positions from ``tail_points``
+    become panel boundaries of every tail chunk and, mapped through x(t),
+    of the interior panel.  ``points`` adds features fixed in x.
     """
     if not oscillations:
         raise DomainError("need at least one endpoint descriptor")
@@ -306,27 +337,32 @@ def integrate_endpoint_oscillatory(
 
     evaluations = 0
     subdivisions = 0
-    pieces: list[float] = []
+    pieces: list[float | complex] = []
     err_total = 0.0
 
-    # interior bounds from each tail's split point
+    # interior bounds from each tail's split point; the interior also gets
+    # each end's log-periodic cuts below the split
     x_lo, x_hi = a, b
+    x_cuts = list(points)
     tails = []
     for osc in oscillations:
         period = osc.period()
-        t_split = tail_split(period)
+        quarter = period / 4.0 if period is not None else None
+        t_split = _tail_split(period)
         x_edge = _tail_x(map_kind, osc.endpoint, t_split)
         if abs(osc.endpoint - a) < abs(osc.endpoint - b):
             x_lo = max(x_lo, x_edge)
         else:
             x_hi = min(x_hi, x_edge)
-        tails.append((osc, t_split, period))
+        x_cuts += [_tail_x(map_kind, osc.endpoint, t)
+                   for t in _feature_cuts(0.0, t_split, quarter, tail_points)]
+        tails.append((osc, t_split, period, quarter))
 
     if x_hi > x_lo:
         interior = integrate_adaptive(
             lambda x: f(x, _log_value(map_kind, x)), x_lo, x_hi,
             tol=0.4 * tol, atol=0.4 * atol,
-            points=[p for p in points if x_lo < p < x_hi], limit=8192)
+            points=[p for p in x_cuts if x_lo < p < x_hi], limit=8192)
         pieces.append(interior.value)
         err_total += interior.error_estimate
         evaluations += interior.evaluations
@@ -334,30 +370,20 @@ def integrate_endpoint_oscillatory(
 
     chunk_tol = max(0.2 * tol, 1e-13)
     chunk_atol = max(0.05 * atol, 1e-17)
-    for osc, t_split, period in tails:
+    for osc, t_split, period, quarter in tails:
         endpoint = osc.endpoint
 
-        def g(t: float) -> float:
+        def g(t: float) -> float | complex:
             return f(_tail_x(map_kind, endpoint, t), -t) * _tail_measure(map_kind, t)
 
         step = period if period is not None else 2.0
-        quarter = step / 4.0 if period is not None else None
         t = t_split
         small_streak = 0
-        running = math.fsum(pieces)
+        running = _fsum(pieces)
         last_chunk = 0.0
         while t < t_max:
             t_next = min(t + step, t_max)
-            cuts: list[float] = []
-            if quarter is not None:
-                j = math.floor(t / quarter) + 1
-                while j * quarter < t_next:
-                    cuts.append(j * quarter)
-                    j += 1
-            if tail_points is not None:
-                # caller-supplied ladders around features too narrow for the
-                # error estimator to notice from panel-scale nodes
-                cuts.extend(tail_points(t, t_next))
+            cuts = _feature_cuts(t, t_next, quarter, tail_points)
             res = integrate_adaptive(g, t, t_next, tol=chunk_tol,
                                      atol=chunk_atol, points=cuts, limit=4096)
             pieces.append(res.value)
@@ -382,38 +408,5 @@ def integrate_endpoint_oscillatory(
                                 evaluations=evaluations)
         err_total += truncation
 
-    value = math.fsum(pieces)
+    value = _fsum(pieces)
     return QuadratureResult(value, err_total, evaluations, subdivisions)
-
-
-def jump_points_arctan(alpha: float, t_max: float = 35.0) -> list[float]:
-    """Abscissae in (0, 2*pi) where tan(3*log(2 sin(x/2))/(2*alpha)) blows up.
-
-    These solve 2 sin(x/2) = exp((2m+1)*pi*alpha/3) for integer m; each
-    admissible level yields a pair symmetric about x = pi.  Levels above 2
-    have no solution, and levels below exp(-t_max) are left to the endpoint
-    transform, which meets them as quarter-period panel boundaries.
-    """
-    if alpha <= 0.0:
-        raise DomainError("alpha must be positive")
-    xs: list[float] = []
-    m = 0
-    while True:
-        s = (2 * m + 1) * math.pi * alpha / 3.0
-        if s > t_max:
-            break
-        level = math.exp(s)
-        if level >= 2.0:
-            break
-        half = math.asin(0.5 * level)
-        xs += [2.0 * half, 2.0 * math.pi - 2.0 * half]
-        m += 1
-    j = 1
-    while True:
-        s = (2 * j - 1) * math.pi * alpha / 3.0
-        if s > t_max:
-            break
-        half = math.asin(0.5 * math.exp(-s))
-        xs += [2.0 * half, 2.0 * math.pi - 2.0 * half]
-        j += 1
-    return sorted(xs)

@@ -35,7 +35,6 @@ class RunConfig:
     rtol: float = 1e-8
     atol: float = 1e-10
     format: str = "table"
-    output_path: str | None = None
     jobs: int = 1
 
     def __post_init__(self):

@@ -6,8 +6,7 @@ import pytest
 
 from logtrig import (AccuracyError, DomainError, EndpointOscillation,
                      QuadratureResult, integrate_adaptive,
-                     integrate_endpoint_oscillatory, jump_points_arctan,
-                     tanh_sinh)
+                     integrate_endpoint_oscillatory, tanh_sinh)
 
 PI = math.pi
 
@@ -153,49 +152,3 @@ def test_transform_preserves_value_against_graded_panels():
         mesh = graded_mesh(a, b, both, True, 100_000, 120_000)
         brute = simpson_sum(lambda x: f(x, w_of(x)), mesh)
         assert abs(res.value - brute) < 1e-9
-
-
-def test_jump_points_match_sign_scan():
-    alpha = 1.0
-    jumps = jump_points_arctan(alpha)
-    lo, hi = 1e-3, 2.0 * PI - 1e-3
-    inside = [x for x in jumps if lo < x < hi]
-
-    n = 1_000_000
-    step = (hi - lo) / n
-    brackets = []
-    prev = math.cos(1.5 * math.log(2.0 * math.sin(0.5 * lo)) / alpha)
-    for i in range(1, n + 1):
-        x = lo + i * step
-        cur = math.cos(1.5 * math.log(2.0 * math.sin(0.5 * x)) / alpha)
-        if prev * cur < 0.0:
-            brackets.append((x - step, x))
-        prev = cur
-    assert len(brackets) == len(inside)
-    for x, (bl, bh) in zip(inside, brackets):
-        assert bl <= x <= bh
-
-
-def test_jump_points_defining_equation():
-    # |2 sin(x/2) - exp((2m+1) pi alpha / 3)| <= 1e-12 for the nearest level;
-    # points mirrored next to 2 pi only satisfy this absolutely, their
-    # distance to the endpoint being at the resolution of floats
-    for alpha in (0.25, 1.0, 2.0):
-        levels = [math.exp((2 * m + 1) * PI * alpha / 3.0)
-                  for m in range(-80, 2)]
-        levels = [lv for lv in levels if lv < 2.0]
-        for x in jump_points_arctan(alpha):
-            value = 2.0 * math.sin(0.5 * x)
-            assert min(abs(value - lv) for lv in levels) < 1e-12
-
-
-def test_jump_points_level_structure():
-    # levels above 1 appear only when alpha <= 3 ln2 / pi
-    big = [x for x in jump_points_arctan(0.25) if 2.0 * math.sin(0.5 * x) > 1.0]
-    assert len(big) == 2
-    assert not [x for x in jump_points_arctan(0.7)
-                if 2.0 * math.sin(0.5 * x) > 1.0]
-    assert not [x for x in jump_points_arctan(1.0)
-                if 2.0 * math.sin(0.5 * x) > 1.0]
-    with pytest.raises(DomainError):
-        jump_points_arctan(-1.0)
