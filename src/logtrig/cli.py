@@ -43,6 +43,13 @@ def _parse_list(text: str) -> tuple[float, ...]:
     return tuple(_parse_value(part) for part in text.split(",") if part.strip())
 
 
+def _usable_cpus() -> int:
+    """CPUs in this process's affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="logtrig",
@@ -66,8 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--format", choices=("table", "json", "csv"),
                         default="table")
     verify.add_argument("--out", default=None, help="write the report here")
-    verify.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker processes (default: CPU count)")
+    verify.add_argument("--jobs", type=int, default=_usable_cpus(),
+                        help="worker processes (default: the CPUs this "
+                             "process may run on)")
 
     ev = sub.add_parser("eval", help="evaluate one case at one point")
     ev.add_argument("case_id")

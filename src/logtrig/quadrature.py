@@ -11,6 +11,9 @@ Two engines cooperate here:
   the transformed integrand decays like exp(-t) while any trigonometric
   dependence on the log term becomes exactly periodic in t.  The tail is
   then accumulated period by period until a whole period stops mattering.
+  The map is chosen once per integral and end, from ``map_kind`` and the
+  endpoint's side: each tail node costs one exp, one arc sine or cosine
+  and one square root before the caller's integrand runs.
 
 A fixed-rule tanh-sinh integrator is included as an independent route for
 defining-integral oracles and endpoint-singular panels.
@@ -98,17 +101,24 @@ _WG = (
 
 
 def _qk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    # straight-line panel: pair sums s0..s6 from the outermost node in; each
+    # rule adds the centre term first, then the pairs in that order
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
+    x0, x1, x2, x3, x4, x5, x6, _ = _XGK
+    k0, k1, k2, k3, k4, k5, k6, k7 = _WGK
+    g0, g1, g2, g3 = _WG
     fc = f(c)
-    resk = _WGK[7] * fc
-    resg = _WG[3] * fc
-    for j in range(7):
-        dx = h * _XGK[j]
-        s = f(c - dx) + f(c + dx)
-        resk += _WGK[j] * s
-        if j % 2 == 1:
-            resg += _WG[(j - 1) // 2] * s
+    s0 = f(c - h * x0) + f(c + h * x0)
+    s1 = f(c - h * x1) + f(c + h * x1)
+    s2 = f(c - h * x2) + f(c + h * x2)
+    s3 = f(c - h * x3) + f(c + h * x3)
+    s4 = f(c - h * x4) + f(c + h * x4)
+    s5 = f(c - h * x5) + f(c + h * x5)
+    s6 = f(c - h * x6) + f(c + h * x6)
+    resk = (k7 * fc + k0 * s0 + k1 * s1 + k2 * s2 + k3 * s3 + k4 * s4
+            + k5 * s5 + k6 * s6)
+    resg = g3 * fc + g0 * s1 + g1 * s3 + g2 * s5
     return resk * h, abs((resk - resg) * h)
 
 
@@ -250,32 +260,62 @@ def tanh_sinh(f: Callable[[float], float], a: float, b: float,
 # endpoint substitution machinery
 
 
-def _log_value(map_kind: str, x: float) -> float:
-    if map_kind == "log-cos":
-        return math.log(2.0 * math.cos(x))
-    if map_kind == "log-sin":
-        return math.log(2.0 * math.sin(x))
-    if map_kind == "log-sin-half":
-        return math.log(2.0 * math.sin(0.5 * x))
-    raise DomainError(f"unknown map kind {map_kind!r}")
+# map_kind -> (trig, c, arc, (offset, scale) at an end below 1, at an end
+# above 1).  The log-trig value w = log(2 trig(c x)) diverges at each end,
+# arc inverts trig next to it, and on that end's side w(x) = -t at
+# x = offset + scale * arc(u) with u = exp(-t) / 2.
+_MAPS = {
+    "log-cos": (math.cos, 1.0, math.acos, (0.0, -1.0), (0.0, 1.0)),
+    "log-sin": (math.sin, 1.0, math.asin, (0.0, 1.0), (math.pi, -1.0)),
+    "log-sin-half": (math.sin, 0.5, math.asin, (0.0, 2.0), (2.0 * math.pi, -2.0)),
+}
 
 
-def _tail_x(map_kind: str, endpoint: float, t: float) -> float:
-    """Abscissa at which the log-trig value equals -t, on the endpoint's side."""
-    u = 0.5 * math.exp(-t)
-    if map_kind == "log-cos":
-        return math.copysign(math.acos(u), endpoint)
-    if map_kind == "log-sin":
-        return math.asin(u) if endpoint < 1.0 else math.pi - math.asin(u)
-    if map_kind == "log-sin-half":
-        return 2.0 * math.asin(u) if endpoint < 1.0 else 2.0 * math.pi - 2.0 * math.asin(u)
-    raise DomainError(f"unknown map kind {map_kind!r}")
+@dataclass(frozen=True)
+class _EndpointMap:
+    """The substitution w = -t at one interval end, chosen once per integral.
 
+    Both the hot integrands and the cold cut mapping read this one
+    definition; |dx/dt| = |scale| * u / sqrt(1 - u^2).
+    """
 
-def _tail_measure(map_kind: str, t: float) -> float:
-    u = 0.5 * math.exp(-t)
-    base = math.exp(-t) / (2.0 * math.sqrt(1.0 - u * u))
-    return 2.0 * base if map_kind == "log-sin-half" else base
+    trig: Callable[[float], float]
+    c: float
+    arc: Callable[[float], float]
+    offset: float
+    scale: float
+
+    @classmethod
+    def at(cls, map_kind: str, endpoint: float) -> "_EndpointMap":
+        if map_kind not in _MAPS:
+            raise DomainError(f"unknown map kind {map_kind!r}")
+        trig, c, arc, below, above = _MAPS[map_kind]
+        return cls(trig, c, arc, *(below if endpoint < 1.0 else above))
+
+    def x(self, t: float) -> float:
+        """Abscissa at which the log-trig value equals -t."""
+        return self.offset + self.scale * self.arc(0.5 * math.exp(-t))
+
+    def interior(self, f: Callable[[float, float], float | complex]
+                 ) -> Callable[[float], float | complex]:
+        """x -> f(x, w(x)), for the panel away from the ends."""
+        trig, c, log = self.trig, self.c, math.log
+        return lambda x: f(x, log(2.0 * trig(c * x)))
+
+    def tail(self, f: Callable[[float, float], float | complex]
+             ) -> Callable[[float], float | complex]:
+        """t -> f(x(t), -t) |dx/dt|, the integrand of the transformed tail."""
+        arc, offset, scale = self.arc, self.offset, self.scale
+        half = 0.5 * abs(scale)
+        exp, sqrt = math.exp, math.sqrt
+
+        def g(t: float) -> float | complex:
+            e = exp(-t)
+            u = 0.5 * e
+            # e * half is exact, so the measure rounds once
+            return f(offset + scale * arc(u), -t) * (e * half / sqrt(1.0 - u * u))
+
+        return g
 
 
 def _tail_split(period: float | None) -> float:
@@ -346,21 +386,23 @@ def integrate_endpoint_oscillatory(
     x_cuts = list(points)
     tails = []
     for osc in oscillations:
+        emap = _EndpointMap.at(map_kind, osc.endpoint)
         period = osc.period()
         quarter = period / 4.0 if period is not None else None
         t_split = _tail_split(period)
-        x_edge = _tail_x(map_kind, osc.endpoint, t_split)
+        x_edge = emap.x(t_split)
         if abs(osc.endpoint - a) < abs(osc.endpoint - b):
             x_lo = max(x_lo, x_edge)
         else:
             x_hi = min(x_hi, x_edge)
-        x_cuts += [_tail_x(map_kind, osc.endpoint, t)
+        x_cuts += [emap.x(t)
                    for t in _feature_cuts(0.0, t_split, quarter, tail_points)]
-        tails.append((osc, t_split, period, quarter))
+        tails.append((emap, t_split, period, quarter))
 
     if x_hi > x_lo:
+        # w(x) depends only on map_kind, so the last end's map serves
         interior = integrate_adaptive(
-            lambda x: f(x, _log_value(map_kind, x)), x_lo, x_hi,
+            emap.interior(f), x_lo, x_hi,
             tol=0.4 * tol, atol=0.4 * atol,
             points=[p for p in x_cuts if x_lo < p < x_hi], limit=8192)
         pieces.append(interior.value)
@@ -370,12 +412,8 @@ def integrate_endpoint_oscillatory(
 
     chunk_tol = max(0.2 * tol, 1e-13)
     chunk_atol = max(0.05 * atol, 1e-17)
-    for osc, t_split, period, quarter in tails:
-        endpoint = osc.endpoint
-
-        def g(t: float) -> float | complex:
-            return f(_tail_x(map_kind, endpoint, t), -t) * _tail_measure(map_kind, t)
-
+    for emap, t_split, period, quarter in tails:
+        g = emap.tail(f)
         step = period if period is not None else 2.0
         t = t_split
         small_streak = 0

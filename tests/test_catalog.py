@@ -1,6 +1,7 @@
 """Identity catalog: case table, evaluation, cross-layer consistency."""
 
 import cmath
+import hashlib
 import math
 import random
 
@@ -10,7 +11,7 @@ from logtrig import (DomainError, case_by_id, catalog, contour_path_points,
                      contour_trace, evaluate_lhs, evaluate_rhs,
                      lambert_alternating, modulus_from_alpha,
                      residue_count_appa, verify_case)
-from logtrig.report import RunConfig, run_verification
+from logtrig.report import RunConfig, render_rows_json, run_verification
 
 PI = math.pi
 LN2 = math.log(2.0)
@@ -246,6 +247,27 @@ def test_sweep_error_estimates_are_honest(sweep):
         case = case_by_id(row.case_id)
         _, cost = evaluate_lhs(case, row.params)
         assert row.abs_err <= cost.error_estimate + 5e-13
+
+
+def test_default_sweep_payload_is_pinned(sweep):
+    # A change that moves the numerics on purpose updates both pins and
+    # records the old and the new hash in CHANGES.md.
+    payload = render_rows_json(sweep.rows).encode()
+    assert hashlib.sha256(payload).hexdigest() == (
+        "43b572c275e59893da1fbe6dd2b6f150676cec7b354a9bf41088b396b84137c2")
+    assert sum(row.evaluations for row in sweep.rows) == 297_540
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="ROADMAP item 2: Kronrod estimate not calibrated")
+def test_t2_estimate_bounds_the_error_off_grid():
+    # the lattice cut at t = 3 period/4 leaves a 1e-6 wide interior panel
+    # 1.5e-9 from the log singularity at pi/2: error 6.0e-10, estimate 4.6e-11
+    case = case_by_id("T2")
+    params = {"alpha": 2.08417825196839}
+    row = verify_case(case, params)
+    _, cost = evaluate_lhs(case, params)
+    assert row.abs_err <= cost.error_estimate + 5e-13
 
 
 @pytest.mark.parametrize("alpha", (4.17, 4.36, 4.77, 5.78, 6.37))

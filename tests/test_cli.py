@@ -2,10 +2,11 @@
 
 import json
 import math
+import os
 
 import pytest
 
-from logtrig.cli import main
+from logtrig.cli import _build_parser, main
 from logtrig.report import (CSV_COLUMNS, RunConfig, render_csv, render_json,
                             render_report, render_rows_json, run_verification)
 
@@ -193,3 +194,15 @@ def test_runconfig_validation():
         RunConfig(format="yaml")
     with pytest.raises(Exception):
         RunConfig(case_filter=("BAD",))
+
+
+def test_verify_jobs_default_counts_usable_cpus(monkeypatch):
+    # the affinity mask, not the machine's CPU count, where the platform has one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert _build_parser().parse_args(["verify"]).jobs == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _build_parser().parse_args(["verify"]).jobs == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _build_parser().parse_args(["verify"]).jobs == 1

@@ -1,12 +1,14 @@
 """Quadrature engines: adaptive Gauss-Kronrod, tanh-sinh, endpoint transform."""
 
 import math
+import random
 
 import pytest
 
 from logtrig import (AccuracyError, DomainError, EndpointOscillation,
                      QuadratureResult, integrate_adaptive,
                      integrate_endpoint_oscillatory, tanh_sinh)
+from logtrig.quadrature import _WG, _WGK, _XGK, _EndpointMap, _qk15
 
 PI = math.pi
 
@@ -152,3 +154,76 @@ def test_transform_preserves_value_against_graded_panels():
         mesh = graded_mesh(a, b, both, True, 100_000, 120_000)
         brute = simpson_sum(lambda x: f(x, w_of(x)), mesh)
         assert abs(res.value - brute) < 1e-9
+
+
+def qk15_loop(f, a, b):
+    """The 15-point Kronrod panel as a plain loop over the node pairs."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    fc = f(c)
+    resk = _WGK[7] * fc
+    resg = _WG[3] * fc
+    for j in range(7):
+        dx = h * _XGK[j]
+        s = f(c - dx) + f(c + dx)
+        resk += _WGK[j] * s
+        if j % 2 == 1:
+            resg += _WG[(j - 1) // 2] * s
+    return resk * h, abs((resk - resg) * h)
+
+
+def test_qk15_polynomial_degrees():
+    # Kronrod 15 is exact to degree 22, its embedded Gauss 7 to degree 13
+    a, b = -0.3, 1.7
+    for d in range(23):
+        exact = (b ** (d + 1) - a ** (d + 1)) / (d + 1)
+        value, err = _qk15(lambda x: x ** d, a, b)
+        assert abs(value - exact) <= 1e-14 * abs(exact), d
+        if d <= 13:
+            assert err <= 1e-14 * abs(exact), d
+        else:
+            assert err > 1e-8 * abs(exact), d
+
+
+def test_qk15_matches_loop_reference_bit_for_bit():
+    # a reordered sum changes the last bit on roughly one panel in five, so
+    # fifty panels per integrand catch it
+    integrands = (math.exp, lambda x: 1.0 / (1.0 + 25.0 * x * x),
+                  lambda x: complex(math.cos(3.0 * x), x * math.sin(x)))
+    rng = random.Random(15)
+    for _ in range(50):
+        a = rng.uniform(-3.0, 3.0)
+        b = a + rng.uniform(0.01, 4.0)
+        for f in integrands:
+            assert _qk15(f, a, b) == qk15_loop(f, a, b)
+
+
+def tail_x_ref(map_kind, endpoint, t):
+    u = 0.5 * math.exp(-t)
+    if map_kind == "log-cos":
+        return math.copysign(math.acos(u), endpoint)
+    if map_kind == "log-sin":
+        return math.asin(u) if endpoint < 1.0 else PI - math.asin(u)
+    return 2.0 * math.asin(u) if endpoint < 1.0 else 2.0 * PI - 2.0 * math.asin(u)
+
+
+def tail_measure_ref(map_kind, t):
+    u = 0.5 * math.exp(-t)
+    base = math.exp(-t) / (2.0 * math.sqrt(1.0 - u * u))
+    return 2.0 * base if map_kind == "log-sin-half" else base
+
+
+@pytest.mark.parametrize("map_kind, endpoint", [
+    ("log-cos", PI / 2), ("log-cos", -PI / 2), ("log-sin", 0.0),
+    ("log-sin", PI), ("log-sin-half", 0.0), ("log-sin-half", 2.0 * PI)])
+def test_tail_map_matches_reference_bit_for_bit(map_kind, endpoint):
+    def f(x, w):
+        return x + 3.0 * w
+
+    emap = _EndpointMap.at(map_kind, endpoint)
+    g = emap.tail(f)
+    for i in range(200):
+        t = 2.0 + 58.0 * i / 199
+        x = tail_x_ref(map_kind, endpoint, t)
+        assert emap.x(t) == x
+        assert g(t) == f(x, -t) * tail_measure_ref(map_kind, t)

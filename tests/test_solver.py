@@ -52,7 +52,7 @@ def test_modulus_monotone_in_alpha():
     assert all(k1 > k2 for k1, k2 in zip(ks, ks[1:]))
 
 
-def test_extreme_alpha_uses_asymptotic_seed():
+def test_extreme_alpha_moduli():
     ep = modulus_from_alpha(12.0)
     assert 0.0 < ep.k < 1e-7
     assert abs(ep.big_k_prime / ep.big_k - 12.0) < 1e-11 * 12.0
