@@ -14,9 +14,8 @@ from .errors import AccuracyError, DomainError, SolverError
 from .catalog import (IdentityCase, VerificationRow, catalog, case_by_id,
                       contour_path_points, contour_trace, evaluate_lhs,
                       evaluate_rhs, residue_count_appa, verify_case)
-from .quadrature import (EndpointOscillation, QuadratureResult,
-                         integrate_adaptive, integrate_endpoint_oscillatory,
-                         tanh_sinh)
+from .quadrature import (QuadratureResult, integrate_adaptive,
+                         integrate_endpoint_oscillatory, tanh_sinh)
 from .report import RunConfig, VerificationReport, render_report, run_verification
 from .series import (SeriesValue, cn_imag_third, cosh_third_sum, gamma_fn,
                      lambert_alternating, lambert_plain, product_one_minus,
@@ -35,7 +34,7 @@ __all__ = [
     "lambert_alternating", "sinh2_sum_integer", "sinh2_sum_odd",
     "sqrt2_cosh_sum_odd", "sqrt2_cosh_sum_bilateral", "cosh_third_sum",
     "cn_imag_third", "lambert_plain", "gamma_fn",
-    "QuadratureResult", "EndpointOscillation", "integrate_adaptive",
+    "QuadratureResult", "integrate_adaptive",
     "integrate_endpoint_oscillatory", "tanh_sinh",
     "IdentityCase", "VerificationRow", "catalog", "case_by_id",
     "evaluate_lhs", "evaluate_rhs", "verify_case", "contour_trace",

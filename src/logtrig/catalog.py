@@ -24,8 +24,7 @@ from typing import Callable, Sequence
 
 from .elliptic import EllipticParams
 from .errors import AccuracyError, DomainError, SolverError
-from .quadrature import (EndpointOscillation, QuadratureResult,
-                         integrate_endpoint_oscillatory)
+from .quadrature import QuadratureResult, integrate_endpoint_oscillatory
 from .series import (gamma_fn, lambert_plain, cn_imag_third,
                      product_one_minus, product_one_plus,
                      sinh2_sum_integer, sinh2_sum_odd)
@@ -38,6 +37,7 @@ __all__ = [
     "case_by_id",
     "default_params_grid",
     "case_params",
+    "check_tolerances",
     "evaluate_lhs",
     "evaluate_rhs",
     "verify_case",
@@ -780,14 +780,11 @@ def case_params(case: IdentityCase, params: Params) -> Params:
     return merged
 
 
-def _build_oscillations(case: IdentityCase, params: Params) -> list[EndpointOscillation]:
-    alpha = params.get("alpha", 1.0)
-    oscs = []
-    for end in case.osc_ends:
-        endpoint = case.interval[0] if end == "lower" else case.interval[1]
-        oscs.append(EndpointOscillation(endpoint=endpoint, map_kind=case.map_kind,
-                                        alpha=alpha, freq=case.freq))
-    return oscs
+def check_tolerances(rtol: float, atol: float) -> None:
+    """Raise DomainError unless rtol and atol are positive and finite."""
+    if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
+        raise DomainError(f"rtol and atol must be positive and finite, "
+                          f"got {rtol} and {atol}")
 
 
 def _integrate(case: IdentityCase, params: Params, points: Sequence[float],
@@ -795,8 +792,9 @@ def _integrate(case: IdentityCase, params: Params, points: Sequence[float],
     """Quadrature of the case integrand at merged ``params``, in one pass
     whether the integrand is real or complex."""
     a, b = case.interval
+    period = 2.0 * PI * params["alpha"] / case.freq if case.freq else None
     return integrate_endpoint_oscillatory(
-        case.integrand(params), a, b, _build_oscillations(case, params),
+        case.integrand(params), a, b, case.map_kind, case.osc_ends, period,
         tol=tol, atol=atol, points=points, tail_points=case.tail_points(params))
 
 
@@ -818,6 +816,7 @@ def evaluate_rhs(case: IdentityCase, params: Params) -> float | complex:
 def verify_case(case: IdentityCase, params: Params,
                 rtol: float = 1e-8, atol: float = 1e-10) -> VerificationRow:
     """Check one (case, parameter) pair; numerics failures become error rows."""
+    check_tolerances(rtol, atol)
     case_params(case, params)
     try:
         rhs = evaluate_rhs(case, params)

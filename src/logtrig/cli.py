@@ -116,10 +116,9 @@ def _cmd_verify(args) -> int:
         grids["gamma_grid"] = _parse_list(args.gamma)
     case_filter = tuple(c.strip() for c in args.case.split(",") if c.strip())
     config = RunConfig(case_filter=case_filter, rtol=args.rtol,
-                       atol=args.atol, format=args.format, jobs=args.jobs,
-                       **grids)
+                       atol=args.atol, jobs=args.jobs, **grids)
     report = run_verification(config)
-    _write_output(render_report(report), args.out)
+    _write_output(render_report(report, args.format), args.out)
     return report.exit_status
 
 

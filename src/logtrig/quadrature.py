@@ -12,8 +12,8 @@ Two engines cooperate here:
   dependence on the log term becomes exactly periodic in t.  The tail is
   then accumulated period by period until a whole period stops mattering.
   The map is chosen once per integral and end, from ``map_kind`` and the
-  endpoint's side: each tail node costs one exp, one arc sine or cosine
-  and one square root before the caller's integrand runs.
+  end's name: each tail node costs one exp, one arc sine or cosine and one
+  square root before the caller's integrand runs.
 
 A fixed-rule tanh-sinh integrator is included as an independent route for
 defining-integral oracles and endpoint-singular panels.
@@ -30,7 +30,6 @@ from .errors import AccuracyError, DomainError
 
 __all__ = [
     "QuadratureResult",
-    "EndpointOscillation",
     "integrate_adaptive",
     "integrate_endpoint_oscillatory",
     "tanh_sinh",
@@ -49,26 +48,6 @@ class QuadratureResult:
     def __post_init__(self):
         if self.error_estimate < 0 or self.evaluations < 1:
             raise ValueError("inconsistent quadrature result")
-
-
-@dataclass(frozen=True)
-class EndpointOscillation:
-    """Describes one interval end where the log-trig argument blows up.
-
-    ``freq`` is the multiplier c in trig(c * log(...) / alpha); the tail
-    oscillation is periodic in t with period 2*pi*alpha/c.  ``freq = 0``
-    means the tail decays without oscillating and is chunked in fixed steps.
-    """
-
-    endpoint: float
-    map_kind: str  # "log-cos" | "log-sin" | "log-sin-half"
-    alpha: float
-    freq: float = 1.0
-
-    def period(self) -> float | None:
-        if self.freq <= 0.0:
-            return None
-        return 2.0 * math.pi * self.alpha / self.freq
 
 
 # 15-point Kronrod nodes with the embedded 7-point Gauss rule.
@@ -260,9 +239,9 @@ def tanh_sinh(f: Callable[[float], float], a: float, b: float,
 # endpoint substitution machinery
 
 
-# map_kind -> (trig, c, arc, (offset, scale) at an end below 1, at an end
-# above 1).  The log-trig value w = log(2 trig(c x)) diverges at each end,
-# arc inverts trig next to it, and on that end's side w(x) = -t at
+# map_kind -> (trig, c, arc, (offset, scale) at the lower end, at the upper
+# end).  The log-trig value w = log(2 trig(c x)) diverges at each end, arc
+# inverts trig next to it, and on that end's side w(x) = -t at
 # x = offset + scale * arc(u) with u = exp(-t) / 2.
 _MAPS = {
     "log-cos": (math.cos, 1.0, math.acos, (0.0, -1.0), (0.0, 1.0)),
@@ -286,11 +265,11 @@ class _EndpointMap:
     scale: float
 
     @classmethod
-    def at(cls, map_kind: str, endpoint: float) -> "_EndpointMap":
-        if map_kind not in _MAPS:
-            raise DomainError(f"unknown map kind {map_kind!r}")
-        trig, c, arc, below, above = _MAPS[map_kind]
-        return cls(trig, c, arc, *(below if endpoint < 1.0 else above))
+    def at(cls, map_kind: str, end: str) -> "_EndpointMap":
+        if map_kind not in _MAPS or end not in ("lower", "upper"):
+            raise DomainError(f"unknown map kind or end: {map_kind!r}, {end!r}")
+        trig, c, arc, lower, upper = _MAPS[map_kind]
+        return cls(trig, c, arc, *(lower if end == "lower" else upper))
 
     def x(self, t: float) -> float:
         """Abscissa at which the log-trig value equals -t."""
@@ -349,60 +328,52 @@ def _feature_cuts(lo: float, hi: float, quarter: float | None,
 
 def integrate_endpoint_oscillatory(
         f: Callable[[float, float], float | complex], a: float, b: float,
-        oscillations: Sequence[EndpointOscillation],
+        map_kind: str, ends: Sequence[str], period: float | None = None,
         tol: float = 1e-9, *, atol: float = 1e-11,
         points: Sequence[float] = (), t_max: float = 60.0,
         tail_points: Callable[[float, float], Sequence[float]] | None = None
         ) -> QuadratureResult:
-    """Integrate f(x, w) over [a, b], w being the case's log-trig value.
+    """Integrate f(x, w) over [a, b], w being the ``map_kind`` log-trig value.
 
-    f may be complex-valued; it is then integrated in one pass with a
-    complex accumulator.  The interior panel evaluates w directly from x.
-    Near each flagged endpoint the integral continues in t = -w, so the
-    integrand receives the exact pair (x(t), -t); one chunk spans one
-    oscillation period (a fixed step when ``freq`` is 0).  Chunks are
-    accumulated until two consecutive whole chunks fall below tolerance.
+    The interior panel evaluates w directly from x.  Near each of ``ends``
+    ("lower", "upper") the integral continues in t = -w, so the integrand
+    receives the exact pair (x(t), -t); one chunk spans one ``period`` (a
+    fixed step when it is None: a tail that decays without oscillating).
+    Chunks are accumulated until two consecutive whole chunks fall below
+    tolerance.  A complex f is integrated in one pass.
 
     Log-periodic features are cut on both sides of the split point: the
     quarter-period lattice in t and the t-positions from ``tail_points``
     become panel boundaries of every tail chunk and, mapped through x(t),
     of the interior panel.  ``points`` adds features fixed in x.
     """
-    if not oscillations:
-        raise DomainError("need at least one endpoint descriptor")
-    map_kind = oscillations[0].map_kind
-    for osc in oscillations:
-        if osc.map_kind != map_kind:
-            raise DomainError("mixed map kinds in one integral")
+    if not ends or len(set(ends)) != len(ends):
+        raise DomainError(f"need distinct interval ends, got {ends!r}")
+    maps = [_EndpointMap.at(map_kind, end) for end in ends]
+    quarter = period / 4.0 if period is not None else None
+    t_split = _tail_split(period)
+    t_cuts = _feature_cuts(0.0, t_split, quarter, tail_points)
 
     evaluations = 0
     subdivisions = 0
     pieces: list[float | complex] = []
     err_total = 0.0
 
-    # interior bounds from each tail's split point; the interior also gets
-    # each end's log-periodic cuts below the split
+    # the interior stops at each end's split point and gets that end's
+    # log-periodic cuts below the split
     x_lo, x_hi = a, b
     x_cuts = list(points)
-    tails = []
-    for osc in oscillations:
-        emap = _EndpointMap.at(map_kind, osc.endpoint)
-        period = osc.period()
-        quarter = period / 4.0 if period is not None else None
-        t_split = _tail_split(period)
-        x_edge = emap.x(t_split)
-        if abs(osc.endpoint - a) < abs(osc.endpoint - b):
-            x_lo = max(x_lo, x_edge)
+    for end, emap in zip(ends, maps):
+        if end == "lower":
+            x_lo = max(x_lo, emap.x(t_split))
         else:
-            x_hi = min(x_hi, x_edge)
-        x_cuts += [emap.x(t)
-                   for t in _feature_cuts(0.0, t_split, quarter, tail_points)]
-        tails.append((emap, t_split, period, quarter))
+            x_hi = min(x_hi, emap.x(t_split))
+        x_cuts += [emap.x(t) for t in t_cuts]
 
     if x_hi > x_lo:
-        # w(x) depends only on map_kind, so the last end's map serves
+        # w(x) depends only on map_kind, so either end's map serves
         interior = integrate_adaptive(
-            emap.interior(f), x_lo, x_hi,
+            maps[-1].interior(f), x_lo, x_hi,
             tol=0.4 * tol, atol=0.4 * atol,
             points=[p for p in x_cuts if x_lo < p < x_hi], limit=8192)
         pieces.append(interior.value)
@@ -412,9 +383,10 @@ def integrate_endpoint_oscillatory(
 
     chunk_tol = max(0.2 * tol, 1e-13)
     chunk_atol = max(0.05 * atol, 1e-17)
-    for emap, t_split, period, quarter in tails:
+    step = period if period is not None else 2.0
+    decay = math.exp(-step)
+    for emap in maps:
         g = emap.tail(f)
-        step = period if period is not None else 2.0
         t = t_split
         small_streak = 0
         running = _fsum(pieces)
@@ -438,7 +410,6 @@ def integrate_endpoint_oscillatory(
             else:
                 small_streak = 0
             t = t_next
-        decay = math.exp(-step)
         truncation = last_chunk * decay / (1.0 - decay)
         if t >= t_max and small_streak < 2 and truncation > max(atol, tol * abs(running)):
             raise AccuracyError("oscillatory tail did not settle",

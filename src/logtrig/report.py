@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
 from .catalog import (ALPHA_GRID, A_GRID, GAMMA_GRID, THETA_GRID,
                       VerificationRow, case_by_id, case_params, catalog,
-                      default_params_grid, verify_case)
+                      check_tolerances, default_params_grid, verify_case)
 from .errors import DomainError
 
 __all__ = ["RunConfig", "VerificationReport", "run_verification",
@@ -34,14 +35,13 @@ class RunConfig:
     gamma_grid: tuple[float, ...] = tuple(GAMMA_GRID)
     rtol: float = 1e-8
     atol: float = 1e-10
-    format: str = "table"
     jobs: int = 1
 
     def __post_init__(self):
-        if self.rtol <= 0.0 or self.atol <= 0.0:
-            raise DomainError("rtol and atol must be positive")
-        if self.format not in ("table", "json", "csv"):
-            raise DomainError(f"unknown format {self.format!r}")
+        check_tolerances(self.rtol, self.atol)
+        grids = (self.alpha_grid, self.a_grid, self.theta_grid, self.gamma_grid)
+        if not all(math.isfinite(v) for grid in grids for v in grid):
+            raise DomainError("grid values must be finite")
         if self.jobs < 1:
             raise DomainError("jobs must be at least 1")
         for cid in self.case_filter:
@@ -74,37 +74,28 @@ def _summarize(rows: list[VerificationRow]) -> dict[str, int]:
 
 def _verify_task(task: tuple[str, dict[str, float], float, float]) -> VerificationRow:
     case_id, params, rtol, atol = task
-    return verify_case(case_by_id(case_id), params, rtol=rtol, atol=atol)
+    case = case_by_id(case_id)
+    try:
+        case_params(case, params)
+    except DomainError:
+        return VerificationRow(case_id, params, None, None, None, None,
+                               "skipped", 0)
+    return verify_case(case, params, rtol=rtol, atol=atol)
 
 
 def run_verification(config: RunConfig) -> VerificationReport:
     """Run every selected (case, grid point); out-of-domain points are skipped."""
-    selected = [c for c in catalog()
-                if not config.case_filter or c.id in config.case_filter]
-    slots: list[VerificationRow | None] = []
-    tasks: list[tuple[int, tuple[str, dict[str, float], float, float]]] = []
-    for case in selected:
-        for params in default_params_grid(case, config.alpha_grid,
-                                          config.a_grid, config.theta_grid,
-                                          config.gamma_grid):
-            try:
-                case_params(case, params)
-            except DomainError:
-                slots.append(VerificationRow(case.id, params, None, None,
-                                             None, None, "skipped", 0))
-            else:
-                tasks.append((len(slots),
-                              (case.id, params, config.rtol, config.atol)))
-                slots.append(None)
+    tasks = [(case.id, params, config.rtol, config.atol)
+             for case in catalog()
+             if not config.case_filter or case.id in config.case_filter
+             for params in default_params_grid(case, config.alpha_grid,
+                                               config.a_grid, config.theta_grid,
+                                               config.gamma_grid)]
     if config.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_verify_task, [t for _, t in tasks],
-                                    chunksize=4))
+            rows = list(pool.map(_verify_task, tasks, chunksize=4))
     else:
-        results = [_verify_task(t) for _, t in tasks]
-    for (slot, _), row in zip(tasks, results):
-        slots[slot] = row
-    rows = [r for r in slots if r is not None]
+        rows = [_verify_task(t) for t in tasks]
     return VerificationReport(tuple(rows), __version__, config,
                               _summarize(rows))
 
@@ -172,7 +163,6 @@ def render_json(report: VerificationReport) -> str:
         _json_grid("gamma_grid", cfg.gamma_grid),
         '"rtol": %s' % _f17(cfg.rtol),
         '"atol": %s' % _f17(cfg.atol),
-        '"format": %s' % _json_scalar(cfg.format),
         '"jobs": %d' % cfg.jobs,
     ]
     summary = ", ".join('"%s": %d' % (k, report.summary[k])
@@ -247,11 +237,13 @@ def render_table(report: VerificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_report(report: VerificationReport, fmt: str | None = None) -> str:
-    fmt = fmt or report.config.format
+def render_report(report: VerificationReport, fmt: str) -> str:
+    """The report as "table", "json" or "csv" text."""
     if fmt == "json":
         return render_json(report)
     if fmt == "csv":
         return render_csv(report)
-    return render_table(report)
+    if fmt == "table":
+        return render_table(report)
+    raise DomainError(f"unknown format {fmt!r}")
 

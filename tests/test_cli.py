@@ -6,7 +6,9 @@ import os
 
 import pytest
 
+import logtrig.report
 from logtrig.cli import _build_parser, main
+from logtrig.errors import DomainError
 from logtrig.report import (CSV_COLUMNS, RunConfig, render_csv, render_json,
                             render_report, render_rows_json, run_verification)
 
@@ -165,13 +167,14 @@ def test_usage_error_from_argparse():
 
 
 def test_reports_are_deterministic():
-    config = RunConfig(case_filter=("T2", "SINE0", "APPA", "DISC-P4"),
-                       jobs=1, format="json")
+    # S3-T7 is out of domain at alpha 0.25 and 0.5: skipped rows go through
+    # the pool too
+    cases = ("T2", "SINE0", "APPA", "DISC-P4", "S3-T7")
+    config = RunConfig(case_filter=cases, jobs=1)
     first = render_rows_json(run_verification(config).rows)
     second = render_rows_json(run_verification(config).rows)
     assert first == second
-    parallel = RunConfig(case_filter=("T2", "SINE0", "APPA", "DISC-P4"),
-                         jobs=2, format="json")
+    parallel = RunConfig(case_filter=cases, jobs=2)
     third = render_rows_json(run_verification(parallel).rows)
     assert first == third
 
@@ -188,12 +191,34 @@ def test_render_report_roundtrip_floats():
 
 
 def test_runconfig_validation():
-    with pytest.raises(Exception):
-        RunConfig(rtol=-1.0)
-    with pytest.raises(Exception):
-        RunConfig(format="yaml")
-    with pytest.raises(Exception):
-        RunConfig(case_filter=("BAD",))
+    for kwargs in ({"rtol": -1.0}, {"rtol": math.inf}, {"rtol": math.nan},
+                   {"atol": math.inf}, {"case_filter": ("BAD",)},
+                   {"case_filter": ("DISC-P1",), "a_grid": (math.inf,)},
+                   {"alpha_grid": (1.0, math.nan)}):
+        with pytest.raises(DomainError):
+            RunConfig(**kwargs)
+    report = run_verification(RunConfig(case_filter=("EX-1",)))
+    with pytest.raises(DomainError):
+        render_report(report, "yaml")
+
+
+def test_domain_error_during_evaluation_propagates(monkeypatch):
+    # only the domain pre-check's DomainError turns a point into a skipped row
+    def evaluate(*args, **kwargs):
+        raise DomainError("raised while evaluating")
+
+    monkeypatch.setattr(logtrig.report, "verify_case", evaluate)
+    with pytest.raises(DomainError, match="while evaluating"):
+        run_verification(RunConfig(case_filter=("T2",), alpha_grid=(1.0,)))
+
+
+def test_non_finite_or_negative_tolerance_is_usage_error(capsys):
+    for argv in (["verify", "--case", "T2", "--alpha", "1", "--rtol", "inf"],
+                 ["verify", "--case", "T2", "--alpha", "1", "--rtol", "nan"],
+                 ["eval", "T2", "--alpha", "1", "--rtol", "-1"],
+                 ["eval", "T2", "--alpha", "1", "--atol", "inf"]):
+        assert main(argv) == 2, argv
+        assert "positive and finite" in capsys.readouterr().err, argv
 
 
 def test_verify_jobs_default_counts_usable_cpus(monkeypatch):

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from logtrig import (AccuracyError, DomainError, EndpointOscillation,
-                     QuadratureResult, integrate_adaptive,
-                     integrate_endpoint_oscillatory, tanh_sinh)
+from logtrig import (AccuracyError, DomainError, QuadratureResult,
+                     integrate_adaptive, integrate_endpoint_oscillatory,
+                     tanh_sinh)
 from logtrig.quadrature import _WG, _WGK, _XGK, _EndpointMap, _qk15
 
 PI = math.pi
@@ -85,12 +85,6 @@ def test_tanh_sinh_endpoint_singularities():
     assert abs(res.value - 2.0) < 1e-13
 
 
-def test_oscillation_period():
-    assert EndpointOscillation(PI / 2, "log-cos", 0.25, 4.0).period() == \
-        pytest.approx(2.0 * PI * 0.25 / 4.0)
-    assert EndpointOscillation(PI / 2, "log-cos", 1.0, 0.0).period() is None
-
-
 def test_quadrature_result_validation():
     with pytest.raises(ValueError):
         QuadratureResult(1.0, -1.0, 10, 0)
@@ -100,22 +94,18 @@ def test_quadrature_result_validation():
 
 def test_log_squared_kernel_integrates_to_zero():
     # the log of x^2 + log^2(2 cos x) over (0, pi/2) vanishes exactly
-    osc = EndpointOscillation(endpoint=PI / 2, map_kind="log-cos",
-                              alpha=1.0, freq=0.0)
     res = integrate_endpoint_oscillatory(
-        lambda x, w: math.log(x * x + w * w), 0.0, PI / 2, [osc],
-        tol=1e-11, atol=1e-13)
+        lambda x, w: math.log(x * x + w * w), 0.0, PI / 2, "log-cos",
+        ("upper",), tol=1e-11, atol=1e-13)
     assert abs(res.value) < 1e-11
     assert res.error_estimate < 1e-9
 
 
 def test_pure_tail_against_reference_and_brute_force():
     # the oscillatory tail alone: start the interval at the split abscissa
-    osc = EndpointOscillation(endpoint=PI / 2, map_kind="log-cos",
-                              alpha=1.0, freq=1.0)
     res = integrate_endpoint_oscillatory(
-        lambda x, w: math.cos(w), TAIL_X0, PI / 2, [osc],
-        tol=1e-11, atol=1e-13)
+        lambda x, w: math.cos(w), TAIL_X0, PI / 2, "log-cos", ("upper",),
+        2.0 * PI, tol=1e-11, atol=1e-13)
     assert abs(res.value - TAIL_REF) < 1e-12
 
     mesh = graded_mesh(TAIL_X0, PI / 2, False, True, 10, 1_000_000)
@@ -138,14 +128,13 @@ def test_transform_preserves_value_against_graded_panels():
                           + math.cos(1.5 * w) ** 2)))
 
     cases = [
-        (t1a, 0.0, PI / 2, "log-cos", 1.0, (PI / 2,), False),
-        (t3a, 0.0, PI / 2, "log-cos", 1.0, (PI / 2,), False),
-        (t6, 0.0, PI, "log-sin", 3.0, (0.0, PI), True),
+        (t1a, 0.0, PI / 2, "log-cos", 1.0, ("upper",), False),
+        (t3a, 0.0, PI / 2, "log-cos", 1.0, ("upper",), False),
+        (t6, 0.0, PI, "log-sin", 3.0, ("lower", "upper"), True),
     ]
     for f, a, b, kind, freq, ends, both in cases:
-        oscs = [EndpointOscillation(endpoint=e, map_kind=kind, alpha=1.0,
-                                    freq=freq) for e in ends]
-        res = integrate_endpoint_oscillatory(f, a, b, oscs,
+        res = integrate_endpoint_oscillatory(f, a, b, kind, ends,
+                                             2.0 * PI / freq,
                                              tol=1e-11, atol=1e-13)
 
         def w_of(x):
@@ -154,6 +143,15 @@ def test_transform_preserves_value_against_graded_panels():
         mesh = graded_mesh(a, b, both, True, 100_000, 120_000)
         brute = simpson_sum(lambda x: f(x, w_of(x)), mesh)
         assert abs(res.value - brute) < 1e-9
+
+
+@pytest.mark.parametrize("map_kind, ends", [
+    ("log-cos", ()), ("log-cos", ("middle",)), ("log-cos", ("upper", "upper")),
+    ("log-tan", ("upper",))])
+def test_endpoint_engine_rejects_bad_arguments(map_kind, ends):
+    with pytest.raises(DomainError):
+        integrate_endpoint_oscillatory(lambda x, w: w, 0.0, PI / 2,
+                                       map_kind, ends)
 
 
 def qk15_loop(f, a, b):
@@ -213,14 +211,19 @@ def tail_measure_ref(map_kind, t):
     return 2.0 * base if map_kind == "log-sin-half" else base
 
 
-@pytest.mark.parametrize("map_kind, endpoint", [
-    ("log-cos", PI / 2), ("log-cos", -PI / 2), ("log-sin", 0.0),
-    ("log-sin", PI), ("log-sin-half", 0.0), ("log-sin-half", 2.0 * PI)])
-def test_tail_map_matches_reference_bit_for_bit(map_kind, endpoint):
+TAIL_ENDS = [
+    ("log-cos", "upper", PI / 2), ("log-cos", "lower", -PI / 2),
+    ("log-sin", "lower", 0.0), ("log-sin", "upper", PI),
+    ("log-sin-half", "lower", 0.0), ("log-sin-half", "upper", 2.0 * PI)]
+
+
+@pytest.mark.parametrize("map_kind, end, endpoint", TAIL_ENDS,
+                         ids=[f"{kind}-{x}" for kind, _, x in TAIL_ENDS])
+def test_tail_map_matches_reference_bit_for_bit(map_kind, end, endpoint):
     def f(x, w):
         return x + 3.0 * w
 
-    emap = _EndpointMap.at(map_kind, endpoint)
+    emap = _EndpointMap.at(map_kind, end)
     g = emap.tail(f)
     for i in range(200):
         t = 2.0 + 58.0 * i / 199
