@@ -465,8 +465,16 @@ def _p34_tail_ladder(p: Params):
 
 
 def _im_f(p: Params):
+    # sinh(s)/(cosh(s) - cos(v)) with s = w/alpha and v = x/alpha, both sides
+    # scaled by 2 e^{-|s|}: nothing overflows however far the tail runs
     al = p["alpha"]
-    return lambda x, w: math.sinh(w / al) / cosh_minus_cos(w / al, x / al)
+
+    def f(x: float, w: float) -> float:
+        s = abs(w) / al
+        return math.copysign(-math.expm1(-2.0 * s), w) / (
+            math.expm1(-s) ** 2 + 4.0 * math.exp(-s) * math.sin(0.5 * x / al) ** 2)
+
+    return f
 
 
 def _grid_dip_points(p: Params) -> tuple[float, ...]:
@@ -824,6 +832,9 @@ def verify_case(case: IdentityCase, params: Params,
     except (AccuracyError, SolverError) as exc:
         return VerificationRow(case.id, params, None, None, None, None,
                                "error", getattr(exc, "evaluations", 0), str(exc))
+    except ArithmeticError as exc:
+        return VerificationRow(case.id, params, None, None, None, None,
+                               "error", 0, f"{type(exc).__name__}: {exc}")
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / abs(rhs) if rhs != 0 else abs_err
     ok = abs_err <= max(atol, rtol * abs(rhs))

@@ -9,8 +9,9 @@ Two engines cooperate here:
   log(2 cos x), log(2 sin x) or log(2 sin(x/2)) diverges.  Near such an end
   the substitution t = -log(...) maps the endpoint to t -> infinity, where
   the transformed integrand decays like exp(-t) while any trigonometric
-  dependence on the log term becomes exactly periodic in t.  The tail is
-  then accumulated period by period until a whole period stops mattering.
+  dependence on the log term becomes exactly periodic in t.  Whole periods
+  then shrink by the known ratio exp(-period), so the tail is summed period
+  by period and closed by its geometric remainder once that is accurate.
   The map is chosen once per integral and end, from ``map_kind`` and the
   end's name: each tail node costs one exp, one arc sine or cosine and one
   square root before the caller's integrand runs.
@@ -338,9 +339,13 @@ def integrate_endpoint_oscillatory(
     The interior panel evaluates w directly from x.  Near each of ``ends``
     ("lower", "upper") the integral continues in t = -w, so the integrand
     receives the exact pair (x(t), -t); one chunk spans one ``period`` (a
-    fixed step when it is None: a tail that decays without oscillating).
-    Chunks are accumulated until two consecutive whole chunks fall below
-    tolerance.  A complex f is integrated in one pass.
+    step of 2 when it is None: a tail that decays without oscillating).
+    Whole chunks shrink by r = exp(-step) up to the slow variation of f over
+    a period, so the tail stops at the first whole chunk n >= 1 whose bound
+    2 d_n r / (1 - r)^2, d_n = |S_n - r S_(n-1)|, plus its own estimate is
+    below tolerance, and closes with the remainder S_n r / (1 - r).  A tail
+    that reaches ``t_max`` first raises AccuracyError unless its last chunk
+    times r / (1 - r) is below tolerance.  A complex f takes one pass.
 
     Log-periodic features are cut on both sides of the split point: the
     quarter-period lattice in t and the t-positions from ``tail_points``
@@ -384,14 +389,14 @@ def integrate_endpoint_oscillatory(
     chunk_tol = max(0.2 * tol, 1e-13)
     chunk_atol = max(0.05 * atol, 1e-17)
     step = period if period is not None else 2.0
-    decay = math.exp(-step)
+    r = math.exp(-step)
+    tail_gain = r / (1.0 - r)          # r + r^2 + ...: all later periods
     for emap in maps:
         g = emap.tail(f)
         t = t_split
-        small_streak = 0
         running = _fsum(pieces)
-        last_chunk = 0.0
-        while t < t_max:
+        previous = None
+        while True:
             t_next = min(t + step, t_max)
             cuts = _feature_cuts(t, t_next, quarter, tail_points)
             res = integrate_adaptive(g, t, t_next, tol=chunk_tol,
@@ -401,21 +406,24 @@ def integrate_endpoint_oscillatory(
             evaluations += res.evaluations
             subdivisions += res.subdivisions
             running += res.value
-            last_chunk = abs(res.value)
-            stop_at = max(0.25 * atol, 0.25 * tol * abs(running), 1e-16)
-            if last_chunk <= stop_at:
-                small_streak += 1
-                if small_streak >= 2:
+            if previous is not None and t_next == t + step:
+                # twice the remainder's error when f varies linearly in t
+                bound = 2.0 * abs(res.value - r * previous) * tail_gain / (1.0 - r)
+                stop_at = max(0.25 * atol, 0.25 * tol * abs(running), 1e-16)
+                if bound + res.error_estimate <= stop_at:
+                    pieces.append(res.value * tail_gain)
+                    err_total += bound + res.error_estimate * tail_gain
                     break
-            else:
-                small_streak = 0
+            if t_next >= t_max:
+                truncation = abs(res.value) * tail_gain
+                if truncation > max(atol, tol * abs(running)):
+                    raise AccuracyError("oscillatory tail did not settle",
+                                        best=running, error_estimate=truncation,
+                                        evaluations=evaluations)
+                err_total += truncation
+                break
+            previous = res.value
             t = t_next
-        truncation = last_chunk * decay / (1.0 - decay)
-        if t >= t_max and small_streak < 2 and truncation > max(atol, tol * abs(running)):
-            raise AccuracyError("oscillatory tail did not settle",
-                                best=running, error_estimate=truncation,
-                                evaluations=evaluations)
-        err_total += truncation
 
     value = _fsum(pieces)
     return QuadratureResult(value, err_total, evaluations, subdivisions)

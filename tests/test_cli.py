@@ -46,10 +46,21 @@ def test_verify_unknown_case_is_usage_error(capsys):
 
 
 def test_verify_forced_failure_exit_code(tmp_path):
-    code = main(["verify", "--case", "SINE0", "--rtol", "1e-16",
+    # EX-2 misses its closed form by 4.4e-15 relative, far above rtol
+    code = main(["verify", "--case", "EX-2", "--rtol", "1e-16",
                  "--atol", "1e-18", "--format", "json",
                  "--out", str(tmp_path / "r.json")])
     assert code == 1
+
+
+@pytest.mark.parametrize("command", (
+    ["verify", "--case", "DISC-IM", "--alpha", "0.035", "--jobs", "1"],
+    ["eval", "DISC-IM", "--alpha", "0.035"]))
+def test_disc_im_deep_tail_ends_in_a_verdict(command):
+    # the tail runs past |w| = 710 alpha, where sinh(w / alpha) overflowed
+    # into a traceback; below alpha = 1/6 the first-branch closed form fails
+    # (ROADMAP item 1)
+    assert main(command) in (0, 1)
 
 
 def test_verify_sqrt_literals(tmp_path):

@@ -1,5 +1,6 @@
 """Quadrature engines: adaptive Gauss-Kronrod, tanh-sinh, endpoint transform."""
 
+import cmath
 import math
 import random
 
@@ -143,6 +144,38 @@ def test_transform_preserves_value_against_graded_panels():
         mesh = graded_mesh(a, b, both, True, 100_000, 120_000)
         brute = simpson_sum(lambda x: f(x, w_of(x)), mesh)
         assert abs(res.value - brute) < 1e-9
+
+
+def test_short_period_tail_remainder_against_gamma_ratio():
+    # int_0^{pi/2} (2 cos x)^{i beta} dx = (pi/2) G(1 + i beta) / G(1 + i beta/2)^2;
+    # beta = 16 makes the tail period 2 pi / beta = 0.39
+    mpmath = pytest.importorskip("mpmath")
+    beta = 16.0
+    ref = complex(mpmath.pi / 2 * mpmath.gamma(1 + 1j * beta)
+                  / mpmath.gamma(1 + 0.5j * beta) ** 2)
+    for tol, atol in ((1e-9, 1e-11), (1e-11, 1e-13)):
+        res = integrate_endpoint_oscillatory(
+            lambda x, w: cmath.exp(1j * beta * w), 0.0, PI / 2, "log-cos",
+            ("upper",), 2.0 * PI / beta, tol=tol, atol=atol)
+        assert abs(res.value - ref) <= res.error_estimate
+        assert res.error_estimate <= tol * abs(ref) + atol
+
+
+# int_0^{pi/2} log^n(2 cos x) dx, from the Taylor coefficients of
+# (pi/2) G(1 + s) / G(1 + s/2)^2
+LOG_POWER_REFS = ((2, PI ** 3 / 24.0), (3, -0.75 * PI * 1.2020569031595942854))
+
+
+@pytest.mark.parametrize("n, ref", LOG_POWER_REFS)
+def test_decay_only_tail_remainder_against_log_moments(n, ref):
+    # no period: the tail factor t^n is far from the constant the geometric
+    # remainder assumes
+    for tol, atol in ((1e-9, 1e-11), (1e-11, 1e-13)):
+        res = integrate_endpoint_oscillatory(
+            lambda x, w: w ** n, 0.0, PI / 2, "log-cos", ("upper",),
+            tol=tol, atol=atol)
+        assert abs(res.value - ref) <= res.error_estimate
+        assert res.error_estimate <= tol * abs(ref) + atol
 
 
 @pytest.mark.parametrize("map_kind, ends", [
