@@ -83,8 +83,9 @@ class IdentityCase:
     domain: Callable[[Params], bool]
     complex_valued: bool = False   # descriptive; complex values take one pass
     interior_points: Callable[[Params], tuple[float, ...]] = lambda p: ()  # fixed in x
-    # t-positions of narrow features; the engine cuts at them on both
-    # sides of the tail split
+    # None, or (end, lo, hi) -> the t-values in [lo, hi] where a pole sits
+    # next to that end's path; the engine resolves each one (see
+    # integrate_endpoint_oscillatory)
     tail_points: Callable[[Params], Callable | None] = lambda p: None
     fixed_params: Params = field(default_factory=dict)
 
@@ -113,6 +114,12 @@ def cosh_minus_cos(u: float, v: float) -> float:
 def cosh_plus_cos(u: float, v: float) -> float:
     """cosh(u) + cos(v) as a sum of squares."""
     return 2.0 * (math.sinh(0.5 * u) ** 2 + math.cos(0.5 * v) ** 2)
+
+
+def scaled_cosh_plus_cos(u: float, v: float) -> float:
+    """2 e^{-u} (cosh(u) + cos(v)) for u >= 0: the kernels that divide by it
+    scale their numerator alike, so neither side overflows at large u."""
+    return math.expm1(-u) ** 2 + 4.0 * math.exp(-u) * math.cos(0.5 * v) ** 2
 
 
 def _sine_kernel_s(a: float) -> float:
@@ -417,7 +424,8 @@ def _l1_f(p: Params):
 
 def _l2_f(p: Params):
     al = p["alpha"]
-    return lambda x, w: math.sin(w / al) / cosh_plus_cos(x / al, w / al)
+    return lambda x, w: (2.0 * math.exp(-x / al) * math.sin(w / al)
+                         / scaled_cosh_plus_cos(x / al, w / al))
 
 
 def _p1_f(p: Params):
@@ -432,36 +440,28 @@ def _p2_f(p: Params):
 
 def _p4_f(p: Params):
     al = p["alpha"]
-    return lambda x, w: math.sinh(x / al) / cosh_plus_cos(x / al, w / al)
+    return lambda x, w: -math.expm1(-2.0 * x / al) / scaled_cosh_plus_cos(x / al, w / al)
 
 
-def _p34_tail_ladder(p: Params):
-    """Geometric cuts around the cos = -1 pinch centers in the tail.
+def _p34_pinches(p: Params):
+    """Poles of the DISC-P3/P4 kernels next to the path, as t-centres.
 
-    The pinch at t_m = (2m+1) pi alpha has t-width exp(-t_m)/2, far below
-    what panel-scale nodes can see, while its mass ~2 pi alpha exp(-t_m)/2
-    can exceed the tolerance; the ladder guarantees some panel is narrow
-    enough that the bump registers in the error estimate.
+    cos(w/2 alpha) vanishes at t_m = (2m+1) pi alpha; only near the lower
+    end, where sinh(x/2 alpha) -> 0 too, is the pole close to the path.
     """
-    al = p["alpha"]
+    half = PI * p["alpha"]
 
-    def ladder(lo: float, hi: float) -> list[float]:
-        cuts: list[float] = []
-        m = 0
-        while True:
-            tm = PI * al * (2 * m + 1)
-            if tm > hi + 1e-9:
-                break
-            if tm > lo - 1e-9:
-                d = 0.25 * math.exp(-tm)
-                while d < hi - lo:
-                    for c in (tm - d, tm + d):
-                        if lo < c < hi:
-                            cuts.append(c)
-                    d *= 8.0
-            m += 1
-        return cuts
-    return ladder
+    def centres(end: str, lo: float, hi: float) -> list[float]:
+        if end != "lower":
+            return []
+        out = []
+        k = max(0, math.floor(0.5 * (lo / half - 1.0)))
+        while (t := (2 * k + 1) * half) <= hi:
+            if t >= lo:
+                out.append(t)
+            k += 1
+        return out
+    return centres
 
 
 def _im_f(p: Params):
@@ -712,21 +712,22 @@ _add(IdentityCase(
     rhs=lambda p: 4.0 * PI * p["a"] / (PI ** 2 + 4.0 * p["a"] ** 2),
     domain=lambda p: True))
 
-# freq 2 makes the period pi alpha, so the cos = -1 pinch points of these two
-# kernels, at t = (2m+1) pi alpha, fall on the quarter-period lattice that the
-# engine cuts at on both sides of the tail split; the ladder adds narrower cuts.
+# The kernels of DISC-P3 and DISC-P4 have period 2 pi alpha in t.  Their
+# cos = -1 poles at t_m = (2m+1) pi alpha lie on the quarter lattice, at a
+# distance of about e^{-t_m}/2 from the path next to the lower end; the
+# engine integrates the segments beside each one in a sinh-graded variable.
 _add(IdentityCase(
     id="DISC-P3", description="sin(log-term)/(cosh + cos) on (0, pi), zero value",
-    interval=(0.0, PI), param_kind="alpha", map_kind="log-sin", freq=2.0,
+    interval=(0.0, PI), param_kind="alpha", map_kind="log-sin", freq=1.0,
     osc_ends=("lower", "upper"), integrand=_l2_f, rhs=lambda p: 0.0,
-    domain=lambda p: p["alpha"] > 0.0, tail_points=_p34_tail_ladder))
+    domain=lambda p: p["alpha"] > 0.0, tail_points=_p34_pinches))
 
 _add(IdentityCase(
     id="DISC-P4", description="sinh(x/a)/(cosh + cos) on (0, pi), tanh closed form",
-    interval=(0.0, PI), param_kind="alpha", map_kind="log-sin", freq=2.0,
+    interval=(0.0, PI), param_kind="alpha", map_kind="log-sin", freq=1.0,
     osc_ends=("lower", "upper"), integrand=_p4_f,
     rhs=lambda p: PI * math.tanh(0.25 * PI / p["alpha"]),
-    domain=lambda p: p["alpha"] > 0.0, tail_points=_p34_tail_ladder))
+    domain=lambda p: p["alpha"] > 0.0, tail_points=_p34_pinches))
 
 _add(IdentityCase(
     id="DISC-IM", description="sinh/cosh roles of x and the log term exchanged",

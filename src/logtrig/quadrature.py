@@ -12,6 +12,9 @@ Two engines cooperate here:
   dependence on the log term becomes exactly periodic in t.  Whole periods
   then shrink by the known ratio exp(-period), so the tail is summed period
   by period and closed by its geometric remainder once that is accurate.
+  A pole that the caller places next to the path, at a distance eps, is a
+  Lorentzian of width eps in t; the sinh substitution t = c + eps sinh(s)
+  (Johnston & Elliott, Int. J. Numer. Meth. Eng. 62, 2005) makes it smooth.
   The map is chosen once per integral and end, from ``map_kind`` and the
   end's name: each tail node costs one exp, one arc sine or cosine and one
   square root before the caller's integrand runs.
@@ -276,6 +279,10 @@ class _EndpointMap:
         """Abscissa at which the log-trig value equals -t."""
         return self.offset + self.scale * self.arc(0.5 * math.exp(-t))
 
+    def gap(self, t: float) -> float:
+        """Distance of x(t) from the interval end, free of cancellation."""
+        return abs(self.scale) * math.asin(0.5 * math.exp(-t))
+
     def interior(self, f: Callable[[float, float], float | complex]
                  ) -> Callable[[float], float | complex]:
         """x -> f(x, w(x)), for the panel away from the ends."""
@@ -310,21 +317,69 @@ def _tail_split(period: float | None) -> float:
     return max(2.0, min(period, 30.0))
 
 
-def _feature_cuts(lo: float, hi: float, quarter: float | None,
-                  tail_points: Callable[[float, float], Sequence[float]] | None
-                  ) -> list[float]:
-    """t-positions in (lo, hi) where panels are cut: the quarter-period
-    lattice, where tan poles and cos = -1 pinch points sit, plus the
-    caller's narrow features (``tail_points``)."""
+def _feature_cuts(lo: float, hi: float, quarter: float | None) -> list[float]:
+    """t-positions in (lo, hi) on the quarter-period lattice, where tan poles
+    and cos = -1 pinch points sit."""
     cuts: list[float] = []
     if quarter is not None:
         j = math.floor(lo / quarter) + 1
         while j * quarter < hi:
             cuts.append(j * quarter)
             j += 1
-    if tail_points is not None:
-        cuts.extend(tail_points(lo, hi))
     return cuts
+
+
+def _tail_chunk(g: Callable[[float], float | complex], emap: _EndpointMap,
+                lo: float, hi: float, quarter: float | None,
+                centres: Sequence[float], tol: float, atol: float
+                ) -> QuadratureResult:
+    """g over the chunk [lo, hi], cut at the quarter lattice and at the pole
+    ``centres``.  Each run of lattice segments takes one adaptive call; the
+    segment on each side of a centre c, with the pole at eps = gap(c) from
+    the path, is integrated in s with t = c +/- eps sinh(s), which turns the
+    Lorentzian of width eps into the smooth 1/cosh(s)."""
+    sinh, cosh = math.sinh, math.cosh
+
+    def plain(run: list[float]) -> QuadratureResult:
+        return integrate_adaptive(g, run[0], run[-1], tol=tol, atol=atol,
+                                  points=run[1:-1], limit=4096)
+
+    def pinch(c: float, side: float, length: float) -> QuadratureResult:
+        eps = emap.gap(c)
+        step = side * eps
+        return integrate_adaptive(lambda s: g(c + step * sinh(s)) * (eps * cosh(s)),
+                                  0.0, math.asinh(length / eps), tol=tol,
+                                  atol=atol, limit=4096)
+
+    if not centres:
+        return plain([lo, *_feature_cuts(lo, hi, quarter), hi])
+    # a lattice cut within rounding of a centre would leave half its peak in
+    # a plain segment, so the centre replaces it
+    near = 1e-9 * (hi - lo)
+    edges = sorted({lo, hi, *centres, *(
+        p for p in _feature_cuts(lo, hi, quarter)
+        if all(abs(p - c) > near for c in centres))})
+    parts: list[QuadratureResult] = []
+    run = [lo]
+    for a, b in zip(edges, edges[1:]):
+        at_a, at_b = a in centres, b in centres
+        if not (at_a or at_b):
+            run.append(b)
+            continue
+        if len(run) > 1:
+            parts.append(plain(run))
+        run = [b]
+        mid = 0.5 * (a + b) if at_a and at_b else (b if at_a else a)
+        if at_a:
+            parts.append(pinch(a, 1.0, mid - a))
+        if at_b:
+            parts.append(pinch(b, -1.0, b - mid))
+    if len(run) > 1:
+        parts.append(plain(run))
+    return QuadratureResult(_fsum(p.value for p in parts),
+                            math.fsum(p.error_estimate for p in parts),
+                            sum(p.evaluations for p in parts),
+                            sum(p.subdivisions for p in parts))
 
 
 def integrate_endpoint_oscillatory(
@@ -332,7 +387,7 @@ def integrate_endpoint_oscillatory(
         map_kind: str, ends: Sequence[str], period: float | None = None,
         tol: float = 1e-9, *, atol: float = 1e-11,
         points: Sequence[float] = (), t_max: float = 60.0,
-        tail_points: Callable[[float, float], Sequence[float]] | None = None
+        tail_points: Callable[[str, float, float], Sequence[float]] | None = None
         ) -> QuadratureResult:
     """Integrate f(x, w) over [a, b], w being the ``map_kind`` log-trig value.
 
@@ -347,33 +402,48 @@ def integrate_endpoint_oscillatory(
     that reaches ``t_max`` first raises AccuracyError unless its last chunk
     times r / (1 - r) is below tolerance.  A complex f takes one pass.
 
-    Log-periodic features are cut on both sides of the split point: the
-    quarter-period lattice in t and the t-positions from ``tail_points``
-    become panel boundaries of every tail chunk and, mapped through x(t),
-    of the interior panel.  ``points`` adds features fixed in x.
+    The quarter-period lattice in t is cut on both sides of the split point:
+    in every tail chunk and, mapped through x(t), in the interior panel.
+    ``points`` adds features fixed in x.  ``tail_points(end, lo, hi)``, when
+    given, lists the t-values c in [lo, hi] where a pole of f sits next to
+    that end's path, at the distance eps = gap(c) of x(c) from the end: in t
+    it is a Lorentzian of width eps.  In a tail chunk the segment on each
+    side of a centre is integrated in s, with t = c +/- eps sinh(s), which
+    makes the peak smooth.  An end whose first centre at t >= 2 lies at or
+    below the split starts its tail a quarter of a step below that centre,
+    so every narrow pole is met in t; the wide centres below t = 2 stay in
+    the interior panel as cuts.
     """
     if not ends or len(set(ends)) != len(ends):
         raise DomainError(f"need distinct interval ends, got {ends!r}")
     maps = [_EndpointMap.at(map_kind, end) for end in ends]
     quarter = period / 4.0 if period is not None else None
+    step = period if period is not None else 2.0
     t_split = _tail_split(period)
-    t_cuts = _feature_cuts(0.0, t_split, quarter, tail_points)
+
+    def centres(end: str, lo: float, hi: float) -> Sequence[float]:
+        return tail_points(end, lo, hi) if tail_points is not None else ()
 
     evaluations = 0
     subdivisions = 0
     pieces: list[float | complex] = []
     err_total = 0.0
 
-    # the interior stops at each end's split point and gets that end's
-    # log-periodic cuts below the split
+    # each end's tail starts at its split point; the interior stops there
+    # and gets that end's lattice cuts and wide centres below it
     x_lo, x_hi = a, b
     x_cuts = list(points)
+    starts = []
     for end, emap in zip(ends, maps):
+        ahead = centres(end, 2.0, t_split)
+        t_end = max(0.0, min(ahead) - 0.25 * step) if ahead else t_split
+        starts.append(t_end)
         if end == "lower":
-            x_lo = max(x_lo, emap.x(t_split))
+            x_lo = max(x_lo, emap.x(t_end))
         else:
-            x_hi = min(x_hi, emap.x(t_split))
-        x_cuts += [emap.x(t) for t in t_cuts]
+            x_hi = min(x_hi, emap.x(t_end))
+        x_cuts += [emap.x(t) for t in (*_feature_cuts(0.0, t_end, quarter),
+                                       *centres(end, 0.0, t_end))]
 
     if x_hi > x_lo:
         # w(x) depends only on map_kind, so either end's map serves
@@ -388,19 +458,16 @@ def integrate_endpoint_oscillatory(
 
     chunk_tol = max(0.2 * tol, 1e-13)
     chunk_atol = max(0.05 * atol, 1e-17)
-    step = period if period is not None else 2.0
     r = math.exp(-step)
     tail_gain = r / (1.0 - r)          # r + r^2 + ...: all later periods
-    for emap in maps:
+    for end, emap, t in zip(ends, maps, starts):
         g = emap.tail(f)
-        t = t_split
         running = _fsum(pieces)
         previous = None
         while True:
             t_next = min(t + step, t_max)
-            cuts = _feature_cuts(t, t_next, quarter, tail_points)
-            res = integrate_adaptive(g, t, t_next, tol=chunk_tol,
-                                     atol=chunk_atol, points=cuts, limit=4096)
+            res = _tail_chunk(g, emap, t, t_next, quarter,
+                              centres(end, t, t_next), chunk_tol, chunk_atol)
             pieces.append(res.value)
             err_total += res.error_estimate
             evaluations += res.evaluations

@@ -178,6 +178,57 @@ def test_decay_only_tail_remainder_against_log_moments(n, ref):
         assert res.error_estimate <= tol * abs(ref) + atol
 
 
+def pinch_centres(alpha, at_end):
+    """The cos(w / 2 alpha) = 0 centres t = (2m+1) pi alpha next to one end."""
+    def centres(end, lo, hi):
+        if end != at_end:
+            return []
+        ts = ((2 * m + 1) * PI * alpha for m in range(int(60.0 / (PI * alpha)) + 1))
+        return [t for t in ts if lo <= t <= hi]
+    return centres
+
+
+@pytest.mark.parametrize("alpha", (2.0, 5.78))
+def test_pinch_substitution_against_tanh_closed_form(alpha):
+    # int_0^pi sinh(x/a) / (cosh(x/a) + cos(w/a)) dx = pi tanh(pi / 4a) with
+    # w = log(2 sin x); near x = 0 the poles at t = (2m+1) pi a sit e^{-t}/2
+    # from the path, and missing the one at t = pi a costs 4e-8 (a = 2) and
+    # 2.4e-7 (a = 5.78)
+    def f(x, w):
+        return math.sinh(x / alpha) / (
+            2.0 * (math.sinh(0.5 * x / alpha) ** 2 + math.cos(0.5 * w / alpha) ** 2))
+
+    ref = PI * math.tanh(0.25 * PI / alpha)
+    tol, atol = 1e-10, 1e-12
+    res = integrate_endpoint_oscillatory(
+        f, 0.0, PI, "log-sin", ("lower", "upper"), 2.0 * PI * alpha,
+        tol=tol, atol=atol, tail_points=pinch_centres(alpha, "lower"))
+    assert abs(res.value - ref) <= res.error_estimate
+    assert res.error_estimate <= tol * ref + atol
+
+
+@pytest.mark.parametrize("alpha", (9.4, 12.8))
+def test_pinch_at_an_upper_end_mirrors_the_lower_end(alpha):
+    # the same integral over (0, pi/2) through log(2 cos x) with its pole
+    # next to the upper end and through log(2 sin x) next to the lower end.
+    # The kernel reads the distance d to the end from w alone.  At alpha =
+    # 9.4 the pole at t = 29.5 carries 4e-12, ten times the two estimates; at
+    # alpha = 12.8 (t = 40.2) x(t) rounds onto pi/2, so a gap taken as a
+    # difference of abscissae would be 0
+    def f(x, w):
+        d = math.asin(0.5 * math.exp(w))
+        return math.sinh(d / alpha) / (
+            2.0 * (math.sinh(0.5 * d / alpha) ** 2 + math.cos(0.5 * w / alpha) ** 2))
+
+    upper, lower = (integrate_endpoint_oscillatory(
+        f, 0.0, PI / 2, kind, (end,), 2.0 * PI * alpha, tol=1e-11, atol=1e-13,
+        tail_points=pinch_centres(alpha, end))
+        for kind, end in (("log-cos", "upper"), ("log-sin", "lower")))
+    assert abs(upper.value - lower.value) <= upper.error_estimate + lower.error_estimate
+    for res in (upper, lower):
+        assert res.error_estimate <= 1e-11 * abs(res.value) + 1e-13
+
+
 @pytest.mark.parametrize("map_kind, ends", [
     ("log-cos", ()), ("log-cos", ("middle",)), ("log-cos", ("upper", "upper")),
     ("log-tan", ("upper",))])
