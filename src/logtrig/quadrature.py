@@ -279,10 +279,6 @@ class _EndpointMap:
         """Abscissa at which the log-trig value equals -t."""
         return self.offset + self.scale * self.arc(0.5 * math.exp(-t))
 
-    def gap(self, t: float) -> float:
-        """Distance of x(t) from the interval end, free of cancellation."""
-        return abs(self.scale) * math.asin(0.5 * math.exp(-t))
-
     def interior(self, f: Callable[[float, float], float | complex]
                  ) -> Callable[[float], float | complex]:
         """x -> f(x, w(x)), for the panel away from the ends."""
@@ -334,10 +330,11 @@ def _tail_chunk(g: Callable[[float], float | complex], emap: _EndpointMap,
                 centres: Sequence[float], tol: float, atol: float
                 ) -> QuadratureResult:
     """g over the chunk [lo, hi], cut at the quarter lattice and at the pole
-    ``centres``.  Each run of lattice segments takes one adaptive call; the
-    segment on each side of a centre c, with the pole at eps = gap(c) from
-    the path, is integrated in s with t = c +/- eps sinh(s), which turns the
-    Lorentzian of width eps into the smooth 1/cosh(s)."""
+    ``centres``.  Each run of lattice segments takes one adaptive call.  The
+    pole next to a centre c lies as far from the path as x(c) from the end,
+    eps; in t it is a Lorentzian of width eps, and the segment on each side
+    of c is integrated in s with t = c +/- eps sinh(s), where it becomes the
+    smooth 1/cosh(s)."""
     sinh, cosh = math.sinh, math.cosh
 
     def plain(run: list[float]) -> QuadratureResult:
@@ -345,7 +342,8 @@ def _tail_chunk(g: Callable[[float], float | complex], emap: _EndpointMap,
                                   points=run[1:-1], limit=4096)
 
     def pinch(c: float, side: float, length: float) -> QuadratureResult:
-        eps = emap.gap(c)
+        # the distance of x(c) from the end, free of cancellation
+        eps = abs(emap.scale) * math.asin(0.5 * math.exp(-c))
         step = side * eps
         return integrate_adaptive(lambda s: g(c + step * sinh(s)) * (eps * cosh(s)),
                                   0.0, math.asinh(length / eps), tol=tol,
@@ -405,14 +403,11 @@ def integrate_endpoint_oscillatory(
     The quarter-period lattice in t is cut on both sides of the split point:
     in every tail chunk and, mapped through x(t), in the interior panel.
     ``points`` adds features fixed in x.  ``tail_points(end, lo, hi)``, when
-    given, lists the t-values c in [lo, hi] where a pole of f sits next to
-    that end's path, at the distance eps = gap(c) of x(c) from the end: in t
-    it is a Lorentzian of width eps.  In a tail chunk the segment on each
-    side of a centre is integrated in s, with t = c +/- eps sinh(s), which
-    makes the peak smooth.  An end whose first centre at t >= 2 lies at or
-    below the split starts its tail a quarter of a step below that centre,
-    so every narrow pole is met in t; the wide centres below t = 2 stay in
-    the interior panel as cuts.
+    given, lists the t-values in [lo, hi] where a pole of f sits next to
+    that end's path; each tail chunk resolves them in a sinh-graded
+    variable (``_tail_chunk``).  An end whose first such centre at t >= 2
+    lies at or below the split starts its tail a quarter step below it, so
+    every narrow pole is met in t; wider ones cut the interior panel.
     """
     if not ends or len(set(ends)) != len(ends):
         raise DomainError(f"need distinct interval ends, got {ends!r}")
