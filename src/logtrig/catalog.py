@@ -116,9 +116,14 @@ def cosh_plus_cos(u: float, v: float) -> float:
     return 2.0 * (math.sinh(0.5 * u) ** 2 + math.cos(0.5 * v) ** 2)
 
 
-def scaled_cosh_plus_cos(u: float, v: float) -> float:
-    """2 e^{-u} (cosh(u) + cos(v)) for u >= 0: the kernels that divide by it
+def scaled_cosh_minus_cos(u: float, v: float) -> float:
+    """2 e^{-u} (cosh(u) - cos(v)) for u >= 0: the kernels that divide by it
     scale their numerator alike, so neither side overflows at large u."""
+    return math.expm1(-u) ** 2 + 4.0 * math.exp(-u) * math.sin(0.5 * v) ** 2
+
+
+def scaled_cosh_plus_cos(u: float, v: float) -> float:
+    """2 e^{-u} (cosh(u) + cos(v)) for u >= 0, scaled as above."""
     return math.expm1(-u) ** 2 + 4.0 * math.exp(-u) * math.cos(0.5 * v) ** 2
 
 
@@ -471,8 +476,7 @@ def _im_f(p: Params):
 
     def f(x: float, w: float) -> float:
         s = abs(w) / al
-        return math.copysign(-math.expm1(-2.0 * s), w) / (
-            math.expm1(-s) ** 2 + 4.0 * math.exp(-s) * math.sin(0.5 * x / al) ** 2)
+        return math.copysign(-math.expm1(-2.0 * s), w) / scaled_cosh_minus_cos(s, x / al)
 
     return f
 
@@ -712,19 +716,20 @@ _add(IdentityCase(
     rhs=lambda p: 4.0 * PI * p["a"] / (PI ** 2 + 4.0 * p["a"] ** 2),
     domain=lambda p: True))
 
-# The kernels of DISC-P3 and DISC-P4 have period 2 pi alpha in t.  Their
-# cos = -1 poles at t_m = (2m+1) pi alpha lie on the quarter lattice, at a
-# distance of about e^{-t_m}/2 from the path next to the lower end; the
+# The cos = -1 poles of DISC-P3 and DISC-P4 at t_m = (2m+1) pi alpha lie at
+# a distance of about e^{-t_m}/2 from the path next to the lower end; the
 # engine integrates the segments beside each one in a sinh-graded variable.
+# The kernels have period 2 pi alpha in t, but freq 2 halves the lattice
+# spacing, which the interior panel's error estimate needs at large alpha.
 _add(IdentityCase(
     id="DISC-P3", description="sin(log-term)/(cosh + cos) on (0, pi), zero value",
-    interval=(0.0, PI), param_kind="alpha", map_kind="log-sin", freq=1.0,
+    interval=(0.0, PI), param_kind="alpha", map_kind="log-sin", freq=2.0,
     osc_ends=("lower", "upper"), integrand=_l2_f, rhs=lambda p: 0.0,
     domain=lambda p: p["alpha"] > 0.0, tail_points=_p34_pinches))
 
 _add(IdentityCase(
     id="DISC-P4", description="sinh(x/a)/(cosh + cos) on (0, pi), tanh closed form",
-    interval=(0.0, PI), param_kind="alpha", map_kind="log-sin", freq=1.0,
+    interval=(0.0, PI), param_kind="alpha", map_kind="log-sin", freq=2.0,
     osc_ends=("lower", "upper"), integrand=_p4_f,
     rhs=lambda p: PI * math.tanh(0.25 * PI / p["alpha"]),
     domain=lambda p: p["alpha"] > 0.0, tail_points=_p34_pinches))

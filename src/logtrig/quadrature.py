@@ -349,8 +349,6 @@ def _tail_chunk(g: Callable[[float], float | complex], emap: _EndpointMap,
                                   0.0, math.asinh(length / eps), tol=tol,
                                   atol=atol, limit=4096)
 
-    if not centres:
-        return plain([lo, *_feature_cuts(lo, hi, quarter), hi])
     # a lattice cut within rounding of a centre would leave half its peak in
     # a plain segment, so the centre replaces it
     near = 1e-9 * (hi - lo)

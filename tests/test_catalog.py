@@ -264,8 +264,8 @@ def test_default_sweep_payload_is_pinned(sweep):
     # records the old and the new hash in CHANGES.md.
     payload = render_rows_json(sweep.rows).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "0d3cdb15d7bce95ebac078864246fca7de62a867343a57fb5ee7b7a60da51f07")
-    assert sum(row.evaluations for row in sweep.rows) == 157_725
+        "54cd0298eea9af2498ebd9e530fc63a2f9212fe3aca1ca2f1e6f508db509d0f8")
+    assert sum(row.evaluations for row in sweep.rows) == 169_935
 
 
 @pytest.mark.xfail(strict=True,
@@ -285,26 +285,14 @@ def test_t2_estimate_bounds_the_error_off_grid(alpha):
 
 @pytest.mark.parametrize("alpha", (4.17, 4.36, 4.77, 5.78, 6.37))
 def test_disc_p4_pinch_points_above_the_split(alpha):
-    # t_split = min(2 pi alpha, 30) lies above the first cos = -1 pinch point
-    # at pi alpha, so the tail starts a quarter period below it; a pinch
+    # t_split = min(pi alpha, 30) falls on the first cos = -1 pinch point at
+    # pi alpha, so the tail starts a quarter period below it; a pinch
     # point left in the interior panel would leave a wrong value behind a
     # tiny estimate
     case = case_by_id("DISC-P4")
     row = verify_case(case, {"alpha": alpha})
     _, cost = evaluate_lhs(case, {"alpha": alpha})
     assert row.status == "pass"
-    assert row.abs_err <= cost.error_estimate + 5e-13
-
-
-@pytest.mark.xfail(strict=True,
-                   reason="ROADMAP item 5: Kronrod estimate not calibrated")
-def test_disc_p3_long_quarter_interior_estimate():
-    # with period 2 pi alpha = 52.6 the upper end's interior panel runs to
-    # t = 30 with lattice cuts 13.1 apart: error 1.1e-11, estimate 7.4e-13
-    case = case_by_id("DISC-P3")
-    params = {"alpha": 8.368357378707675}
-    row = verify_case(case, params)
-    _, cost = evaluate_lhs(case, params)
     assert row.abs_err <= cost.error_estimate + 5e-13
 
 
