@@ -142,15 +142,25 @@ def _not_near_integer(value: float, lowest: int, step: int) -> bool:
     return abs(value - n) > 1e-9
 
 
-def _a_ok(a: float) -> bool:
-    return abs(a) > 1e-9 and abs(a - LN2) > 1e-9
+def _alpha_above(lowest: float) -> Callable[[Params], bool]:
+    return lambda p: p["alpha"] > lowest
 
 
-def _denominator_dip(a: float) -> tuple[float, ...]:
+def _a_ok(p: Params) -> bool:
+    return abs(p["a"]) > 1e-9 and abs(p["a"] - LN2) > 1e-9
+
+
+def _theta_ok(p: Params) -> bool:
+    """|theta| < pi/2, and the pole a - i theta does not sit on the path."""
+    return (abs(p["theta"]) < PI / 2
+            and abs(p["a"] - math.log(2.0 * math.cos(p["theta"]))) > 1e-9)
+
+
+def _denominator_dip(p: Params) -> tuple[float, ...]:
     """x > 0 where log(2 cos x) = a, the closest approach of ix + w - a to 0."""
-    if a >= LN2:
+    if p["a"] >= LN2:
         return ()
-    return (math.acos(0.5 * math.exp(a)),)
+    return (math.acos(0.5 * math.exp(p["a"])),)
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +202,44 @@ def _intro4_rhs(p: Params) -> complex:
     return complex(value, 0.0)
 
 
-def _t1a_f(p: Params):
-    al = p["alpha"]
-    return lambda x, w: math.log(cosh_minus_cos(x / al, w / al))
+# Each T-kernel family divides by den(u, v) = cosh(u) -/+ cos(v); the "a"
+# member takes cosh_minus_cos and the "b" member cosh_plus_cos.
+
+def _t1_f(den: Callable[[float, float], float]):
+    def integrand(p: Params):
+        al = p["alpha"]
+        return lambda x, w: math.log(den(x / al, w / al))
+    return integrand
 
 
-def _t1b_f(p: Params):
-    al = p["alpha"]
-    return lambda x, w: math.log(cosh_plus_cos(x / al, w / al))
+def _t3_f(den: Callable[[float, float], float]):
+    def integrand(p: Params):
+        al = p["alpha"]
+        return lambda x, w: (math.sin(2.0 * x) * math.sinh(x / al)
+                             / den(x / al, w / al))
+    return integrand
+
+
+def _t4_f(den: Callable[[float, float], float]):
+    def integrand(p: Params):
+        al = p["alpha"]
+        return lambda x, w: (math.cos(2.0 * x) * math.sin(w / al)
+                             / den(x / al, w / al))
+    return integrand
+
+
+def _t5_f(den: Callable[[float, float], float]):
+    def integrand(p: Params):
+        al = p["alpha"]
+        return lambda x, w: (math.sinh((4.0 * x - PI) / al)
+                             / den((4.0 * x - PI) / al, 4.0 * w / al))
+    return integrand
+
+
+_t1a_f, _t1b_f = _t1_f(cosh_minus_cos), _t1_f(cosh_plus_cos)
+_t3a_f, _t3b_f = _t3_f(cosh_minus_cos), _t3_f(cosh_plus_cos)
+_t4a_f, _t4b_f = _t4_f(cosh_minus_cos), _t4_f(cosh_plus_cos)
+_t5a_f, _t5b_f = _t5_f(cosh_minus_cos), _t5_f(cosh_plus_cos)
 
 
 def _t1a_rhs(p: Params) -> float:
@@ -242,18 +282,6 @@ def _sine_f(p: Params):
     return lambda x, w: 1j * math.sin(2.0 * x) / complex(w - a, x)
 
 
-def _t3a_f(p: Params):
-    al = p["alpha"]
-    return lambda x, w: (math.sin(2.0 * x) * math.sinh(x / al)
-                         / cosh_minus_cos(x / al, w / al))
-
-
-def _t3b_f(p: Params):
-    al = p["alpha"]
-    return lambda x, w: (math.sin(2.0 * x) * math.sinh(x / al)
-                         / cosh_plus_cos(x / al, w / al))
-
-
 def _ell_term_a(ep: EllipticParams) -> float:
     return ep.big_e - (2.0 - ep.k ** 2) / 3.0 * ep.big_k
 
@@ -286,18 +314,6 @@ def _cos_rhs(p: Params) -> complex:
     return complex(value, 0.0)
 
 
-def _t4a_f(p: Params):
-    al = p["alpha"]
-    return lambda x, w: (math.cos(2.0 * x) * math.sin(w / al)
-                         / cosh_minus_cos(x / al, w / al))
-
-
-def _t4b_f(p: Params):
-    al = p["alpha"]
-    return lambda x, w: (math.cos(2.0 * x) * math.sin(w / al)
-                         / cosh_plus_cos(x / al, w / al))
-
-
 def _t4a_rhs(p: Params) -> float:
     al = p["alpha"]
     ep = _elliptic(p)
@@ -325,18 +341,6 @@ def _t4pb_rhs(p: Params) -> float:
     s = sinh2_sum_odd(_elliptic(p)).direct
     return (PI / (8.0 * al) - PI * al / (4.0 * math.sinh(PI * al))
             - PI * al / 8.0 * s)
-
-
-def _t5a_f(p: Params):
-    al = p["alpha"]
-    return lambda x, w: (math.sinh((4.0 * x - PI) / al)
-                         / cosh_minus_cos((4.0 * x - PI) / al, 4.0 * w / al))
-
-
-def _t5b_f(p: Params):
-    al = p["alpha"]
-    return lambda x, w: (math.sinh((4.0 * x - PI) / al)
-                         / cosh_plus_cos((4.0 * x - PI) / al, 4.0 * w / al))
 
 
 def _t5a_rhs(p: Params) -> float:
@@ -482,7 +486,7 @@ def _im_f(p: Params):
 
 
 def _grid_dip_points(p: Params) -> tuple[float, ...]:
-    pts = _denominator_dip(p["a"])
+    pts = _denominator_dip(p)
     return pts + tuple(-x for x in pts)
 
 
@@ -490,267 +494,175 @@ def _theta_pole_points(p: Params) -> tuple[float, ...]:
     return (-p["theta"],)
 
 
+# The four paths, as (interval, map_kind, osc_ends): log cos on (0, pi/2)
+# and on (-pi/2, pi/2), log sin on (0, pi), log sin(x/2) on (0, 2 pi).  The
+# log-trig value diverges at exactly the ends listed.
+_COS_HALF = ((0.0, PI / 2), "log-cos", ("upper",))
+_COS_FULL = ((-PI / 2, PI / 2), "log-cos", ("lower", "upper"))
+_SIN = ((0.0, PI), "log-sin", ("lower", "upper"))
+_SIN_HALF = ((0.0, 2.0 * PI), "log-sin-half", ("lower", "upper"))
+
 _CASES: list[IdentityCase] = []
 
 
-def _add(case: IdentityCase) -> None:
-    _CASES.append(case)
+def _add(id: str, description: str, path: tuple, param_kind: str, freq: float,
+         integrand, rhs, domain, **extra) -> None:
+    interval, map_kind, osc_ends = path
+    _CASES.append(IdentityCase(id, description, interval, param_kind, map_kind,
+                               freq, osc_ends, integrand, rhs, domain, **extra))
 
 
-_add(IdentityCase(
-    id="INTRO-1", description="log of x^2 + (log(2 cos x) - a)^2 on (0, pi/2)",
-    interval=(0.0, PI / 2), param_kind="a", map_kind="log-cos", freq=0.0,
-    osc_ends=("upper",), integrand=_intro1_f,
-    rhs=lambda p: PI * math.log(p["a"] / math.expm1(min(p["a"], LN2))),
-    domain=lambda p: _a_ok(p["a"]),
-    interior_points=lambda p: _denominator_dip(p["a"])))
+_add("INTRO-1", "log of x^2 + (log(2 cos x) - a)^2 on (0, pi/2)", _COS_HALF,
+     "a", 0.0, _intro1_f,
+     lambda p: PI * math.log(p["a"] / math.expm1(min(p["a"], LN2))),
+     _a_ok, interior_points=_denominator_dip)
 
-_add(IdentityCase(
-    id="INTRO-2", description="same log kernel weighted by cos 2x",
-    interval=(0.0, PI / 2), param_kind="a", map_kind="log-cos", freq=0.0,
-    osc_ends=("upper",), integrand=_intro2_f,
-    rhs=lambda p: 0.5 * PI * (1.0 - 1.0 / p["a"] - math.exp(min(p["a"], LN2))
-                              + 1.0 / math.expm1(min(p["a"], LN2))),
-    domain=lambda p: _a_ok(p["a"]),
-    interior_points=lambda p: _denominator_dip(p["a"])))
+_add("INTRO-2", "same log kernel weighted by cos 2x", _COS_HALF, "a", 0.0,
+     _intro2_f,
+     lambda p: 0.5 * PI * (1.0 - 1.0 / p["a"] - math.exp(min(p["a"], LN2))
+                           + 1.0 / math.expm1(min(p["a"], LN2))),
+     _a_ok, interior_points=_denominator_dip)
 
-_add(IdentityCase(
-    id="INTRO-3", description="x sin 2x over the squared-distance kernel",
-    interval=(0.0, PI / 2), param_kind="a", map_kind="log-cos", freq=0.0,
-    osc_ends=("upper",), integrand=_intro3_f,
-    rhs=lambda p: 0.25 * PI * _sine_kernel_s(p["a"]),
-    domain=lambda p: _a_ok(p["a"]),
-    interior_points=lambda p: _denominator_dip(p["a"])))
+_add("INTRO-3", "x sin 2x over the squared-distance kernel", _COS_HALF, "a",
+     0.0, _intro3_f, lambda p: 0.25 * PI * _sine_kernel_s(p["a"]),
+     _a_ok, interior_points=_denominator_dip)
 
-_add(IdentityCase(
-    id="INTRO-4", description="binomial weight (1+e^{2ix})^gamma over the pole kernel",
-    interval=(-PI / 2, PI / 2), param_kind="a-gamma", map_kind="log-cos",
-    freq=0.0, osc_ends=("lower", "upper"), integrand=_intro4_f,
-    rhs=_intro4_rhs, complex_valued=True,
-    domain=lambda p: _a_ok(p["a"]) and p["gamma"] >= 0.0,
-    interior_points=_grid_dip_points))
+_add("INTRO-4", "binomial weight (1+e^{2ix})^gamma over the pole kernel",
+     _COS_FULL, "a-gamma", 0.0, _intro4_f, _intro4_rhs,
+     lambda p: _a_ok(p) and p["gamma"] >= 0.0, complex_valued=True,
+     interior_points=_grid_dip_points)
 
-_add(IdentityCase(
-    id="T1-A", description="log(cosh(x/a) - cos(log(2cos x)/a)) vs eta-type closed form",
-    interval=(0.0, PI / 2), param_kind="alpha", map_kind="log-cos", freq=1.0,
-    osc_ends=("upper",), integrand=_t1a_f, rhs=_t1a_rhs,
-    domain=lambda p: p["alpha"] > LN2 / (2.0 * PI)))
+_add("T1-A", "log(cosh(x/a) - cos(log(2cos x)/a)) vs eta-type closed form",
+     _COS_HALF, "alpha", 1.0, _t1a_f, _t1a_rhs, _alpha_above(LN2 / (2.0 * PI)))
 
-_add(IdentityCase(
-    id="T1-B", description="log(cosh + cos) vs algebraic modulus closed form",
-    interval=(0.0, PI / 2), param_kind="alpha", map_kind="log-cos", freq=1.0,
-    osc_ends=("upper",), integrand=_t1b_f, rhs=_t1b_rhs,
-    domain=lambda p: p["alpha"] > LN2 / PI))
+_add("T1-B", "log(cosh + cos) vs algebraic modulus closed form", _COS_HALF,
+     "alpha", 1.0, _t1b_f, _t1b_rhs, _alpha_above(LN2 / PI))
 
-_add(IdentityCase(
-    id="T1-PA", description="log(cosh - cos) vs direct q-product form",
-    interval=(0.0, PI / 2), param_kind="alpha", map_kind="log-cos", freq=1.0,
-    osc_ends=("upper",), integrand=_t1a_f, rhs=_t1pa_rhs,
-    domain=lambda p: p["alpha"] > LN2 / (2.0 * PI)))
+_add("T1-PA", "log(cosh - cos) vs direct q-product form", _COS_HALF, "alpha",
+     1.0, _t1a_f, _t1pa_rhs, _alpha_above(LN2 / (2.0 * PI)))
 
-_add(IdentityCase(
-    id="T1-PB", description="log(cosh + cos) vs direct q-product form",
-    interval=(0.0, PI / 2), param_kind="alpha", map_kind="log-cos", freq=1.0,
-    osc_ends=("upper",), integrand=_t1b_f, rhs=_t1pb_rhs,
-    domain=lambda p: p["alpha"] > LN2 / PI))
+_add("T1-PB", "log(cosh + cos) vs direct q-product form", _COS_HALF, "alpha",
+     1.0, _t1b_f, _t1pb_rhs, _alpha_above(LN2 / PI))
 
-_add(IdentityCase(
-    id="T2", description="half-frequency cosh cos kernel vs pi(alpha+2)/8 - alpha K/4",
-    interval=(0.0, PI / 2), param_kind="alpha", map_kind="log-cos", freq=0.5,
-    osc_ends=("upper",), integrand=_t2_f, rhs=_t2_rhs,
-    domain=lambda p: p["alpha"] > LN2 / PI))
+_add("T2", "half-frequency cosh cos kernel vs pi(alpha+2)/8 - alpha K/4",
+     _COS_HALF, "alpha", 0.5, _t2_f, _t2_rhs, _alpha_above(LN2 / PI))
 
-_add(IdentityCase(
-    id="SINE", description="i times the sin 2x pole-kernel integral (parity-real)",
-    interval=(-PI / 2, PI / 2), param_kind="a", map_kind="log-cos", freq=0.0,
-    osc_ends=("lower", "upper"), integrand=_sine_f,
-    rhs=lambda p: complex(0.5 * PI * _sine_kernel_s(p["a"]), 0.0),
-    complex_valued=True, domain=lambda p: _a_ok(p["a"]),
-    interior_points=_grid_dip_points))
+_add("SINE", "i times the sin 2x pole-kernel integral (parity-real)",
+     _COS_FULL, "a", 0.0, _sine_f,
+     lambda p: complex(0.5 * PI * _sine_kernel_s(p["a"]), 0.0),
+     _a_ok, complex_valued=True, interior_points=_grid_dip_points)
 
-_add(IdentityCase(
-    id="SINE0", description="the a = 0 sin 2x pole-kernel value 13 pi/24",
-    interval=(-PI / 2, PI / 2), param_kind="fixed", map_kind="log-cos",
-    freq=0.0, osc_ends=("lower", "upper"), integrand=_sine_f,
-    rhs=lambda p: complex(13.0 * PI / 24.0, 0.0), complex_valued=True,
-    domain=lambda p: True, fixed_params={}))
+_add("SINE0", "the a = 0 sin 2x pole-kernel value 13 pi/24", _COS_FULL,
+     "fixed", 0.0, _sine_f, lambda p: complex(13.0 * PI / 24.0, 0.0),
+     lambda p: True, complex_valued=True, fixed_params={})
 
-_add(IdentityCase(
-    id="T3-A", description="sin 2x sinh kernel over cosh - cos",
-    interval=(0.0, PI / 2), param_kind="alpha", map_kind="log-cos", freq=1.0,
-    osc_ends=("upper",), integrand=_t3a_f, rhs=_t3a_rhs,
-    domain=lambda p: p["alpha"] > LN2 / (2.0 * PI)))
+_add("T3-A", "sin 2x sinh kernel over cosh - cos", _COS_HALF, "alpha", 1.0,
+     _t3a_f, _t3a_rhs, _alpha_above(LN2 / (2.0 * PI)))
 
-_add(IdentityCase(
-    id="T3-B", description="sin 2x sinh kernel over cosh + cos",
-    interval=(0.0, PI / 2), param_kind="alpha", map_kind="log-cos", freq=1.0,
-    osc_ends=("upper",), integrand=_t3b_f, rhs=_t3b_rhs,
-    domain=lambda p: p["alpha"] > LN2 / PI))
+_add("T3-B", "sin 2x sinh kernel over cosh + cos", _COS_HALF, "alpha", 1.0,
+     _t3b_f, _t3b_rhs, _alpha_above(LN2 / PI))
 
-_add(IdentityCase(
-    id="COS", description="cos 2x pole-kernel integral with Heaviside switch",
-    interval=(-PI / 2, PI / 2), param_kind="a", map_kind="log-cos", freq=0.0,
-    osc_ends=("lower", "upper"), integrand=_cos_f, rhs=_cos_rhs,
-    complex_valued=True, domain=lambda p: _a_ok(p["a"]),
-    interior_points=_grid_dip_points))
+_add("COS", "cos 2x pole-kernel integral with Heaviside switch", _COS_FULL,
+     "a", 0.0, _cos_f, _cos_rhs, _a_ok, complex_valued=True,
+     interior_points=_grid_dip_points)
 
-_add(IdentityCase(
-    id="T4-A", description="cos 2x sin(log-term) kernel over cosh - cos",
-    interval=(0.0, PI / 2), param_kind="alpha", map_kind="log-cos", freq=1.0,
-    osc_ends=("upper",), integrand=_t4a_f, rhs=_t4a_rhs,
-    domain=lambda p: p["alpha"] > LN2 / (2.0 * PI)))
+_add("T4-A", "cos 2x sin(log-term) kernel over cosh - cos", _COS_HALF,
+     "alpha", 1.0, _t4a_f, _t4a_rhs, _alpha_above(LN2 / (2.0 * PI)))
 
-_add(IdentityCase(
-    id="T4-B", description="cos 2x sin(log-term) kernel over cosh + cos",
-    interval=(0.0, PI / 2), param_kind="alpha", map_kind="log-cos", freq=1.0,
-    osc_ends=("upper",), integrand=_t4b_f, rhs=_t4b_rhs,
-    domain=lambda p: p["alpha"] > LN2 / PI))
+_add("T4-B", "cos 2x sin(log-term) kernel over cosh + cos", _COS_HALF,
+     "alpha", 1.0, _t4b_f, _t4b_rhs, _alpha_above(LN2 / PI))
 
-_add(IdentityCase(
-    id="T4-PA", description="cos 2x sin kernel vs direct sinh^-2 sum form",
-    interval=(0.0, PI / 2), param_kind="alpha", map_kind="log-cos", freq=1.0,
-    osc_ends=("upper",), integrand=_t4a_f, rhs=_t4pa_rhs,
-    domain=lambda p: p["alpha"] > LN2 / (2.0 * PI)))
+_add("T4-PA", "cos 2x sin kernel vs direct sinh^-2 sum form", _COS_HALF,
+     "alpha", 1.0, _t4a_f, _t4pa_rhs, _alpha_above(LN2 / (2.0 * PI)))
 
-_add(IdentityCase(
-    id="T4-PB", description="cos 2x sin kernel vs direct odd sinh^-2 sum form",
-    interval=(0.0, PI / 2), param_kind="alpha", map_kind="log-cos", freq=1.0,
-    osc_ends=("upper",), integrand=_t4b_f, rhs=_t4pb_rhs,
-    domain=lambda p: p["alpha"] > LN2 / PI))
+_add("T4-PB", "cos 2x sin kernel vs direct odd sinh^-2 sum form", _COS_HALF,
+     "alpha", 1.0, _t4b_f, _t4pb_rhs, _alpha_above(LN2 / PI))
 
-_add(IdentityCase(
-    id="S3-T5A", description="sinh((4x-pi)/a) over cosh - cos(4 log(2sin x)/a) on (0, pi)",
-    interval=(0.0, PI), param_kind="alpha", map_kind="log-sin", freq=4.0,
-    osc_ends=("lower", "upper"), integrand=_t5a_f, rhs=_t5a_rhs,
-    domain=lambda p: p["alpha"] > LN2 / PI,
-    interior_points=lambda p: (PI / 4.0,)))
+_add("S3-T5A", "sinh((4x-pi)/a) over cosh - cos(4 log(2sin x)/a) on (0, pi)",
+     _SIN, "alpha", 4.0, _t5a_f, _t5a_rhs, _alpha_above(LN2 / PI),
+     interior_points=lambda p: (PI / 4.0,))
 
-_add(IdentityCase(
-    id="S3-T5B", description="same kernel over cosh + cos, sqrt(2+2/k) closed form",
-    interval=(0.0, PI), param_kind="alpha", map_kind="log-sin", freq=4.0,
-    osc_ends=("lower", "upper"), integrand=_t5b_f, rhs=_t5b_rhs,
-    domain=lambda p: p["alpha"] > 2.0 * LN2 / PI,
-    interior_points=lambda p: (PI / 4.0,)))
+_add("S3-T5B", "same kernel over cosh + cos, sqrt(2+2/k) closed form", _SIN,
+     "alpha", 4.0, _t5b_f, _t5b_rhs, _alpha_above(2.0 * LN2 / PI),
+     interior_points=lambda p: (PI / 4.0,))
 
-_add(IdentityCase(
-    id="S3-T6", description="sinh((pi-6x)/2a) kernel, cn(i K'/3, k) closed form",
-    interval=(0.0, PI), param_kind="alpha", map_kind="log-sin", freq=3.0,
-    osc_ends=("lower", "upper"), integrand=_t6_f, rhs=_t6_rhs,
-    domain=lambda p: p["alpha"] > 0.0,
-    interior_points=lambda p: (PI / 6.0,)))
+_add("S3-T6", "sinh((pi-6x)/2a) kernel, cn(i K'/3, k) closed form", _SIN,
+     "alpha", 3.0, _t6_f, _t6_rhs, _alpha_above(0.0),
+     interior_points=lambda p: (PI / 6.0,))
 
-_add(IdentityCase(
-    id="S3-T7", description="arctan(tanh/cot) kernel weighted by cos x on (0, 2 pi)",
-    interval=(0.0, 2.0 * PI), param_kind="alpha", map_kind="log-sin-half",
-    freq=1.5, osc_ends=("lower", "upper"), integrand=_t7_f, rhs=_t7_rhs,
-    domain=lambda p: p["alpha"] > 3.0 * LN2 / PI))
+_add("S3-T7", "arctan(tanh/cot) kernel weighted by cos x on (0, 2 pi)",
+     _SIN_HALF, "alpha", 1.5, _t7_f, _t7_rhs, _alpha_above(3.0 * LN2 / PI))
 
-_add(IdentityCase(
-    id="THETA2", description="cos 2x kernel with shifted pole i(x+theta) - a",
-    interval=(-PI / 2, PI / 2), param_kind="a-theta", map_kind="log-cos",
-    freq=0.0, osc_ends=("lower", "upper"), integrand=_theta2_f,
-    rhs=_theta2_rhs, complex_valued=True,
-    domain=lambda p: abs(p["theta"]) < PI / 2
-    and abs(p["a"] - math.log(2.0 * math.cos(p["theta"]))) > 1e-9,
-    interior_points=_theta_pole_points))
+_add("THETA2", "cos 2x kernel with shifted pole i(x+theta) - a", _COS_FULL,
+     "a-theta", 0.0, _theta2_f, _theta2_rhs, _theta_ok, complex_valued=True,
+     interior_points=_theta_pole_points)
 
-_add(IdentityCase(
-    id="EX-1", description="log(cosh + cos) at alpha = sqrt(3), gamma-free value",
-    interval=(0.0, PI / 2), param_kind="fixed", map_kind="log-cos", freq=1.0,
-    osc_ends=("upper",), integrand=_t1b_f,
-    rhs=lambda p: (PI * PI / (8.0 * SQRT3) - 0.25 * PI * math.log(1.0 + SQRT3)
-                   + 13.0 * PI / 24.0 * LN2),
-    domain=lambda p: True, fixed_params={"alpha": SQRT3}))
+_add("EX-1", "log(cosh + cos) at alpha = sqrt(3), gamma-free value", _COS_HALF,
+     "fixed", 1.0, _t1b_f,
+     lambda p: (PI * PI / (8.0 * SQRT3) - 0.25 * PI * math.log(1.0 + SQRT3)
+                + 13.0 * PI / 24.0 * LN2),
+     lambda p: True, fixed_params={"alpha": SQRT3})
 
-_add(IdentityCase(
-    id="EX-2", description="half-frequency kernel at alpha = 2, Gamma(1/4) value",
-    interval=(0.0, PI / 2), param_kind="fixed", map_kind="log-cos", freq=0.5,
-    osc_ends=("upper",), integrand=_t2_f,
-    rhs=lambda p: (0.5 * PI - (math.sqrt(2.0) + 1.0) * gamma_fn(0.25) ** 2
-                   / (16.0 * math.sqrt(2.0 * PI))),
-    domain=lambda p: True, fixed_params={"alpha": 2.0}))
+_add("EX-2", "half-frequency kernel at alpha = 2, Gamma(1/4) value", _COS_HALF,
+     "fixed", 0.5, _t2_f,
+     lambda p: (0.5 * PI - (math.sqrt(2.0) + 1.0) * gamma_fn(0.25) ** 2
+                / (16.0 * math.sqrt(2.0 * PI))),
+     lambda p: True, fixed_params={"alpha": 2.0})
 
-_add(IdentityCase(
-    id="EX-3", description="cn(i K'/3) kernel at alpha = sqrt(3), Gamma(1/3) value",
-    interval=(0.0, PI), param_kind="fixed", map_kind="log-sin", freq=3.0,
-    osc_ends=("lower", "upper"), integrand=_t6_f,
-    rhs=lambda p: (gamma_fn(1.0 / 3.0) ** 3 / (2.0 ** (10.0 / 3.0) * PI)
-                   - PI * math.tanh(0.5 * PI / SQRT3)),
-    domain=lambda p: True, fixed_params={"alpha": SQRT3},
-    interior_points=lambda p: (PI / 6.0,)))
+_add("EX-3", "cn(i K'/3) kernel at alpha = sqrt(3), Gamma(1/3) value", _SIN,
+     "fixed", 3.0, _t6_f,
+     lambda p: (gamma_fn(1.0 / 3.0) ** 3 / (2.0 ** (10.0 / 3.0) * PI)
+                - PI * math.tanh(0.5 * PI / SQRT3)),
+     lambda p: True, fixed_params={"alpha": SQRT3},
+     interior_points=lambda p: (PI / 6.0,))
 
-_add(IdentityCase(
-    id="DISC-CONTOUR", description="parametrized contour integral of the half-frequency kernel",
-    interval=(-PI / 2, PI / 2), param_kind="alpha", map_kind="log-cos",
-    freq=0.5, osc_ends=("lower", "upper"), integrand=_contour_f, rhs=_t2_rhs,
-    complex_valued=True, domain=lambda p: p["alpha"] > LN2 / PI))
+_add("DISC-CONTOUR", "parametrized contour integral of the half-frequency kernel",
+     _COS_FULL, "alpha", 0.5, _contour_f, _t2_rhs, _alpha_above(LN2 / PI),
+     complex_valued=True)
 
-_add(IdentityCase(
-    id="DISC-L1", description="sin(log-term) over cosh - cos vs plain Lambert sum",
-    interval=(0.0, PI / 2), param_kind="alpha", map_kind="log-cos", freq=1.0,
-    osc_ends=("upper",), integrand=_l1_f,
-    rhs=lambda p: 0.5 * PI * p["alpha"]
-    - PI * p["alpha"] * lambert_plain(p["alpha"]).direct,
-    domain=lambda p: p["alpha"] > 0.0
-    and _not_near_integer(LN2 / (2.0 * PI * p["alpha"]), 1, 1)))
+_add("DISC-L1", "sin(log-term) over cosh - cos vs plain Lambert sum", _COS_HALF,
+     "alpha", 1.0, _l1_f,
+     lambda p: 0.5 * PI * p["alpha"]
+     - PI * p["alpha"] * lambert_plain(p["alpha"]).direct,
+     lambda p: p["alpha"] > 0.0
+     and _not_near_integer(LN2 / (2.0 * PI * p["alpha"]), 1, 1))
 
-_add(IdentityCase(
-    id="DISC-L2", description="sin(log-term) over cosh + cos vs odd Lambert sum",
-    interval=(0.0, PI / 2), param_kind="alpha", map_kind="log-cos", freq=1.0,
-    osc_ends=("upper",), integrand=_l2_f,
-    rhs=lambda p: PI * p["alpha"] * lambert_plain(p["alpha"], odd=True).direct,
-    domain=lambda p: p["alpha"] > 0.0
-    and _not_near_integer(LN2 / (PI * p["alpha"]), 1, 2)))
+_add("DISC-L2", "sin(log-term) over cosh + cos vs odd Lambert sum", _COS_HALF,
+     "alpha", 1.0, _l2_f,
+     lambda p: PI * p["alpha"] * lambert_plain(p["alpha"], odd=True).direct,
+     lambda p: p["alpha"] > 0.0
+     and _not_near_integer(LN2 / (PI * p["alpha"]), 1, 2))
 
-_add(IdentityCase(
-    id="DISC-P1", description="x over squared-distance kernel of log(2 e^a sin x)",
-    interval=(0.0, PI), param_kind="a", map_kind="log-sin", freq=0.0,
-    osc_ends=("lower", "upper"), integrand=_p1_f,
-    rhs=lambda p: 2.0 * PI ** 2 / (PI ** 2 + 4.0 * p["a"] ** 2),
-    domain=lambda p: True))
+_add("DISC-P1", "x over squared-distance kernel of log(2 e^a sin x)", _SIN, "a",
+     0.0, _p1_f, lambda p: 2.0 * PI ** 2 / (PI ** 2 + 4.0 * p["a"] ** 2),
+     lambda p: True)
 
-_add(IdentityCase(
-    id="DISC-P2", description="log(2 e^a sin x) over its squared-distance kernel",
-    interval=(0.0, PI), param_kind="a", map_kind="log-sin", freq=0.0,
-    osc_ends=("lower", "upper"), integrand=_p2_f,
-    rhs=lambda p: 4.0 * PI * p["a"] / (PI ** 2 + 4.0 * p["a"] ** 2),
-    domain=lambda p: True))
+_add("DISC-P2", "log(2 e^a sin x) over its squared-distance kernel", _SIN, "a",
+     0.0, _p2_f, lambda p: 4.0 * PI * p["a"] / (PI ** 2 + 4.0 * p["a"] ** 2),
+     lambda p: True)
 
 # The cos = -1 poles of DISC-P3 and DISC-P4 at t_m = (2m+1) pi alpha lie at
 # a distance of about e^{-t_m}/2 from the path next to the lower end; the
 # engine integrates the segments beside each one in a sinh-graded variable.
 # The kernels have period 2 pi alpha in t, but freq 2 halves the lattice
 # spacing, which the interior panel's error estimate needs at large alpha.
-_add(IdentityCase(
-    id="DISC-P3", description="sin(log-term)/(cosh + cos) on (0, pi), zero value",
-    interval=(0.0, PI), param_kind="alpha", map_kind="log-sin", freq=2.0,
-    osc_ends=("lower", "upper"), integrand=_l2_f, rhs=lambda p: 0.0,
-    domain=lambda p: p["alpha"] > 0.0, tail_points=_p34_pinches))
+_add("DISC-P3", "sin(log-term)/(cosh + cos) on (0, pi), zero value", _SIN,
+     "alpha", 2.0, _l2_f, lambda p: 0.0, _alpha_above(0.0),
+     tail_points=_p34_pinches)
 
-_add(IdentityCase(
-    id="DISC-P4", description="sinh(x/a)/(cosh + cos) on (0, pi), tanh closed form",
-    interval=(0.0, PI), param_kind="alpha", map_kind="log-sin", freq=2.0,
-    osc_ends=("lower", "upper"), integrand=_p4_f,
-    rhs=lambda p: PI * math.tanh(0.25 * PI / p["alpha"]),
-    domain=lambda p: p["alpha"] > 0.0, tail_points=_p34_pinches))
+_add("DISC-P4", "sinh(x/a)/(cosh + cos) on (0, pi), tanh closed form", _SIN,
+     "alpha", 2.0, _p4_f, lambda p: PI * math.tanh(0.25 * PI / p["alpha"]),
+     _alpha_above(0.0), tail_points=_p34_pinches)
 
-_add(IdentityCase(
-    id="DISC-IM", description="sinh/cosh roles of x and the log term exchanged",
-    interval=(0.0, PI / 2), param_kind="alpha", map_kind="log-cos", freq=0.0,
-    osc_ends=("upper",), integrand=_im_f,
-    rhs=lambda p: 0.5 * PI * p["alpha"],
-    domain=lambda p: p["alpha"] > 0.0
-    and _not_near_integer(1.0 / (6.0 * p["alpha"]), 1, 1),
-    interior_points=lambda p: (PI / 3.0,)))
+_add("DISC-IM", "sinh/cosh roles of x and the log term exchanged", _COS_HALF,
+     "alpha", 0.0, _im_f, lambda p: 0.5 * PI * p["alpha"],
+     lambda p: p["alpha"] > 0.0
+     and _not_near_integer(1.0 / (6.0 * p["alpha"]), 1, 1),
+     interior_points=lambda p: (PI / 3.0,))
 
-_add(IdentityCase(
-    id="APPA", description="pole kernel 1/(i(x+theta) - a + log(2cos x))",
-    interval=(-PI / 2, PI / 2), param_kind="a-theta", map_kind="log-cos",
-    freq=0.0, osc_ends=("lower", "upper"), integrand=_appa_f, rhs=_appa_rhs,
-    complex_valued=True,
-    domain=lambda p: abs(p["theta"]) < PI / 2
-    and abs(p["a"] - math.log(2.0 * math.cos(p["theta"]))) > 1e-9,
-    interior_points=_theta_pole_points))
+_add("APPA", "pole kernel 1/(i(x+theta) - a + log(2cos x))", _COS_FULL,
+     "a-theta", 0.0, _appa_f, _appa_rhs, _theta_ok, complex_valued=True,
+     interior_points=_theta_pole_points)
 
 _CASE_MAP = {c.id: c for c in _CASES}
 
