@@ -713,24 +713,18 @@ def check_tolerances(rtol: float, atol: float) -> None:
                           f"got {rtol} and {atol}")
 
 
-def _integrate(case: IdentityCase, params: Params, points: Sequence[float],
-               tol: float, atol: float) -> QuadratureResult:
-    """Quadrature of the case integrand at merged ``params``, in one pass
-    whether the integrand is real or complex."""
-    a, b = case.interval
-    period = 2.0 * PI * params["alpha"] / case.freq if case.freq else None
-    return integrate_endpoint_oscillatory(
-        case.integrand(params), a, b, case.map_kind, case.osc_ends, period,
-        tol=tol, atol=atol, points=points, tail_points=case.tail_points(params))
-
-
 def evaluate_lhs(case: IdentityCase, params: Params,
                  rtol: float = 1e-8, atol: float = 1e-10
                  ) -> tuple[float | complex, QuadratureResult]:
-    """Quadrature side of one case at one parameter point."""
+    """Quadrature side of one case at one parameter point, in one pass
+    whether the integrand is real or complex."""
     params = case_params(case, params)
-    res = _integrate(case, params, case.interior_points(params),
-                     max(rtol * 0.02, 5e-13), max(atol * 0.02, 5e-15))
+    a, b = case.interval
+    period = 2.0 * PI * params["alpha"] / case.freq if case.freq else None
+    res = integrate_endpoint_oscillatory(
+        case.integrand(params), a, b, case.map_kind, case.osc_ends, period,
+        tol=max(rtol * 0.02, 5e-13), atol=max(atol * 0.02, 5e-15),
+        points=case.interior_points(params), tail_points=case.tail_points(params))
     return res.value, res
 
 
@@ -743,7 +737,6 @@ def verify_case(case: IdentityCase, params: Params,
                 rtol: float = 1e-8, atol: float = 1e-10) -> VerificationRow:
     """Check one (case, parameter) pair; numerics failures become error rows."""
     check_tolerances(rtol, atol)
-    case_params(case, params)
     try:
         rhs = evaluate_rhs(case, params)
         lhs, cost = evaluate_lhs(case, params, rtol=rtol, atol=atol)
@@ -763,7 +756,7 @@ def verify_case(case: IdentityCase, params: Params,
 # ---------------------------------------------------------------------------
 # contour route
 
-def contour_path_points(alpha: float, n_points: int) -> list[tuple[float, float, float]]:
+def contour_path_points(n_points: int) -> list[tuple[float, float, float]]:
     """Samples (x, Re z, Im z) of the path z = log(2 cos x) + ix.
 
     Points are interior (the real part diverges at both ends); x = 0 with
@@ -778,21 +771,11 @@ def contour_path_points(alpha: float, n_points: int) -> list[tuple[float, float,
     return out
 
 
-def contour_trace(alpha: float, n_points: int = 128,
-                  rtol: float = 1e-9, atol: float = 1e-11) -> complex:
-    """The closed-path integral of 1/(8i (1 - e^-z) cos(z/2 alpha)).
-
-    Parametrized by z(x) = log(2 cos x) + ix with dz = (i - tan x) dx;
-    ``n_points`` seeds the interior panel grid, guarding against pole
-    proximity when alpha sits near its domain edge.
-    """
-    case = case_by_id("DISC-CONTOUR")
-    params = {"alpha": alpha}
-    if not case.domain(params):
-        raise DomainError(f"contour pinches a pole unless alpha > ln2/pi, got {alpha}")
-    seed = [x for (x, _, _) in contour_path_points(alpha, max(64, n_points // 2))]
-    return _integrate(case, params, seed, max(rtol * 0.1, 5e-13),
-                      max(atol * 0.1, 5e-15)).value
+def contour_trace(alpha: float) -> complex:
+    """The closed-path integral of 1/(8i (1 - e^-z) cos(z/2 alpha)): the
+    quadrature side of DISC-CONTOUR, parametrized by z(x) = log(2 cos x) + ix
+    with dz = (i - tan x) dx."""
+    return evaluate_lhs(case_by_id("DISC-CONTOUR"), {"alpha": alpha})[0]
 
 
 def residue_count_appa(theta: float, a: float) -> int:

@@ -170,9 +170,9 @@ def _cmd_params(args) -> int:
 
 def _cmd_contour(args) -> int:
     alpha = _parse_value(args.alpha)
-    value = contour_trace(alpha, args.n_points)
+    value = contour_trace(alpha)
     lines = ["x,re_z,im_z,integral_re,integral_im"]
-    for x, re_z, im_z in contour_path_points(alpha, args.n_points):
+    for x, re_z, im_z in contour_path_points(args.n_points):
         lines.append("%.17g,%.17g,%.17g,%.17g,%.17g"
                      % (x, re_z, im_z, value.real, value.imag))
     _write_output("\n".join(lines) + "\n", args.out)

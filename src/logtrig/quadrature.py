@@ -301,6 +301,11 @@ class _EndpointMap:
         return g
 
 
+# Largest t = -w a transformed tail reaches; x(60) lies within e^-60/2 of
+# the interval end.
+_T_MAX = 60.0
+
+
 def _tail_split(period: float | None) -> float:
     """t at which integration switches from x-space to the transformed tail.
 
@@ -382,7 +387,7 @@ def integrate_endpoint_oscillatory(
         f: Callable[[float, float], float | complex], a: float, b: float,
         map_kind: str, ends: Sequence[str], period: float | None = None,
         tol: float = 1e-9, *, atol: float = 1e-11,
-        points: Sequence[float] = (), t_max: float = 60.0,
+        points: Sequence[float] = (),
         tail_points: Callable[[str, float, float], Sequence[float]] | None = None
         ) -> QuadratureResult:
     """Integrate f(x, w) over [a, b], w being the ``map_kind`` log-trig value.
@@ -395,7 +400,7 @@ def integrate_endpoint_oscillatory(
     a period, so the tail stops at the first whole chunk n >= 1 whose bound
     2 d_n r / (1 - r)^2, d_n = |S_n - r S_(n-1)|, plus its own estimate is
     below tolerance, and closes with the remainder S_n r / (1 - r).  A tail
-    that reaches ``t_max`` first raises AccuracyError unless its last chunk
+    that reaches ``_T_MAX`` first raises AccuracyError unless its last chunk
     times r / (1 - r) is below tolerance.  A complex f takes one pass.
 
     The quarter-period lattice in t is cut on both sides of the split point:
@@ -458,7 +463,7 @@ def integrate_endpoint_oscillatory(
         running = _fsum(pieces)
         previous = None
         while True:
-            t_next = min(t + step, t_max)
+            t_next = min(t + step, _T_MAX)
             res = _tail_chunk(g, emap, t, t_next, quarter,
                               centres(end, t, t_next), chunk_tol, chunk_atol)
             pieces.append(res.value)
@@ -474,7 +479,7 @@ def integrate_endpoint_oscillatory(
                     pieces.append(res.value * tail_gain)
                     err_total += bound + res.error_estimate * tail_gain
                     break
-            if t_next >= t_max:
+            if t_next >= _T_MAX:
                 truncation = abs(res.value) * tail_gain
                 if truncation > max(atol, tol * abs(running)):
                     raise AccuracyError("oscillatory tail did not settle",

@@ -48,6 +48,31 @@ def test_catalog_shape():
         case_by_id("NOPE")
 
 
+_TRIG = {"log-cos": (math.cos, 1.0), "log-sin": (math.sin, 1.0),
+         "log-sin-half": (math.sin, 0.5)}
+
+
+@pytest.mark.parametrize("case", catalog(), ids=lambda c: c.id)
+def test_osc_ends_are_the_divergent_ends(case):
+    # the endpoint transform runs at exactly the ends where log(2 trig(c x))
+    # diverges, i.e. where trig(c x) vanishes
+    trig, c = _TRIG[case.map_kind]
+    for end, x in zip(("lower", "upper"), case.interval):
+        if end in case.osc_ends:
+            assert abs(trig(c * x)) < 1e-12
+        else:
+            assert abs(trig(c * x)) >= 0.5
+
+
+@pytest.mark.parametrize("ids", (("T1-A", "T1-PA"), ("T1-B", "T1-PB", "EX-1"),
+                                 ("T4-A", "T4-PA"), ("T4-B", "T4-PB"),
+                                 ("T2", "EX-2"), ("S3-T6", "EX-3"),
+                                 ("DISC-L2", "DISC-P3"), ("SINE", "SINE0")))
+def test_cases_of_one_kernel_share_one_integrand(ids):
+    first = case_by_id(ids[0]).integrand
+    assert all(case_by_id(i).integrand is first for i in ids[1:])
+
+
 def test_fixed_cases_carry_parameters():
     assert case_by_id("EX-1").fixed_params == {"alpha": SQRT3}
     assert case_by_id("EX-2").fixed_params == {"alpha": 2.0}
@@ -212,13 +237,21 @@ def test_contour_trace():
         contour_trace(0.2)
 
 
+@pytest.mark.parametrize("alpha", (0.2207, 0.221))
+def test_contour_trace_next_to_the_domain_edge(alpha):
+    # the edge ln2/pi = 0.22064...: a pole of the kernel nears the path
+    value = contour_trace(alpha)
+    assert abs(value.real - evaluate_rhs(case_by_id("T2"), {"alpha": alpha})) < 1e-8
+    assert abs(value.imag) < 1e-9
+
+
 def test_contour_trace_rejects_nan_alpha():
     with pytest.raises(DomainError):
         contour_trace(math.nan)
 
 
 def test_contour_path_points():
-    pts = contour_path_points(1.0, 129)
+    pts = contour_path_points(129)
     assert len(pts) == 129
     x_mid, re_mid, im_mid = pts[64]
     assert abs(x_mid) < 1e-15
@@ -226,7 +259,7 @@ def test_contour_path_points():
     assert im_mid == x_mid
     assert pts[0][1] < -3.0 and pts[-1][1] < -3.0
     with pytest.raises(DomainError):
-        contour_path_points(1.0, 32)
+        contour_path_points(32)
 
 
 def test_residue_count():
