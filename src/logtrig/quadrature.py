@@ -162,7 +162,7 @@ def integrate_adaptive(f: Callable[[float], float | complex], a: float, b: float
             # panel narrower than float spacing; accept as is
             frozen_vals.append(val)
             frozen_err += err
-            total_err = frozen_err + sum(e for (ne, c, l, h, v, e) in heap)
+            total_err = frozen_err + math.fsum(e for (ne, c, l, h, v, e) in heap)
             continue
         v1, e1 = _qk15(f, lo, mid)
         v2, e2 = _qk15(f, mid, hi)
@@ -301,8 +301,7 @@ class _EndpointMap:
         return g
 
 
-# Largest t = -w a transformed tail reaches; x(60) lies within e^-60/2 of
-# the interval end.
+# Largest t = -w a transformed tail reaches.
 _T_MAX = 60.0
 
 

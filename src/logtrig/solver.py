@@ -35,8 +35,8 @@ def _small_modulus(alpha: float) -> float:
     """k = 4 sqrt(q) (sum_{n>=0} q^(n(n+1)) / (1 + 2 sum_{n>=1} q^(n^2)))^2
     for alpha >= 1, so k <= 1/sqrt(2)."""
     q = math.exp(-math.pi * alpha)
-    theta2 = sum(q ** (n * (n + 1)) for n in range(_THETA_TERMS))
-    theta3 = 1.0 + 2.0 * sum(q ** (n * n) for n in range(1, _THETA_TERMS + 1))
+    theta2 = math.fsum(q ** (n * (n + 1)) for n in range(_THETA_TERMS))
+    theta3 = 1.0 + 2.0 * math.fsum(q ** (n * n) for n in range(1, _THETA_TERMS + 1))
     return 4.0 * math.sqrt(q) * (theta2 / theta3) ** 2
 
 

@@ -297,7 +297,7 @@ def test_default_sweep_payload_is_pinned(sweep):
     # records the old and the new hash in CHANGES.md.
     payload = render_rows_json(sweep.rows).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "54cd0298eea9af2498ebd9e530fc63a2f9212fe3aca1ca2f1e6f508db509d0f8")
+        "8f55efde928d2a1b4adccba8c9637b389d3410b0a9c74e2a8f6c9f4c0f8e2cac")
     assert sum(row.evaluations for row in sweep.rows) == 169_935
 
 
