@@ -426,19 +426,26 @@ def integrate_endpoint_oscillatory(
     pieces: list[float | complex] = []
     err_total = 0.0
 
-    # each end's tail starts at its split point; the interior stops there
-    # and gets that end's lattice cuts and wide centres below it
+    # each end's tail starts at its split point, or at the far edge when
+    # that lies beyond it; the interior stops there and gets that end's
+    # lattice cuts and wide centres below it
     x_lo, x_hi = a, b
     x_cuts = list(points)
     starts = []
     for end, emap in zip(ends, maps):
         ahead = centres(end, 2.0, t_split)
         t_end = max(0.0, min(ahead) - 0.25 * step) if ahead else t_split
+        x_split = emap.x(t_end)
+        edge = b if end == "lower" else a
+        if (edge < x_split) if end == "lower" else (edge > x_split):
+            starts.append(-math.log(2.0 * emap.trig(emap.c * edge)))
+            x_hi = x_lo
+            continue
         starts.append(t_end)
         if end == "lower":
-            x_lo = max(x_lo, emap.x(t_end))
+            x_lo = max(x_lo, x_split)
         else:
-            x_hi = min(x_hi, emap.x(t_end))
+            x_hi = min(x_hi, x_split)
         x_cuts += [emap.x(t) for t in (*_feature_cuts(0.0, t_end, quarter),
                                        *centres(end, 0.0, t_end))]
 

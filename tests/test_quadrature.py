@@ -114,6 +114,32 @@ def test_pure_tail_against_reference_and_brute_force():
     assert abs(res.value - brute) < 1e-9
 
 
+def cos_log_tail_ref(u_edge):
+    # int cos(w) dx from the edge to the singular end, where u = e^{-t} =
+    # 2 trig(x) runs from u_edge to 0 and dx = du / (2 sqrt(1 - u^2/4)):
+    # the binomial series of the measure, integrated term by term in t
+    total, coeff, k = 0.0, 0.5, 0
+    while coeff * u_edge ** (2 * k + 1) > 1e-30:
+        s = complex(2 * k + 1, 1)
+        total += coeff * (u_edge ** s / s).real
+        k += 1
+        coeff *= (2 * k - 1) / (8.0 * k)
+    return total
+
+
+@pytest.mark.parametrize("map_kind, end, a, b", [
+    ("log-cos", "upper", 1.5699, PI / 2), ("log-sin", "lower", 0.0, 0.0008)])
+def test_interval_inside_the_tail_region(map_kind, end, a, b):
+    # the far edge lies at t = 6.32 and 6.44, beyond the tail's start, so the
+    # tail must start at the edge, not at the split
+    res = integrate_endpoint_oscillatory(
+        lambda x, w: math.cos(w), a, b, map_kind, (end,), 2.0 * PI,
+        tol=1e-11, atol=1e-13)
+    ref = cos_log_tail_ref(2.0 * (math.cos(a) if end == "upper" else math.sin(b)))
+    assert abs(res.value - ref) <= res.error_estimate + 1e-15
+    assert res.error_estimate <= 1e-11 * abs(ref) + 1e-13
+
+
 def test_transform_preserves_value_against_graded_panels():
     # three integrands with one or two log-singular oscillatory ends
     def t1a(x, w):
