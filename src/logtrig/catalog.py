@@ -644,14 +644,14 @@ _add("DISC-P2", "log(2 e^a sin x) over its squared-distance kernel", _SIN, "a",
 # The cos = -1 poles of DISC-P3 and DISC-P4 at t_m = (2m+1) pi alpha lie at
 # a distance of about e^{-t_m}/2 from the path next to the lower end; the
 # engine integrates the segments beside each one in a sinh-graded variable.
-# The kernels have period 2 pi alpha in t, but freq 2 halves the lattice
-# spacing, which the interior panel's error estimate needs at large alpha.
+# freq 1 is the kernels' true period 2 pi alpha in t, so whole-period chunk
+# sums shrink geometrically and the tail closes early even at small alpha.
 _add("DISC-P3", "sin(log-term)/(cosh + cos) on (0, pi), zero value", _SIN,
-     "alpha", 2.0, _l2_f, lambda p: 0.0, _alpha_above(0.0),
+     "alpha", 1.0, _l2_f, lambda p: 0.0, _alpha_above(0.0),
      tail_points=_p34_pinches)
 
 _add("DISC-P4", "sinh(x/a)/(cosh + cos) on (0, pi), tanh closed form", _SIN,
-     "alpha", 2.0, _p4_f, lambda p: PI * math.tanh(0.25 * PI / p["alpha"]),
+     "alpha", 1.0, _p4_f, lambda p: PI * math.tanh(0.25 * PI / p["alpha"]),
      _alpha_above(0.0), tail_points=_p34_pinches)
 
 _add("DISC-IM", "sinh/cosh roles of x and the log term exchanged", _COS_HALF,

@@ -9,9 +9,11 @@ Two engines cooperate here:
   log(2 cos x), log(2 sin x) or log(2 sin(x/2)) diverges.  Near such an end
   the substitution t = -log(...) maps the endpoint to t -> infinity, where
   the transformed integrand decays like exp(-t) while any trigonometric
-  dependence on the log term becomes exactly periodic in t.  Whole periods
-  then shrink by the known ratio exp(-period), so the tail is summed period
-  by period and closed by its geometric remainder once that is accurate.
+  dependence on the log term becomes exactly periodic in t.  Every tail
+  starts at t = 2, so no panel in x comes closer to a singular end than
+  e^{-2}/2.  Whole periods shrink by the known ratio exp(-period), so the
+  tail is summed period by period and closed by its geometric remainder
+  once that is accurate.
   A pole that the caller places next to the path, at a distance eps, is a
   Lorentzian of width eps in t; the sinh substitution t = c + eps sinh(s)
   (Johnston & Elliott, Int. J. Numer. Meth. Eng. 62, 2005) makes it smooth.
@@ -301,20 +303,10 @@ class _EndpointMap:
         return g
 
 
-# Largest t = -w a transformed tail reaches.
+# t = -w at which every end's transformed tail starts, and the largest t it
+# reaches.
+_T_SPLIT = 2.0
 _T_MAX = 60.0
-
-
-def _tail_split(period: float | None) -> float:
-    """t at which integration switches from x-space to the transformed tail.
-
-    One full oscillation period into the tail, floored so the interior
-    keeps a little slowly-varying room and capped so the split abscissa
-    stays representable away from the interval end.
-    """
-    if period is None or period <= 0.0:
-        return 2.0
-    return max(2.0, min(period, 30.0))
 
 
 def _feature_cuts(lo: float, hi: float, quarter: float | None) -> list[float]:
@@ -391,10 +383,12 @@ def integrate_endpoint_oscillatory(
         ) -> QuadratureResult:
     """Integrate f(x, w) over [a, b], w being the ``map_kind`` log-trig value.
 
-    The interior panel evaluates w directly from x.  Near each of ``ends``
-    ("lower", "upper") the integral continues in t = -w, so the integrand
-    receives the exact pair (x(t), -t); one chunk spans one ``period`` (a
-    step of 2 when it is None: a tail that decays without oscillating).
+    The interior panel evaluates w directly from x.  From t = -w = 2 on,
+    at each of ``ends`` ("lower", "upper"), the integral continues in t, so
+    the integrand receives the exact pair (x(t), -t); an interval whose far
+    edge lies beyond x(2) is all tail, from that edge.  One tail chunk spans
+    one ``period`` (a step of 2 when it is None: a tail that decays without
+    oscillating).
     Whole chunks shrink by r = exp(-step) up to the slow variation of f over
     a period, so the tail stops at the first whole chunk n >= 1 whose bound
     2 d_n r / (1 - r)^2, d_n = |S_n - r S_(n-1)|, plus its own estimate is
@@ -402,21 +396,18 @@ def integrate_endpoint_oscillatory(
     that reaches ``_T_MAX`` first raises AccuracyError unless its last chunk
     times r / (1 - r) is below tolerance.  A complex f takes one pass.
 
-    The quarter-period lattice in t is cut on both sides of the split point:
-    in every tail chunk and, mapped through x(t), in the interior panel.
-    ``points`` adds features fixed in x.  ``tail_points(end, lo, hi)``, when
-    given, lists the t-values in [lo, hi] where a pole of f sits next to
-    that end's path; each tail chunk resolves them in a sinh-graded
-    variable (``_tail_chunk``).  An end whose first such centre at t >= 2
-    lies at or below the split starts its tail a quarter step below it, so
-    every narrow pole is met in t; wider ones cut the interior panel.
+    The quarter-period lattice in t is cut in every tail chunk and, mapped
+    through x(t), in the interior panel.  ``points`` adds features fixed in
+    x.  ``tail_points(end, lo, hi)``, when given, lists the t-values in
+    [lo, hi] where a pole of f sits next to that end's path; each tail chunk
+    resolves them in a sinh-graded variable (``_tail_chunk``), and those
+    below t = 2, wide enough for bisection, cut the interior panel.
     """
     if not ends or len(set(ends)) != len(ends):
         raise DomainError(f"need distinct interval ends, got {ends!r}")
     maps = [_EndpointMap.at(map_kind, end) for end in ends]
     quarter = period / 4.0 if period is not None else None
     step = period if period is not None else 2.0
-    t_split = _tail_split(period)
 
     def centres(end: str, lo: float, hi: float) -> Sequence[float]:
         return tail_points(end, lo, hi) if tail_points is not None else ()
@@ -426,28 +417,26 @@ def integrate_endpoint_oscillatory(
     pieces: list[float | complex] = []
     err_total = 0.0
 
-    # each end's tail starts at its split point, or at the far edge when
-    # that lies beyond it; the interior stops there and gets that end's
-    # lattice cuts and wide centres below it
+    # each end's tail starts at t = 2, or at the far edge when that lies
+    # beyond x(2); the interior stops there and gets that end's lattice cuts
+    # and wide centres below it
     x_lo, x_hi = a, b
     x_cuts = list(points)
     starts = []
     for end, emap in zip(ends, maps):
-        ahead = centres(end, 2.0, t_split)
-        t_end = max(0.0, min(ahead) - 0.25 * step) if ahead else t_split
-        x_split = emap.x(t_end)
+        x_split = emap.x(_T_SPLIT)
         edge = b if end == "lower" else a
         if (edge < x_split) if end == "lower" else (edge > x_split):
             starts.append(-math.log(2.0 * emap.trig(emap.c * edge)))
             x_hi = x_lo
             continue
-        starts.append(t_end)
+        starts.append(_T_SPLIT)
         if end == "lower":
             x_lo = max(x_lo, x_split)
         else:
             x_hi = min(x_hi, x_split)
-        x_cuts += [emap.x(t) for t in (*_feature_cuts(0.0, t_end, quarter),
-                                       *centres(end, 0.0, t_end))]
+        x_cuts += [emap.x(t) for t in (*_feature_cuts(0.0, _T_SPLIT, quarter),
+                                       *centres(end, 0.0, _T_SPLIT))]
 
     if x_hi > x_lo:
         # w(x) depends only on map_kind, so either end's map serves

@@ -297,19 +297,26 @@ def test_default_sweep_payload_is_pinned(sweep):
     # records the old and the new hash in CHANGES.md.
     payload = render_rows_json(sweep.rows).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "8f55efde928d2a1b4adccba8c9637b389d3410b0a9c74e2a8f6c9f4c0f8e2cac")
-    assert sum(row.evaluations for row in sweep.rows) == 169_935
+        "f5ae328fd699d9aeb38ab76bc50eb18021d94739f60e1083ffde1b62414a165d")
+    assert sum(row.evaluations for row in sweep.rows) == 142_545
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="ROADMAP item 5: Kronrod estimate not calibrated")
-@pytest.mark.parametrize("alpha", (2.08417825196839, 7.4180911377434855))
-def test_t2_estimate_bounds_the_error_off_grid(alpha):
-    # both misses sit in the interior panel.  At alpha = 2.084 the lattice
-    # cut at t = 3 period/4 leaves a 1e-6 wide panel 1.5e-9 from the log
-    # singularity at pi/2: error 6.0e-10, estimate 4.6e-11.  At alpha = 7.418
-    # the error is 4.6e-11 against an estimate of 1.1e-11.
-    case = case_by_id("T2")
+# Off-grid points where the Kronrod estimate fell short of the error while
+# the tail started one period in: the interior panel then ran to within
+# e^{-period}/2 of the log singularity, and its deepest panels carried the
+# miss (T2 at alpha = 2.084: error 6.0e-10, estimate 4.6e-11).
+LONG_PERIOD_MISSES = (
+    [("T2", alpha) for alpha in (
+        2.08417825196839, 7.4180911377434855, 7.702428814429628,
+        2.306748588833486, 7.271450960812475, 6.981460347791198,
+        2.281814673909548, 7.02248809166186, 7.230625551514429)]
+    + [(case_id, alpha) for case_id in ("T4-B", "T4-PB")
+       for alpha in (8.130361869925238, 8.137704193643266, 8.570193990821146)])
+
+
+@pytest.mark.parametrize("case_id, alpha", LONG_PERIOD_MISSES)
+def test_long_period_estimate_bounds_the_error_off_grid(case_id, alpha):
+    case = case_by_id(case_id)
     params = {"alpha": alpha}
     row = verify_case(case, params)
     _, cost = evaluate_lhs(case, params)
@@ -318,10 +325,9 @@ def test_t2_estimate_bounds_the_error_off_grid(alpha):
 
 @pytest.mark.parametrize("alpha", (4.17, 4.36, 4.77, 5.78, 6.37))
 def test_disc_p4_pinch_points_above_the_split(alpha):
-    # t_split = min(pi alpha, 30) falls on the first cos = -1 pinch point at
-    # pi alpha, so the tail starts a quarter period below it; a pinch
-    # point left in the interior panel would leave a wrong value behind a
-    # tiny estimate
+    # the first cos = -1 pinch point, at t = pi alpha = 13-20, lies in the
+    # tail, which resolves it in a sinh-graded variable; a pinch point left
+    # to a plain panel would leave a wrong value behind a tiny estimate
     case = case_by_id("DISC-P4")
     row = verify_case(case, {"alpha": alpha})
     _, cost = evaluate_lhs(case, {"alpha": alpha})
