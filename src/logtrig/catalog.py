@@ -426,15 +426,17 @@ def _contour_f(p: Params):
     return f
 
 
-def _l1_f(p: Params):
-    al = p["alpha"]
-    return lambda x, w: math.sin(w / al) / cosh_minus_cos(x / al, w / al)
+def _l_f(den: Callable[[float, float], float]):
+    # den is the scaled 2 e^{-u} (cosh(u) -/+ cos(v)), so neither side
+    # overflows at small alpha
+    def integrand(p: Params):
+        al = p["alpha"]
+        return lambda x, w: (2.0 * math.exp(-x / al) * math.sin(w / al)
+                             / den(x / al, w / al))
+    return integrand
 
 
-def _l2_f(p: Params):
-    al = p["alpha"]
-    return lambda x, w: (2.0 * math.exp(-x / al) * math.sin(w / al)
-                         / scaled_cosh_plus_cos(x / al, w / al))
+_l1_f, _l2_f = _l_f(scaled_cosh_minus_cos), _l_f(scaled_cosh_plus_cos)
 
 
 def _p1_f(p: Params):

@@ -297,7 +297,7 @@ def test_default_sweep_payload_is_pinned(sweep):
     # records the old and the new hash in CHANGES.md.
     payload = render_rows_json(sweep.rows).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "f5ae328fd699d9aeb38ab76bc50eb18021d94739f60e1083ffde1b62414a165d")
+        "701835cdb233f91a046466fb2962b32613fa8ab7e5ac6d8c660f65808bc3a590")
     assert sum(row.evaluations for row in sweep.rows) == 142_545
 
 

@@ -70,6 +70,15 @@ def test_disc_p34_small_alpha_passes(case_id, capsys):
     assert "evaluation failed" not in capsys.readouterr().out
 
 
+def test_disc_l1_small_alpha_ends_in_a_verdict(capsys):
+    # sinh(x / 2 alpha)^2 in the unscaled denominator overflowed below alpha
+    # = 0.0022; the row then fails as a first-branch point (ROADMAP item 1)
+    assert main(["eval", "DISC-L1", "--alpha", "0.002"]) == 1
+    out = capsys.readouterr().out
+    assert "status  = fail" in out
+    assert "evaluation failed" not in out
+
+
 def test_verify_sqrt_literals(tmp_path):
     out = tmp_path / "r.json"
     assert main(["verify", "--case", "EX-1", "--format", "json",
