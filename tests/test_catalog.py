@@ -304,14 +304,18 @@ def test_default_sweep_payload_is_pinned(sweep):
 # Off-grid points where the Kronrod estimate fell short of the error while
 # the tail started one period in: the interior panel then ran to within
 # e^{-period}/2 of the log singularity, and its deepest panels carried the
-# miss (T2 at alpha = 2.084: error 6.0e-10, estimate 4.6e-11).
+# miss (T2 at alpha = 2.084: error 6.0e-10, estimate 4.6e-11).  DISC-P3
+# near alpha = 17 missed when the sinh map beside a pole centre reached over
+# a whole quarter period (27 in t).
 LONG_PERIOD_MISSES = (
     [("T2", alpha) for alpha in (
         2.08417825196839, 7.4180911377434855, 7.702428814429628,
         2.306748588833486, 7.271450960812475, 6.981460347791198,
         2.281814673909548, 7.02248809166186, 7.230625551514429)]
     + [(case_id, alpha) for case_id in ("T4-B", "T4-PB")
-       for alpha in (8.130361869925238, 8.137704193643266, 8.570193990821146)])
+       for alpha in (8.130361869925238, 8.137704193643266, 8.570193990821146)]
+    + [("DISC-P3", alpha) for alpha in (
+        16.884105280627605, 17.014630931001548, 17.146165633683708)])
 
 
 @pytest.mark.parametrize("case_id, alpha", LONG_PERIOD_MISSES)
