@@ -11,9 +11,12 @@ Two engines cooperate here:
   the transformed integrand decays like exp(-t) while any trigonometric
   dependence on the log term becomes exactly periodic in t.  Every tail
   starts at t = 2, so no panel in x comes closer to a singular end than
-  e^{-2}/2.  Whole periods shrink by the known ratio exp(-period), so the
-  tail is summed period by period and closed by its geometric remainder
-  once that is accurate.
+  e^{-2}/2.  The tail is summed period by period.  Chunk n of a periodic
+  tail sums to a_1 r^n + a_2 r^{2n} + ..., r = exp(-period), so a Richardson
+  table with the known ratios r, r^2, r^3 extrapolates the partial sums,
+  and the tail closes at the first level whose bound is below tolerance.
+  A tail that decays without oscillating closes with its geometric
+  remainder.
   A pole that the caller places next to the path, at a distance eps, is a
   Lorentzian of width eps in t; the sinh substitution t = c + eps sinh(s)
   (Johnston & Elliott, Int. J. Numer. Meth. Eng. 62, 2005) makes it smooth.
@@ -316,6 +319,52 @@ _T_MAX = 60.0
 _PINCH_CORE = 5.0
 
 
+# Levels of the Richardson table that closes a periodic tail.
+_LEVELS = 3
+
+
+def _richardson_weights(powers: Sequence[float]) -> list[list[float]]:
+    """Coefficient of chunk S_(n-i) in T[n][m], less the 1 it has in P_n, for
+    i < m; older chunks keep the coefficient 1.  T[n][m] sums lambda_j P_(n-j)
+    over j <= m, the lambda_j being those of prod_k (1 - r^k z) / (1 - r^k)."""
+    lam = [1.0]
+    weights: list[list[float]] = [[]]
+    for k in range(1, _LEVELS + 1):
+        lam = [(a - powers[k] * b) / (1.0 - powers[k])
+               for a, b in zip(lam + [0.0], [0.0] + lam)]
+        coeff = 0.0
+        weights.append([])
+        for j in range(k):
+            coeff += lam[j]
+            weights[k].append(abs(coeff) - 1.0)
+    return weights
+
+
+def _richardson_close(rows: Sequence[Sequence[float]], powers: Sequence[float],
+                      estimate: float, stop_at: float
+                      ) -> tuple[int, float] | None:
+    """The first level m whose bound plus the chunk's ``estimate`` is below
+    ``stop_at``, with that bound, or None.  ``rows`` holds the last rows of
+    the table, newest last.  T[n][m] - L shrinks like rho^n, rho = r^(m+1),
+    so its distance from the limit is delta rho / (1 - rho), delta being its
+    last difference, taken four times over.  Two terms of opposite sign can
+    shrink one difference far below the next term, so delta is kept at
+    least rho times the difference before it, or, at the first difference
+    of a level, rho times the level below's last one."""
+    last, before = rows[-1], rows[-2] if len(rows) > 1 else ()
+    for m in range(1, _LEVELS + 1):
+        if len(before) <= m:
+            return None
+        rho = powers[m + 1]
+        older = (before[m] - rows[0][m] if len(rows) > 2 and len(rows[0]) > m
+                 else last[m - 1] - before[m - 1])
+        delta = max(abs(last[m] - before[m]), rho * abs(older))
+        bound = 4.0 * delta * rho / (1.0 - rho)
+        if bound + estimate <= stop_at:
+            return m, bound
+    return None
+
+
 def _feature_cuts(lo: float, hi: float, quarter: float | None) -> list[float]:
     """t-positions in (lo, hi) on the quarter-period lattice, where tan poles
     and cos = -1 pinch points sit."""
@@ -399,13 +448,27 @@ def integrate_endpoint_oscillatory(
     the integrand receives the exact pair (x(t), -t); an interval whose far
     edge lies beyond x(2) is all tail, from that edge.  One tail chunk spans
     one ``period`` (a step of 2 when it is None: a tail that decays without
-    oscillating).
-    Whole chunks shrink by r = exp(-step) up to the slow variation of f over
-    a period, so the tail stops at the first whole chunk n >= 1 whose bound
-    2 d_n r / (1 - r)^2, d_n = |S_n - r S_(n-1)|, plus its own estimate is
-    below tolerance, and closes with the remainder S_n r / (1 - r).  A tail
-    that reaches ``_T_MAX`` first raises AccuracyError unless its last chunk
-    times r / (1 - r) is below tolerance.  A complex f takes one pass.
+    oscillating), and r = exp(-step).
+
+    In a periodic tail the integrand in t is a sum of e^{-kt} p_k(t), each
+    p_k periodic, so whole chunks sum to S_n = sum_k a_k r^(kn).  The
+    partial sums P_n, P_(-1) being the value before the tail, start the
+    rows of a Richardson table T[n][k] = (T[n][k-1] - r^k T[n-1][k-1]) /
+    (1 - r^k), k <= 3; level m has removed the terms up to r^m, and
+    T[n][1] = P_n + S_n r / (1 - r) is the geometric remainder.  At each
+    whole chunk the levels m = 1, 2, 3 are tried in turn.  With rho =
+    r^(m+1) and delta the larger of |T[n][m] - T[n-1][m]| and rho times the
+    difference before it (the level below's, |T[n][m-1] - T[n-1][m-1]|,
+    while level m has none), the bound 4 delta rho / (1 - rho) plus the
+    chunk's estimate must be below tolerance.  The tail then takes T[n][m];
+    its estimate adds the bound and every chunk's estimate weighted by the
+    chunk's coefficient in T[n][m].
+    A tail without a period stops at the first whole chunk n >= 1 whose
+    bound 2 d_n r / (1 - r)^2, d_n = |S_n - r S_(n-1)|, plus its own
+    estimate is below tolerance, and closes with the remainder
+    S_n r / (1 - r).  A tail that reaches ``_T_MAX`` first raises
+    AccuracyError unless its last chunk times r / (1 - r) is below
+    tolerance.  A complex f takes one pass.
 
     The quarter-period lattice in t is cut in every tail chunk and, mapped
     through x(t), in the interior panel.  ``points`` adds features fixed in
@@ -464,10 +527,14 @@ def integrate_endpoint_oscillatory(
     chunk_atol = max(0.05 * atol, 1e-17)
     r = math.exp(-step)
     tail_gain = r / (1.0 - r)          # r + r^2 + ...: all later periods
+    powers = [r ** k for k in range(_LEVELS + 2)]
+    weights = _richardson_weights(powers)
     for end, emap, t in zip(ends, maps, starts):
         g = emap.tail(f)
         running = _fsum(pieces)
         previous = None
+        rows = [[running]]             # row -1; then the last three rows
+        estimates: list[float] = []    # of the last chunks, newest first
         while True:
             t_next = min(t + step, _T_MAX)
             res = _tail_chunk(g, emap, t, t_next, quarter,
@@ -477,10 +544,25 @@ def integrate_endpoint_oscillatory(
             evaluations += res.evaluations
             subdivisions += res.subdivisions
             running += res.value
-            if previous is not None and t_next == t + step:
+            stop_at = max(0.25 * atol, 0.25 * tol * abs(running), 1e-16)
+            if t_next == t + step and period is not None:
+                row = [running]
+                for k in range(1, min(len(rows[-1]), _LEVELS) + 1):
+                    row.append((row[k - 1] - powers[k] * rows[-1][k - 1])
+                               / (1.0 - powers[k]))
+                rows = rows[-2:] + [row]
+                estimates = [res.error_estimate] + estimates[:_LEVELS - 1]
+                close = _richardson_close(rows, powers, res.error_estimate,
+                                          stop_at)
+                if close is not None:
+                    m, bound = close
+                    pieces.append(row[m] - running)
+                    err_total += bound + math.fsum(
+                        w * e for w, e in zip(weights[m], estimates))
+                    break
+            elif previous is not None and t_next == t + step:
                 # twice the remainder's error when f varies linearly in t
                 bound = 2.0 * abs(res.value - r * previous) * tail_gain / (1.0 - r)
-                stop_at = max(0.25 * atol, 0.25 * tol * abs(running), 1e-16)
                 if bound + res.error_estimate <= stop_at:
                     pieces.append(res.value * tail_gain)
                     err_total += bound + res.error_estimate * tail_gain

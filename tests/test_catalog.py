@@ -297,8 +297,8 @@ def test_default_sweep_payload_is_pinned(sweep):
     # records the old and the new hash in CHANGES.md.
     payload = render_rows_json(sweep.rows).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "701835cdb233f91a046466fb2962b32613fa8ab7e5ac6d8c660f65808bc3a590")
-    assert sum(row.evaluations for row in sweep.rows) == 142_545
+        "ca5da603b50781eaca708bd4e781076c8f3148b37aada7144e88b1d3f3bcdc87")
+    assert sum(row.evaluations for row in sweep.rows) == 126_960
 
 
 # Off-grid points where the Kronrod estimate fell short of the error while
@@ -415,6 +415,64 @@ def test_offgrid_decay_only_tails_are_honest():
             assert row.abs_err <= cost.error_estimate + 5e-13, (case.id, params)
             checked += 1
     assert checked > 100
+
+
+# Periodic tails closed by the Richardson table.  S3-T5A passed with an
+# error 1.1 times its estimate when level 3 closed at its first difference,
+# which two terms of opposite sign had shrunk, with nothing to keep it at
+# least rho times an earlier one.  Without that floor and with a safety
+# factor of 2 instead of 4, DISC-P4 came to 7.8 times its estimate; with
+# the factor 2 alone, T4-A/T4-PA came to 0.92 of it.
+RICHARDSON_CLOSES = (("S3-T5A", 0.37540666994115257),
+                     ("DISC-P4", 0.018547460115476925),
+                     ("T4-A", 0.7963876235924962),
+                     ("T4-PA", 0.7963876235924962))
+
+
+@pytest.mark.parametrize("case_id, alpha", RICHARDSON_CLOSES)
+def test_richardson_close_bounds_the_error(case_id, alpha):
+    case = case_by_id(case_id)
+    params = {"alpha": alpha}
+    row = verify_case(case, params)
+    _, cost = evaluate_lhs(case, params)
+    assert row.status == "pass"
+    assert row.abs_err <= cost.error_estimate + 5e-13
+
+
+def test_offgrid_short_period_tails_are_honest():
+    # periods 2 pi alpha / freq down to 0.04: many chunks per tail, so the
+    # close runs at every level of the table
+    rng = random.Random(20261020)
+    alphas = [math.exp(rng.uniform(math.log(0.02), math.log(0.3)))
+              for _ in range(6)]
+    checked = 0
+    for case in catalog():
+        if case.param_kind != "alpha":
+            continue
+        for alpha in alphas:
+            params = {"alpha": alpha}
+            if not case.domain(params):
+                continue
+            row = verify_case(case, params)
+            if row.status != "pass":
+                continue
+            _, cost = evaluate_lhs(case, params)
+            assert row.abs_err <= cost.error_estimate + 5e-13, (case.id, alpha)
+            checked += 1
+    assert checked > 20
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="cn_imag_third loses digits as k' rounds toward 1")
+def test_s3_t6_closed_form_at_large_alpha():
+    # the left side agrees with an mpmath oracle to 2e-16 here; the closed
+    # form is off by 1.9e-12 (3.7e-12 relative): _sn_descending takes
+    # k' > 1 - 1e-12 as degenerate, and complementary_modulus(k') keeps
+    # about 4 digits of k
+    case = case_by_id("S3-T6")
+    params = {"alpha": 9.492969004585527}
+    lhs, _ = evaluate_lhs(case, params, rtol=1e-12, atol=1e-14)
+    assert abs(evaluate_rhs(case, params) - lhs) <= 1e-13
 
 
 def test_sweep_row_order_is_canonical(sweep):

@@ -114,13 +114,13 @@ def test_pure_tail_against_reference_and_brute_force():
     assert abs(res.value - brute) < 1e-9
 
 
-def cos_log_tail_ref(u_edge):
-    # int cos(w) dx from the edge to the singular end, where u = e^{-t} =
+def cos_log_tail_ref(u_edge, beta=1.0):
+    # int cos(beta w) dx from the edge to the singular end, where u = e^{-t} =
     # 2 trig(x) runs from u_edge to 0 and dx = du / (2 sqrt(1 - u^2/4)):
     # the binomial series of the measure, integrated term by term in t
     total, coeff, k = 0.0, 0.5, 0
     while coeff * u_edge ** (2 * k + 1) > 1e-30:
-        s = complex(2 * k + 1, 1)
+        s = complex(2 * k + 1, beta)
         total += coeff * (u_edge ** s / s).real
         k += 1
         coeff *= (2 * k - 1) / (8.0 * k)
@@ -138,6 +138,21 @@ def test_interval_inside_the_tail_region(map_kind, end, a, b):
     ref = cos_log_tail_ref(2.0 * (math.cos(a) if end == "upper" else math.sin(b)))
     assert abs(res.value - ref) <= res.error_estimate + 1e-15
     assert res.error_estimate <= 1e-11 * abs(ref) + 1e-13
+
+
+@pytest.mark.parametrize("beta", (4.0, 16.0, 40.0))
+def test_short_period_tail_against_term_by_term_sum(beta):
+    # the tail alone, from t = 2, at periods 2 pi / beta = 1.57, 0.39 and
+    # 0.157: whole-period chunk sums carry the ratios r, r^2, r^3, ... that
+    # the Richardson close removes
+    x_split = math.acos(0.5 * math.exp(-2.0))
+    ref = cos_log_tail_ref(math.exp(-2.0), beta)
+    for tol, atol in ((1e-9, 1e-11), (1e-11, 1e-13)):
+        res = integrate_endpoint_oscillatory(
+            lambda x, w: math.cos(beta * w), x_split, PI / 2, "log-cos",
+            ("upper",), 2.0 * PI / beta, tol=tol, atol=atol)
+        assert abs(res.value - ref) <= res.error_estimate
+        assert res.error_estimate <= tol * abs(ref) + atol
 
 
 def test_transform_preserves_value_against_graded_panels():
