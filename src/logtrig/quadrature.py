@@ -324,19 +324,14 @@ _LEVELS = 3
 
 
 def _richardson_weights(powers: Sequence[float]) -> list[list[float]]:
-    """Coefficient of chunk S_(n-i) in T[n][m], less the 1 it has in P_n, for
-    i < m; older chunks keep the coefficient 1.  T[n][m] sums lambda_j P_(n-j)
-    over j <= m, the lambda_j being those of prod_k (1 - r^k z) / (1 - r^k)."""
-    lam = [1.0]
-    weights: list[list[float]] = [[]]
+    """Per level m, the coefficient of chunk S_(n-i) in T[n][m] less the 1
+    it has in P_n, for i < m; older chunks keep the 1.  T[n][m] sums
+    lambda_j P_(n-j), the lambda_j of prod_(k<=m) (1 - r^k z) / (1 - r^k)."""
+    lam, weights = [1.0], [[]]
     for k in range(1, _LEVELS + 1):
         lam = [(a - powers[k] * b) / (1.0 - powers[k])
                for a, b in zip(lam + [0.0], [0.0] + lam)]
-        coeff = 0.0
-        weights.append([])
-        for j in range(k):
-            coeff += lam[j]
-            weights[k].append(abs(coeff) - 1.0)
+        weights.append([abs(sum(lam[:i + 1])) - 1.0 for i in range(k)])
     return weights
 
 
@@ -344,19 +339,19 @@ def _richardson_close(rows: Sequence[Sequence[float]], powers: Sequence[float],
                       estimate: float, stop_at: float
                       ) -> tuple[int, float] | None:
     """The first level m whose bound plus the chunk's ``estimate`` is below
-    ``stop_at``, with that bound, or None.  ``rows`` holds the last rows of
-    the table, newest last.  T[n][m] - L shrinks like rho^n, rho = r^(m+1),
-    so its distance from the limit is delta rho / (1 - rho), delta being its
+    ``stop_at``, with that bound, or None.  ``rows`` holds the last three
+    rows of the table, newest last.  The error of T[n][m] shrinks like
+    rho^n, rho = r^(m+1), so it is delta rho / (1 - rho), delta being the
     last difference, taken four times over.  Two terms of opposite sign can
     shrink one difference far below the next term, so delta is kept at
     least rho times the difference before it, or, at the first difference
     of a level, rho times the level below's last one."""
-    last, before = rows[-1], rows[-2] if len(rows) > 1 else ()
+    oldest, before, last = rows
     for m in range(1, _LEVELS + 1):
         if len(before) <= m:
             return None
         rho = powers[m + 1]
-        older = (before[m] - rows[0][m] if len(rows) > 2 and len(rows[0]) > m
+        older = (before[m] - oldest[m] if len(oldest) > m
                  else last[m - 1] - before[m - 1])
         delta = max(abs(last[m] - before[m]), rho * abs(older))
         bound = 4.0 * delta * rho / (1.0 - rho)
@@ -454,15 +449,13 @@ def integrate_endpoint_oscillatory(
     p_k periodic, so whole chunks sum to S_n = sum_k a_k r^(kn).  The
     partial sums P_n, P_(-1) being the value before the tail, start the
     rows of a Richardson table T[n][k] = (T[n][k-1] - r^k T[n-1][k-1]) /
-    (1 - r^k), k <= 3; level m has removed the terms up to r^m, and
-    T[n][1] = P_n + S_n r / (1 - r) is the geometric remainder.  At each
-    whole chunk the levels m = 1, 2, 3 are tried in turn.  With rho =
-    r^(m+1) and delta the larger of |T[n][m] - T[n-1][m]| and rho times the
-    difference before it (the level below's, |T[n][m-1] - T[n-1][m-1]|,
-    while level m has none), the bound 4 delta rho / (1 - rho) plus the
-    chunk's estimate must be below tolerance.  The tail then takes T[n][m];
-    its estimate adds the bound and every chunk's estimate weighted by the
-    chunk's coefficient in T[n][m].
+    (1 - r^k), k <= 3, whose level m has removed the terms up to r^m;
+    T[n][1] = P_n + S_n r / (1 - r).  At each whole chunk the tail takes
+    T[n][m] at the first level m whose bound 4 delta rho / (1 - rho),
+    rho = r^(m+1), plus the chunk's estimate is below tolerance, delta being
+    the last difference of level m or rho times the one before
+    (``_richardson_close``).  Its estimate adds the bound and every chunk's
+    estimate weighted by the chunk's coefficient in T[n][m].
     A tail without a period stops at the first whole chunk n >= 1 whose
     bound 2 d_n r / (1 - r)^2, d_n = |S_n - r S_(n-1)|, plus its own
     estimate is below tolerance, and closes with the remainder
@@ -533,7 +526,7 @@ def integrate_endpoint_oscillatory(
         g = emap.tail(f)
         running = _fsum(pieces)
         previous = None
-        rows = [[running]]             # row -1; then the last three rows
+        rows = [[], [], [running]]     # the last three rows; row -1 first
         estimates: list[float] = []    # of the last chunks, newest first
         while True:
             t_next = min(t + step, _T_MAX)
@@ -545,12 +538,13 @@ def integrate_endpoint_oscillatory(
             subdivisions += res.subdivisions
             running += res.value
             stop_at = max(0.25 * atol, 0.25 * tol * abs(running), 1e-16)
-            if t_next == t + step and period is not None:
+            whole = t_next == t + step
+            if whole and period is not None:
                 row = [running]
                 for k in range(1, min(len(rows[-1]), _LEVELS) + 1):
                     row.append((row[k - 1] - powers[k] * rows[-1][k - 1])
                                / (1.0 - powers[k]))
-                rows = rows[-2:] + [row]
+                rows = rows[1:] + [row]
                 estimates = [res.error_estimate] + estimates[:_LEVELS - 1]
                 close = _richardson_close(rows, powers, res.error_estimate,
                                           stop_at)
@@ -560,7 +554,7 @@ def integrate_endpoint_oscillatory(
                     err_total += bound + math.fsum(
                         w * e for w, e in zip(weights[m], estimates))
                     break
-            elif previous is not None and t_next == t + step:
+            elif whole and previous is not None:
                 # twice the remainder's error when f varies linearly in t
                 bound = 2.0 * abs(res.value - r * previous) * tail_gain / (1.0 - r)
                 if bound + res.error_estimate <= stop_at:
