@@ -526,7 +526,7 @@ def integrate_endpoint_oscillatory(
         g = emap.tail(f)
         running = _fsum(pieces)
         previous = None
-        rows = [[], [], [running]]     # the last three rows; row -1 first
+        rows = [[], [], [running]]     # last three rows, from row -1 on
         estimates: list[float] = []    # of the last chunks, newest first
         while True:
             t_next = min(t + step, _T_MAX)
