@@ -39,6 +39,7 @@ __all__ = [
     "case_params",
     "check_tolerances",
     "evaluate_lhs",
+    "lhs_key",
     "evaluate_rhs",
     "verify_case",
     "contour_trace",
@@ -730,29 +731,66 @@ def evaluate_lhs(case: IdentityCase, params: Params,
     return res.value, res
 
 
+def lhs_key(case: IdentityCase, params: Params) -> tuple:
+    """Everything ``evaluate_lhs`` integrates at one in-domain point, so
+    points with equal keys (and equal tolerances) share one integral.  The
+    interior points enter by value: equal lambdas of different cases count
+    as one.  Raises DomainError like ``case_params``."""
+    merged = case_params(case, params)
+    return (case.integrand, case.interval, case.map_kind, case.osc_ends,
+            case.freq, case.tail_points, tuple(sorted(merged.items())),
+            tuple(case.interior_points(merged)))
+
+
 def evaluate_rhs(case: IdentityCase, params: Params) -> float | complex:
     """Closed-form side of one case at one parameter point."""
     return case.rhs(case_params(case, params))
 
 
+_NUMERIC_ERRORS = (AccuracyError, SolverError, ArithmeticError)
+
+
+def _error_row(case: IdentityCase, params: Params, evaluations: int,
+               exc: Exception) -> VerificationRow:
+    detail = (str(exc) if isinstance(exc, (AccuracyError, SolverError))
+              else f"{type(exc).__name__}: {exc}")
+    return VerificationRow(case.id, params, None, None, None, None, "error",
+                           evaluations, detail)
+
+
 def verify_case(case: IdentityCase, params: Params,
-                rtol: float = 1e-8, atol: float = 1e-10) -> VerificationRow:
-    """Check one (case, parameter) pair; numerics failures become error rows."""
+                rtol: float = 1e-8, atol: float = 1e-10,
+                shared: dict | None = None) -> VerificationRow:
+    """Check one (case, parameter) pair; numerics failures become error rows.
+
+    Rows whose points share one ``lhs_key`` may pass one ``shared`` dict.
+    The first of them to need the integral computes it and leaves its
+    outcome there; later rows reuse it with 0 evaluations, as the value
+    (detail "lhs of <case id>") or as the same error.
+    """
     check_tolerances(rtol, atol)
     try:
         rhs = evaluate_rhs(case, params)
-        lhs, cost = evaluate_lhs(case, params, rtol=rtol, atol=atol)
-    except (AccuracyError, SolverError) as exc:
-        return VerificationRow(case.id, params, None, None, None, None,
-                               "error", getattr(exc, "evaluations", 0), str(exc))
-    except ArithmeticError as exc:
-        return VerificationRow(case.id, params, None, None, None, None,
-                               "error", 0, f"{type(exc).__name__}: {exc}")
+    except _NUMERIC_ERRORS as exc:
+        return _error_row(case, params, getattr(exc, "evaluations", 0), exc)
+    if shared:
+        lhs, failure, owner = shared["lhs"]
+        evaluations, detail = 0, f"lhs of {owner}"
+    else:
+        try:
+            lhs, cost = evaluate_lhs(case, params, rtol=rtol, atol=atol)
+            failure, evaluations, detail = None, cost.evaluations, ""
+        except _NUMERIC_ERRORS as exc:
+            lhs, failure, evaluations = None, exc, getattr(exc, "evaluations", 0)
+        if shared is not None:
+            shared["lhs"] = (lhs, failure, case.id)
+    if failure is not None:
+        return _error_row(case, params, evaluations, failure)
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / abs(rhs) if rhs != 0 else abs_err
     ok = abs_err <= max(atol, rtol * abs(rhs))
     return VerificationRow(case.id, params, lhs, rhs, abs_err, rel_err,
-                           "pass" if ok else "fail", cost.evaluations)
+                           "pass" if ok else "fail", evaluations, detail)
 
 
 # ---------------------------------------------------------------------------

@@ -126,12 +126,15 @@ def _eval_params(args, case) -> dict[str, float]:
     given = {"alpha": args.alpha, "a": args.a_value, "theta": args.theta,
              "gamma": args.gamma}
     provided = {k: _parse_value(v) for k, v in given.items() if v is not None}
-    if case.param_kind == "fixed":
-        return dict(case.fixed_params)
-    needed = PARAM_NAMES[case.param_kind]
+    needed = PARAM_NAMES.get(case.param_kind, ())
+    extra = [k for k in provided if k not in needed]
+    if extra:
+        raise DomainError(f"case {case.id} does not take --{'/--'.join(extra)}")
     missing = [k for k in needed if k not in provided]
     if missing:
         raise DomainError(f"case {case.id} needs --{'/--'.join(missing)}")
+    if case.param_kind == "fixed":
+        return dict(case.fixed_params)
     return {k: provided[k] for k in needed}
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .catalog import (ALPHA_GRID, A_GRID, GAMMA_GRID, THETA_GRID,
-                      VerificationRow, case_by_id, case_params, catalog,
-                      check_tolerances, default_params_grid, verify_case)
+                      VerificationRow, case_by_id, catalog, check_tolerances,
+                      default_params_grid, lhs_key, verify_case)
 from .errors import DomainError
 
 __all__ = ["RunConfig", "VerificationReport", "run_verification",
@@ -72,30 +72,45 @@ def _summarize(rows: list[VerificationRow]) -> dict[str, int]:
     return out
 
 
-def _verify_task(task: tuple[str, dict[str, float], float, float]) -> VerificationRow:
-    case_id, params, rtol, atol = task
-    case = case_by_id(case_id)
-    try:
-        case_params(case, params)
-    except DomainError:
-        return VerificationRow(case_id, params, None, None, None, None,
-                               "skipped", 0)
-    return verify_case(case, params, rtol=rtol, atol=atol)
+def _verify_group(task: tuple[list[tuple[str, dict[str, float]]], float, float]
+                  ) -> list[VerificationRow]:
+    points, rtol, atol = task
+    shared: dict = {}
+    return [verify_case(case_by_id(case_id), params, rtol=rtol, atol=atol,
+                        shared=shared)
+            for case_id, params in points]
 
 
 def run_verification(config: RunConfig) -> VerificationReport:
-    """Run every selected (case, grid point); out-of-domain points are skipped."""
-    tasks = [(case.id, params, config.rtol, config.atol)
-             for case in catalog()
-             if not config.case_filter or case.id in config.case_filter
-             for params in default_params_grid(case, config.alpha_grid,
-                                               config.a_grid, config.theta_grid,
-                                               config.gamma_grid)]
+    """Run every selected (case, grid point); out-of-domain points are skipped.
+
+    Points whose LHS is one integral (equal ``lhs_key``) form one task, so
+    each distinct integral runs once per sweep, in the pool or not.
+    """
+    points = [(case, params)
+              for case in catalog()
+              if not config.case_filter or case.id in config.case_filter
+              for params in default_params_grid(case, config.alpha_grid,
+                                                config.a_grid, config.theta_grid,
+                                                config.gamma_grid)]
+    rows: list[VerificationRow | None] = [None] * len(points)
+    groups: dict[tuple, list[int]] = {}
+    for i, (case, params) in enumerate(points):
+        try:
+            groups.setdefault(lhs_key(case, params), []).append(i)
+        except DomainError:
+            rows[i] = VerificationRow(case.id, params, None, None, None, None,
+                                      "skipped", 0)
+    tasks = [([(points[i][0].id, points[i][1]) for i in members],
+              config.rtol, config.atol) for members in groups.values()]
     if config.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(_verify_task, tasks, chunksize=4))
+            results = list(pool.map(_verify_group, tasks, chunksize=4))
     else:
-        rows = [_verify_task(t) for t in tasks]
+        results = [_verify_group(t) for t in tasks]
+    for members, group_rows in zip(groups.values(), results):
+        for i, row in zip(members, group_rows):
+            rows[i] = row
     return VerificationReport(tuple(rows), __version__, config,
                               _summarize(rows))
 

@@ -3,16 +3,17 @@
 import cmath
 import dataclasses
 import hashlib
+import importlib
 import math
 import random
 
 import pytest
 
-from logtrig import (DomainError, case_by_id, catalog, contour_path_points,
+from logtrig import (AccuracyError, DomainError, case_by_id, catalog, contour_path_points,
                      contour_trace, evaluate_lhs, evaluate_rhs,
                      lambert_alternating, modulus_from_alpha,
                      residue_count_appa, verify_case)
-from logtrig.catalog import PARAM_NAMES
+from logtrig.catalog import PARAM_NAMES, lhs_key
 from logtrig.report import RunConfig, render_rows_json, run_verification
 
 PI = math.pi
@@ -158,6 +159,54 @@ def test_verify_case_turns_arithmetic_errors_into_error_rows():
     assert row.detail.startswith("ZeroDivisionError")
 
 
+SHARED_LHS_CASES = ("T1-A", "T1-PA", "T1-B", "T1-PB", "EX-1", "T4-A", "T4-PA",
+                    "T2", "EX-2", "S3-T6", "EX-3")
+SHARED_LHS_CONFIG = RunConfig(case_filter=SHARED_LHS_CASES,
+                              alpha_grid=(0.5, SQRT3, 2.0))
+
+
+def test_sweep_integrates_each_shared_lhs_once():
+    report = run_verification(SHARED_LHS_CONFIG)
+    groups = {}
+    for row in report.rows:
+        case = case_by_id(row.case_id)
+        alone = verify_case(case, row.params)
+        assert (row.lhs, row.rhs, row.abs_err, row.status) == (
+            alone.lhs, alone.rhs, alone.abs_err, alone.status), row
+        groups.setdefault(lhs_key(case, row.params), []).append(row)
+    # five kernels at three alphas; EX-1, EX-2 and EX-3 join the alpha
+    # cases' groups, EX-3 although its interior point is a lambda of its own
+    assert len(report.rows) == 27 and len(groups) == 15
+    assert len(groups[lhs_key(case_by_id("EX-3"), {})]) == 2
+    for rows in groups.values():
+        assert [r.evaluations > 0 for r in rows] == [True] + [False] * (len(rows) - 1)
+        assert all(r.detail == "lhs of " + rows[0].case_id for r in rows[1:])
+
+
+def test_shared_lhs_payload_does_not_depend_on_jobs():
+    serial = run_verification(SHARED_LHS_CONFIG)
+    pooled = run_verification(dataclasses.replace(SHARED_LHS_CONFIG, jobs=2))
+    assert render_rows_json(serial.rows) == render_rows_json(pooled.rows)
+
+
+def test_failed_shared_lhs_is_attempted_once(monkeypatch):
+    calls = []
+
+    def failing(case, params, rtol=1e-8, atol=1e-10):
+        calls.append(case.id)
+        raise AccuracyError("no convergence", 0.0, 1.0, evaluations=75)
+
+    # the package's catalog() function shadows the module attribute
+    monkeypatch.setattr(importlib.import_module("logtrig.catalog"),
+                        "evaluate_lhs", failing)
+    report = run_verification(RunConfig(case_filter=("T1-A", "T1-PA"),
+                                        alpha_grid=(2.0,)))
+    assert calls == ["T1-A"]
+    assert [r.status for r in report.rows] == ["error", "error"]
+    assert [r.evaluations for r in report.rows] == [75, 0]
+    assert [r.detail for r in report.rows] == ["no convergence"] * 2
+
+
 def test_parity_imaginary_parts_vanish():
     # even/odd pairing makes the imaginary contribution cancel
     for cid, params in (("SINE", {"a": 0.3}), ("COS", {"a": -1.0}),
@@ -297,8 +346,8 @@ def test_default_sweep_payload_is_pinned(sweep):
     # records the old and the new hash in CHANGES.md.
     payload = render_rows_json(sweep.rows).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "ca5da603b50781eaca708bd4e781076c8f3148b37aada7144e88b1d3f3bcdc87")
-    assert sum(row.evaluations for row in sweep.rows) == 126_960
+        "60e5fa1b04d1b97cfa072177614b88add5472256a99eca7cdf692c468ec41163")
+    assert sum(row.evaluations for row in sweep.rows) == 113_655
 
 
 # Off-grid points where the Kronrod estimate fell short of the error while

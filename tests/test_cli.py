@@ -140,6 +140,17 @@ def test_eval_missing_parameter(capsys):
     assert main(["eval", "T2"]) == 2
 
 
+@pytest.mark.parametrize("argv, flag", (
+    (["eval", "EX-1", "--alpha", "2"], "--alpha"),
+    (["eval", "T2", "--alpha", "2", "--a", "5"], "--a"),
+))
+def test_eval_rejects_a_parameter_the_case_does_not_take(capsys, argv, flag):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"does not take {flag}" in captured.err
+    assert "lhs" not in captured.out
+
+
 def test_params_command(capsys):
     assert main(["params", "--alpha", "1"]) == 0
     out = capsys.readouterr().out
