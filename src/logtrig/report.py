@@ -4,6 +4,17 @@ Reports are deterministic: rows appear in canonical order (catalog order,
 then ascending parameter tuples), floats are serialized with 17 significant
 digits for exact round-trips, and no timestamps or host details enter the
 payload.
+
+A sweep integrates each distinct LHS once.  Several cases state one
+integral in more than one closed form (T1-A and T1-PA, T2 and EX-2 at
+alpha = 2, ...), so before any work starts the in-domain points are
+grouped by ``catalog.lhs_key``, and each group runs as one task, in the
+pool or in serial alike: repeats that would land in different workers are
+caught too.  Within a group ``verify_case`` still makes every row; the
+first row that needs the integral computes it and later rows reuse its
+value, with 0 evaluations and the detail "lhs of <case id>", or its
+failure.  The rows then go back into canonical order, so the payload does
+not depend on ``jobs``.
 """
 
 from __future__ import annotations
@@ -82,11 +93,8 @@ def _verify_group(task: tuple[list[tuple[str, dict[str, float]]], float, float]
 
 
 def run_verification(config: RunConfig) -> VerificationReport:
-    """Run every selected (case, grid point); out-of-domain points are skipped.
-
-    Points whose LHS is one integral (equal ``lhs_key``) form one task, so
-    each distinct integral runs once per sweep, in the pool or not.
-    """
+    """Run every selected (case, grid point), one task per distinct LHS;
+    out-of-domain points are skipped."""
     points = [(case, params)
               for case in catalog()
               if not config.case_filter or case.id in config.case_filter
