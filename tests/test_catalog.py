@@ -9,9 +9,9 @@ import random
 
 import pytest
 
-from logtrig import (AccuracyError, DomainError, case_by_id, catalog, contour_path_points,
-                     contour_trace, evaluate_lhs, evaluate_rhs,
-                     lambert_alternating, modulus_from_alpha,
+from logtrig import (AccuracyError, DomainError, case_by_id, catalog,
+                     contour_path_points, contour_trace, evaluate_lhs,
+                     evaluate_rhs, lambert_alternating, modulus_from_alpha,
                      residue_count_appa, verify_case)
 from logtrig.catalog import PARAM_NAMES, lhs_key
 from logtrig.report import RunConfig, render_rows_json, run_verification
@@ -179,7 +179,8 @@ def test_sweep_integrates_each_shared_lhs_once():
     assert len(report.rows) == 27 and len(groups) == 15
     assert len(groups[lhs_key(case_by_id("EX-3"), {})]) == 2
     for rows in groups.values():
-        assert [r.evaluations > 0 for r in rows] == [True] + [False] * (len(rows) - 1)
+        assert [r.evaluations > 0 for r in rows] == (
+            [True] + [False] * (len(rows) - 1))
         assert all(r.detail == "lhs of " + rows[0].case_id for r in rows[1:])
 
 
