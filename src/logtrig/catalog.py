@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 from .elliptic import EllipticParams
 from .errors import AccuracyError, DomainError, SolverError
 from .quadrature import QuadratureResult, integrate_endpoint_oscillatory
-from .series import (gamma_fn, lambert_plain, cn_imag_third,
+from .series import (cosh_third_sum, gamma_fn, lambert_plain,
                      product_one_minus, product_one_plus,
                      sinh2_sum_integer, sinh2_sum_odd)
 from .solver import modulus_from_alpha
@@ -366,9 +366,8 @@ def _t6_f(p: Params):
 
 def _t6_rhs(p: Params) -> float:
     al = p["alpha"]
-    ep = _elliptic(p)
-    return (al * ep.k * ep.big_k / SQRT3 * cn_imag_third(ep)
-            - PI * math.tanh(0.5 * PI / al))
+    s = cosh_third_sum(_elliptic(p)).direct
+    return al * PI / SQRT3 * s - PI * math.tanh(0.5 * PI / al)
 
 
 def _t7_f(p: Params):
@@ -382,10 +381,10 @@ def _t7_f(p: Params):
 
 def _t7_rhs(p: Params) -> float:
     al = p["alpha"]
-    ep = _elliptic(p)
+    s = cosh_third_sum(_elliptic(p)).direct
     return (1.5 * PI / al * math.tanh(0.5 * PI / al)
             - PI * SQRT3 / (4.0 * math.sinh(PI * al / 3.0))
-            - SQRT3 * ep.k * ep.big_k / 2.0 * cn_imag_third(ep))
+            - SQRT3 * PI / 2.0 * s)
 
 
 def _theta2_f(p: Params):

@@ -164,7 +164,8 @@ def _cmd_params(args) -> int:
     alpha = _parse_value(args.alpha)
     ep = modulus_from_alpha(alpha)
     for name, value in (("alpha", ep.alpha), ("k", ep.k),
-                        ("k_prime", ep.k_prime), ("K", ep.big_k),
+                        ("k_prime", ep.k_prime),
+                        ("log_k_prime", ep.log_k_prime), ("K", ep.big_k),
                         ("K_prime", ep.big_k_prime), ("E", ep.big_e),
                         ("E_prime", ep.big_e_prime), ("q", ep.q)):
         print(f"{name} = {value:.17g}")

@@ -8,7 +8,8 @@ class DomainError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """No double-precision modulus pair reproduces the requested alpha."""
+    """The nome of the requested alpha underflows, or the modulus solved
+    from it fails the AGM check of K'/K."""
 
 
 class AccuracyError(RuntimeError):

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -317,6 +318,13 @@ _T_MAX = 60.0
 # 1.5e-12 against 4.5e-13).  Reaches of 1 to 8 all mend that; 5 exceeds
 # every pinch segment on the default alpha grid (at most 3 pi / 2).
 _PINCH_CORE = 5.0
+# Floor of a tail chunk's absolute tolerance, in ulps of the integral so
+# far.  Below a few dozen ulps a chunk's Kronrod estimate is rounding
+# noise: a pinch segment of DISC-P4 at alpha = 6.56 and rtol 1e-10 stopped
+# at 1.6e-15 against a sum of 0.37 (29 ulps) and ran into the subdivision
+# limit, as it did with a floor of 4 or 16 ulps.
+_CHUNK_ULPS = 32.0
+_EPS = sys.float_info.epsilon
 
 
 # Levels of the Richardson table that closes a periodic tail.
@@ -530,8 +538,10 @@ def integrate_endpoint_oscillatory(
         estimates: list[float] = []    # of the last chunks, newest first
         while True:
             t_next = min(t + step, _T_MAX)
+            floor = _CHUNK_ULPS * _EPS * abs(running)
             res = _tail_chunk(g, emap, t, t_next, quarter,
-                              centres(end, t, t_next), chunk_tol, chunk_atol)
+                              centres(end, t, t_next), chunk_tol,
+                              max(chunk_atol, floor))
             pieces.append(res.value)
             err_total += res.error_estimate
             evaluations += res.evaluations

@@ -2,9 +2,12 @@
 
 Every evaluator returns a :class:`SeriesValue` whose ``direct`` field is a
 truncated summation with a certified geometric ``tail_bound`` and whose
-``closed`` field is the elliptic-integral form (None where no such form
-exists).  All sums converge geometrically with ratio exp(-c*pi*alpha), so a
-few dozen terms suffice for any alpha on the verification grids.
+``closed`` field is its elliptic form, built from the parameter bundle of
+:mod:`logtrig.solver`.  ``closed`` is None where the package has no second
+route: ``lambert_plain`` has no elliptic form, and ``cosh_third_sum`` is
+itself the route to the Jacobi value cn(i K'/3, k) (``cn_imag_third``).
+All sums converge geometrically with ratio exp(-c*pi*alpha), so a few
+dozen terms suffice for any alpha on the verification grids.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .elliptic import EllipticParams, complementary_modulus
+from .elliptic import EllipticParams
 from .errors import DomainError
 
 __all__ = [
@@ -163,42 +166,27 @@ def sqrt2_cosh_sum_bilateral(params: EllipticParams) -> SeriesValue:
 
 
 def cosh_third_sum(params: EllipticParams) -> SeriesValue:
-    """sum_{n>=0} 1/(2 cosh(pi alpha (2n+1)/3) - 1)."""
+    """sum_{n>=0} 1/(2 cosh(pi alpha (2n+1)/3) - 1),
+    which is k K cn(i K'/3, k) / pi."""
     _check(params)
-    a = math.pi * params.alpha
-    total, tail, n = _sum(
-        lambda n: 1.0 / (2.0 * math.cosh(a * (2 * n + 1) / 3.0) - 1.0),
-        math.exp(-2.0 * a / 3.0))
-    closed = params.k * params.big_k / math.pi * cn_imag_third(params)
-    return SeriesValue(total, closed, tail, n)
+    y = math.exp(-math.pi * params.alpha / 3.0)
+    y2 = y * y
 
+    def term(n: int) -> float:
+        # the n-th term, y^(2n+1) / (1 - y^(2n+1) + y^(4n+2)), over y; the
+        # weight y restores it, so the sum stops relative to its own size
+        # and cn(i K'/3, k) keeps its digits at large alpha
+        w = y2 ** n
+        return w / (1.0 - y * w + y2 * w * w)
 
-def _sn_descending(u: float, k: float) -> float:
-    """Jacobi sn(u, k) for 0 <= k <= 1 by the descending Landen recurrence."""
-    if k > 1.0 - 1e-12:
-        # degenerate modulus; the O(1-k) deficit is below every use's need
-        return math.tanh(u)
-    if k < 1e-9:
-        # small-modulus expansion, error O(k^4)
-        s, c = math.sin(u), math.cos(u)
-        return s - 0.25 * k * k * (u - s * c) * c
-    kp = complementary_modulus(k)
-    k1 = (1.0 - kp) / (1.0 + kp)
-    s1 = _sn_descending(u / (1.0 + k1), k1)
-    return (1.0 + k1) * s1 / (1.0 + k1 * s1 * s1)
+    total, tail, n = _sum(term, y2, weight=y)
+    return SeriesValue(total, None, tail, n)
 
 
 def cn_imag_third(params: EllipticParams) -> float:
-    """cn(i K'/3, k), real and > 1, via cn(iu, k) = 1/cn(u, k').
-
-    The real-argument cn comes from sn by descending Landen steps; the
-    argument K'/3 stays inside (0, K(k')) so cn(u, k') is positive there.
-    """
-    _check(params)
-    u = params.big_k_prime / 3.0
-    sn = _sn_descending(u, params.k_prime)
-    cn = math.sqrt((1.0 - sn) * (1.0 + sn))
-    return 1.0 / cn
+    """cn(i K'/3, k), real and > 1, from k K cn(i K'/3, k) = pi S, S being
+    the sum of :func:`cosh_third_sum`."""
+    return math.pi * cosh_third_sum(params).direct / (params.k * params.big_k)
 
 
 def lambert_plain(alpha: float, odd: bool = False) -> SeriesValue:

@@ -1,62 +1,77 @@
-"""Inversion of alpha = K'(k)/K(k) for the modulus.
+"""Every closed-form quantity of alpha = K'/K from the nome.
 
-The inverse has a closed form through the nome q = exp(-pi alpha):
-k = theta2(q)^2 / theta3(q)^2 (Borwein & Borwein, *Pi and the AGM*, ch. 2).
-To keep full relative accuracy it is always evaluated for the smaller of
-the pair (k, k'): for alpha < 1 the mirrored ratio 1/alpha is used and the
-roles swapped, since alpha(k') = 1/alpha(k).  Then q <= exp(-pi) and a few
-theta terms reach double precision.
+At q = exp(-pi alpha) the moduli and the complete integrals are q-series
+(DLMF §20.9; Berndt, *Ramanujan's Notebooks III*, ch. 17):
+
+    k = theta2^2 / theta3^2,  k' = theta4^2 / theta3^2,  K = (pi/2) theta3^2,
+    (E - (2 - k^2) K / 3) K = (pi^2 / 12) P(q^2),
+    P(x) = 1 - 24 sum_{n>=1} n x^n / (1 - x^n),
+
+and E' follows from the Legendre relation E K' + E' K - K K' = pi/2.  For
+alpha < 1 the series run at q = exp(-pi / alpha) with the roles of the pair
+swapped, since alpha(k') = 1/alpha(k); so q <= exp(-pi), and four theta
+terms and a few Lambert terms reach double precision.  K - E and log k'
+come out as sums free of cancellation, so E, E' and log k' keep their
+digits where k' rounds to 1.  The AGM ratio agm(1, k') / agm(1, k) = K'/K
+is the one independent check of each solve.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
-from .elliptic import EllipticParams, _bundle, agm, complementary_modulus
+from .elliptic import EllipticParams, agm, nome
 from .errors import DomainError, SolverError
 
-__all__ = ["alpha_from_modulus", "modulus_from_alpha"]
+__all__ = ["modulus_from_alpha"]
 
-# With q <= exp(-pi) the first omitted terms, q^20 and q^25, sit far below
-# one ulp of the leading 1.
-_THETA_TERMS = 4
 # Accepted |K'/K - alpha| relative to alpha.
 _TOL_ALPHA = 1e-13
 
 
-def alpha_from_modulus(k: float) -> float:
-    """K(k')/K(k), computed as agm(1, k')/agm(1, k) to dodge cancellation."""
-    if not 0.0 < k < 1.0:
-        raise DomainError(f"modulus must lie strictly inside (0, 1), got {k}")
-    return agm(1.0, complementary_modulus(k)) / agm(1.0, k)
-
-
-def _small_modulus(alpha: float) -> float:
-    """k = 4 sqrt(q) (sum_{n>=0} q^(n(n+1)) / (1 + 2 sum_{n>=1} q^(n^2)))^2
-    for alpha >= 1, so k <= 1/sqrt(2)."""
-    q = math.exp(-math.pi * alpha)
-    theta2 = math.fsum(q ** (n * (n + 1)) for n in range(_THETA_TERMS))
-    theta3 = 1.0 + 2.0 * math.fsum(q ** (n * n) for n in range(1, _THETA_TERMS + 1))
-    return 4.0 * math.sqrt(q) * (theta2 / theta3) ** 2
-
-
 def modulus_from_alpha(alpha: float) -> EllipticParams:
     """Parameter bundle whose ratio K'/K equals the prescribed alpha."""
-    if not alpha > 0.0 or math.isinf(alpha) or math.isnan(alpha):
+    if not 0.0 < alpha < math.inf:
         raise DomainError(f"alpha must be a positive real, got {alpha}")
-    if alpha >= 1.0:
-        k = _small_modulus(alpha)
-        k_prime = complementary_modulus(k)
-    else:
-        k_prime = _small_modulus(1.0 / alpha)
-        k = complementary_modulus(k_prime)
-    if not (0.0 < k < 1.0 and 0.0 < k_prime < 1.0):
-        # one modulus is within half an ulp of 1; the pair cannot be carried
-        # in double precision (roughly alpha outside (0.09, 13))
+    t = alpha if alpha >= 1.0 else 1.0 / alpha
+    q = nome(t)
+    if q < sys.float_info.min:
+        # a subnormal q carries fewer digits than the small modulus needs
         raise SolverError(
-            f"modulus pair for alpha={alpha} degenerates in double precision")
-    params = _bundle(k, k_prime, alpha)
-    if abs(params.big_k_prime / params.big_k - alpha) > _TOL_ALPHA * alpha:
+            f"nome exp(-pi * {t:g}) underflows for alpha={alpha}")
+    q2 = q * q
+    q3, q4 = q2 * q, q2 * q2
+    q6, q8 = q3 * q3, q4 * q4
+    s2 = 1.0 + q2 + q6 + q6 * q6          # theta2 / (2 q^(1/4))
+    s3 = 2.0 * q * (1.0 + q3 + q8)        # theta3 - 1
+    s4 = 2.0 * q * (q3 - 1.0 - q8)        # theta4 - 1
+    theta3 = 1.0 + s3
+    k_small = 4.0 * math.sqrt(q) * (s2 / theta3) ** 2
+    k_large = ((1.0 + s4) / theta3) ** 2
+    # sum n x^n / (1 - x^n) at x = q^2, to far below an ulp of its 24 q
+    # companion in K - E
+    lambert, n, xn = 0.0, 1, q2
+    while xn > 1e-17 * q:
+        lambert += n * xn / (1.0 - xn)
+        n += 1
+        xn *= q2
+    big_k = 0.5 * math.pi * theta3 * theta3
+    # (K - E) K = (pi^2 / 12) (theta2^4 + theta3^4 - P(q^2)), with
+    # theta3^4 - 1 and 1 - P(q^2) written out, so no term cancels
+    k_minus_e = math.pi ** 2 / 12.0 * (
+        16.0 * q * s2 ** 4 + s3 * (4.0 + s3 * (6.0 + s3 * (4.0 + s3)))
+        + 24.0 * lambert) / big_k
+    # E(k_large) by the Legendre relation, K(k_large) being t K
+    e_large = 0.5 * math.pi / big_k + t * k_minus_e
+    if abs(agm(1.0, k_large) / agm(1.0, k_small) - t) > _TOL_ALPHA * t:
         raise SolverError(f"residual K'/K - alpha above {_TOL_ALPHA:g} "
                           f"relative for alpha={alpha}")
-    return params
+    if alpha >= 1.0:
+        return EllipticParams(alpha, k_small, k_large,
+                              2.0 * (math.log1p(s4) - math.log1p(s3)),
+                              big_k, alpha * big_k, big_k - k_minus_e,
+                              e_large, q)
+    return EllipticParams(alpha, k_large, k_small, math.log(k_small),
+                          big_k / alpha, big_k, e_large, big_k - k_minus_e,
+                          nome(alpha))

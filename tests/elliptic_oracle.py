@@ -1,0 +1,92 @@
+"""The AGM and Landen route to K, E, K'/K and cn(i K'/3, k).
+
+The package computes these from the nome alone (``logtrig.solver``); the
+tests check that route against this one, which shares nothing with it but
+the modulus it is given, and needs no mpmath.  Passing the complementary
+modulus as well keeps full accuracy where one of the pair rounds to 1.
+"""
+
+import math
+import sys
+
+from logtrig import DomainError, agm, tanh_sinh
+
+_EPS = sys.float_info.epsilon
+
+
+def complementary_modulus(k: float) -> float:
+    """k' = sqrt((1-k)(1+k)), accurate also for k near 1."""
+    return math.sqrt((1.0 - k) * (1.0 + k))
+
+
+def complete_k(k: float, k_prime: float | None = None) -> float:
+    """Complete elliptic integral of the first kind,
+    K(k) = pi / (2 agm(1, k'))."""
+    if k < 0.0:
+        raise DomainError(f"modulus must be nonnegative, got {k}")
+    if k >= 1.0:
+        raise DomainError(f"K(k) diverges as k -> 1, got {k}")
+    if k_prime is None:
+        k_prime = complementary_modulus(k)
+    return math.pi / (2.0 * agm(1.0, k_prime))
+
+
+def complete_e(k: float, k_prime: float | None = None) -> float:
+    """Complete elliptic integral of the second kind, from the companion
+    sequence c_n = (a_n - b_n) / 2 of the AGM."""
+    if not 0.0 <= k <= 1.0:
+        raise DomainError(f"modulus must lie in [0, 1], got {k}")
+    if k == 1.0:
+        return 1.0
+    a, b = 1.0, complementary_modulus(k) if k_prime is None else k_prime
+    c = k
+    s = 0.5 * c * c
+    power = 0.5
+    while abs(a - b) > 4.0 * _EPS * abs(a):
+        c = 0.5 * (a - b)
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        power *= 2.0
+        s += power * c * c
+    return math.pi / (2.0 * a) * (1.0 - s)
+
+
+def alpha_from_modulus(k: float) -> float:
+    """K(k')/K(k), computed as agm(1, k')/agm(1, k) to dodge cancellation."""
+    if not 0.0 < k < 1.0:
+        raise DomainError(f"modulus must lie strictly inside (0, 1), got {k}")
+    return agm(1.0, complementary_modulus(k)) / agm(1.0, k)
+
+
+def oracle_k_quadrature(k: float) -> float:
+    """K(k) by tanh-sinh quadrature of its defining integral."""
+    if k < 0.0:
+        raise DomainError(f"modulus must be nonnegative, got {k}")
+    if k >= 1.0:
+        raise DomainError(f"K(k) diverges as k -> 1, got {k}")
+    m = k * k
+
+    def integrand(phi: float) -> float:
+        s = math.sin(phi)
+        return 1.0 / math.sqrt(1.0 - m * s * s)
+
+    return tanh_sinh(integrand, 0.0, 0.5 * math.pi, eps=1e-14).value
+
+
+def sn_descending(u: float, k: float, k_prime: float) -> float:
+    """Jacobi sn(u, k) by descending Landen steps; each step's modulus is
+    formed as k^2 / (1 + k')^2 and its complement as 2 sqrt(k') / (1 + k'),
+    so neither cancels."""
+    if k < 1e-9:
+        # small-modulus expansion, error O(k^4)
+        s, c = math.sin(u), math.cos(u)
+        return s - 0.25 * k * k * (u - s * c) * c
+    k1 = (k / (1.0 + k_prime)) ** 2
+    k1_prime = 2.0 * math.sqrt(k_prime) / (1.0 + k_prime)
+    s1 = sn_descending(u / (1.0 + k1), k1, k1_prime)
+    return (1.0 + k1) * s1 / (1.0 + k1 * s1 * s1)
+
+
+def cn_imag_third(k: float, k_prime: float) -> float:
+    """cn(i K'/3, k) = 1 / cn(K'/3, k'), K' = K(k')."""
+    sn = sn_descending(complete_k(k_prime, k) / 3.0, k_prime, k)
+    return 1.0 / math.sqrt((1.0 - sn) * (1.0 + sn))

@@ -347,7 +347,7 @@ def test_default_sweep_payload_is_pinned(sweep):
     # records the old and the new hash in CHANGES.md.
     payload = render_rows_json(sweep.rows).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "60e5fa1b04d1b97cfa072177614b88add5472256a99eca7cdf692c468ec41163")
+        "56d0ede4bd48e17488f0f70adfc828d832634c3f1f21986e104a2c90ebdf7e87")
     assert sum(row.evaluations for row in sweep.rows) == 113_655
 
 
@@ -441,6 +441,28 @@ def test_offgrid_alpha_sweep():
             assert row.params["alpha"] < threshold, (row.case_id, row.params)
 
 
+def test_extreme_alpha_sweep():
+    # alpha where k or k' rounds to 1: no error row, every pass within its
+    # estimate, and only the first-branch defects fail
+    rng = random.Random(20261021)
+    alphas = (20.0, 40.0, 80.0) + tuple(
+        math.exp(rng.uniform(math.log(lo), math.log(hi)))
+        for lo, hi in ((12.0, 80.0), (0.02, 0.09)) for _ in range(4))
+    ids = tuple(c.id for c in catalog() if c.param_kind == "alpha")
+    report = run_verification(RunConfig(case_filter=ids, alpha_grid=alphas,
+                                        jobs=1))
+    assert report.summary["error"] == 0
+    assert report.summary["pass"] > 140
+    for row in report.rows:
+        if row.status == "fail":
+            threshold = FIRST_BRANCH_DEFECTS.get(row.case_id, 0.0)
+            assert row.params["alpha"] < threshold, (row.case_id, row.params)
+        elif row.status == "pass":
+            _, cost = evaluate_lhs(case_by_id(row.case_id), row.params)
+            assert row.abs_err <= cost.error_estimate + 5e-13, (
+                row.case_id, row.params)
+
+
 def test_offgrid_decay_only_tails_are_honest():
     # tails without a period end in a geometric remainder although their
     # slowly varying factor (log t, 1/t^2, ...) is not constant
@@ -512,13 +534,9 @@ def test_offgrid_short_period_tails_are_honest():
     assert checked > 20
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="cn_imag_third loses digits as k' rounds toward 1")
 def test_s3_t6_closed_form_at_large_alpha():
-    # the left side agrees with an mpmath oracle to 2e-16 here; the closed
-    # form is off by 1.9e-12 (3.7e-12 relative): _sn_descending takes
-    # k' > 1 - 1e-12 as degenerate, and complementary_modulus(k') keeps
-    # about 4 digits of k
+    # the left side agrees with an mpmath oracle to 2e-16 here, where
+    # k' = 1 - 8.9e-13; a Landen descent from k' was off by 1.9e-12
     case = case_by_id("S3-T6")
     params = {"alpha": 9.492969004585527}
     lhs, _ = evaluate_lhs(case, params, rtol=1e-12, atol=1e-14)

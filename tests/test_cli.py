@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+import logtrig
 import logtrig.report
 from logtrig.cli import _build_parser, main
 from logtrig.errors import DomainError
@@ -136,6 +137,18 @@ def test_eval_domain_rejection(capsys):
     assert "outside" in capsys.readouterr().out
 
 
+def test_eval_at_a_tight_tolerance_reaches_a_verdict(capsys):
+    # a tail chunk asked for less than rounding delivers and ran into the
+    # subdivision limit ("err 1.556e-15"); the closed form is exact to a
+    # few ulps here
+    case, params = logtrig.case_by_id("DISC-P4"), {"alpha": 6.563841968171017}
+    assert main(["eval", "DISC-P4", "--alpha", str(params["alpha"]),
+                 "--rtol", "1e-10", "--atol", "1e-12"]) == 0
+    assert "status  = pass" in capsys.readouterr().out
+    lhs, cost = logtrig.evaluate_lhs(case, params, rtol=1e-10, atol=1e-12)
+    assert abs(lhs - logtrig.evaluate_rhs(case, params)) <= cost.error_estimate
+
+
 def test_eval_missing_parameter(capsys):
     assert main(["eval", "T2"]) == 2
 
@@ -159,6 +172,12 @@ def test_params_command(capsys):
     out = capsys.readouterr().out
     assert "k = 0.1715728752538" in out
     assert main(["params", "--alpha", "0"]) == 2
+    # one of (k, k') rounds to 1; log k' keeps the nome's digits
+    for alpha in ("20", "0.05"):
+        assert main(["params", "--alpha", alpha]) == 0
+        assert "log_k_prime = -" in capsys.readouterr().out
+    # the nome exp(-300 pi) underflows
+    assert main(["params", "--alpha", "300"]) == 3
 
 
 def test_contour_command(tmp_path):

@@ -1,13 +1,13 @@
-"""Elliptic core: AGM, K, E, parameter bundles, defining-integral oracle."""
+"""Elliptic core: the AGM, the bundle, and the AGM oracle for K and E."""
 
 import math
 import random
 
 import pytest
 
-from logtrig import (DomainError, agm, complementary_modulus, complete_e,
-                     complete_k, nome, oracle_k_quadrature,
-                     params_from_modulus)
+from elliptic_oracle import (complementary_modulus, complete_e, complete_k,
+                             oracle_k_quadrature)
+from logtrig import DomainError, agm, modulus_from_alpha, nome
 
 # references computed independently with 30-digit arithmetic
 K_INV_SQRT2 = 1.85407467730137192
@@ -89,30 +89,26 @@ def test_oracle_matches_agm_route():
         assert abs(oracle_k_quadrature(k) - agm_route) < 1e-11 * agm_route
 
 
-def test_params_from_modulus_self_dual_point():
-    ep = params_from_modulus(1 / math.sqrt(2))
-    assert abs(ep.alpha - 1.0) < 1e-14
+def test_bundle_self_dual_point():
+    ep = modulus_from_alpha(1.0)
+    assert ep.alpha == 1.0
     assert abs(ep.k_prime - 1 / math.sqrt(2)) < 1e-15
     assert abs(ep.big_k - ep.big_k_prime) < 1e-14
+    assert abs(ep.big_e - ep.big_e_prime) < 1e-14
 
 
 def test_params_invariants_on_random_moduli():
+    # the Legendre relation on the AGM values; the nome route takes E' from
+    # it, so it is checked on the oracle, not on the bundle
     rng = random.Random(20260810)
     for _ in range(100):
         k = rng.uniform(0.01, 0.99)
-        ep = params_from_modulus(k)
-        assert abs(ep.k ** 2 + ep.k_prime ** 2 - 1.0) < 1e-14
-        assert abs(ep.big_k_prime / ep.big_k - ep.alpha) <= 1e-12 * ep.alpha
-        legendre = (ep.big_e * ep.big_k_prime + ep.big_e_prime * ep.big_k
-                    - ep.big_k * ep.big_k_prime - math.pi / 2)
+        kp = complementary_modulus(k)
+        assert abs(k ** 2 + kp ** 2 - 1.0) < 1e-14
+        big_k, big_k_prime = complete_k(k), complete_k(kp, k)
+        legendre = (complete_e(k) * big_k_prime + complete_e(kp, k) * big_k
+                    - big_k * big_k_prime - math.pi / 2)
         assert abs(legendre) < 1e-12
-        assert ep.q == math.exp(-math.pi * ep.alpha)
-
-
-def test_params_domain_errors():
-    for bad in (0.0, 1.0, -0.3, 1.5):
-        with pytest.raises(DomainError):
-            params_from_modulus(bad)
 
 
 def test_nome():

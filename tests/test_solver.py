@@ -2,11 +2,13 @@
 
 import math
 import random
+import sys
 
 import pytest
 
-from logtrig import (DomainError, SolverError, alpha_from_modulus,
-                     modulus_from_alpha)
+from elliptic_oracle import alpha_from_modulus, complete_e, complete_k
+from logtrig import (DomainError, SolverError, case_by_id, cn_imag_third,
+                     modulus_from_alpha, nome, verify_case)
 
 # classical singular moduli: alpha = sqrt(2) gives sqrt(2)-1,
 # alpha = sqrt(3) gives (sqrt(3)-1)/(2 sqrt(2)), alpha = 2 gives 3-2 sqrt(2)
@@ -63,11 +65,43 @@ def test_extreme_alpha_moduli():
     assert abs(tiny.big_k_prime / tiny.big_k - 0.1) < 1e-13
 
 
-def test_unrepresentable_modulus_pair_is_refused():
-    # one of (k, k') would round onto 1.0 for extreme ratios
-    for alpha in (0.05, 16.0):
+def test_extreme_alpha_gives_finite_bundles():
+    # one of (k, k') rounds onto 1.0 here; the nome route never forms it
+    # from the other, so every field stays finite and accurate
+    for alpha in (0.05, 16.0, 20.0, 40.0, 80.0):
+        ep = modulus_from_alpha(alpha)
+        assert all(math.isfinite(v) for v in vars(ep).values()), alpha
+        assert abs(ep.big_k_prime / ep.big_k - alpha) <= 1e-13 * alpha
+    ep = modulus_from_alpha(20.0)
+    assert ep.k_prime == 1.0 and ep.log_k_prime < 0.0
+
+
+def test_underflowing_nome_is_refused():
+    # exp(-pi alpha) underflows: a SolverError, so an error row, not a
+    # ValueError from log(0)
+    for alpha in (300.0, 1.0 / 300.0):
         with pytest.raises(SolverError):
             modulus_from_alpha(alpha)
+    row = verify_case(case_by_id("T2"), {"alpha": 300.0})
+    assert row.status == "error" and "underflows" in row.detail
+
+
+def test_nome_route_matches_agm_oracle():
+    # stdlib-only cross-check: K, K', E, E' of the nome route against the
+    # AGM of the route's own modulus pair
+    n = 24
+    for i in range(n):
+        alpha = 0.1 * 120.0 ** (i / (n - 1))
+        ep = modulus_from_alpha(alpha)
+        k, kp = ep.k, ep.k_prime
+        for got, ref in ((ep.big_k, complete_k(k, kp)),
+                         (ep.big_k_prime, complete_k(kp, k)),
+                         (ep.big_e, complete_e(k, kp)),
+                         (ep.big_e_prime, complete_e(kp, k))):
+            assert abs(got - ref) <= 1e-14 * ref, alpha
+        assert abs(k * k + kp * kp - 1.0) <= 1e-15
+        assert abs(ep.log_k_prime - math.log(kp)) <= 4e-16
+        assert ep.q == nome(alpha)
 
 
 def test_solver_tolerance_honoured():
@@ -87,16 +121,31 @@ def test_domain_errors():
 
 def test_modulus_matches_mpmath():
     # independent oracle: k = theta2^2/theta3^2 and k' = theta4^2/theta3^2
-    # at q = exp(-pi alpha), in 40-digit arithmetic
+    # at q = exp(-pi alpha), then K, E, K', E' and cn(i K'/3, k) from them,
+    # with digits to spare for log k' where k' rounds to 1.  Rounding
+    # pi * alpha in double precision moves q by up to pi alpha / 2 ulps,
+    # hence the tolerance that grows with alpha or 1/alpha beyond 14.
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(2012)
-    with mpmath.workdps(40):
-        for _ in range(200):
-            alpha = 0.1 * 120.0 ** rng.random()
+    for _ in range(200):
+        alpha = 0.02 * 4000.0 ** rng.random()
+        t = max(alpha, 1.0 / alpha)
+        with mpmath.workdps(30 + int(1.4 * t)):
             q = mpmath.exp(-mpmath.pi * alpha)
             theta3 = mpmath.jtheta(3, 0, q)
-            k = float((mpmath.jtheta(2, 0, q) / theta3) ** 2)
-            k_prime = float((mpmath.jtheta(4, 0, q) / theta3) ** 2)
-            ep = modulus_from_alpha(alpha)
-            assert abs(ep.k - k) <= 1e-14 * k, alpha
-            assert abs(ep.k_prime - k_prime) <= 1e-14 * k_prime, alpha
+            k = (mpmath.jtheta(2, 0, q) / theta3) ** 2
+            k_prime = (mpmath.jtheta(4, 0, q) / theta3) ** 2
+            big_k_prime = mpmath.ellipk(k_prime ** 2)
+            ref = {"k": k, "k_prime": k_prime,
+                   "log_k_prime": mpmath.log(k_prime),
+                   "big_k": mpmath.ellipk(k ** 2),
+                   "big_e": mpmath.ellipe(k ** 2),
+                   "big_k_prime": big_k_prime,
+                   "big_e_prime": mpmath.ellipe(k_prime ** 2),
+                   "cn": mpmath.ellipfun("cn", 1j * big_k_prime / 3,
+                                         m=k ** 2).real}
+        ep = modulus_from_alpha(alpha)
+        got = dict(vars(ep), cn=cn_imag_third(ep))
+        tol = max(1e-14, math.pi * t * sys.float_info.epsilon)
+        for name, value in ref.items():
+            assert abs(got[name] - value) <= tol * abs(value), (alpha, name)
