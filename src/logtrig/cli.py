@@ -174,9 +174,10 @@ def _cmd_params(args) -> int:
 
 def _cmd_contour(args) -> int:
     alpha = _parse_value(args.alpha)
+    points = contour_path_points(args.n_points)  # refuse a bad count first
     value = contour_trace(alpha)
     lines = ["x,re_z,im_z,integral_re,integral_im"]
-    for x, re_z, im_z in contour_path_points(args.n_points):
+    for x, re_z, im_z in points:
         lines.append("%.17g,%.17g,%.17g,%.17g,%.17g"
                      % (x, re_z, im_z, value.real, value.imag))
     _write_output("\n".join(lines) + "\n", args.out)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -112,7 +111,12 @@ def run_verification(config: RunConfig) -> VerificationReport:
     tasks = [([(points[i][0].id, points[i][1]) for i in members],
               config.rtol, config.atol) for members in groups.values()]
     if config.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # imported here: the pool machinery (multiprocessing, socket,
+        # pickle, ...) is about a third of `import logtrig`, and a serial
+        # run never needs it
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(tasks))
+                                 ) as pool:
             results = list(pool.map(_verify_group, tasks, chunksize=4))
     else:
         results = [_verify_group(t) for t in tasks]

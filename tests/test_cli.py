@@ -1,12 +1,18 @@
 """Command line interface and report serialization."""
 
+import concurrent.futures
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 import logtrig
+import logtrig.cli
 import logtrig.report
 from logtrig.cli import _build_parser, main
 from logtrig.errors import DomainError
@@ -195,6 +201,15 @@ def test_contour_command(tmp_path):
     assert float(lines[1].split(",")[1]) < -3.0
 
 
+def test_contour_checks_point_count_before_integrating(monkeypatch, capsys):
+    def integrate(alpha):
+        raise AssertionError("contour_trace ran before the count was checked")
+
+    monkeypatch.setattr(logtrig.cli, "contour_trace", integrate)
+    assert main(["contour", "--alpha", "1", "--n-points", "3"]) == 2
+    assert "n_points >= 64" in capsys.readouterr().err
+
+
 def test_contour_domain_error(capsys):
     assert main(["contour", "--alpha", "0.1"]) == 2
 
@@ -234,6 +249,70 @@ def test_reports_are_deterministic():
     parallel = RunConfig(case_filter=cases, jobs=2)
     third = render_rows_json(run_verification(parallel).rows)
     assert first == third
+
+
+def test_pool_starts_no_more_workers_than_tasks(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        """Records the worker count and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    # patched where report.py looks it up, and where a module-level import
+    # would have bound it, so this test never forks 64 workers
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    monkeypatch.setattr(logtrig.report, "ProcessPoolExecutor", InProcessPool,
+                        raising=False)
+    for alphas in ((1.0, 2.0), (1.0, 2.0, 3.0)):
+        config = RunConfig(case_filter=("T2",), alpha_grid=alphas, jobs=64)
+        serial = RunConfig(case_filter=("T2",), alpha_grid=alphas, jobs=1)
+        assert (render_rows_json(run_verification(config).rows)
+                == render_rows_json(run_verification(serial).rows))
+    assert sizes == [2, 3]
+
+
+SERIAL_RUNS = textwrap.dedent("""
+    import os
+    import sys
+
+    import logtrig
+    from logtrig.cli import main
+    from logtrig.report import RunConfig, run_verification
+
+    logtrig.catalog()
+    run_verification(RunConfig(case_filter=("T2", "EX-2"),
+                               alpha_grid=(1.0, 2.0), jobs=1))
+    logtrig.evaluate_rhs(logtrig.case_by_id("T2"), {"alpha": 2.0})
+    assert main(["verify", "--case", "T2", "--alpha", "1,2", "--jobs", "1",
+                 "--format", "json"]) == 0
+    assert main(["eval", "EX-2"]) == 0
+    assert main(["params", "--alpha", "sqrt3"]) == 0
+    assert main(["contour", "--alpha", "1", "--out", os.devnull]) == 0
+    print(sorted(m for m in ("concurrent.futures.process", "multiprocessing")
+                 if m in sys.modules))
+""")
+
+
+def test_serial_runs_load_no_pool():
+    # a fresh interpreter: this test process has imported the pool already
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", SERIAL_RUNS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_render_report_roundtrip_floats():
