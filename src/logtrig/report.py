@@ -115,8 +115,7 @@ def run_verification(config: RunConfig) -> VerificationReport:
         # pickle, ...) is about a third of `import logtrig`, and a serial
         # run never needs it
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(config.jobs, len(tasks))
-                                 ) as pool:
+        with ProcessPoolExecutor(min(config.jobs, len(tasks))) as pool:
             results = list(pool.map(_verify_group, tasks, chunksize=4))
     else:
         results = [_verify_group(t) for t in tasks]
