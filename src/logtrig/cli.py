@@ -74,8 +74,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="table")
     verify.add_argument("--out", default=None, help="write the report here")
     verify.add_argument("--jobs", type=int, default=_usable_cpus(),
-                        help="worker processes (default: the CPUs this "
-                             "process may run on)")
+                        metavar="N",
+                        help="processes that share the sweep: this one "
+                             "plus N-1 forked children, each taking every "
+                             "N-th integral; serial where the platform "
+                             "cannot fork (default: the CPUs this process "
+                             "may run on)")
 
     ev = sub.add_parser("eval", help="evaluate one case at one point")
     ev.add_argument("case_id")

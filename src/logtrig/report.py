@@ -8,13 +8,17 @@ payload.
 A sweep integrates each distinct LHS once.  Several cases state one
 integral in more than one closed form (T1-A and T1-PA, T2 and EX-2 at
 alpha = 2, ...), so before any work starts the in-domain points are
-grouped by ``catalog.lhs_key``, and each group runs as one task, in the
-pool or in serial alike: repeats that would land in different workers are
-caught too.  Within a group ``verify_case`` still makes every row; the
-first row that needs the integral computes it and later rows reuse its
-value, with 0 evaluations and the detail "lhs of <case id>", or its
-failure.  The rows then go back into canonical order, so the payload does
-not depend on ``jobs``.
+grouped by ``catalog.lhs_key``, and each group runs as one task, in one
+process or in several alike: repeats that would land in different
+processes are caught too.  Within a group ``verify_case`` still makes
+every row; the first row that needs the integral computes it and later
+rows reuse its value, with 0 evaluations and the detail "lhs of <case
+id>", or its failure.  The rows then go back into canonical order, so the
+payload does not depend on ``jobs``.
+
+``jobs`` counts the processes that share the sweep: this one plus N-1
+forked children, each taking every N-th integral; serial where the
+platform cannot fork.  N is capped at the number of tasks.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -91,6 +96,62 @@ def _verify_group(task: tuple[list[tuple[str, dict[str, float]]], float, float]
             for case_id, params in points]
 
 
+def _run_forked(tasks: list, jobs: int) -> list[list[VerificationRow]]:
+    """``_verify_group`` over ``tasks`` in this process plus ``jobs - 1``
+    forked children; child k runs ``tasks[k::jobs]`` and pickles its rows,
+    or the exception it raised, into a pipe.  Every child is reaped before
+    this returns or raises, and a child's exception is raised here."""
+    import pickle  # only a forked run needs it
+
+    results: list = [None] * len(tasks)
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    try:
+        for k in range(1, jobs):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                # the child: never return into the caller's frames, never
+                # flush the parent's stdio buffers or run its atexit hooks
+                status = 1
+                try:
+                    os.close(read_fd)
+                    try:
+                        data = pickle.dumps([_verify_group(t)
+                                             for t in tasks[k::jobs]])
+                    except BaseException as exc:
+                        data = pickle.dumps(exc)
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        results[0::jobs] = [_verify_group(t) for t in tasks[0::jobs]]
+        for k, (pid, read_fd) in enumerate(children, 1):
+            with open(read_fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            if not data:
+                raise ChildProcessError(f"sweep process {pid} sent no rows")
+            share = pickle.loads(data)
+            if isinstance(share, BaseException):
+                raise share
+            results[k::jobs] = share
+    finally:
+        # a child still writing gets EPIPE once no process holds its read
+        # end, so close them all before waiting for any
+        for _, read_fd in children:
+            os.close(read_fd)
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+    return results
+
+
 def run_verification(config: RunConfig) -> VerificationReport:
     """Run every selected (case, grid point), one task per distinct LHS;
     out-of-domain points are skipped."""
@@ -110,13 +171,9 @@ def run_verification(config: RunConfig) -> VerificationReport:
                                       "skipped", 0)
     tasks = [([(points[i][0].id, points[i][1]) for i in members],
               config.rtol, config.atol) for members in groups.values()]
-    if config.jobs > 1 and len(tasks) > 1:
-        # imported here: the pool machinery (multiprocessing, socket,
-        # pickle, ...) is about a third of `import logtrig`, and a serial
-        # run never needs it
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(min(config.jobs, len(tasks))) as pool:
-            results = list(pool.map(_verify_group, tasks, chunksize=4))
+    jobs = min(config.jobs, len(tasks))
+    if jobs > 1 and hasattr(os, "fork"):
+        results = _run_forked(tasks, jobs)
     else:
         results = [_verify_group(t) for t in tasks]
     for members, group_rows in zip(groups.values(), results):

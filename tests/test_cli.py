@@ -1,6 +1,5 @@
 """Command line interface and report serialization."""
 
-import concurrent.futures
 import json
 import math
 import os
@@ -240,7 +239,7 @@ def test_usage_error_from_argparse():
 
 def test_reports_are_deterministic():
     # S3-T7 is out of domain at alpha 0.25 and 0.5: skipped rows go through
-    # the pool too
+    # a forked run too
     cases = ("T2", "SINE0", "APPA", "DISC-P4", "S3-T7")
     config = RunConfig(case_filter=cases, jobs=1)
     first = render_rows_json(run_verification(config).rows)
@@ -251,36 +250,66 @@ def test_reports_are_deterministic():
     assert first == third
 
 
-def test_pool_starts_no_more_workers_than_tasks(monkeypatch):
-    sizes = []
+def _count_forks(monkeypatch) -> list[int]:
+    """Wrap the real ``os.fork``; the returned list collects child pids."""
+    forks = []
+    real_fork = os.fork
 
-    class InProcessPool:
-        """Records the worker count and maps in this process."""
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    # patched where report.py looks it up, and where a module-level import
-    # would have bound it, so this test never forks 64 workers
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        InProcessPool)
-    monkeypatch.setattr(logtrig.report, "ProcessPoolExecutor", InProcessPool,
-                        raising=False)
-    for alphas in ((1.0, 2.0), (1.0, 2.0, 3.0)):
+def test_forks_no_more_children_than_tasks(monkeypatch):
+    # jobs=64 over 2 and 3 distinct integrals: the task count caps the
+    # processes, so this forks 1 and then 2 children, never 63
+    forks = _count_forks(monkeypatch)
+    for alphas, children in (((1.0, 2.0), 1), ((1.0, 2.0, 3.0), 2)):
         config = RunConfig(case_filter=("T2",), alpha_grid=alphas, jobs=64)
         serial = RunConfig(case_filter=("T2",), alpha_grid=alphas, jobs=1)
+        before = len(forks)
         assert (render_rows_json(run_verification(config).rows)
                 == render_rows_json(run_verification(serial).rows))
-    assert sizes == [2, 3]
+        assert len(forks) - before == children
+
+
+@pytest.mark.parametrize("alpha, where", ((2.0, "child"), (1.0, "parent")))
+def test_failing_share_fails_the_run_and_leaves_no_zombie(monkeypatch, alpha,
+                                                           where):
+    # with 2 tasks at jobs=2 the alpha = 1 task is this process's share and
+    # the alpha = 2 task the forked child's
+    real_verify = logtrig.report.verify_case
+
+    def verify(case, params, **kwargs):
+        if params.get("alpha") == alpha:
+            raise DomainError(f"raised in the {where}")
+        return real_verify(case, params, **kwargs)
+
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(logtrig.report, "verify_case", verify)
+    config = RunConfig(case_filter=("T2",), alpha_grid=(1.0, 2.0), jobs=2)
+    with pytest.raises(DomainError, match=f"raised in the {where}"):
+        run_verification(config)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_fork_platform_runs_serial(monkeypatch):
+    def pipe():
+        raise AssertionError("a run without os.fork opened a pipe")
+
+    serial = RunConfig(case_filter=("T2",), alpha_grid=(1.0, 2.0), jobs=1)
+    expected = render_rows_json(run_verification(serial).rows)
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(os, "pipe", pipe)
+    config = RunConfig(case_filter=("T2",), alpha_grid=(1.0, 2.0), jobs=2)
+    assert render_rows_json(run_verification(config).rows) == expected
 
 
 SERIAL_RUNS = textwrap.dedent("""
@@ -305,14 +334,43 @@ SERIAL_RUNS = textwrap.dedent("""
 """)
 
 
-def test_serial_runs_load_no_pool():
-    # a fresh interpreter: this test process has imported the pool already
+FORKED_RUNS = textwrap.dedent("""
+    import sys
+
+    from logtrig.cli import main
+    from logtrig.report import RunConfig, run_verification
+
+    print("printed before the forked run")
+    run_verification(RunConfig(case_filter=("T2", "EX-2"),
+                               alpha_grid=(1.0, 2.0), jobs=2))
+    assert main(["verify", "--case", "T2", "--alpha", "1,2", "--jobs", "2",
+                 "--format", "json", "--out", sys.argv[1]]) == 0
+    print(sorted(m for m in ("concurrent.futures.process", "multiprocessing")
+                 if m in sys.modules))
+""")
+
+
+def _run_fresh(script: str, *args: str) -> str:
+    """stdout of ``script`` in a fresh interpreter, stdout piped (so block
+    buffered): this test process may have loaded a pool already."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", SERIAL_RUNS], env=env,
+    env.pop("PYTHONUNBUFFERED", None)
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    return done.stdout
+
+
+def test_serial_runs_load_no_pool():
+    assert _run_fresh(SERIAL_RUNS).splitlines()[-1] == "[]"
+
+
+def test_forked_runs_load_no_pool_and_flush_nothing_twice(tmp_path):
+    # the line sits unflushed in the stdout buffer while the run forks: a
+    # child that flushed its copy would print it again
+    out = _run_fresh(FORKED_RUNS, str(tmp_path / "r.json")).splitlines()
+    assert out == ["printed before the forked run", "[]"]
 
 
 def test_render_report_roundtrip_floats():
