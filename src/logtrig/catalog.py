@@ -359,9 +359,16 @@ def _t5b_rhs(p: Params) -> float:
 
 
 def _t6_f(p: Params):
+    # sinh(s)/(cosh(s) + cos(v)) with s = (pi - 6x)/2 alpha, both sides
+    # scaled by 2 e^{-|s|} as in _im_f
     al = p["alpha"]
-    return lambda x, w: (math.sinh((PI - 6.0 * x) / (2.0 * al))
-                         / cosh_plus_cos((PI - 6.0 * x) / (2.0 * al), 3.0 * w / al))
+
+    def f(x: float, w: float) -> float:
+        s = (PI - 6.0 * x) / (2.0 * al)
+        return (math.copysign(-math.expm1(-2.0 * abs(s)), s)
+                / scaled_cosh_plus_cos(abs(s), 3.0 * w / al))
+
+    return f
 
 
 def _t6_rhs(p: Params) -> float:

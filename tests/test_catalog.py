@@ -347,7 +347,7 @@ def test_default_sweep_payload_is_pinned(sweep):
     # records the old and the new hash in CHANGES.md.
     payload = render_rows_json(sweep.rows).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "56d0ede4bd48e17488f0f70adfc828d832634c3f1f21986e104a2c90ebdf7e87")
+        "3c109fca611cee90c83fc140b6e06a275495688a7dffbf85315eb4e3feac8faa")
     assert sum(row.evaluations for row in sweep.rows) == 113_655
 
 

@@ -76,6 +76,14 @@ def test_disc_p34_small_alpha_passes(case_id, capsys):
     assert "evaluation failed" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("alpha", ("0.0045", "0.01"))
+def test_s3_t6_small_alpha_passes(alpha, capsys):
+    # sinh((pi - 6x) / 2 alpha) over the unscaled cosh + cos overflowed below
+    # alpha = 0.011; the nome route reaches alpha = 0.0044
+    assert main(["eval", "S3-T6", "--alpha", alpha]) == 0
+    assert "evaluation failed" not in capsys.readouterr().out
+
+
 def test_disc_l1_small_alpha_ends_in_a_verdict(capsys):
     # sinh(x / 2 alpha)^2 in the unscaled denominator overflowed below alpha
     # = 0.0022; the row then fails as a first-branch point (ROADMAP item 1)
