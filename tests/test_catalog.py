@@ -347,8 +347,8 @@ def test_default_sweep_payload_is_pinned(sweep):
     # records the old and the new hash in CHANGES.md.
     payload = render_rows_json(sweep.rows).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "3c109fca611cee90c83fc140b6e06a275495688a7dffbf85315eb4e3feac8faa")
-    assert sum(row.evaluations for row in sweep.rows) == 113_655
+        "c19821dac9a6aa8440f66cedbea445ec919b06032c1943c02b6fccc9d119eba6")
+    assert sum(row.evaluations for row in sweep.rows) == 107_565
 
 
 # Off-grid points where the Kronrod estimate fell short of the error while
@@ -356,7 +356,9 @@ def test_default_sweep_payload_is_pinned(sweep):
 # e^{-period}/2 of the log singularity, and its deepest panels carried the
 # miss (T2 at alpha = 2.084: error 6.0e-10, estimate 4.6e-11).  DISC-P3
 # near alpha = 17 missed when the sinh map beside a pole centre reached over
-# a whole quarter period (27 in t).
+# a whole quarter period (27 in t).  S3-T7 at alpha = 1.898 (period 7.95)
+# missed with the quarter lattice cut in the first tail chunk only: error
+# 6.5e-10 against 5.2e-11.
 LONG_PERIOD_MISSES = (
     [("T2", alpha) for alpha in (
         2.08417825196839, 7.4180911377434855, 7.702428814429628,
@@ -365,7 +367,8 @@ LONG_PERIOD_MISSES = (
     + [(case_id, alpha) for case_id in ("T4-B", "T4-PB")
        for alpha in (8.130361869925238, 8.137704193643266, 8.570193990821146)]
     + [("DISC-P3", alpha) for alpha in (
-        16.884105280627605, 17.014630931001548, 17.146165633683708)])
+        16.884105280627605, 17.014630931001548, 17.146165633683708)]
+    + [("S3-T7", 1.8981906529125743)])
 
 
 @pytest.mark.parametrize("case_id, alpha", LONG_PERIOD_MISSES)
@@ -532,6 +535,27 @@ def test_offgrid_short_period_tails_are_honest():
             assert row.abs_err <= cost.error_estimate + 5e-13, (case.id, alpha)
             checked += 1
     assert checked > 20
+
+
+def test_tails_next_to_the_lattice_period_are_honest():
+    # the quarter lattice is cut from a period of 2.5 on; both sides of that
+    # edge, for every periodic case, at the default and a tight tolerance
+    checked = 0
+    for rtol, atol in ((1e-8, 1e-10), (1e-10, 1e-12)):
+        for case in catalog():
+            if case.param_kind != "alpha" or not case.freq:
+                continue
+            for scale in (0.97, 0.985, 1.0, 1.015, 1.03):
+                params = {"alpha": 2.5 * scale * case.freq / (2.0 * PI)}
+                if not case.domain(params):
+                    continue
+                lhs, cost = evaluate_lhs(case, params, rtol=rtol, atol=atol)
+                rhs = evaluate_rhs(case, params)
+                where = (case.id, params, rtol)
+                assert abs(lhs - rhs) <= cost.error_estimate + 5e-13, where
+                assert cost.error_estimate <= max(atol, rtol * abs(rhs)), where
+                checked += 1
+    assert checked == 170
 
 
 def test_s3_t6_closed_form_at_large_alpha():

@@ -6,9 +6,10 @@ import random
 
 import pytest
 
-from logtrig import (AccuracyError, DomainError, QuadratureResult,
-                     integrate_adaptive, integrate_endpoint_oscillatory,
-                     tanh_sinh)
+from logtrig import (AccuracyError, DomainError, QuadratureResult, case_by_id,
+                     evaluate_lhs, integrate_adaptive,
+                     integrate_endpoint_oscillatory, tanh_sinh)
+from logtrig import quadrature
 from logtrig.quadrature import _WG, _WGK, _XGK, _EndpointMap, _qk15
 
 PI = math.pi
@@ -268,6 +269,33 @@ def test_pinch_at_an_upper_end_mirrors_the_lower_end(alpha):
     assert abs(upper.value - lower.value) <= upper.error_estimate + lower.error_estimate
     for res in (upper, lower):
         assert res.error_estimate <= 1e-11 * abs(res.value) + 1e-13
+
+
+@pytest.mark.parametrize("case_id, alpha, lattice", (
+    ("T1-A", 1.0, True),        # period 6.28
+    ("T1-A", 0.2, False),       # period 1.26
+    ("DISC-P3", 0.2, True),     # period 1.26, pole centres declared
+    ("DISC-P4", 0.2, True)))
+def test_quarter_lattice_only_at_long_periods_or_beside_poles(
+        monkeypatch, case_id, alpha, lattice):
+    calls = []
+    real = quadrature.integrate_adaptive
+
+    def spy(f, a, b, *args, points=(), **kwargs):
+        calls.append(tuple(points))
+        return real(f, a, b, *args, points=points, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate_adaptive", spy)
+    case = case_by_id(case_id)
+    evaluate_lhs(case, {"alpha": alpha})
+    quarter = 2.0 * PI * alpha / case.freq / 4.0
+    # tail cuts, in t >= 2, on the lattice t = j * quarter
+    on_lattice = [p for points in calls for p in points
+                  if p >= 2.0 and abs(p / quarter - round(p / quarter)) < 1e-9]
+    assert bool(on_lattice) == lattice
+    if not lattice:
+        # cut only at whole-period chunk edges, in t and in x alike
+        assert not any(calls)
 
 
 @pytest.mark.parametrize("map_kind, ends", [
