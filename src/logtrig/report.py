@@ -96,11 +96,35 @@ def _verify_group(task: tuple[list[tuple[str, dict[str, float]]], float, float]
             for case_id, params in points]
 
 
+class _ChildTraceback(Exception):
+    """A forked child's formatted traceback, raised here as the cause of the
+    child's exception, as ``concurrent.futures`` chains a worker's."""
+
+
+def _pickled_failure(exc: BaseException) -> bytes:
+    """``exc`` with its formatted traceback, pickled for the parent.  An
+    exception that does not survive pickling, as one whose ``__init__``
+    takes more than its message, goes as a ChildProcessError that names
+    its type and message."""
+    import pickle
+    import traceback  # only a failing child needs it
+
+    text = "".join(traceback.format_exception(exc))
+    try:
+        data = pickle.dumps((exc, text))
+        pickle.loads(data)
+    except Exception:
+        data = pickle.dumps(
+            (ChildProcessError(f"{type(exc).__name__}: {exc}"), text))
+    return data
+
+
 def _run_forked(tasks: list, jobs: int) -> list[list[VerificationRow]]:
     """``_verify_group`` over ``tasks`` in this process plus ``jobs - 1``
     forked children; child k runs ``tasks[k::jobs]`` and pickles its rows,
-    or the exception it raised, into a pipe.  Every child is reaped before
-    this returns or raises, and a child's exception is raised here."""
+    or the exception it raised with its traceback, into a pipe.  Every
+    child is reaped before this returns or raises, and a child's exception
+    is raised here with the child's traceback as its cause."""
     import pickle  # only a forked run needs it
 
     results: list = [None] * len(tasks)
@@ -121,10 +145,10 @@ def _run_forked(tasks: list, jobs: int) -> list[list[VerificationRow]]:
                 try:
                     os.close(read_fd)
                     try:
-                        data = pickle.dumps([_verify_group(t)
-                                             for t in tasks[k::jobs]])
+                        data = pickle.dumps(([_verify_group(t)
+                                              for t in tasks[k::jobs]], None))
                     except BaseException as exc:
-                        data = pickle.dumps(exc)
+                        data = _pickled_failure(exc)
                     with open(write_fd, "wb") as pipe:
                         pipe.write(data)
                     status = 0
@@ -138,9 +162,9 @@ def _run_forked(tasks: list, jobs: int) -> list[list[VerificationRow]]:
                 data = pipe.read()
             if not data:
                 raise ChildProcessError(f"sweep process {pid} sent no rows")
-            share = pickle.loads(data)
-            if isinstance(share, BaseException):
-                raise share
+            share, text = pickle.loads(data)
+            if text is not None:
+                raise share from _ChildTraceback(text)
             results[k::jobs] = share
     finally:
         # a child still writing gets EPIPE once no process holds its read
@@ -195,6 +219,11 @@ def _param_items(params: dict[str, float]) -> list[tuple[str, float]]:
     return [(k, params[k]) for k in PARAM_ORDER if k in params]
 
 
+# a JSON string holds no raw control character, quote or backslash
+_JSON_ESCAPES = {**{c: "\\u%04x" % c for c in range(0x20)},
+                 ord("\\"): "\\\\", ord('"'): '\\"'}
+
+
 def _json_scalar(v) -> str:
     if v is None:
         return "null"
@@ -206,7 +235,7 @@ def _json_scalar(v) -> str:
         return _f17(v)
     if isinstance(v, complex):
         return '{"re": %s, "im": %s}' % (_f17(v.real), _f17(v.imag))
-    return '"%s"' % str(v).replace("\\", "\\\\").replace('"', '\\"')
+    return '"%s"' % str(v).translate(_JSON_ESCAPES)
 
 
 def _json_row(row: VerificationRow) -> str:

@@ -1,5 +1,6 @@
 """Command line interface and report serialization."""
 
+import dataclasses
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import logtrig
 import logtrig.cli
 import logtrig.report
 from logtrig.cli import _build_parser, main
-from logtrig.errors import DomainError
+from logtrig.errors import AccuracyError, DomainError
 from logtrig.report import (CSV_COLUMNS, RunConfig, render_csv, render_json,
                             render_report, render_rows_json, run_verification)
 
@@ -286,23 +287,46 @@ def test_forks_no_more_children_than_tasks(monkeypatch):
         assert len(forks) - before == children
 
 
-@pytest.mark.parametrize("alpha, where", ((2.0, "child"), (1.0, "parent")))
+def _local_error(message):
+    # pickle finds no class defined in a function, so it cannot send one
+    class LocalOnly(Exception):
+        pass
+
+    return LocalOnly(message)
+
+
+def _accuracy_error(message):
+    # pickles, but does not load: its __init__ takes more than the message
+    return AccuracyError(message, best=0.0, error_estimate=1.0)
+
+
+@pytest.mark.parametrize("alpha, where, error, raised", (
+    (2.0, "child", DomainError, DomainError),
+    (1.0, "parent", DomainError, DomainError),
+    (2.0, "child", _local_error, ChildProcessError),
+    (2.0, "child", _accuracy_error, ChildProcessError)))
 def test_failing_share_fails_the_run_and_leaves_no_zombie(monkeypatch, alpha,
-                                                           where):
+                                                           where, error,
+                                                           raised):
     # with 2 tasks at jobs=2 the alpha = 1 task is this process's share and
     # the alpha = 2 task the forked child's
     real_verify = logtrig.report.verify_case
 
     def verify(case, params, **kwargs):
         if params.get("alpha") == alpha:
-            raise DomainError(f"raised in the {where}")
+            raise error(f"raised in the {where}")
         return real_verify(case, params, **kwargs)
 
     forks = _count_forks(monkeypatch)
     monkeypatch.setattr(logtrig.report, "verify_case", verify)
     config = RunConfig(case_filter=("T2",), alpha_grid=(1.0, 2.0), jobs=2)
-    with pytest.raises(DomainError, match=f"raised in the {where}"):
+    with pytest.raises(raised, match=f"raised in the {where}") as info:
         run_verification(config)
+    if where == "child":
+        # the child's own traceback is the cause, down to the raising frame
+        assert ', in verify\n' in str(info.value.__cause__)
+    if raised is ChildProcessError:
+        assert str(info.value).startswith(("LocalOnly: ", "AccuracyError: "))
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -390,6 +414,14 @@ def test_render_report_roundtrip_floats():
     csv_text = render_csv(report)
     assert str(report.rows[0].evaluations) in csv_text
     assert render_report(report, "table").startswith("case")
+
+
+def test_render_rows_json_roundtrips_control_characters():
+    detail = 'line\nbreak\ttab\r\x00\x1f "quoted" back\\slash α'
+    row = dataclasses.replace(
+        run_verification(RunConfig(case_filter=("T2",), alpha_grid=(1.0,),
+                                   jobs=1)).rows[0], detail=detail)
+    assert json.loads(render_rows_json([row]))[0]["detail"] == detail
 
 
 def test_runconfig_validation():
