@@ -301,10 +301,12 @@ def _accuracy_error(message):
 
 
 @pytest.mark.parametrize("alpha, where, error, raised", (
-    (2.0, "child", DomainError, DomainError),
-    (1.0, "parent", DomainError, DomainError),
-    (2.0, "child", _local_error, ChildProcessError),
-    (2.0, "child", _accuracy_error, ChildProcessError)))
+    pytest.param(2.0, "child", DomainError, DomainError, id="2.0-child"),
+    pytest.param(1.0, "parent", DomainError, DomainError, id="1.0-parent"),
+    pytest.param(2.0, "child", _local_error, ChildProcessError,
+                 id="2.0-child-unpicklable"),
+    pytest.param(2.0, "child", _accuracy_error, ChildProcessError,
+                 id="2.0-child-unloadable")))
 def test_failing_share_fails_the_run_and_leaves_no_zombie(monkeypatch, alpha,
                                                            where, error,
                                                            raised):
