@@ -426,6 +426,27 @@ def test_render_rows_json_roundtrips_control_characters():
     assert json.loads(render_rows_json([row]))[0]["detail"] == detail
 
 
+def test_render_json_document_layout():
+    # the header and line breaks before the rows, byte for byte; the rows
+    # themselves are pinned by the payload hash
+    config = RunConfig(case_filter=("T2", "INTRO-1"),
+                       alpha_grid=(math.sqrt(2.0), 0.8), a_grid=(-1.0, 0.3),
+                       rtol=1e-9, jobs=1)
+    text = render_json(run_verification(config))
+    assert text[:text.index('"rows": ') + 8] == (
+        '{\n"version": "0.1.0",\n'
+        '"config": {"cases": ["T2", "INTRO-1"], '
+        '"alpha_grid": [1.4142135623730951, 0.80000000000000004], '
+        '"a_grid": [-1, 0.29999999999999999], '
+        '"theta_grid": [-0.40000000000000002, 0, 0.78539816339744828], '
+        '"gamma_grid": [0, 1, 2, 2.5], "rtol": 1.0000000000000001e-09, '
+        '"atol": 1e-10, "jobs": 1},\n'
+        '"summary": {"pass": 4, "fail": 0, "error": 0, "skipped": 0, '
+        '"total": 4},\n'
+        '"rows": ')
+    assert text.endswith("\n]\n}\n")
+
+
 def test_runconfig_validation():
     for kwargs in ({"rtol": -1.0}, {"rtol": math.inf}, {"rtol": math.nan},
                    {"atol": math.inf}, {"case_filter": ("BAD",)},
