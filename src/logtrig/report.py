@@ -291,7 +291,7 @@ def _csv_value(v) -> str:
     if v is None:
         return ""
     if isinstance(v, complex):
-        return "%s%+sj" % (_f17(v.real), _f17(v.imag))
+        return _f17(v.real) + format(v.imag, "+.17g") + "j"
     return _f17(v)
 
 
@@ -325,7 +325,7 @@ def _short(v, digits: str = ".10g") -> str:
     if isinstance(v, complex):
         if abs(v.imag) < 1e-13 * max(1.0, abs(v.real)):
             return format(v.real, digits)
-        return "%s%+sj" % (format(v.real, digits), format(v.imag, digits))
+        return format(v.real, digits) + format(v.imag, "+" + digits) + "j"
     return format(v, digits)
 
 

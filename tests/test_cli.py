@@ -1,6 +1,8 @@
 """Command line interface and report serialization."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -126,11 +128,40 @@ def test_csv_columns_and_content(tmp_path):
     assert first[1] == "theta;a"
 
 
+def test_csv_complex_cells_read_back_exactly():
+    # SINE0's imaginary parts are positive and APPA's of both signs: each
+    # cell must carry its sign to parse as the row's value
+    report = run_verification(RunConfig(case_filter=("SINE0", "APPA"),
+                                        jobs=1))
+    cells = [(r["lhs"], r["rhs"])
+             for r in csv.DictReader(io.StringIO(render_csv(report)))]
+    assert len(cells) == len(report.rows)
+    complex_rows = 0
+    for row, (lhs, rhs) in zip(report.rows, cells):
+        if row.status == "skipped":
+            continue
+        assert complex(lhs) == row.lhs and complex(rhs) == row.rhs
+        complex_rows += isinstance(row.lhs, complex) and row.lhs.imag > 0
+    assert complex_rows > 0
+
+
 def test_table_output(capsys):
     code = main(["verify", "--case", "T2", "--alpha", "1"])
     assert code == 0
     out = capsys.readouterr().out
     assert "pass 1  fail 0" in out
+
+
+def test_table_complex_cell_reads_a_plus_bj():
+    report = run_verification(RunConfig(case_filter=("THETA2",),
+                                        theta_grid=(-0.4,), a_grid=(0.3,),
+                                        jobs=1))
+    lhs = report.rows[0].lhs
+    assert lhs.imag > 0
+    cell = render_report(report, "table").splitlines()[1].split()[3]
+    assert cell == "%s+%sj" % (format(lhs.real, ".10g"),
+                               format(lhs.imag, ".10g"))
+    assert complex(cell) == pytest.approx(lhs, rel=1e-9)
 
 
 def test_eval_fixed_case(capsys):
