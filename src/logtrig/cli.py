@@ -23,6 +23,9 @@ from .solver import modulus_from_alpha
 
 __all__ = ["main"]
 
+# the parameter flags of verify and eval, named as the parameters they set
+_PARAM_FLAGS = ("alpha", "a", "theta", "gamma")
+
 _VALUE_LITERALS = {"sqrt2": math.sqrt(2.0), "sqrt3": math.sqrt(3.0)}
 
 
@@ -58,18 +61,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="sweep cases over parameter grids")
+    verify.set_defaults(run=_cmd_verify)
     verify.add_argument("--case", default="",
                         help="comma separated case ids (default: all)")
-    verify.add_argument("--alpha", default=None,
-                        help="comma separated alpha values; sqrt2/sqrt3 allowed")
-    verify.add_argument("--a", dest="a_values", default=None,
-                        help="comma separated a values")
-    verify.add_argument("--theta", default=None,
-                        help="comma separated theta values")
-    verify.add_argument("--gamma", default=None,
-                        help="comma separated gamma values")
-    verify.add_argument("--rtol", type=float, default=1e-8)
-    verify.add_argument("--atol", type=float, default=1e-10)
+    ev = sub.add_parser("eval", help="evaluate one case at one point")
+    ev.set_defaults(run=_cmd_eval)
+    ev.add_argument("case_id")
+    for command, values in ((verify, "comma separated %s values"),
+                            (ev, "the %s value")):
+        for name in _PARAM_FLAGS:
+            command.add_argument("--" + name,
+                                 help=values % name + "; sqrt2/sqrt3 allowed")
+        command.add_argument("--rtol", type=float, default=1e-8)
+        command.add_argument("--atol", type=float, default=1e-10)
     verify.add_argument("--format", choices=("table", "json", "csv"),
                         default="table")
     verify.add_argument("--out", default=None, help="write the report here")
@@ -81,19 +85,12 @@ def _build_parser() -> argparse.ArgumentParser:
                              "cannot fork (default: the CPUs this process "
                              "may run on)")
 
-    ev = sub.add_parser("eval", help="evaluate one case at one point")
-    ev.add_argument("case_id")
-    ev.add_argument("--alpha", default=None)
-    ev.add_argument("--a", dest="a_value", default=None)
-    ev.add_argument("--theta", default=None)
-    ev.add_argument("--gamma", default=None)
-    ev.add_argument("--rtol", type=float, default=1e-8)
-    ev.add_argument("--atol", type=float, default=1e-10)
-
     pp = sub.add_parser("params", help="elliptic parameter bundle for alpha")
+    pp.set_defaults(run=_cmd_params)
     pp.add_argument("--alpha", required=True)
 
     cont = sub.add_parser("contour", help="path points and contour integral")
+    cont.set_defaults(run=_cmd_contour)
     cont.add_argument("--alpha", required=True)
     cont.add_argument("--n-points", type=int, default=129)
     cont.add_argument("--out", default=None)
@@ -109,15 +106,8 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _cmd_verify(args) -> int:
-    grids = {}
-    if args.alpha is not None:
-        grids["alpha_grid"] = _parse_list(args.alpha)
-    if args.a_values is not None:
-        grids["a_grid"] = _parse_list(args.a_values)
-    if args.theta is not None:
-        grids["theta_grid"] = _parse_list(args.theta)
-    if args.gamma is not None:
-        grids["gamma_grid"] = _parse_list(args.gamma)
+    grids = {name + "_grid": _parse_list(getattr(args, name))
+             for name in _PARAM_FLAGS if getattr(args, name) is not None}
     case_filter = tuple(c.strip() for c in args.case.split(",") if c.strip())
     config = RunConfig(case_filter=case_filter, rtol=args.rtol,
                        atol=args.atol, jobs=args.jobs, **grids)
@@ -127,9 +117,8 @@ def _cmd_verify(args) -> int:
 
 
 def _eval_params(args, case) -> dict[str, float]:
-    given = {"alpha": args.alpha, "a": args.a_value, "theta": args.theta,
-             "gamma": args.gamma}
-    provided = {k: _parse_value(v) for k, v in given.items() if v is not None}
+    provided = {k: _parse_value(getattr(args, k)) for k in _PARAM_FLAGS
+                if getattr(args, k) is not None}
     needed = PARAM_NAMES.get(case.param_kind, ())
     extra = [k for k in provided if k not in needed]
     if extra:
@@ -195,13 +184,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "params":
-            return _cmd_params(args)
-        return _cmd_contour(args)
+        return args.run(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -36,9 +36,7 @@ from .catalog import (ALPHA_GRID, A_GRID, GAMMA_GRID, THETA_GRID,
 from .errors import DomainError
 
 __all__ = ["RunConfig", "VerificationReport", "run_verification",
-           "render_report", "PARAM_ORDER"]
-
-PARAM_ORDER = ("theta", "gamma", "alpha", "a")
+           "render_report"]
 
 
 @dataclass(frozen=True)
@@ -87,15 +85,6 @@ def _summarize(rows: list[VerificationRow]) -> dict[str, int]:
     return out
 
 
-def _verify_group(task: tuple[list[tuple[str, dict[str, float]]], float, float]
-                  ) -> list[VerificationRow]:
-    points, rtol, atol = task
-    shared: dict = {}
-    return [verify_case(case_by_id(case_id), params, rtol=rtol, atol=atol,
-                        shared=shared)
-            for case_id, params in points]
-
-
 class _ChildTraceback(Exception):
     """A forked child's formatted traceback, raised here as the cause of the
     child's exception, as ``concurrent.futures`` chains a worker's."""
@@ -119,13 +108,15 @@ def _pickled_failure(exc: BaseException) -> bytes:
     return data
 
 
-def _run_forked(tasks: list, jobs: int) -> list[list[VerificationRow]]:
-    """``_verify_group`` over ``tasks`` in this process plus ``jobs - 1``
-    forked children; child k runs ``tasks[k::jobs]`` and pickles its rows,
-    or the exception it raised with its traceback, into a pipe.  Every
-    child is reaped before this returns or raises, and a child's exception
-    is raised here with the child's traceback as its cause."""
-    import pickle  # only a forked run needs it
+def _run_forked(run, tasks: list, jobs: int) -> list[list[VerificationRow]]:
+    """``run`` over ``tasks`` in this process plus ``jobs - 1`` forked
+    children; child k runs ``tasks[k::jobs]`` and pickles its rows, or the
+    exception it raised with its traceback, into a pipe.  With one job it
+    forks nothing: that is the serial run.  Every child is reaped before
+    this returns or raises, and a child's exception is raised here with the
+    child's traceback as its cause."""
+    if jobs > 1:
+        import pickle  # only a forked run needs it
 
     results: list = [None] * len(tasks)
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
@@ -145,8 +136,8 @@ def _run_forked(tasks: list, jobs: int) -> list[list[VerificationRow]]:
                 try:
                     os.close(read_fd)
                     try:
-                        data = pickle.dumps(([_verify_group(t)
-                                              for t in tasks[k::jobs]], None))
+                        data = pickle.dumps(([run(t) for t in tasks[k::jobs]],
+                                             None))
                     except BaseException as exc:
                         data = _pickled_failure(exc)
                     with open(write_fd, "wb") as pipe:
@@ -156,7 +147,7 @@ def _run_forked(tasks: list, jobs: int) -> list[list[VerificationRow]]:
                     os._exit(status)
             os.close(write_fd)
             children.append((pid, read_fd))
-        results[0::jobs] = [_verify_group(t) for t in tasks[0::jobs]]
+        results[0::jobs] = [run(t) for t in tasks[0::jobs]]
         for k, (pid, read_fd) in enumerate(children, 1):
             with open(read_fd, "rb", closefd=False) as pipe:
                 data = pipe.read()
@@ -193,15 +184,16 @@ def run_verification(config: RunConfig) -> VerificationReport:
         except DomainError:
             rows[i] = VerificationRow(case.id, params, None, None, None, None,
                                       "skipped", 0)
-    tasks = [([(points[i][0].id, points[i][1]) for i in members],
-              config.rtol, config.atol) for members in groups.values()]
-    jobs = min(config.jobs, len(tasks))
-    if jobs > 1 and hasattr(os, "fork"):
-        results = _run_forked(tasks, jobs)
-    else:
-        results = [_verify_group(t) for t in tasks]
-    for members, group_rows in zip(groups.values(), results):
-        for i, row in zip(members, group_rows):
+    tasks = list(groups.values())
+
+    def run(task: list[int]) -> list[VerificationRow]:
+        shared: dict = {}
+        return [verify_case(*points[i], rtol=config.rtol, atol=config.atol,
+                            shared=shared) for i in task]
+
+    jobs = max(1, min(config.jobs, len(tasks))) if hasattr(os, "fork") else 1
+    for task, task_rows in zip(tasks, _run_forked(run, tasks, jobs)):
+        for i, row in zip(task, task_rows):
             rows[i] = row
     return VerificationReport(tuple(rows), __version__, config,
                               _summarize(rows))
@@ -212,11 +204,7 @@ def run_verification(config: RunConfig) -> VerificationReport:
 
 
 def _f17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _param_items(params: dict[str, float]) -> list[tuple[str, float]]:
-    return [(k, params[k]) for k in PARAM_ORDER if k in params]
+    return format(x, ".17g")
 
 
 # a JSON string holds no raw control character, quote or backslash
@@ -224,75 +212,60 @@ _JSON_ESCAPES = {**{c: "\\u%04x" % c for c in range(0x20)},
                  ord("\\"): "\\\\", ord('"'): '\\"'}
 
 
-def _json_scalar(v) -> str:
-    if v is None:
-        return "null"
+def _json(v) -> str:
+    """``v`` as JSON text: floats to 17 digits, complex numbers as
+    ``{"re", "im"}``.  Types are tested in the order of their frequency in a
+    report; bool before int, which it subclasses."""
+    if isinstance(v, float):
+        return _f17(v)
+    if isinstance(v, str):
+        return '"%s"' % v.translate(_JSON_ESCAPES)
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
-    if isinstance(v, float):
-        return _f17(v)
+    if isinstance(v, dict):
+        return "{%s}" % ", ".join("%s: %s" % (_json(k), _json(x))
+                                  for k, x in v.items())
+    if v is None:
+        return "null"
     if isinstance(v, complex):
         return '{"re": %s, "im": %s}' % (_f17(v.real), _f17(v.imag))
-    return '"%s"' % str(v).translate(_JSON_ESCAPES)
+    return "[%s]" % ", ".join(_json(x) for x in v)
 
 
-def _json_row(row: VerificationRow) -> str:
-    params = ", ".join('"%s": %s' % (k, _f17(v)) for k, v in _param_items(row.params))
-    fields = [
-        '"case_id": %s' % _json_scalar(row.case_id),
-        '"params": {%s}' % params,
-        '"lhs": %s' % _json_scalar(row.lhs),
-        '"rhs": %s' % _json_scalar(row.rhs),
-        '"abs_err": %s' % _json_scalar(row.abs_err),
-        '"rel_err": %s' % _json_scalar(row.rel_err),
-        '"pass": %s' % _json_scalar(row.status == "pass"),
-        '"status": %s' % _json_scalar(row.status),
-        '"evaluations": %d' % row.evaluations,
-    ]
+def _json_row(row: VerificationRow) -> dict:
+    fields = {"case_id": row.case_id, "params": row.params, "lhs": row.lhs,
+              "rhs": row.rhs, "abs_err": row.abs_err, "rel_err": row.rel_err,
+              "pass": row.status == "pass", "status": row.status,
+              "evaluations": row.evaluations}
     if row.detail:
-        fields.append('"detail": %s' % _json_scalar(row.detail))
-    return "{" + ", ".join(fields) + "}"
+        fields["detail"] = row.detail
+    return fields
 
 
 def render_rows_json(rows) -> str:
     """Just the rows array; the determinism contract applies to this payload."""
-    return "[\n" + ",\n".join("  " + _json_row(r) for r in rows) + "\n]"
-
-
-def _json_grid(name: str, values) -> str:
-    return '"%s": [%s]' % (name, ", ".join(_f17(v) for v in values))
+    return "[\n" + ",\n".join("  " + _json(_json_row(r)) for r in rows) + "\n]"
 
 
 def render_json(report: VerificationReport) -> str:
-    cfg = report.config
-    config_parts = [
-        '"cases": [%s]' % ", ".join(_json_scalar(c) for c in cfg.case_filter),
-        _json_grid("alpha_grid", cfg.alpha_grid),
-        _json_grid("a_grid", cfg.a_grid),
-        _json_grid("theta_grid", cfg.theta_grid),
-        _json_grid("gamma_grid", cfg.gamma_grid),
-        '"rtol": %s' % _f17(cfg.rtol),
-        '"atol": %s' % _f17(cfg.atol),
-        '"jobs": %d' % cfg.jobs,
-    ]
-    summary = ", ".join('"%s": %d' % (k, report.summary[k])
-                        for k in ("pass", "fail", "error", "skipped", "total"))
-    return ("{\n"
-            '"version": %s,\n' % _json_scalar(report.tool_version)
-            + '"config": {%s},\n' % ", ".join(config_parts)
-            + '"summary": {%s},\n' % summary
-            + '"rows": %s\n' % render_rows_json(report.rows)
-            + "}\n")
+    # the config's fields in declaration order, case_filter written "cases"
+    config = {"cases" if k == "case_filter" else k: v
+              for k, v in vars(report.config).items()}
+    return ('{\n"version": %s,\n"config": %s,\n"summary": %s,\n"rows": %s\n}\n'
+            % (_json(report.tool_version), _json(config),
+               _json(report.summary), render_rows_json(report.rows)))
 
 
-def _csv_value(v) -> str:
+def _text(v, digits: str) -> str:
+    """A CSV or table cell: empty for None, a complex value as a+bj, which
+    ``complex()`` reads back."""
     if v is None:
         return ""
     if isinstance(v, complex):
-        return _f17(v.real) + format(v.imag, "+.17g") + "j"
-    return _f17(v)
+        return format(v.real, digits) + format(v.imag, "+" + digits) + "j"
+    return format(v, digits)
 
 
 CSV_COLUMNS = ("case_id", "param_name", "param_value", "lhs", "rhs",
@@ -304,29 +277,20 @@ def render_csv(report: VerificationReport) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in report.rows:
-        items = _param_items(row.params)
-        writer.writerow([
-            row.case_id,
-            ";".join(k for k, _ in items),
-            ";".join(_f17(v) for _, v in items),
-            _csv_value(row.lhs),
-            _csv_value(row.rhs),
-            _csv_value(row.abs_err),
-            _csv_value(row.rel_err),
-            row.status,
-            row.evaluations,
-        ])
+        writer.writerow([row.case_id, ";".join(row.params),
+                         ";".join(_f17(v) for v in row.params.values()),
+                         *(_text(v, ".17g") for v in (row.lhs, row.rhs,
+                                                      row.abs_err, row.rel_err)),
+                         row.status, row.evaluations])
     return buf.getvalue()
 
 
 def _short(v, digits: str = ".10g") -> str:
-    if v is None:
-        return "-"
-    if isinstance(v, complex):
-        if abs(v.imag) < 1e-13 * max(1.0, abs(v.real)):
-            return format(v.real, digits)
-        return format(v.real, digits) + format(v.imag, "+" + digits) + "j"
-    return format(v, digits)
+    """A table cell: "-" for None, a complex value real to rounding as its
+    real part."""
+    if isinstance(v, complex) and abs(v.imag) < 1e-13 * max(1.0, abs(v.real)):
+        v = v.real
+    return _text(v, digits) or "-"
 
 
 def render_table(report: VerificationReport) -> str:
@@ -335,7 +299,7 @@ def render_table(report: VerificationReport) -> str:
     table = [header]
     for row in report.rows:
         params = ", ".join("%s=%s" % (k, format(v, ".6g"))
-                           for k, v in _param_items(row.params))
+                           for k, v in row.params.items())
         table.append((row.case_id, params, _short(row.lhs), _short(row.rhs),
                       _short(row.abs_err, ".3g"), row.status,
                       str(row.evaluations)))
