@@ -265,6 +265,18 @@ def test_verify_rejects_non_finite_value(capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, text", (
+    ("--alpha", ""), ("--a", ","), ("--theta", " , "), ("--gamma", "")))
+def test_verify_rejects_an_empty_grid_flag(flag, text, capsys):
+    # an empty grid would check no row and report success
+    assert main(["verify", flag, text, "--jobs", "1"]) == 2
+    assert "no value" in capsys.readouterr().err
+    # the library still takes an empty grid: zero rows, nothing failed
+    report = run_verification(RunConfig(case_filter=("T2",), alpha_grid=(),
+                                        jobs=2))
+    assert report.rows == () and report.exit_status == 0
+
+
 def test_io_error_status(tmp_path):
     missing_dir = tmp_path / "no" / "such" / "dir" / "r.json"
     code = main(["verify", "--case", "T2", "--alpha", "1",
