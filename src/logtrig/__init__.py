@@ -11,7 +11,7 @@ from .elliptic import EllipticParams, agm, nome
 from .errors import AccuracyError, DomainError, SolverError
 from .catalog import (IdentityCase, VerificationRow, catalog, case_by_id,
                       contour_path_points, contour_trace, evaluate_lhs,
-                      evaluate_rhs, residue_count_appa, verify_case)
+                      evaluate_rhs, verify_case)
 from .quadrature import (QuadratureResult, integrate_adaptive,
                          integrate_endpoint_oscillatory, tanh_sinh)
 from .report import RunConfig, VerificationReport, render_report, run_verification
@@ -33,6 +33,6 @@ __all__ = [
     "integrate_endpoint_oscillatory", "tanh_sinh",
     "IdentityCase", "VerificationRow", "catalog", "case_by_id",
     "evaluate_lhs", "evaluate_rhs", "verify_case", "contour_trace",
-    "contour_path_points", "residue_count_appa",
+    "contour_path_points",
     "RunConfig", "VerificationReport", "run_verification", "render_report",
 ]

@@ -44,7 +44,6 @@ __all__ = [
     "verify_case",
     "contour_trace",
     "contour_path_points",
-    "residue_count_appa",
     "ALPHA_GRID",
     "A_GRID",
     "THETA_GRID",
@@ -823,12 +822,3 @@ def contour_trace(alpha: float) -> complex:
     with dz = (i - tan x) dx."""
     return evaluate_lhs(case_by_id("DISC-CONTOUR"), {"alpha": alpha})[0]
 
-
-def residue_count_appa(theta: float, a: float) -> int:
-    """Poles enclosed by the path: 2 when z = a - i theta is inside, else 1."""
-    if not abs(theta) < PI / 2:
-        raise DomainError(f"need |theta| < pi/2, got {theta}")
-    threshold = math.log(2.0 * math.cos(theta))
-    if a == threshold:
-        raise DomainError("pole sits exactly on the contour")
-    return 2 if a < threshold else 1

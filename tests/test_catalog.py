@@ -12,7 +12,7 @@ import pytest
 from logtrig import (AccuracyError, DomainError, case_by_id, catalog,
                      contour_path_points, contour_trace, evaluate_lhs,
                      evaluate_rhs, lambert_alternating, modulus_from_alpha,
-                     residue_count_appa, verify_case)
+                     verify_case)
 from logtrig.catalog import PARAM_NAMES, lhs_key
 from logtrig.report import RunConfig, render_rows_json, run_verification
 
@@ -310,16 +310,6 @@ def test_contour_path_points():
     assert pts[0][1] < -3.0 and pts[-1][1] < -3.0
     with pytest.raises(DomainError):
         contour_path_points(32)
-
-
-def test_residue_count():
-    assert residue_count_appa(0.0, 0.0) == 2
-    assert residue_count_appa(0.0, 1.0) == 1
-    assert residue_count_appa(PI / 3.0, 0.1) == 1
-    with pytest.raises(DomainError):
-        residue_count_appa(0.0, LN2)
-    with pytest.raises(DomainError):
-        residue_count_appa(1.6, 0.0)
 
 
 def test_sweep_all_rows_pass(sweep):
