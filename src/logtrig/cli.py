@@ -43,8 +43,7 @@ def _parse_value(text: str) -> float:
 
 
 def _parse_list(text: str) -> tuple[float, ...]:
-    values = tuple(_parse_value(part) for part in text.split(",")
-                   if part.strip())
+    values = tuple(_parse_value(part) for part in text.split(",") if part.strip())
     if not values:
         raise DomainError(f"no value in {text!r}")
     return values

@@ -294,7 +294,6 @@ def _short(v, digits: str = ".10g") -> str:
 
 
 def render_table(report: VerificationReport) -> str:
-    lines = []
     header = ("case", "params", "lhs", "rhs", "abs_err", "status", "evals")
     table = [header]
     for row in report.rows:
@@ -304,12 +303,10 @@ def render_table(report: VerificationReport) -> str:
                       _short(row.abs_err, ".3g"), row.status,
                       str(row.evaluations)))
     widths = [max(len(r[i]) for r in table) for i in range(len(header))]
-    for r in table:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    s = report.summary
-    lines.append("")
-    lines.append("pass %d  fail %d  error %d  skipped %d  (total %d)"
-                 % (s["pass"], s["fail"], s["error"], s["skipped"], s["total"]))
+    lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip()
+             for r in table]
+    lines += ["", "pass %(pass)d  fail %(fail)d  error %(error)d  "
+              "skipped %(skipped)d  (total %(total)d)" % report.summary]
     return "\n".join(lines) + "\n"
 
 
