@@ -214,8 +214,9 @@ _JSON_ESCAPES = {**{c: "\\u%04x" % c for c in range(0x20)},
 
 def _json(v) -> str:
     """``v`` as JSON text: floats to 17 digits, complex numbers as
-    ``{"re", "im"}``.  Types are tested in the order of their frequency in a
-    report; bool before int, which it subclasses."""
+    ``{"re", "im"}``.  Dict keys are the program's own field and parameter
+    names and go unescaped.  Types are tested in the order of their
+    frequency in a report; bool before int, which it subclasses."""
     if isinstance(v, float):
         return _f17(v)
     if isinstance(v, str):
@@ -225,13 +226,13 @@ def _json(v) -> str:
     if isinstance(v, int):
         return str(v)
     if isinstance(v, dict):
-        return "{%s}" % ", ".join("%s: %s" % (_json(k), _json(x))
-                                  for k, x in v.items())
+        return "{%s}" % ", ".join(['"%s": %s' % (k, _json(x))
+                                   for k, x in v.items()])
     if v is None:
         return "null"
     if isinstance(v, complex):
         return '{"re": %s, "im": %s}' % (_f17(v.real), _f17(v.imag))
-    return "[%s]" % ", ".join(_json(x) for x in v)
+    return "[%s]" % ", ".join([_json(x) for x in v])
 
 
 def _json_row(row: VerificationRow) -> dict:
@@ -246,7 +247,7 @@ def _json_row(row: VerificationRow) -> dict:
 
 def render_rows_json(rows) -> str:
     """Just the rows array; the determinism contract applies to this payload."""
-    return "[\n" + ",\n".join("  " + _json(_json_row(r)) for r in rows) + "\n]"
+    return "[\n" + ",\n".join(["  " + _json(_json_row(r)) for r in rows]) + "\n]"
 
 
 def render_json(report: VerificationReport) -> str:
