@@ -280,8 +280,8 @@ def render_csv(report: VerificationReport) -> str:
     for row in report.rows:
         writer.writerow([row.case_id, ";".join(row.params),
                          ";".join(_f17(v) for v in row.params.values()),
-                         *(_text(v, ".17g") for v in (row.lhs, row.rhs,
-                                                      row.abs_err, row.rel_err)),
+                         _text(row.lhs, ".17g"), _text(row.rhs, ".17g"),
+                         _text(row.abs_err, ".17g"), _text(row.rel_err, ".17g"),
                          row.status, row.evaluations])
     return buf.getvalue()
 
