@@ -191,6 +191,7 @@ def run_verification(config: RunConfig) -> VerificationReport:
         return [verify_case(*points[i], rtol=config.rtol, atol=config.atol,
                             shared=shared) for i in task]
 
+    # one process per task at most, and one even with no task
     jobs = max(1, min(config.jobs, len(tasks))) if hasattr(os, "fork") else 1
     for task, task_rows in zip(tasks, _run_forked(run, tasks, jobs)):
         for i, row in zip(task, task_rows):
