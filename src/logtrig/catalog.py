@@ -83,9 +83,9 @@ class IdentityCase:
     domain: Callable[[Params], bool]
     complex_valued: bool = False   # descriptive; complex values take one pass
     interior_points: Callable[[Params], tuple[float, ...]] = lambda p: ()  # fixed in x
-    # None, or (end, lo, hi) -> the t-values in [lo, hi] where a pole sits
-    # next to that end's path; the engine resolves each one (see
-    # integrate_endpoint_oscillatory)
+    # None, or (end, lo, hi) -> the poles next to that end's path whose
+    # centres t_m lie in [lo, hi], as (t_m, d, residue); the engine
+    # subtracts each one (see integrate_endpoint_oscillatory)
     tail_points: Callable[[Params], Callable | None] = lambda p: None
     fixed_params: Params = field(default_factory=dict)
 
@@ -460,25 +460,40 @@ def _p4_f(p: Params):
     return lambda x, w: -math.expm1(-2.0 * x / al) / scaled_cosh_plus_cos(x / al, w / al)
 
 
-def _p34_pinches(p: Params):
-    """Poles of the DISC-P3/P4 kernels next to the path, as t-centres.
+def _p34_poles(numerator: complex):
+    """Poles of a DISC-P3/P4 kernel N / E next to the path, as (t_m, d, R).
 
-    cos(w/2 alpha) vanishes at t_m = (2m+1) pi alpha; only near the lower
-    end, where sinh(x/2 alpha) -> 0 too, is the pole close to the path.
+    On the lower end's tail x = asin(u), u = e^{-t}/2, |dx/dt| = m = u /
+    sqrt(1 - u^2) and E = cosh(x/alpha) + cos(t/alpha).  At t = t_m + d,
+    t_m = (2k+1) pi alpha, cos(t/2 alpha) = -/+ sin(d/2 alpha), so E = 0 at
+    d = i x(t_m + d); Newton's method settles d from 0 in six steps for t_m
+    >= 0.05.  There E' = -(m sinh(x/alpha) + sin(t/alpha)) / alpha with
+    sin(t/alpha) = -sin(d/alpha) = -i sinh(x/alpha), so the residue N m / E'
+    is alpha m / (i - m) for N = sinh(x/alpha) (DISC-P4) and i times that for
+    N = sin(w/alpha) = i sinh(x/alpha) (DISC-P3); the conjugate pole has the
+    conjugate residue.  Next to the upper end no pole comes close.
     """
-    half = PI * p["alpha"]
+    def tail_points(p: Params):
+        al = p["alpha"]
+        half = PI * al
 
-    def centres(end: str, lo: float, hi: float) -> list[float]:
-        if end != "lower":
-            return []
-        out = []
-        k = max(0, math.floor(0.5 * (lo / half - 1.0)))
-        while (t := (2 * k + 1) * half) <= hi:
-            if t >= lo:
-                out.append(t)
-            k += 1
-        return out
-    return centres
+        def poles(end: str, lo: float, hi: float) -> list[tuple[float, complex, complex]]:
+            if end != "lower":
+                return []
+            out = []
+            k = max(0, math.floor(0.5 * (lo / half - 1.0)))
+            while (t := (2 * k + 1) * half) <= hi:
+                if t >= lo:
+                    e, d = 0.5 * math.exp(-t), 0j
+                    for _ in range(7):     # m is taken at the settled d
+                        u = e * cmath.exp(-d)
+                        m = u / cmath.sqrt(1.0 - u * u)
+                        d -= (d - 1j * cmath.asin(u)) / (1.0 + 1j * m)
+                    out.append((t, d, numerator * al * m / (1j - m)))
+                k += 1
+            return out
+        return poles
+    return tail_points
 
 
 def _im_f(p: Params):
@@ -650,17 +665,19 @@ _add("DISC-P2", "log(2 e^a sin x) over its squared-distance kernel", _SIN, "a",
      lambda p: True)
 
 # The cos = -1 poles of DISC-P3 and DISC-P4 at t_m = (2m+1) pi alpha lie at
-# a distance of about e^{-t_m}/2 from the path next to the lower end; the
-# engine integrates the segments beside each one in a sinh-graded variable.
+# a distance of about e^{-t_m}/2 from the path next to the lower end; each
+# case declares them with their residues, and the engine subtracts each
+# conjugate pair from the tail chunks near it and adds back its exact
+# integral.
 # freq 1 is the kernels' true period 2 pi alpha in t, so whole-period chunk
 # sums shrink geometrically and the tail closes early even at small alpha.
 _add("DISC-P3", "sin(log-term)/(cosh + cos) on (0, pi), zero value", _SIN,
      "alpha", 1.0, _l2_f, lambda p: 0.0, _alpha_above(0.0),
-     tail_points=_p34_pinches)
+     tail_points=_p34_poles(1j))
 
 _add("DISC-P4", "sinh(x/a)/(cosh + cos) on (0, pi), tanh closed form", _SIN,
      "alpha", 1.0, _p4_f, lambda p: PI * math.tanh(0.25 * PI / p["alpha"]),
-     _alpha_above(0.0), tail_points=_p34_pinches)
+     _alpha_above(0.0), tail_points=_p34_poles(1.0))
 
 _add("DISC-IM", "sinh/cosh roles of x and the log term exchanged", _COS_HALF,
      "alpha", 0.0, _im_f, lambda p: 0.5 * PI * p["alpha"],

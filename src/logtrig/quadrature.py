@@ -12,19 +12,20 @@ Two engines cooperate here:
   dependence on the log term becomes exactly periodic in t.  Every tail
   starts at t = 2, so no panel in x comes closer to a singular end than
   e^{-2}/2.  The tail is summed period by period, as QUADPACK's QAWF sums
-  cycle by cycle; a period of at least 2.5, or a case with pole centres,
-  also cuts each chunk at its quarter periods.  Chunk n of a periodic tail
-  sums to a_1 r^n + a_2 r^{2n} + ..., r = exp(-period), so a Richardson
-  table with the known ratios r, r^2, r^3 extrapolates the partial sums,
-  and the tail closes at the first level whose bound is below tolerance.
-  A tail that decays without oscillating closes with its geometric
-  remainder.
-  A pole that the caller places next to the path, at a distance eps, is a
-  Lorentzian of width eps in t; the sinh substitution t = c + eps sinh(s)
-  (Johnston & Elliott, Int. J. Numer. Meth. Eng. 62, 2005) makes it smooth.
-  The map is chosen once per integral and end, from ``map_kind`` and the
-  end's name: each tail node costs one exp, one arc sine or cosine and one
-  square root before the caller's integrand runs.
+  cycle by cycle; a period of at least 2.5 also cuts each chunk at its
+  quarter periods.  Chunk n of a periodic tail sums to a_1 r^n + a_2 r^{2n}
+  + ..., r = exp(-period), so a Richardson table with the known ratios r,
+  r^2, r^3 extrapolates the partial sums, and the tail closes at the first
+  level whose bound is below tolerance.  A tail that decays without
+  oscillating closes with its geometric remainder.
+  A pole that the caller declares next to the path, with its residue, is
+  subtracted from each tail chunk near it together with its conjugate, and
+  the exact integral of that pair, a complex logarithm, is added back
+  ("subtracting out the singularity": Davis & Rabinowitz, Methods of
+  Numerical Integration, 2nd ed., 1984).  The map is chosen once per
+  integral and end, from ``map_kind`` and the end's name: each tail node
+  costs one exp, one arc sine or cosine and one square root before the
+  caller's integrand runs.
 
 A fixed-rule tanh-sinh integrator is included as an independent route for
 defining-integral oracles and endpoint-singular panels.
@@ -32,6 +33,7 @@ defining-integral oracles and endpoint-singular panels.
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
 import sys
@@ -313,30 +315,29 @@ class _EndpointMap:
 # reaches.
 _T_SPLIT = 2.0
 _T_MAX = 60.0
-# Largest reach in t of the sinh map beside a pole centre; the rest of a
-# longer segment is plain.  Mapped whole, the smooth mass far from the pole
-# crowds into the last s-panel, where one 15-point rule can miss it with a
-# tiny estimate (DISC-P3 near alpha = 17 at its period 2 pi alpha: error
-# 1.5e-12 against 4.5e-13).  Reaches of 1 to 8 all mend that; 5 exceeds
-# every pinch segment on the default alpha grid (at most 3 pi / 2).
-_PINCH_CORE = 5.0
+# Reach, in chunk steps, within which a declared pole centre beside a tail
+# chunk has its pole subtracted there; a pole left in lies at least this far
+# from the chunk, where one chunk's panels resolve it.  Reaches of 0.25,
+# 0.5, 1 and 2: default-sweep 96,855, 96,855, 96,675 and 96,675 evaluations,
+# offgrid-alpha (seed 1) 237,225, 235,845, 234,075 and 234,015; over 102
+# seeded alphas in [0.004, 0.3], DISC-P3/P4 took 523,215, 399,825, 350,100
+# and 349,815, with 4, 3, 0 and 0 estimates above the row tolerance.
+_POLE_REACH = 1.0
 # Floor of a tail chunk's absolute tolerance, in ulps of the integral so
 # far.  Below a few dozen ulps a chunk's Kronrod estimate is rounding
-# noise: a pinch segment of DISC-P4 at alpha = 6.56 and rtol 1e-10 stopped
+# noise: a chunk of DISC-P4 at alpha = 6.56 and rtol 1e-10 stopped
 # at 1.6e-15 against a sum of 0.37 (29 ulps) and ran into the subdivision
 # limit, as it did with a floor of 4 or 16 ulps.
 _CHUNK_ULPS = 32.0
 # Shortest period whose tail chunks and interior panel are cut at the
 # quarter-period lattice; shorter chunks are cut only at their whole-period
-# edges and at pole centres, and bisection finds the rest for fewer
+# edges, and bisection finds the rest for fewer
 # evaluations.  Default-sweep / offgrid-alpha (seed 1) evaluations with the
 # lattice dropped below a period of 1.5, 2, 2.5, 3 and 3.5 in every case:
 # 109,515 / 290,205, 107,760 / 288,210, 107,550 / 286,290, 107,760 /
 # 286,215 and 121,275 / 305,265; 113,655 / 315,435 with the lattice at
 # every period and 164,100 / 394,695 with none.  From period pi on the
-# lattice pays again.  Cases that declare pole centres (DISC-P3/P4) keep it
-# at every period: without it DISC-P3 took 8,790 evaluations against 7,020
-# at alpha = 0.03, and 69,225 against 54,615 at alpha = 0.004.
+# lattice pays again.
 _LATTICE_PERIOD = 2.5
 _EPS = sys.float_info.epsilon
 
@@ -385,7 +386,7 @@ def _richardson_close(rows: Sequence[Sequence[float]], powers: Sequence[float],
 def _feature_cuts(lo: float, hi: float, quarter: float | None) -> list[float]:
     """t-positions in (lo, hi) on the quarter-period lattice, where tan poles
     and cos = -1 pinch points sit; none when ``quarter`` is None, as it is
-    for a period below ``_LATTICE_PERIOD`` without pole centres."""
+    for a period below ``_LATTICE_PERIOD``."""
     cuts: list[float] = []
     if quarter is not None:
         j = math.floor(lo / quarter) + 1
@@ -395,61 +396,32 @@ def _feature_cuts(lo: float, hi: float, quarter: float | None) -> list[float]:
     return cuts
 
 
-def _tail_chunk(g: Callable[[float], float | complex], emap: _EndpointMap,
-                lo: float, hi: float, quarter: float | None,
-                centres: Sequence[float], tol: float, atol: float
-                ) -> QuadratureResult:
-    """g over the chunk [lo, hi], cut at the quarter lattice, if any, and at
-    the pole ``centres``.  Each run of lattice segments takes one adaptive
-    call.  The pole next to a centre c lies as far from the path as x(c)
-    from the end, eps; in t it is a Lorentzian of width eps, and the segment
-    on each side of c is integrated in s with t = c +/- eps sinh(s), where
-    it becomes the smooth 1/cosh(s), up to ``_PINCH_CORE`` from c."""
-    sinh, cosh = math.sinh, math.cosh
-    parts: list[QuadratureResult] = []
+def _tail_chunk(g: Callable[[float], float | complex], lo: float, hi: float,
+                quarter: float | None, poles: Sequence[tuple[float, complex, complex]],
+                tol: float, atol: float) -> QuadratureResult:
+    """g over the chunk [lo, hi], cut at the quarter lattice, if any, in one
+    adaptive call.  Each of ``poles``, (c, d, R), is a simple pole of the
+    real g at p = c + d with residue R, and p's conjugate carries R's
+    conjugate: the call integrates g - 2 Re(R / (t - p)), which is smooth
+    across c, and the exact 2 Re(R [log(hi - p) - log(lo - p)]) is added
+    back.  t - p is taken as (t - c) - d, so a d far below the spacing of
+    floats at c is kept; Im d != 0 keeps the logs off their branch cut."""
+    terms = [(c, d, 2.0 * r) for c, d, r in poles]
 
-    def plain(run: list[float]) -> QuadratureResult:
-        return integrate_adaptive(g, run[0], run[-1], tol=tol, atol=atol,
-                                  points=run[1:-1], limit=4096)
+    def smooth(t: float) -> float:
+        s = g(t)
+        for c, d, r2 in terms:
+            s -= (r2 / ((t - c) - d)).real
+        return s
 
-    def pinch(c: float, far: float) -> None:
-        # the distance of x(c) from the end, free of cancellation
-        eps = abs(emap.scale) * math.asin(0.5 * math.exp(-c))
-        side, length = math.copysign(1.0, far - c), abs(far - c)
-        core = min(length, _PINCH_CORE)
-        step = side * eps
-        parts.append(integrate_adaptive(
-            lambda s: g(c + step * sinh(s)) * (eps * cosh(s)),
-            0.0, math.asinh(core / eps), tol=tol, atol=atol, limit=4096))
-        if core < length:
-            parts.append(plain(sorted((c + side * core, far))))
-
-    # a lattice cut within rounding of a centre would leave half its peak in
-    # a plain segment, so the centre replaces it
-    near = 1e-9 * (hi - lo)
-    edges = sorted({lo, hi, *centres, *(
-        p for p in _feature_cuts(lo, hi, quarter)
-        if all(abs(p - c) > near for c in centres))})
-    run = [lo]
-    for a, b in zip(edges, edges[1:]):
-        at_a, at_b = a in centres, b in centres
-        if not (at_a or at_b):
-            run.append(b)
-            continue
-        if len(run) > 1:
-            parts.append(plain(run))
-        run = [b]
-        mid = 0.5 * (a + b) if at_a and at_b else (b if at_a else a)
-        if at_a:
-            pinch(a, mid)
-        if at_b:
-            pinch(b, mid)
-    if len(run) > 1:
-        parts.append(plain(run))
-    return QuadratureResult(_fsum(p.value for p in parts),
-                            math.fsum(p.error_estimate for p in parts),
-                            sum(p.evaluations for p in parts),
-                            sum(p.subdivisions for p in parts))
+    res = integrate_adaptive(smooth if terms else g, lo, hi, tol=tol, atol=atol,
+                             points=_feature_cuts(lo, hi, quarter), limit=4096)
+    if not terms:
+        return res
+    back = math.fsum((r2 * (cmath.log((hi - c) - d) - cmath.log((lo - c) - d))).real
+                     for c, d, r2 in terms)
+    return QuadratureResult(res.value + back, res.error_estimate,
+                            res.evaluations, res.subdivisions)
 
 
 def integrate_endpoint_oscillatory(
@@ -457,7 +429,8 @@ def integrate_endpoint_oscillatory(
         map_kind: str, ends: Sequence[str], period: float | None = None,
         tol: float = 1e-9, *, atol: float = 1e-11,
         points: Sequence[float] = (),
-        tail_points: Callable[[str, float, float], Sequence[float]] | None = None
+        tail_points: Callable[[str, float, float],
+                              Sequence[tuple[float, complex, complex]]] | None = None
         ) -> QuadratureResult:
     """Integrate f(x, w) over [a, b], w being the ``map_kind`` log-trig value.
 
@@ -488,24 +461,25 @@ def integrate_endpoint_oscillatory(
 
     The quarter-period lattice in t is cut in every tail chunk and, mapped
     through x(t), in the interior panel when the period is at least
-    ``_LATTICE_PERIOD`` or ``tail_points`` is given; a shorter period's
-    chunks are cut only at their whole-period edges and at pole centres.
+    ``_LATTICE_PERIOD``; a shorter period's chunks are cut only at their
+    whole-period edges.
     ``points`` adds features fixed in x.  ``tail_points(end, lo, hi)``, when
-    given, lists the t-values in [lo, hi] where a pole of f sits next to
-    that end's path; each tail chunk resolves them in a sinh-graded variable
-    (``_tail_chunk``), and those below t = 2, wide enough for bisection, cut
-    the interior panel.
+    given, lists the poles of the real tail integrand f(x(t), -t) |dx/dt|
+    next to that end's path whose centres t_m lie in [lo, hi], as (t_m, d,
+    R): a simple pole at t_m + d with residue R, and its conjugate.  Each
+    tail chunk subtracts the poles whose centres lie within ``_POLE_REACH``
+    chunk steps of it and adds back their exact integrals (``_tail_chunk``);
+    the centres below t = 2, wide enough for bisection, cut the interior
+    panel.
     """
     if not ends or len(set(ends)) != len(ends):
         raise DomainError(f"need distinct interval ends, got {ends!r}")
     maps = [_EndpointMap.at(map_kind, end) for end in ends]
-    quarter = (period / 4.0 if period is not None
-               and (period >= _LATTICE_PERIOD or tail_points is not None)
+    quarter = (period / 4.0 if period is not None and period >= _LATTICE_PERIOD
                else None)
     step = period if period is not None else 2.0
-
-    def centres(end: str, lo: float, hi: float) -> Sequence[float]:
-        return tail_points(end, lo, hi) if tail_points is not None else ()
+    reach = _POLE_REACH * step
+    poles = tail_points or (lambda end, lo, hi: ())
 
     evaluations = 0
     subdivisions = 0
@@ -514,7 +488,7 @@ def integrate_endpoint_oscillatory(
 
     # each end's tail starts at t = 2, or at the far edge when that lies
     # beyond x(2); the interior stops there and gets that end's lattice cuts
-    # and wide centres below it
+    # and the centres of poles below it
     x_lo, x_hi = a, b
     x_cuts = list(points)
     starts = []
@@ -531,7 +505,7 @@ def integrate_endpoint_oscillatory(
         else:
             x_hi = min(x_hi, x_split)
         x_cuts += [emap.x(t) for t in (*_feature_cuts(0.0, _T_SPLIT, quarter),
-                                       *centres(end, 0.0, _T_SPLIT))]
+                                       *(c for c, _, _ in poles(end, 0.0, _T_SPLIT)))]
 
     if x_hi > x_lo:
         # w(x) depends only on map_kind, so either end's map serves
@@ -559,8 +533,8 @@ def integrate_endpoint_oscillatory(
         while True:
             t_next = min(t + step, _T_MAX)
             floor = _CHUNK_ULPS * _EPS * abs(running)
-            res = _tail_chunk(g, emap, t, t_next, quarter,
-                              centres(end, t, t_next), chunk_tol,
+            res = _tail_chunk(g, t, t_next, quarter,
+                              poles(end, t - reach, t_next + reach), chunk_tol,
                               max(chunk_atol, floor))
             pieces.append(res.value)
             err_total += res.error_estimate

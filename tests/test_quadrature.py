@@ -220,14 +220,12 @@ def test_decay_only_tail_remainder_against_log_moments(n, ref):
         assert res.error_estimate <= tol * abs(ref) + atol
 
 
-def pinch_centres(alpha, at_end):
-    """The cos(w / 2 alpha) = 0 centres t = (2m+1) pi alpha next to one end."""
-    def centres(end, lo, hi):
-        if end != at_end:
-            return []
-        ts = ((2 * m + 1) * PI * alpha for m in range(int(60.0 / (PI * alpha)) + 1))
-        return [t for t in ts if lo <= t <= hi]
-    return centres
+def p4_poles(alpha, at_end):
+    """DISC-P4's poles (t_m, d, R) next to one end.  The kernels below are
+    its integrand, and their tail integrand in t is the same next to a
+    log-sin lower end and a log-cos upper end."""
+    lower = case_by_id("DISC-P4").tail_points({"alpha": alpha})
+    return lambda end, lo, hi: lower("lower", lo, hi) if end == at_end else []
 
 
 @pytest.mark.parametrize("alpha", (2.0, 5.78))
@@ -235,7 +233,7 @@ def test_pinch_substitution_against_tanh_closed_form(alpha):
     # int_0^pi sinh(x/a) / (cosh(x/a) + cos(w/a)) dx = pi tanh(pi / 4a) with
     # w = log(2 sin x); near x = 0 the poles at t = (2m+1) pi a sit e^{-t}/2
     # from the path, and missing the one at t = pi a costs 4e-8 (a = 2) and
-    # 2.4e-7 (a = 5.78)
+    # 2.4e-7 (a = 5.78); the engine subtracts them
     def f(x, w):
         return math.sinh(x / alpha) / (
             2.0 * (math.sinh(0.5 * x / alpha) ** 2 + math.cos(0.5 * w / alpha) ** 2))
@@ -244,7 +242,7 @@ def test_pinch_substitution_against_tanh_closed_form(alpha):
     tol, atol = 1e-10, 1e-12
     res = integrate_endpoint_oscillatory(
         f, 0.0, PI, "log-sin", ("lower", "upper"), 2.0 * PI * alpha,
-        tol=tol, atol=atol, tail_points=pinch_centres(alpha, "lower"))
+        tol=tol, atol=atol, tail_points=p4_poles(alpha, "lower"))
     assert abs(res.value - ref) <= res.error_estimate
     assert res.error_estimate <= tol * ref + atol
 
@@ -255,8 +253,8 @@ def test_pinch_at_an_upper_end_mirrors_the_lower_end(alpha):
     # next to the upper end and through log(2 sin x) next to the lower end.
     # The kernel reads the distance d to the end from w alone.  At alpha =
     # 9.4 the pole at t = 29.5 carries 4e-12, ten times the two estimates; at
-    # alpha = 12.8 (t = 40.2) x(t) rounds onto pi/2, so a gap taken as a
-    # difference of abscissae would be 0
+    # alpha = 12.8 (t = 40.2) x(t) rounds onto pi/2, and the pole's offset
+    # d = 1.7e-18 from its centre is below the spacing of floats there
     def f(x, w):
         d = math.asin(0.5 * math.exp(w))
         return math.sinh(d / alpha) / (
@@ -264,7 +262,7 @@ def test_pinch_at_an_upper_end_mirrors_the_lower_end(alpha):
 
     upper, lower = (integrate_endpoint_oscillatory(
         f, 0.0, PI / 2, kind, (end,), 2.0 * PI * alpha, tol=1e-11, atol=1e-13,
-        tail_points=pinch_centres(alpha, end))
+        tail_points=p4_poles(alpha, end))
         for kind, end in (("log-cos", "upper"), ("log-sin", "lower")))
     assert abs(upper.value - lower.value) <= upper.error_estimate + lower.error_estimate
     for res in (upper, lower):
@@ -274,28 +272,35 @@ def test_pinch_at_an_upper_end_mirrors_the_lower_end(alpha):
 @pytest.mark.parametrize("case_id, alpha, lattice", (
     ("T1-A", 1.0, True),        # period 6.28
     ("T1-A", 0.2, False),       # period 1.26
-    ("DISC-P3", 0.2, True),     # period 1.26, pole centres declared
-    ("DISC-P4", 0.2, True)))
-def test_quarter_lattice_only_at_long_periods_or_beside_poles(
-        monkeypatch, case_id, alpha, lattice):
+    ("DISC-P3", 0.2, False),    # the same period, with poles declared
+    ("DISC-P4", 0.2, False)))
+def test_quarter_lattice_only_at_long_periods(monkeypatch, case_id, alpha, lattice):
     calls = []
     real = quadrature.integrate_adaptive
 
     def spy(f, a, b, *args, points=(), **kwargs):
-        calls.append(tuple(points))
+        calls.append((tuple(points), kwargs["limit"]))
         return real(f, a, b, *args, points=points, **kwargs)
 
     monkeypatch.setattr(quadrature, "integrate_adaptive", spy)
     case = case_by_id(case_id)
-    evaluate_lhs(case, {"alpha": alpha})
+    params = {"alpha": alpha}
+    evaluate_lhs(case, params)
     quarter = 2.0 * PI * alpha / case.freq / 4.0
     # tail cuts, in t >= 2, on the lattice t = j * quarter
-    on_lattice = [p for points in calls for p in points
+    on_lattice = [p for points, _ in calls for p in points
                   if p >= 2.0 and abs(p / quarter - round(p / quarter)) < 1e-9]
     assert bool(on_lattice) == lattice
     if not lattice:
-        # cut only at whole-period chunk edges, in t and in x alike
-        assert not any(calls)
+        # tail chunks are cut only at their whole-period edges, and the
+        # interior panel (limit 8192) only at the centres of poles below
+        # t = 2, mapped to x = asin(e^{-t}/2)
+        poles = case.tail_points(params)
+        centres = [math.asin(0.5 * math.exp(-c))
+                   for c, _, _ in (poles("lower", 0.0, 2.0) if poles else ())]
+        tail = [points for points, limit in calls if limit != 8192]
+        interior = [sorted(points) for points, limit in calls if limit == 8192]
+        assert not any(tail) and interior == [sorted(centres)]
 
 
 @pytest.mark.parametrize("map_kind, ends", [
