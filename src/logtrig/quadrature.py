@@ -11,9 +11,10 @@ Two engines cooperate here:
   the transformed integrand decays like exp(-t) while any trigonometric
   dependence on the log term becomes exactly periodic in t.  Every tail
   starts at t = 2, so no panel in x comes closer to a singular end than
-  e^{-2}/2.  The tail is summed period by period, as QUADPACK's QAWF sums
-  cycle by cycle; a period of at least 2.5 also cuts each chunk at its
-  quarter periods.  Chunk n of a periodic tail sums to a_1 r^n + a_2 r^{2n}
+  e^{-2}/2, and the interior panel is cut at x(1), x(0) and x(-0.5),
+  geometrically graded toward that end.  The tail is summed period by
+  period, as QUADPACK's QAWF sums cycle by cycle; a period of at least 2.5
+  also cuts each chunk at its quarter periods.  Chunk n of a periodic tail sums to a_1 r^n + a_2 r^{2n}
   + ..., r = exp(-period), so a Richardson table with the known ratios r,
   r^2, r^3 extrapolates the partial sums, and the tail closes at the first
   level whose bound is below tolerance.  A tail that decays without
@@ -339,6 +340,15 @@ _CHUNK_ULPS = 32.0
 # every period and 164,100 / 394,695 with none.  From period pi on the
 # lattice pays again.
 _LATTICE_PERIOD = 2.5
+# t-positions at which each end whose tail starts at _T_SPLIT also cuts the
+# interior panel: about one e-fold apart in distance to the singular end,
+# all above the turning point t = -ln 2, so bisection need not grade toward
+# the log singularity itself.  Default-sweep / offgrid-alpha (seed 1)
+# evaluations with cuts at t = (1, 0): 87,030 / 213,885; (1, 0, -0.5):
+# 84,795 / 208,140; (1, 0, -0.6): 83,865 / 207,420; (1.2, 0.4, -0.4):
+# 84,720 / 204,900; (1.5, 1, 0.5, 0, -0.5): 88,605 / 213,900; (0.5):
+# 91,860 / 224,340; with none, 96,675 / 234,075.
+_INTERIOR_GRADING = (1.0, 0.0, -0.5)
 _EPS = sys.float_info.epsilon
 
 
@@ -437,7 +447,11 @@ def integrate_endpoint_oscillatory(
     The interior panel evaluates w directly from x.  From t = -w = 2 on,
     at each of ``ends`` ("lower", "upper"), the integral continues in t, so
     the integrand receives the exact pair (x(t), -t); an interval whose far
-    edge lies beyond x(2) is all tail, from that edge.  One tail chunk spans
+    edge lies beyond x(2) is all tail, from that edge.  Toward each end
+    whose tail starts at t = 2, the interior panel is cut at x(t) for t in
+    ``_INTERIOR_GRADING`` (1, 0 and -0.5), about one e-fold apart in
+    distance to the singular end, so that bisection does not grade toward
+    it by computing panels only to throw them away.  One tail chunk spans
     one ``period`` (a step of 2 when it is None: a tail that decays without
     oscillating), and r = exp(-step).
 
@@ -504,7 +518,8 @@ def integrate_endpoint_oscillatory(
             x_lo = max(x_lo, x_split)
         else:
             x_hi = min(x_hi, x_split)
-        x_cuts += [emap.x(t) for t in (*_feature_cuts(0.0, _T_SPLIT, quarter),
+        x_cuts += [emap.x(t) for t in (*_INTERIOR_GRADING,
+                                       *_feature_cuts(0.0, _T_SPLIT, quarter),
                                        *(c for c, _, _ in poles(end, 0.0, _T_SPLIT)))]
 
     if x_hi > x_lo:

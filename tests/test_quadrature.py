@@ -294,13 +294,48 @@ def test_quarter_lattice_only_at_long_periods(monkeypatch, case_id, alpha, latti
     if not lattice:
         # tail chunks are cut only at their whole-period edges, and the
         # interior panel (limit 8192) only at the centres of poles below
-        # t = 2, mapped to x = asin(e^{-t}/2)
+        # t = 2, mapped to x = asin(e^{-t}/2), and at x(t) of each grading t
         poles = case.tail_points(params)
         centres = [math.asin(0.5 * math.exp(-c))
                    for c, _, _ in (poles("lower", 0.0, 2.0) if poles else ())]
+        grading = [_EndpointMap.at(case.map_kind, end).x(t)
+                   for end in case.osc_ends
+                   for t in quadrature._INTERIOR_GRADING]
         tail = [points for points, limit in calls if limit != 8192]
         interior = [sorted(points) for points, limit in calls if limit == 8192]
-        assert not any(tail) and interior == [sorted(centres)]
+        assert not any(tail) and interior == [sorted(centres + grading)]
+
+
+@pytest.mark.parametrize("case_id, alpha, evaluations", (
+    ("T1-A", 11.0, 60),         # log-cos, one end: four panels, no bisection
+    ("T2", 11.0, 60),
+    ("DISC-P3", 11.0, None),    # log-sin, both ends
+    ("S3-T7", 11.0, None)))     # log-sin-half, both ends
+def test_interior_panel_is_graded_toward_each_split(monkeypatch, case_id, alpha,
+                                                   evaluations):
+    # the interior panel runs to x(2), e^{-2}/2 from the log singularity;
+    # its cuts at x(1), x(0) and x(-0.5) grade it toward that end so that
+    # bisection need not
+    interior = []
+    real = quadrature.integrate_adaptive
+
+    def spy(f, a, b, *args, points=(), **kwargs):
+        res = real(f, a, b, *args, points=points, **kwargs)
+        if kwargs["limit"] == 8192:
+            interior.append((points, res))
+        return res
+
+    monkeypatch.setattr(quadrature, "integrate_adaptive", spy)
+    case = case_by_id(case_id)
+    evaluate_lhs(case, {"alpha": alpha})
+    (points, res), = interior
+    for end in case.osc_ends:
+        emap = _EndpointMap.at(case.map_kind, end)
+        for t in (1.0, 0.0, -0.5):
+            assert emap.x(t) in points, (end, t)
+    if evaluations is not None:
+        assert res.subdivisions == 0
+        assert res.evaluations == evaluations
 
 
 @pytest.mark.parametrize("map_kind, ends", [
