@@ -157,9 +157,12 @@ def integrate_adaptive(f: Callable[[float], float | complex], a: float, b: float
         val, err = _qk15(f, lo, hi)
         evaluations += 15
         counter += 1
-        heapq.heappush(heap, (-err, counter, lo, hi, val, err))
+        heap.append((-err, counter, lo, hi, val, err))
         total_val += val
         total_err += err
+    # panels that meet the tolerance at once never become a heap
+    if total_err > max(atol, tol * abs(total_val)):
+        heapq.heapify(heap)
     while total_err > max(atol, tol * abs(total_val)):
         if not heap:
             break

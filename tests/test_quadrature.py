@@ -65,6 +65,18 @@ def test_adaptive_points_split_near_pole():
     assert abs(res.value - expect) < 1e-8 * expect
 
 
+def test_integrate_adaptive_first_pass_exit():
+    # panels that meet the tolerance at once are summed as they are: no
+    # bisection, one Kronrod rule each, and their exactly rounded sum
+    edges = (0.0, 0.25, 0.5, 0.75, 1.0)
+    res = integrate_adaptive(math.exp, 0.0, 1.0, tol=1e-12, points=edges[1:-1])
+    panels = [_qk15(math.exp, lo, hi) for lo, hi in zip(edges, edges[1:])]
+    assert res.subdivisions == 0
+    assert res.evaluations == 15 * len(panels)
+    assert res.value == math.fsum(v for v, _ in panels)
+    assert res.error_estimate == math.fsum(e for _, e in panels)
+
+
 def test_adaptive_reports_failure():
     with pytest.raises(AccuracyError) as info:
         integrate_adaptive(lambda x: math.sin(1.0 / x), 1e-12, 1.0,
