@@ -419,6 +419,10 @@ def _tail_chunk(g: Callable[[float], float | complex], lo: float, hi: float,
     across c, and the exact 2 Re(R [log(hi - p) - log(lo - p)]) is added
     back.  t - p is taken as (t - c) - d, so a d far below the spacing of
     floats at c is kept; Im d != 0 keeps the logs off their branch cut."""
+    cuts = _feature_cuts(lo, hi, quarter)
+    if not poles:
+        return integrate_adaptive(g, lo, hi, tol=tol, atol=atol, points=cuts,
+                                  limit=4096)
     terms = [(c, d, 2.0 * r) for c, d, r in poles]
 
     def smooth(t: float) -> float:
@@ -427,10 +431,8 @@ def _tail_chunk(g: Callable[[float], float | complex], lo: float, hi: float,
             s -= (r2 / ((t - c) - d)).real
         return s
 
-    res = integrate_adaptive(smooth if terms else g, lo, hi, tol=tol, atol=atol,
-                             points=_feature_cuts(lo, hi, quarter), limit=4096)
-    if not terms:
-        return res
+    res = integrate_adaptive(smooth, lo, hi, tol=tol, atol=atol, points=cuts,
+                             limit=4096)
     back = math.fsum((r2 * (cmath.log((hi - c) - d) - cmath.log((lo - c) - d))).real
                      for c, d, r2 in terms)
     return QuadratureResult(res.value + back, res.error_estimate,
