@@ -13,7 +13,7 @@ from .catalog import (IdentityCase, VerificationRow, catalog, case_by_id,
                       contour_path_points, contour_trace, evaluate_lhs,
                       evaluate_rhs, verify_case)
 from .quadrature import (QuadratureResult, integrate_adaptive,
-                         integrate_endpoint_oscillatory, tanh_sinh)
+                         integrate_endpoint_oscillatory)
 from .report import RunConfig, VerificationReport, render_report, run_verification
 from .series import (SeriesValue, cn_imag_third, cosh_third_sum, gamma_fn,
                      lambert_alternating, lambert_plain, product_one_minus,
@@ -30,7 +30,7 @@ __all__ = [
     "sqrt2_cosh_sum_odd", "sqrt2_cosh_sum_bilateral", "cosh_third_sum",
     "cn_imag_third", "lambert_plain", "gamma_fn",
     "QuadratureResult", "integrate_adaptive",
-    "integrate_endpoint_oscillatory", "tanh_sinh",
+    "integrate_endpoint_oscillatory",
     "IdentityCase", "VerificationRow", "catalog", "case_by_id",
     "evaluate_lhs", "evaluate_rhs", "verify_case", "contour_trace",
     "contour_path_points",

@@ -27,9 +27,6 @@ Two engines cooperate here:
   integral and end, from ``map_kind`` and the end's name: each tail node
   costs one exp, one arc sine or cosine and one square root before the
   caller's integrand runs.
-
-A fixed-rule tanh-sinh integrator is included as an independent route for
-defining-integral oracles and endpoint-singular panels.
 """
 
 from __future__ import annotations
@@ -47,7 +44,6 @@ __all__ = [
     "QuadratureResult",
     "integrate_adaptive",
     "integrate_endpoint_oscillatory",
-    "tanh_sinh",
 ]
 
 
@@ -195,62 +191,6 @@ def integrate_adaptive(f: Callable[[float], float | complex], a: float, b: float
             f"tolerance not reached (err {errs:.3e})",
             best=value, error_estimate=errs, evaluations=evaluations)
     return QuadratureResult(value, errs, evaluations, subdivisions)
-
-
-def tanh_sinh(f: Callable[[float], float], a: float, b: float,
-              eps: float = 1e-13, max_level: int = 12) -> QuadratureResult:
-    """Tanh-sinh rule on [a, b]; robust for integrable endpoint singularities.
-
-    Doubles the node density per level until two successive levels agree to
-    ``eps`` relative.  Endpoint nodes that round onto a or b are skipped,
-    their weights being negligible by then.
-    """
-    if not a < b:
-        raise DomainError(f"need a < b, got [{a}, {b}]")
-    half = 0.5 * (b - a)
-    piover2 = 0.5 * math.pi
-    evaluations = 0
-    prev = None
-    value = 0.0
-    err = math.inf
-    for level in range(3, max_level + 1):
-        h = 0.5 ** level
-        total = 0.0
-        j = 0
-        small = 0
-        while True:
-            u = j * h
-            sh = piover2 * math.sinh(u)
-            # distance of the node to its endpoint, free of cancellation:
-            # 1 - tanh(sh) = 2 e^{-2 sh} / (1 + e^{-2 sh})
-            e2 = math.exp(-2.0 * sh)
-            delta = half * 2.0 * e2 / (1.0 + e2)
-            w = piover2 * math.cosh(u) * 4.0 * e2 / (1.0 + e2) ** 2
-            if delta <= 0.0 or w <= 0.0:
-                break
-            contrib = w * f(b - delta)
-            evaluations += 1
-            if j > 0:
-                contrib += w * f(a + delta)
-                evaluations += 1
-            total += contrib
-            if abs(contrib) <= 1e-18 * (abs(total) + 1e-300) and j * h > 3.0:
-                small += 1
-                if small >= 3:
-                    break
-            else:
-                small = 0
-            j += 1
-            if j * h > 7.0:
-                break
-        value = total * h * half
-        if prev is not None:
-            err = abs(value - prev)
-            if err <= eps * max(1.0, abs(value)):
-                return QuadratureResult(value, err, evaluations, level)
-        prev = value
-    raise AccuracyError("tanh-sinh did not converge", best=value,
-                        error_estimate=err, evaluations=evaluations)
 
 
 # ---------------------------------------------------------------------------

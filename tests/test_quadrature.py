@@ -6,9 +6,10 @@ import random
 
 import pytest
 
+from elliptic_oracle import tanh_sinh
 from logtrig import (AccuracyError, DomainError, QuadratureResult, case_by_id,
                      evaluate_lhs, integrate_adaptive,
-                     integrate_endpoint_oscillatory, tanh_sinh)
+                     integrate_endpoint_oscillatory)
 from logtrig import quadrature
 from logtrig.quadrature import _WG, _WGK, _XGK, _EndpointMap, _qk15
 
