@@ -14,11 +14,12 @@ Two engines cooperate here:
   e^{-2}/2, and the interior panel is cut at x(1), x(0) and x(-0.5),
   geometrically graded toward that end.  The tail is summed period by
   period, as QUADPACK's QAWF sums cycle by cycle; a period of at least 2.5
-  also cuts each chunk at its quarter periods.  Chunk n of a periodic tail sums to a_1 r^n + a_2 r^{2n}
-  + ..., r = exp(-period), so a Richardson table with the known ratios r,
-  r^2, r^3 extrapolates the partial sums, and the tail closes at the first
-  level whose bound is below tolerance.  A tail that decays without
-  oscillating closes with its geometric remainder.
+  also cuts each chunk at its quarter periods.  Chunk n of a periodic tail
+  sums to a_1 r^n + a_2 r^{2n} + ..., r = exp(-period), so a Richardson
+  table with the known ratios r, r^2, r^3 extrapolates the partial sums,
+  and the tail closes at the first level whose bound is below tolerance.
+  A tail that decays without oscillating closes with its geometric
+  remainder.
   A pole that the caller declares next to the path, with its residue, is
   subtracted from each tail chunk near it together with its conjugate, and
   the exact integral of that pair, a complex logarithm, is added back
@@ -446,8 +447,8 @@ def integrate_endpoint_oscillatory(
     err_total = 0.0
 
     # each end's tail starts at t = 2, or at the far edge when that lies
-    # beyond x(2); the interior stops there and gets that end's lattice cuts
-    # and the centres of poles below it
+    # beyond x(2); the interior stops there and gets that end's grading
+    # cuts, its lattice cuts and the centres of poles below it
     x_lo, x_hi = a, b
     x_cuts = list(points)
     starts = []
