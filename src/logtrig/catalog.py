@@ -258,12 +258,12 @@ def _t1b_rhs(p: Params) -> float:
 
 def _t1pa_rhs(p: Params) -> float:
     al = p["alpha"]
-    prod = product_one_minus(_elliptic(p)).direct
+    prod = product_one_minus(al).direct
     return -0.5 * PI * math.log(2.0 * al * al) - PI * math.log(prod)
 
 
 def _t1pb_rhs(p: Params) -> float:
-    prod = product_one_plus(_elliptic(p)).direct
+    prod = product_one_plus(p["alpha"]).direct
     return 0.5 * PI * LN2 + PI * math.log(prod)
 
 
@@ -331,14 +331,14 @@ def _t4b_rhs(p: Params) -> float:
 
 def _t4pa_rhs(p: Params) -> float:
     al = p["alpha"]
-    s = sinh2_sum_integer(_elliptic(p)).direct
+    s = sinh2_sum_integer(al).direct
     return (11.0 * PI * al / 24.0 - PI / (24.0 * al)
             + PI * al / (2.0 * math.expm1(2.0 * PI * al)) + PI * al / 8.0 * s)
 
 
 def _t4pb_rhs(p: Params) -> float:
     al = p["alpha"]
-    s = sinh2_sum_odd(_elliptic(p)).direct
+    s = sinh2_sum_odd(al).direct
     return (PI / (8.0 * al) - PI * al / (4.0 * math.sinh(PI * al))
             - PI * al / 8.0 * s)
 
@@ -372,7 +372,7 @@ def _t6_f(p: Params):
 
 def _t6_rhs(p: Params) -> float:
     al = p["alpha"]
-    s = cosh_third_sum(_elliptic(p)).direct
+    s = cosh_third_sum(al).direct
     return al * PI / SQRT3 * s - PI * math.tanh(0.5 * PI / al)
 
 
@@ -387,7 +387,7 @@ def _t7_f(p: Params):
 
 def _t7_rhs(p: Params) -> float:
     al = p["alpha"]
-    s = cosh_third_sum(_elliptic(p)).direct
+    s = cosh_third_sum(al).direct
     return (1.5 * PI / al * math.tanh(0.5 * PI / al)
             - PI * SQRT3 / (4.0 * math.sinh(PI * al / 3.0))
             - SQRT3 * PI / 2.0 * s)

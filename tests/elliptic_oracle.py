@@ -5,6 +5,8 @@ tests check that route against this one, which shares nothing with it but
 the modulus it is given, and needs no mpmath.  Passing the complementary
 modulus as well keeps full accuracy where one of the pair rounds to 1.
 A tanh-sinh rule integrates K's defining integral as a third route.
+``SERIES_CLOSED_FORMS`` holds the elliptic forms of the q-series that
+``logtrig.series`` sums directly.
 """
 
 import math
@@ -148,3 +150,26 @@ def cn_imag_third(k: float, k_prime: float) -> float:
     """cn(i K'/3, k) = 1 / cn(K'/3, k'), K' = K(k')."""
     sn = sn_descending(complete_k(k_prime, k) / 3.0, k_prime, k)
     return 1.0 / math.sqrt((1.0 - sn) * (1.0 + sn))
+
+
+# The elliptic form of each sum of logtrig.series, from the parameter
+# bundle of the same alpha: eta quotients, K and E, and cn(i K'/3, k)
+# (Berndt, *Ramanujan's Notebooks III*, ch. 17; DLMF §20.9).
+SERIES_CLOSED_FORMS = {
+    "product_one_minus": lambda ep: math.exp(math.pi * ep.alpha / 12.0) * (
+        2.0 * ep.k * ep.k_prime * ep.big_k ** 3 / math.pi ** 3) ** (1.0 / 6.0),
+    "product_one_plus": lambda ep: math.exp(math.pi * ep.alpha / 24.0) * (
+        math.sqrt(ep.k) / (2.0 * ep.k_prime)) ** (1.0 / 6.0),
+    "lambert_alternating": lambda ep: ep.big_k / (2.0 * math.pi) - 0.25,
+    "sinh2_sum_integer": lambda ep: (
+        1.0 / 6.0 - 2.0 * ep.big_k * ep.big_e / math.pi ** 2
+        + 2.0 * (2.0 - ep.k ** 2) * ep.big_k * ep.big_k / (3.0 * math.pi ** 2)),
+    "sinh2_sum_odd": lambda ep: (
+        2.0 * ep.big_k * (ep.big_k - ep.big_e) / math.pi ** 2),
+    "sqrt2_cosh_sum_odd": lambda ep: (
+        ep.k * ep.big_k / math.pi * (1.0 + math.sqrt(2.0 + 2.0 / ep.k))),
+    "sqrt2_cosh_sum_bilateral": lambda ep: (
+        2.0 * ep.big_k / math.pi * (1.0 + math.sqrt(2.0 + 2.0 * ep.k))),
+    "cosh_third_sum": lambda ep: (
+        ep.k * ep.big_k / math.pi * cn_imag_third(ep.k, ep.k_prime)),
+}

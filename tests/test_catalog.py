@@ -11,8 +11,7 @@ import pytest
 
 from logtrig import (AccuracyError, DomainError, case_by_id, catalog,
                      contour_path_points, contour_trace, evaluate_lhs,
-                     evaluate_rhs, lambert_alternating, modulus_from_alpha,
-                     verify_case)
+                     evaluate_rhs, lambert_alternating, verify_case)
 from logtrig.catalog import PARAM_NAMES, lhs_key
 from logtrig.report import RunConfig, render_rows_json, run_verification
 
@@ -234,7 +233,7 @@ def test_t2_triple_agreement():
         case = case_by_id("T2")
         lhs, _ = evaluate_lhs(case, {"alpha": alpha})
         rhs = evaluate_rhs(case, {"alpha": alpha})
-        lam = lambert_alternating(modulus_from_alpha(alpha)).direct
+        lam = lambert_alternating(alpha).direct
         lam_form = PI / 4.0 - 0.5 * PI * alpha * lam
         assert abs(lhs - rhs) < 1e-9
         assert abs(lhs - lam_form) < 1e-9
