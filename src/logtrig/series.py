@@ -174,31 +174,8 @@ def lambert_plain(alpha: float, odd: bool = False) -> SeriesValue:
         math.exp(-2.0 * a))
 
 
-# Lanczos rational approximation, g = 7, 9 coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def gamma_fn(x: float) -> float:
-    """Gamma function for positive real arguments, relative error ~1e-14."""
+    """Gamma function for positive real arguments."""
     if x <= 0.0:
         raise DomainError(f"gamma_fn needs x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the rational approximation on its good half-line
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)

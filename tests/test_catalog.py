@@ -336,7 +336,7 @@ def test_default_sweep_payload_is_pinned(sweep):
     # records the old and the new hash in CHANGES.md.
     payload = render_rows_json(sweep.rows).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "af0014e09f13d3e179ea1723c6772268c7d178b0df41fc949cd0ae905153d7c1")
+        "f884f6d0bb0e53b522da42ba8440b88bb6c52a45cfc2976327fdee74f7cbae6e")
     assert sum(row.evaluations for row in sweep.rows) == 84_795
 
 
