@@ -25,8 +25,8 @@ from typing import Callable, Sequence
 from .elliptic import EllipticParams
 from .errors import AccuracyError, DomainError, SolverError
 from .quadrature import QuadratureResult, integrate_endpoint_oscillatory
-from .series import (cosh_third_sum, gamma_fn, lambert_plain,
-                     product_one_minus, product_one_plus,
+from .series import (cosh_third_sum, csch, gamma_fn, inv_expm1,
+                     lambert_plain, product_one_minus, product_one_plus,
                      sinh2_sum_integer, sinh2_sum_odd)
 from .solver import modulus_from_alpha
 
@@ -333,13 +333,13 @@ def _t4pa_rhs(p: Params) -> float:
     al = p["alpha"]
     s = sinh2_sum_integer(al).direct
     return (11.0 * PI * al / 24.0 - PI / (24.0 * al)
-            + PI * al / (2.0 * math.expm1(2.0 * PI * al)) + PI * al / 8.0 * s)
+            + PI * al / 2.0 * inv_expm1(2.0 * PI * al) + PI * al / 8.0 * s)
 
 
 def _t4pb_rhs(p: Params) -> float:
     al = p["alpha"]
     s = sinh2_sum_odd(al).direct
-    return (PI / (8.0 * al) - PI * al / (4.0 * math.sinh(PI * al))
+    return (PI / (8.0 * al) - PI * al / 4.0 * csch(PI * al)
             - PI * al / 8.0 * s)
 
 
@@ -389,7 +389,7 @@ def _t7_rhs(p: Params) -> float:
     al = p["alpha"]
     s = cosh_third_sum(al).direct
     return (1.5 * PI / al * math.tanh(0.5 * PI / al)
-            - PI * SQRT3 / (4.0 * math.sinh(PI * al / 3.0))
+            - PI * SQRT3 / 4.0 * csch(PI * al / 3.0)
             - SQRT3 * PI / 2.0 * s)
 
 

@@ -32,6 +32,8 @@ __all__ = [
     "cn_imag_third",
     "lambert_plain",
     "gamma_fn",
+    "inv_expm1",
+    "csch",
 ]
 
 _TERM_FLOOR = 1e-17
@@ -43,6 +45,16 @@ class SeriesValue:
     direct: float
     tail_bound: float
     terms_used: int
+
+
+def inv_expm1(x: float) -> float:
+    """1/(e^x - 1) for x > 0, written in e^{-x} so that no large x overflows."""
+    return math.exp(-x) / -math.expm1(-x)
+
+
+def csch(x: float) -> float:
+    """1/sinh(x) for x > 0, written in e^{-x} so that no large x overflows."""
+    return 2.0 * math.exp(-x) / -math.expm1(-2.0 * x)
 
 
 def _check(alpha: float) -> None:
@@ -100,24 +112,22 @@ def lambert_alternating(alpha: float) -> SeriesValue:
     """sum_{n>=0} (-1)^n / (exp(pi alpha (2n+1)) - 1)."""
     _check(alpha)
     a = math.pi * alpha
-    return _sum(lambda n: 1.0 / math.expm1(a * (2 * n + 1)),
-                math.exp(-2.0 * a), alternate=True)
+    return _sum(lambda n: inv_expm1(a * (2 * n + 1)), math.exp(-2.0 * a),
+                alternate=True)
 
 
 def sinh2_sum_integer(alpha: float) -> SeriesValue:
     """sum_{n>=1} 1/sinh^2(pi alpha n)."""
     _check(alpha)
     a = math.pi * alpha
-    return _sum(lambda n: 1.0 / math.sinh(a * n) ** 2,
-                math.exp(-2.0 * a), first=1)
+    return _sum(lambda n: csch(a * n) ** 2, math.exp(-2.0 * a), first=1)
 
 
 def sinh2_sum_odd(alpha: float) -> SeriesValue:
     """sum_{n>=0} 1/sinh^2(pi alpha (2n+1)/2)."""
     _check(alpha)
     a = math.pi * alpha
-    return _sum(lambda n: 1.0 / math.sinh(0.5 * a * (2 * n + 1)) ** 2,
-                math.exp(-2.0 * a))
+    return _sum(lambda n: csch(0.5 * a * (2 * n + 1)) ** 2, math.exp(-2.0 * a))
 
 
 def sqrt2_cosh_sum_odd(alpha: float) -> SeriesValue:
@@ -170,7 +180,7 @@ def lambert_plain(alpha: float, odd: bool = False) -> SeriesValue:
     _check(alpha)
     a = math.pi * alpha
     return _sum(
-        lambda n: 1.0 / math.expm1(a * (2 * n + 1) if odd else 2.0 * a * (n + 1)),
+        lambda n: inv_expm1(a * (2 * n + 1) if odd else 2.0 * a * (n + 1)),
         math.exp(-2.0 * a))
 
 

@@ -336,7 +336,7 @@ def test_default_sweep_payload_is_pinned(sweep):
     # records the old and the new hash in CHANGES.md.
     payload = render_rows_json(sweep.rows).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "f884f6d0bb0e53b522da42ba8440b88bb6c52a45cfc2976327fdee74f7cbae6e")
+        "447b2b5ca11a30403aba0f3459bc1ef480b0a3c6f3e1fb59f6d54c082d3dced9")
     assert sum(row.evaluations for row in sweep.rows) == 84_795
 
 
