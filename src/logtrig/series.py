@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .elliptic import EllipticParams
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 
 __all__ = [
     "SeriesValue",
@@ -62,27 +62,30 @@ def _check(alpha: float) -> None:
         raise DomainError(f"alpha must be a positive real, got {alpha}")
 
 
-def _sum(term: Callable[[int], float], ratio: float, first: int = 0,
-         total: float = 0.0, weight: float = 1.0,
+def _sum(name: str, term: Callable[[int], float], ratio: float,
+         first: int = 0, total: float = 0.0, weight: float = 1.0,
          alternate: bool = False) -> SeriesValue:
     """Add weight * term(n) for n = first, first + 1, ... onto ``total``.
 
     Terms are positive and shrink at least geometrically with ``ratio``;
     summation stops at the first term below _TERM_FLOOR, which bounds the
-    rest.  ``alternate`` flips the sign of every odd n.
+    rest.  ``alternate`` flips the sign of every odd n.  A sum that needs
+    more than _MAX_TERMS terms raises AccuracyError naming ``name``.
     """
     n = first
-    t = 1.0
     while n < _MAX_TERMS:
         t = term(n)
         if t < _TERM_FLOOR:
-            break
+            return SeriesValue(total, 2.0 * weight * t / (1.0 - ratio),
+                               n - first)
         total += -weight * t if alternate and n % 2 else weight * t
         n += 1
-    return SeriesValue(total, 2.0 * weight * t / (1.0 - ratio), n - first)
+    raise AccuracyError(f"{name} did not converge in {n - first} terms",
+                        best=total,
+                        error_estimate=2.0 * weight * t / (1.0 - ratio))
 
 
-def _product(x: float, sign: float) -> SeriesValue:
+def _product(name: str, x: float, sign: float) -> SeriesValue:
     """prod_{n>=1} (1 + sign * x^n) for 0 < x < 1, with its tail bound."""
     prod = 1.0
     term = 1.0
@@ -90,44 +93,48 @@ def _product(x: float, sign: float) -> SeriesValue:
     while n < _MAX_TERMS:
         term *= x
         if term < _TERM_FLOOR:
-            break
+            return SeriesValue(prod, prod * 2.0 * term / (1.0 - x), n)
         prod *= 1.0 + sign * term
         n += 1
-    return SeriesValue(prod, prod * 2.0 * term / (1.0 - x), n)
+    raise AccuracyError(f"{name} did not converge in {n} terms", best=prod,
+                        error_estimate=prod * 2.0 * term / (1.0 - x))
 
 
 def product_one_minus(alpha: float) -> SeriesValue:
     """prod_{n>=1} (1 - exp(-2 pi alpha n))."""
     _check(alpha)
-    return _product(math.exp(-2.0 * math.pi * alpha), -1.0)
+    return _product("product_one_minus", math.exp(-2.0 * math.pi * alpha),
+                    -1.0)
 
 
 def product_one_plus(alpha: float) -> SeriesValue:
     """prod_{n>=1} (1 + exp(-pi alpha n))."""
     _check(alpha)
-    return _product(math.exp(-math.pi * alpha), 1.0)
+    return _product("product_one_plus", math.exp(-math.pi * alpha), 1.0)
 
 
 def lambert_alternating(alpha: float) -> SeriesValue:
     """sum_{n>=0} (-1)^n / (exp(pi alpha (2n+1)) - 1)."""
     _check(alpha)
     a = math.pi * alpha
-    return _sum(lambda n: inv_expm1(a * (2 * n + 1)), math.exp(-2.0 * a),
-                alternate=True)
+    return _sum("lambert_alternating", lambda n: inv_expm1(a * (2 * n + 1)),
+                math.exp(-2.0 * a), alternate=True)
 
 
 def sinh2_sum_integer(alpha: float) -> SeriesValue:
     """sum_{n>=1} 1/sinh^2(pi alpha n)."""
     _check(alpha)
     a = math.pi * alpha
-    return _sum(lambda n: csch(a * n) ** 2, math.exp(-2.0 * a), first=1)
+    return _sum("sinh2_sum_integer", lambda n: csch(a * n) ** 2,
+                math.exp(-2.0 * a), first=1)
 
 
 def sinh2_sum_odd(alpha: float) -> SeriesValue:
     """sum_{n>=0} 1/sinh^2(pi alpha (2n+1)/2)."""
     _check(alpha)
     a = math.pi * alpha
-    return _sum(lambda n: csch(0.5 * a * (2 * n + 1)) ** 2, math.exp(-2.0 * a))
+    return _sum("sinh2_sum_odd", lambda n: csch(0.5 * a * (2 * n + 1)) ** 2,
+                math.exp(-2.0 * a))
 
 
 def sqrt2_cosh_sum_odd(alpha: float) -> SeriesValue:
@@ -135,7 +142,8 @@ def sqrt2_cosh_sum_odd(alpha: float) -> SeriesValue:
     _check(alpha)
     a = math.pi * alpha
     r2 = math.sqrt(2.0)
-    return _sum(lambda n: 1.0 / (r2 * math.cosh(0.25 * a * (2 * n + 1)) - 1.0),
+    return _sum("sqrt2_cosh_sum_odd",
+                lambda n: 1.0 / (r2 * math.cosh(0.25 * a * (2 * n + 1)) - 1.0),
                 math.exp(-0.5 * a))
 
 
@@ -146,7 +154,8 @@ def sqrt2_cosh_sum_bilateral(alpha: float) -> SeriesValue:
     r2 = math.sqrt(2.0)
     # n and -n together, weight 2; starting from minus the n = 0 term
     # counts that one once
-    return _sum(lambda n: 1.0 / (r2 * math.cosh(0.5 * a * n) - 1.0),
+    return _sum("sqrt2_cosh_sum_bilateral",
+                lambda n: 1.0 / (r2 * math.cosh(0.5 * a * n) - 1.0),
                 math.exp(-0.5 * a), total=-1.0 / (r2 - 1.0), weight=2.0)
 
 
@@ -164,7 +173,7 @@ def cosh_third_sum(alpha: float) -> SeriesValue:
         w = y2 ** n
         return w / (1.0 - y * w + y2 * w * w)
 
-    return _sum(term, y2, weight=y)
+    return _sum("cosh_third_sum", term, y2, weight=y)
 
 
 def cn_imag_third(params: EllipticParams) -> float:
@@ -180,6 +189,7 @@ def lambert_plain(alpha: float, odd: bool = False) -> SeriesValue:
     _check(alpha)
     a = math.pi * alpha
     return _sum(
+        "lambert_plain",
         lambda n: inv_expm1(a * (2 * n + 1) if odd else 2.0 * a * (n + 1)),
         math.exp(-2.0 * a))
 

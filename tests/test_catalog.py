@@ -12,7 +12,7 @@ import pytest
 from logtrig import (AccuracyError, DomainError, case_by_id, catalog,
                      contour_path_points, contour_trace, evaluate_lhs,
                      evaluate_rhs, lambert_alternating, verify_case)
-from logtrig.catalog import PARAM_NAMES, lhs_key
+from logtrig.catalog import ALPHA_GRID, PARAM_NAMES, lhs_key
 from logtrig.report import RunConfig, render_rows_json, run_verification
 
 PI = math.pi
@@ -649,6 +649,38 @@ def test_s3_t6_closed_form_at_large_alpha():
     params = {"alpha": 9.492969004585527}
     lhs, _ = evaluate_lhs(case, params, rtol=1e-12, atol=1e-14)
     assert abs(evaluate_rhs(case, params) - lhs) <= 1e-13
+
+
+ALPHA_ONLY_CLOSED_FORMS = ("T1-PA", "T1-PB", "T4-PA", "T4-PB", "S3-T6",
+                           "S3-T7", "DISC-L1", "DISC-L2")
+
+
+def test_alpha_only_closed_forms_need_no_solve(monkeypatch):
+    # their q-products and Lambert, csch^2 and cosh sums are summed from
+    # alpha alone, so they hold where the nome underflows
+    def refuse(alpha):
+        raise AssertionError(f"modulus solved for alpha={alpha}")
+
+    monkeypatch.setattr(importlib.import_module("logtrig.catalog"),
+                        "modulus_from_alpha", refuse)
+    with pytest.raises(AssertionError):
+        evaluate_rhs(case_by_id("T2"), {"alpha": 2.0})
+    for case_id in ALPHA_ONLY_CLOSED_FORMS:
+        case = case_by_id(case_id)
+        for alpha in ALPHA_GRID:
+            if case.domain({"alpha": alpha}):
+                assert math.isfinite(evaluate_rhs(case, {"alpha": alpha}))
+        for alpha in (120.0, 300.0, 1000.0):
+            row = verify_case(case, {"alpha": alpha})
+            assert row.status == "pass", row
+
+
+def test_s3_t6_sum_past_its_term_limit_is_an_error_row():
+    # cosh_third_sum needs more than 20,000 terms below alpha = 0.0009; its
+    # partial sum would make a false fail
+    row = verify_case(case_by_id("S3-T6"), {"alpha": 0.0002})
+    assert (row.status, row.evaluations) == ("error", 0)
+    assert row.detail == "cosh_third_sum did not converge in 20000 terms"
 
 
 def test_sweep_row_order_is_canonical(sweep):

@@ -79,10 +79,11 @@ def test_disc_p34_small_alpha_passes(case_id, capsys):
     assert "evaluation failed" not in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("alpha", ("0.0045", "0.01"))
+@pytest.mark.parametrize("alpha", ("0.002", "0.0045", "0.01"))
 def test_s3_t6_small_alpha_passes(alpha, capsys):
     # sinh((pi - 6x) / 2 alpha) over the unscaled cosh + cos overflowed below
-    # alpha = 0.011; the nome route reaches alpha = 0.0044
+    # alpha = 0.011; the closed form, summed from alpha, needs no nome, whose
+    # route stops at alpha = 0.0044
     assert main(["eval", "S3-T6", "--alpha", alpha]) == 0
     assert "evaluation failed" not in capsys.readouterr().out
 
