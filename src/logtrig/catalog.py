@@ -19,8 +19,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .elliptic import EllipticParams
 from .errors import AccuracyError, DomainError, SolverError
@@ -69,8 +69,7 @@ PARAM_NAMES: dict[str, tuple[str, ...]] = {
     "a-gamma": ("gamma", "a")}
 
 
-@dataclass(frozen=True)
-class IdentityCase:
+class IdentityCase(NamedTuple):
     id: str
     description: str
     interval: tuple[float, float]
@@ -87,11 +86,10 @@ class IdentityCase:
     # centres t_m lie in [lo, hi], as (t_m, d, residue); the engine
     # subtracts each one (see integrate_endpoint_oscillatory)
     tail_points: Callable[[Params], Callable | None] = lambda p: None
-    fixed_params: Params = field(default_factory=dict)
+    fixed_params: Mapping[str, float] = MappingProxyType({})  # read-only
 
 
-@dataclass(frozen=True)
-class VerificationRow:
+class VerificationRow(NamedTuple):
     case_id: str
     params: Params
     lhs: float | complex | None
@@ -577,7 +575,7 @@ _add("SINE", "i times the sin 2x pole-kernel integral (parity-real)",
 
 _add("SINE0", "the a = 0 sin 2x pole-kernel value 13 pi/24", _COS_FULL,
      "fixed", 0.0, _sine_f, lambda p: complex(13.0 * PI / 24.0, 0.0),
-     lambda p: True, complex_valued=True, fixed_params={})
+     lambda p: True, complex_valued=True)
 
 _add("T3-A", "sin 2x sinh kernel over cosh - cos", _COS_HALF, "alpha", 1.0,
      _t3a_f, _t3a_rhs, _alpha_above(LN2 / (2.0 * PI)))
@@ -624,19 +622,19 @@ _add("EX-1", "log(cosh + cos) at alpha = sqrt(3), gamma-free value", _COS_HALF,
      "fixed", 1.0, _t1b_f,
      lambda p: (PI * PI / (8.0 * SQRT3) - 0.25 * PI * math.log(1.0 + SQRT3)
                 + 13.0 * PI / 24.0 * LN2),
-     lambda p: True, fixed_params={"alpha": SQRT3})
+     lambda p: True, fixed_params=MappingProxyType({"alpha": SQRT3}))
 
 _add("EX-2", "half-frequency kernel at alpha = 2, Gamma(1/4) value", _COS_HALF,
      "fixed", 0.5, _t2_f,
      lambda p: (0.5 * PI - (math.sqrt(2.0) + 1.0) * gamma_fn(0.25) ** 2
                 / (16.0 * math.sqrt(2.0 * PI))),
-     lambda p: True, fixed_params={"alpha": 2.0})
+     lambda p: True, fixed_params=MappingProxyType({"alpha": 2.0}))
 
 _add("EX-3", "cn(i K'/3) kernel at alpha = sqrt(3), Gamma(1/3) value", _SIN,
      "fixed", 3.0, _t6_f,
      lambda p: (gamma_fn(1.0 / 3.0) ** 3 / (2.0 ** (10.0 / 3.0) * PI)
                 - PI * math.tanh(0.5 * PI / SQRT3)),
-     lambda p: True, fixed_params={"alpha": SQRT3},
+     lambda p: True, fixed_params=MappingProxyType({"alpha": SQRT3}),
      interior_points=lambda p: (PI / 6.0,))
 
 _add("DISC-CONTOUR", "parametrized contour integral of the half-frequency kernel",

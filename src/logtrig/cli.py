@@ -159,11 +159,9 @@ def _cmd_eval(args) -> int:
 def _cmd_params(args) -> int:
     alpha = _parse_value(args.alpha)
     ep = modulus_from_alpha(alpha)
-    for name, value in (("alpha", ep.alpha), ("k", ep.k),
-                        ("k_prime", ep.k_prime),
-                        ("log_k_prime", ep.log_k_prime), ("K", ep.big_k),
-                        ("K_prime", ep.big_k_prime), ("E", ep.big_e),
-                        ("E_prime", ep.big_e_prime), ("q", ep.q)):
+    # the EllipticParams fields in order, K and E written as in the paper
+    for name, value in zip(("alpha", "k", "k_prime", "log_k_prime", "K",
+                            "K_prime", "E", "E_prime", "q"), ep):
         print(f"{name} = {value:.17g}")
     return 0
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -19,8 +19,7 @@ __all__ = ["EllipticParams", "agm", "nome"]
 _EPS = sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class EllipticParams:
+class EllipticParams(NamedTuple):
     """The quantity bundle every closed form consumes.
 
     alpha = K'/K, q = exp(-pi * alpha), k^2 + k_prime^2 = 1 and the Legendre
@@ -50,6 +49,6 @@ def agm(a: float, b: float) -> float:
 
 def nome(alpha: float) -> float:
     """q = exp(-pi * alpha)."""
-    if alpha <= 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"alpha must be a positive real, got {alpha}")
     return math.exp(-math.pi * alpha)

@@ -36,8 +36,7 @@ import cmath
 import heapq
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import AccuracyError, DomainError
 
@@ -48,18 +47,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    """Value of an integration run plus its a-posteriori error bound."""
-
+# the fields; a NamedTuple body cannot define the checking __new__
+class _QuadratureFields(NamedTuple):
     value: float | complex
     error_estimate: float
     evaluations: int
     subdivisions: int
 
-    def __post_init__(self):
-        if self.error_estimate < 0 or self.evaluations < 1:
+
+class QuadratureResult(_QuadratureFields):
+    """Value of an integration run plus its a-posteriori error bound."""
+
+    __slots__ = ()
+
+    def __new__(cls, value, error_estimate, evaluations, subdivisions):
+        if error_estimate < 0 or evaluations < 1:
             raise ValueError("inconsistent quadrature result")
+        return tuple.__new__(cls, (value, error_estimate, evaluations, subdivisions))
 
 
 # 15-point Kronrod nodes with the embedded 7-point Gauss rule.
@@ -209,8 +213,7 @@ _MAPS = {
 }
 
 
-@dataclass(frozen=True)
-class _EndpointMap:
+class _EndpointMap(NamedTuple):
     """The substitution w = -t at one interval end, chosen once per integral.
 
     Both the hot integrands and the cold cut mapping read this one

@@ -23,11 +23,10 @@ platform cannot fork.  N is capped at the number of tasks.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import os
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import __version__
 from .catalog import (ALPHA_GRID, A_GRID, GAMMA_GRID, THETA_GRID,
@@ -39,8 +38,7 @@ __all__ = ["RunConfig", "VerificationReport", "run_verification",
            "render_report"]
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class _RunConfigFields(NamedTuple):
     case_filter: tuple[str, ...] = ()
     alpha_grid: tuple[float, ...] = tuple(ALPHA_GRID)
     a_grid: tuple[float, ...] = tuple(A_GRID)
@@ -50,7 +48,12 @@ class RunConfig:
     atol: float = 1e-10
     jobs: int = 1
 
-    def __post_init__(self):
+
+class RunConfig(_RunConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         check_tolerances(self.rtol, self.atol)
         grids = (self.alpha_grid, self.a_grid, self.theta_grid, self.gamma_grid)
         if not all(math.isfinite(v) for grid in grids for v in grid):
@@ -59,22 +62,23 @@ class RunConfig:
             raise DomainError("jobs must be at least 1")
         for cid in self.case_filter:
             case_by_id(cid)  # raises DomainError on unknown ids
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # _replace copies through here: check copies too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     rows: tuple[VerificationRow, ...]
     tool_version: str
     config: RunConfig
-    summary: dict[str, int] = field(default_factory=dict)
+    summary: dict[str, int]
 
     @property
     def exit_status(self) -> int:
-        if self.summary.get("error", 0):
-            return 3
-        if self.summary.get("fail", 0):
-            return 1
-        return 0
+        return (3 if self.summary.get("error") else
+                1 if self.summary.get("fail") else 0)
 
 
 def _summarize(rows: list[VerificationRow]) -> dict[str, int]:
@@ -254,7 +258,7 @@ def render_rows_json(rows) -> str:
 def render_json(report: VerificationReport) -> str:
     # the config's fields in declaration order, case_filter written "cases"
     config = {"cases" if k == "case_filter" else k: v
-              for k, v in vars(report.config).items()}
+              for k, v in report.config._asdict().items()}
     return ('{\n"version": %s,\n"config": %s,\n"summary": %s,\n"rows": %s\n}\n'
             % (_json(report.tool_version), _json(config),
                _json(report.summary), render_rows_json(report.rows)))
@@ -275,6 +279,7 @@ CSV_COLUMNS = ("case_id", "param_name", "param_value", "lhs", "rhs",
 
 
 def render_csv(report: VerificationReport) -> str:
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)

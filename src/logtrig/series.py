@@ -13,8 +13,7 @@ dozen terms suffice for any alpha on the verification grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .elliptic import EllipticParams
 from .errors import AccuracyError, DomainError
@@ -40,8 +39,7 @@ _TERM_FLOOR = 1e-17
 _MAX_TERMS = 20000
 
 
-@dataclass(frozen=True)
-class SeriesValue:
+class SeriesValue(NamedTuple):
     direct: float
     tail_bound: float
     terms_used: int
@@ -57,9 +55,9 @@ def csch(x: float) -> float:
     return 2.0 * math.exp(-x) / -math.expm1(-2.0 * x)
 
 
-def _check(alpha: float) -> None:
-    if not 0.0 < alpha < math.inf:
-        raise DomainError(f"alpha must be a positive real, got {alpha}")
+def _check(x: float, name: str = "alpha") -> None:
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{name} must be a positive real, got {x}")
 
 
 def _sum(name: str, term: Callable[[int], float], ratio: float,
@@ -196,6 +194,5 @@ def lambert_plain(alpha: float, odd: bool = False) -> SeriesValue:
 
 def gamma_fn(x: float) -> float:
     """Gamma function for positive real arguments."""
-    if x <= 0.0:
-        raise DomainError(f"gamma_fn needs x > 0, got {x}")
+    _check(x, "gamma_fn's x")
     return math.gamma(x)

@@ -1,10 +1,10 @@
 """Identity catalog: case table, evaluation, cross-layer consistency."""
 
 import cmath
-import dataclasses
 import hashlib
 import importlib
 import math
+import pickle
 import random
 
 import pytest
@@ -150,9 +150,26 @@ def test_verify_case_row():
     assert row.evaluations > 0
 
 
+def test_records_are_immutable_and_pickle():
+    row = verify_case(case_by_id("T2"), {"alpha": 1.0})
+    with pytest.raises(AttributeError):
+        row.status = "fail"
+    with pytest.raises(AttributeError):
+        row.note = "extra"
+    assert pickle.loads(pickle.dumps(row)) == row
+    config = RunConfig(case_filter=("T2",), jobs=2)
+    assert pickle.loads(pickle.dumps(config)) == config
+    assert config._replace(jobs=1) == RunConfig(case_filter=("T2",))
+    # every case without fixed parameters shares one read-only default
+    with pytest.raises(TypeError):
+        case_by_id("T2").fixed_params["alpha"] = 1.0
+    with pytest.raises(TypeError):
+        case_by_id("EX-1").fixed_params["alpha"] = 1.0
+
+
 def test_verify_case_turns_arithmetic_errors_into_error_rows():
-    case = dataclasses.replace(case_by_id("T2"),
-                               integrand=lambda p: lambda x, w: 1.0 / 0.0)
+    case = case_by_id("T2")._replace(
+        integrand=lambda p: lambda x, w: 1.0 / 0.0)
     row = verify_case(case, {"alpha": 1.0})
     assert row.status == "error"
     assert row.detail.startswith("ZeroDivisionError")
@@ -185,7 +202,7 @@ def test_sweep_integrates_each_shared_lhs_once():
 
 def test_shared_lhs_payload_does_not_depend_on_jobs():
     serial = run_verification(SHARED_LHS_CONFIG)
-    pooled = run_verification(dataclasses.replace(SHARED_LHS_CONFIG, jobs=2))
+    pooled = run_verification(SHARED_LHS_CONFIG._replace(jobs=2))
     assert render_rows_json(serial.rows) == render_rows_json(pooled.rows)
 
 

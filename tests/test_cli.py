@@ -1,7 +1,6 @@
 """Command line interface and report serialization."""
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -464,9 +463,8 @@ def test_render_report_roundtrip_floats():
 
 def test_render_rows_json_roundtrips_control_characters():
     detail = 'line\nbreak\ttab\r\x00\x1f "quoted" back\\slash α'
-    row = dataclasses.replace(
-        run_verification(RunConfig(case_filter=("T2",), alpha_grid=(1.0,),
-                                   jobs=1)).rows[0], detail=detail)
+    row = run_verification(RunConfig(case_filter=("T2",), alpha_grid=(1.0,),
+                                     jobs=1)).rows[0]._replace(detail=detail)
     assert json.loads(render_rows_json([row]))[0]["detail"] == detail
 
 
@@ -498,6 +496,10 @@ def test_runconfig_validation():
                    {"alpha_grid": (1.0, math.nan)}):
         with pytest.raises(DomainError):
             RunConfig(**kwargs)
+    # a copy is checked as a new config is
+    for kwargs in ({"jobs": 0}, {"rtol": math.nan}):
+        with pytest.raises(DomainError):
+            RunConfig()._replace(**kwargs)
     report = run_verification(RunConfig(case_filter=("EX-1",)))
     with pytest.raises(DomainError):
         render_report(report, "yaml")

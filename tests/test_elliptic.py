@@ -113,8 +113,9 @@ def test_params_invariants_on_random_moduli():
 
 def test_nome():
     assert nome(1.0) == math.exp(-math.pi)
-    with pytest.raises(DomainError):
-        nome(0.0)
+    for alpha in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            nome(alpha)
 
 
 def test_complementary_modulus_near_one():

@@ -70,7 +70,7 @@ def test_extreme_alpha_gives_finite_bundles():
     # from the other, so every field stays finite and accurate
     for alpha in (0.05, 16.0, 20.0, 40.0, 80.0):
         ep = modulus_from_alpha(alpha)
-        assert all(math.isfinite(v) for v in vars(ep).values()), alpha
+        assert all(math.isfinite(v) for v in ep._asdict().values()), alpha
         assert abs(ep.big_k_prime / ep.big_k - alpha) <= 1e-13 * alpha
     ep = modulus_from_alpha(20.0)
     assert ep.k_prime == 1.0 and ep.log_k_prime < 0.0
@@ -145,7 +145,7 @@ def test_modulus_matches_mpmath():
                    "cn": mpmath.ellipfun("cn", 1j * big_k_prime / 3,
                                          m=k ** 2).real}
         ep = modulus_from_alpha(alpha)
-        got = dict(vars(ep), cn=cn_imag_third(ep))
+        got = dict(ep._asdict(), cn=cn_imag_third(ep))
         tol = max(1e-14, math.pi * t * sys.float_info.epsilon)
         for name, value in ref.items():
             assert abs(got[name] - value) <= tol * abs(value), (alpha, name)
