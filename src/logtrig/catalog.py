@@ -20,7 +20,7 @@ import cmath
 import itertools
 import math
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .elliptic import EllipticParams
 from .errors import AccuracyError, DomainError, SolverError
@@ -86,7 +86,7 @@ class IdentityCase(NamedTuple):
     # centres t_m lie in [lo, hi], as (t_m, d, residue); the engine
     # subtracts each one (see integrate_endpoint_oscillatory)
     tail_points: Callable[[Params], Callable | None] = lambda p: None
-    fixed_params: Mapping[str, float] = MappingProxyType({})  # read-only
+    fixed_params: MappingProxyType[str, float] = MappingProxyType({})
 
 
 class VerificationRow(NamedTuple):
@@ -722,7 +722,7 @@ def case_params(case: IdentityCase, params: Params) -> Params:
 
     Raises DomainError when the merged point lies outside the case domain.
     """
-    merged = dict(case.fixed_params)
+    merged = case.fixed_params.copy()  # dict() of a read-only mapping is slower
     merged.update(params)
     if not case.domain(merged):
         raise DomainError(f"{case.id}: parameters {merged} are outside the case domain")
