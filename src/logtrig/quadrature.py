@@ -297,6 +297,23 @@ _LATTICE_PERIOD = 2.5
 # 91,860 / 224,340; with none, 96,675 / 234,075.
 _INTERIOR_GRADING = (1.0, 0.0, -0.5)
 _EPS = sys.float_info.epsilon
+# The split of one integral's tolerance (tol, atol).  The interior panel
+# takes 0.4 of it.  Each tail chunk takes 0.2 of tol relative to its own
+# value, which shrinks by r per chunk, and 0.05 of atol, never below 1e-13
+# and 1e-17, where a chunk's panels reach their rounding floor.  A tail
+# closes once its bound plus its last chunk's estimate is below 0.25 of the
+# tolerance on the integral so far (floor 1e-16).  So the interior and one
+# close per end take 0.65 of a one-ended and 0.9 of a two-ended tolerance,
+# and the chunks, on their shrinking values, the rest.  The reported
+# estimate also carries every chunk's estimate times its Richardson weight,
+# which the stop test does not count, so it is not held to tol: it reaches
+# about 3.6 times tol on the default grid.  As in QUADPACK's QAWF every
+# part is charged to one total, and the caller checks that total against
+# its own tolerance.
+_INTERIOR_SHARE = 0.4
+_CHUNK_SHARE, _CHUNK_FLOOR = 0.2, 1e-13
+_CHUNK_ABS_SHARE, _CHUNK_ABS_FLOOR = 0.05, 1e-17
+_CLOSE_SHARE, _CLOSE_FLOOR = 0.25, 1e-16
 
 
 # Levels of the Richardson table that closes a periodic tail.
@@ -475,15 +492,15 @@ def integrate_endpoint_oscillatory(
         # w(x) depends only on map_kind, so either end's map serves
         interior = integrate_adaptive(
             maps[-1].interior(f), x_lo, x_hi,
-            tol=0.4 * tol, atol=0.4 * atol,
+            tol=_INTERIOR_SHARE * tol, atol=_INTERIOR_SHARE * atol,
             points=[p for p in x_cuts if x_lo < p < x_hi], limit=8192)
         pieces.append(interior.value)
         err_total += interior.error_estimate
         evaluations += interior.evaluations
         subdivisions += interior.subdivisions
 
-    chunk_tol = max(0.2 * tol, 1e-13)
-    chunk_atol = max(0.05 * atol, 1e-17)
+    chunk_tol = max(_CHUNK_SHARE * tol, _CHUNK_FLOOR)
+    chunk_atol = max(_CHUNK_ABS_SHARE * atol, _CHUNK_ABS_FLOOR)
     r = math.exp(-step)
     tail_gain = r / (1.0 - r)          # r + r^2 + ...: all later periods
     powers = [r ** k for k in range(_LEVELS + 2)]
@@ -505,7 +522,8 @@ def integrate_endpoint_oscillatory(
             evaluations += res.evaluations
             subdivisions += res.subdivisions
             running += res.value
-            stop_at = max(0.25 * atol, 0.25 * tol * abs(running), 1e-16)
+            stop_at = max(_CLOSE_SHARE * atol, _CLOSE_SHARE * tol * abs(running),
+                          _CLOSE_FLOOR)
             whole = t_next == t + step
             if whole and period is not None:
                 row = [running]

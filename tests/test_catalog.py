@@ -9,8 +9,8 @@ import random
 
 import pytest
 
-from logtrig import (AccuracyError, DomainError, case_by_id, catalog,
-                     contour_path_points, contour_trace, evaluate_lhs,
+from logtrig import (AccuracyError, DomainError, QuadratureResult, case_by_id,
+                     catalog, contour_path_points, contour_trace, evaluate_lhs,
                      evaluate_rhs, lambert_alternating, verify_case)
 from logtrig.catalog import ALPHA_GRID, PARAM_NAMES, lhs_key
 from logtrig.report import RunConfig, render_rows_json, run_verification
@@ -353,8 +353,8 @@ def test_default_sweep_payload_is_pinned(sweep):
     # records the old and the new hash in CHANGES.md.
     payload = render_rows_json(sweep.rows).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "447b2b5ca11a30403aba0f3459bc1ef480b0a3c6f3e1fb59f6d54c082d3dced9")
-    assert sum(row.evaluations for row in sweep.rows) == 84_795
+        "6a0feb30317b0ffa0ab85a74b8d04617606c78e0d8d79ff88bcee5e128708cd9")
+    assert sum(row.evaluations for row in sweep.rows) == 76_575
 
 
 # Off-grid points where the Kronrod estimate fell short of the error while
@@ -666,6 +666,35 @@ def test_s3_t6_closed_form_at_large_alpha():
     params = {"alpha": 9.492969004585527}
     lhs, _ = evaluate_lhs(case, params, rtol=1e-12, atol=1e-14)
     assert abs(evaluate_rhs(case, params) - lhs) <= 1e-13
+
+
+@pytest.mark.parametrize("scale, shift, status", [
+    (0.9, 0.0, "pass"), (1.1, 0.0, "error"), (1.1, 10.0, "fail")])
+def test_estimate_above_the_tolerance_is_no_pass(monkeypatch, scale, shift,
+                                                 status):
+    # A pass needs the quadrature estimate within the row tolerance as well
+    # as the error.  A row whose error is within it and whose estimate is
+    # not is an error row, not a fail, both for the row that integrated the
+    # lhs and for the row that reuses it with its own tolerance.
+    catalog_module = importlib.import_module("logtrig.catalog")
+    integrate = catalog_module.evaluate_lhs
+    tolerance = 1e-8 * abs(evaluate_rhs(case_by_id("T1-A"), {"alpha": 2.0}))
+
+    def patched(case, params, rtol=1e-8, atol=1e-10):
+        lhs, cost = integrate(case, params, rtol=rtol, atol=atol)
+        lhs += shift * tolerance
+        return lhs, QuadratureResult(lhs, scale * tolerance, cost.evaluations,
+                                     cost.subdivisions)
+
+    monkeypatch.setattr(catalog_module, "evaluate_lhs", patched)
+    owner, sharer = run_verification(RunConfig(case_filter=("T1-A", "T1-PA"),
+                                               alpha_grid=(2.0,))).rows
+    assert (owner.status, sharer.status) == (status, status)
+    assert owner.evaluations > 0 and sharer.evaluations == 0
+    if status == "error":
+        reason = f"error estimate {scale * tolerance:.3e} above the tolerance "
+        assert owner.detail.startswith(reason), owner.detail
+        assert sharer.detail.startswith("lhs of T1-A: " + reason), sharer.detail
 
 
 ALPHA_ONLY_CLOSED_FORMS = ("T1-PA", "T1-PB", "T4-PA", "T4-PB", "S3-T6",

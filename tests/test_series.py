@@ -5,7 +5,7 @@ import math
 import pytest
 
 import elliptic_oracle as oracle
-from logtrig import (DomainError, cn_imag_third, cosh_third_sum, gamma_fn,
+from logtrig import (AccuracyError, DomainError, cn_imag_third, cosh_third_sum, gamma_fn,
                      lambert_alternating, lambert_plain, modulus_from_alpha,
                      product_one_minus, product_one_plus, sinh2_sum_integer,
                      sinh2_sum_odd, sqrt2_cosh_sum_bilateral,
@@ -120,3 +120,11 @@ def test_gamma_domain():
 def test_series_reject_bad_alpha():
     with pytest.raises(DomainError):
         product_one_minus(-1.0)
+
+
+def test_product_past_its_term_limit_raises():
+    # at alpha = 1e-4 the factors 1 - exp(-2 pi alpha n) leave the summation
+    # floor only after about 62,000 terms
+    with pytest.raises(AccuracyError,
+                       match="product_one_minus did not converge in 20000 terms"):
+        product_one_minus(1e-4)

@@ -1,5 +1,6 @@
 """Modulus solver: inverting alpha = K'/K."""
 
+import importlib
 import math
 import random
 import sys
@@ -84,6 +85,21 @@ def test_underflowing_nome_is_refused():
             modulus_from_alpha(alpha)
     row = verify_case(case_by_id("T2"), {"alpha": 300.0})
     assert row.status == "error" and "underflows" in row.detail
+
+
+def test_agm_residual_refuses_a_wrong_modulus(monkeypatch):
+    # agm(1, k') / agm(1, k) = K'/K is the one independent check of a solve.
+    # Scaling agm(1, m) by 1 + 1e-10 m moves the ratio by about
+    # 1e-10 (k' - k) relative, far above the 1e-13 accepted, on either side
+    # of alpha = 1
+    solver = importlib.import_module("logtrig.solver")
+    agm = solver.agm
+    monkeypatch.setattr(solver, "agm", lambda a, b: agm(a, b) * (1.0 + 1e-10 * b))
+    for alpha in (0.5, 2.0):
+        with pytest.raises(SolverError, match="residual K'/K - alpha above 1e-13"):
+            modulus_from_alpha(alpha)
+    row = verify_case(case_by_id("T2"), {"alpha": 2.0})
+    assert row.status == "error" and row.detail.startswith("residual")
 
 
 def test_nome_route_matches_agm_oracle():
