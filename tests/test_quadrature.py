@@ -97,12 +97,13 @@ def test_adaptive_accepts_panels_narrower_than_float_spacing():
     assert info.value.error_estimate > 0.0
 
 
-def test_tail_still_growing_at_t_max_raises():
+def test_tail_unsettled_at_t_max_raises():
     # (2 cos x)^(-0.7) makes the tail integrand decay like e^(-0.3 t)/2, too
     # slowly for the geometric close, so the tail runs to t = 60 and the
     # value it has then misses the integral by exactly the rest of the tail
     exact = 2.0 ** -0.7 * math.sqrt(PI) / 2.0 * math.gamma(0.15) / math.gamma(0.65)
-    with pytest.raises(AccuracyError, match="oscillatory tail did not settle") as info:
+    with pytest.raises(AccuracyError,
+                       match="oscillatory tail did not settle") as info:
         integrate_endpoint_oscillatory(lambda x, w: math.exp(-0.7 * w), 0.0,
                                        PI / 2, "log-cos", ("upper",))
     assert abs(exact - info.value.best - math.exp(-0.3 * 60.0) / 0.6) < 1e-12

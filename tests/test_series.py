@@ -5,8 +5,9 @@ import math
 import pytest
 
 import elliptic_oracle as oracle
-from logtrig import (AccuracyError, DomainError, cn_imag_third, cosh_third_sum, gamma_fn,
-                     lambert_alternating, lambert_plain, modulus_from_alpha,
+from logtrig import (AccuracyError, DomainError, cn_imag_third,
+                     cosh_third_sum, gamma_fn, lambert_alternating,
+                     lambert_plain, modulus_from_alpha,
                      product_one_minus, product_one_plus, sinh2_sum_integer,
                      sinh2_sum_odd, sqrt2_cosh_sum_bilateral,
                      sqrt2_cosh_sum_odd)
