@@ -81,7 +81,10 @@ class IdentityCase(NamedTuple):
     rhs: Callable[[Params], float | complex]
     domain: Callable[[Params], bool]
     complex_valued: bool = False   # descriptive; complex values take one pass
-    interior_points: Callable[[Params], tuple[float, ...]] = lambda p: ()  # fixed in x
+    # extra interior cuts, fixed in x, where they save evaluations (only
+    # S3-T5A/B's pi/4): the engine already cuts at x(0), where w = 0, and
+    # bisection finds the kernels' dips and poles for less than a cut costs
+    interior_points: Callable[[Params], tuple[float, ...]] = lambda p: ()
     # None, or (end, lo, hi) -> the poles next to that end's path whose
     # centres t_m lie in [lo, hi], as (t_m, d, residue); the engine
     # subtracts each one (see integrate_endpoint_oscillatory)
@@ -152,13 +155,6 @@ def _theta_ok(p: Params) -> bool:
     """|theta| < pi/2, and the pole a - i theta does not sit on the path."""
     return (abs(p["theta"]) < PI / 2
             and abs(p["a"] - math.log(2.0 * math.cos(p["theta"]))) > 1e-9)
-
-
-def _denominator_dip(p: Params) -> tuple[float, ...]:
-    """x > 0 where log(2 cos x) = a, the closest approach of ix + w - a to 0."""
-    if p["a"] >= LN2:
-        return ()
-    return (math.acos(0.5 * math.exp(p["a"])),)
 
 
 # ---------------------------------------------------------------------------
@@ -506,15 +502,6 @@ def _im_f(p: Params):
     return f
 
 
-def _grid_dip_points(p: Params) -> tuple[float, ...]:
-    pts = _denominator_dip(p)
-    return pts + tuple(-x for x in pts)
-
-
-def _theta_pole_points(p: Params) -> tuple[float, ...]:
-    return (-p["theta"],)
-
-
 # The four paths, as (interval, map_kind, osc_ends): log cos on (0, pi/2)
 # and on (-pi/2, pi/2), log sin on (0, pi), log sin(x/2) on (0, 2 pi).  The
 # log-trig value diverges at exactly the ends listed.
@@ -536,22 +523,21 @@ def _add(id: str, description: str, path: tuple, param_kind: str, freq: float,
 _add("INTRO-1", "log of x^2 + (log(2 cos x) - a)^2 on (0, pi/2)", _COS_HALF,
      "a", 0.0, _intro1_f,
      lambda p: PI * math.log(p["a"] / math.expm1(min(p["a"], LN2))),
-     _a_ok, interior_points=_denominator_dip)
+     _a_ok)
 
 _add("INTRO-2", "same log kernel weighted by cos 2x", _COS_HALF, "a", 0.0,
      _intro2_f,
      lambda p: 0.5 * PI * (1.0 - 1.0 / p["a"] - math.exp(min(p["a"], LN2))
                            + 1.0 / math.expm1(min(p["a"], LN2))),
-     _a_ok, interior_points=_denominator_dip)
+     _a_ok)
 
 _add("INTRO-3", "x sin 2x over the squared-distance kernel", _COS_HALF, "a",
      0.0, _intro3_f, lambda p: 0.25 * PI * _sine_kernel_s(p["a"]),
-     _a_ok, interior_points=_denominator_dip)
+     _a_ok)
 
 _add("INTRO-4", "binomial weight (1+e^{2ix})^gamma over the pole kernel",
      _COS_FULL, "a-gamma", 0.0, _intro4_f, _intro4_rhs,
-     lambda p: _a_ok(p) and p["gamma"] >= 0.0, complex_valued=True,
-     interior_points=_grid_dip_points)
+     lambda p: _a_ok(p) and p["gamma"] >= 0.0, complex_valued=True)
 
 _add("T1-A", "log(cosh(x/a) - cos(log(2cos x)/a)) vs eta-type closed form",
      _COS_HALF, "alpha", 1.0, _t1a_f, _t1a_rhs, _alpha_above(LN2 / (2.0 * PI)))
@@ -571,7 +557,7 @@ _add("T2", "half-frequency cosh cos kernel vs pi(alpha+2)/8 - alpha K/4",
 _add("SINE", "i times the sin 2x pole-kernel integral (parity-real)",
      _COS_FULL, "a", 0.0, _sine_f,
      lambda p: complex(0.5 * PI * _sine_kernel_s(p["a"]), 0.0),
-     _a_ok, complex_valued=True, interior_points=_grid_dip_points)
+     _a_ok, complex_valued=True)
 
 _add("SINE0", "the a = 0 sin 2x pole-kernel value 13 pi/24", _COS_FULL,
      "fixed", 0.0, _sine_f, lambda p: complex(13.0 * PI / 24.0, 0.0),
@@ -584,8 +570,7 @@ _add("T3-B", "sin 2x sinh kernel over cosh + cos", _COS_HALF, "alpha", 1.0,
      _t3b_f, _t3b_rhs, _alpha_above(LN2 / PI))
 
 _add("COS", "cos 2x pole-kernel integral with Heaviside switch", _COS_FULL,
-     "a", 0.0, _cos_f, _cos_rhs, _a_ok, complex_valued=True,
-     interior_points=_grid_dip_points)
+     "a", 0.0, _cos_f, _cos_rhs, _a_ok, complex_valued=True)
 
 _add("T4-A", "cos 2x sin(log-term) kernel over cosh - cos", _COS_HALF,
      "alpha", 1.0, _t4a_f, _t4a_rhs, _alpha_above(LN2 / (2.0 * PI)))
@@ -608,15 +593,13 @@ _add("S3-T5B", "same kernel over cosh + cos, sqrt(2+2/k) closed form", _SIN,
      interior_points=lambda p: (PI / 4.0,))
 
 _add("S3-T6", "sinh((pi-6x)/2a) kernel, cn(i K'/3, k) closed form", _SIN,
-     "alpha", 3.0, _t6_f, _t6_rhs, _alpha_above(0.0),
-     interior_points=lambda p: (PI / 6.0,))
+     "alpha", 3.0, _t6_f, _t6_rhs, _alpha_above(0.0))
 
 _add("S3-T7", "arctan(tanh/cot) kernel weighted by cos x on (0, 2 pi)",
      _SIN_HALF, "alpha", 1.5, _t7_f, _t7_rhs, _alpha_above(3.0 * LN2 / PI))
 
 _add("THETA2", "cos 2x kernel with shifted pole i(x+theta) - a", _COS_FULL,
-     "a-theta", 0.0, _theta2_f, _theta2_rhs, _theta_ok, complex_valued=True,
-     interior_points=_theta_pole_points)
+     "a-theta", 0.0, _theta2_f, _theta2_rhs, _theta_ok, complex_valued=True)
 
 _add("EX-1", "log(cosh + cos) at alpha = sqrt(3), gamma-free value", _COS_HALF,
      "fixed", 1.0, _t1b_f,
@@ -634,8 +617,7 @@ _add("EX-3", "cn(i K'/3) kernel at alpha = sqrt(3), Gamma(1/3) value", _SIN,
      "fixed", 3.0, _t6_f,
      lambda p: (gamma_fn(1.0 / 3.0) ** 3 / (2.0 ** (10.0 / 3.0) * PI)
                 - PI * math.tanh(0.5 * PI / SQRT3)),
-     lambda p: True, fixed_params=MappingProxyType({"alpha": SQRT3}),
-     interior_points=lambda p: (PI / 6.0,))
+     lambda p: True, fixed_params=MappingProxyType({"alpha": SQRT3}))
 
 _add("DISC-CONTOUR", "parametrized contour integral of the half-frequency kernel",
      _COS_FULL, "alpha", 0.5, _contour_f, _t2_rhs, _alpha_above(LN2 / PI),
@@ -680,12 +662,10 @@ _add("DISC-P4", "sinh(x/a)/(cosh + cos) on (0, pi), tanh closed form", _SIN,
 _add("DISC-IM", "sinh/cosh roles of x and the log term exchanged", _COS_HALF,
      "alpha", 0.0, _im_f, lambda p: 0.5 * PI * p["alpha"],
      lambda p: p["alpha"] > 0.0
-     and _not_near_integer(1.0 / (6.0 * p["alpha"]), 1, 1),
-     interior_points=lambda p: (PI / 3.0,))
+     and _not_near_integer(1.0 / (6.0 * p["alpha"]), 1, 1))
 
 _add("APPA", "pole kernel 1/(i(x+theta) - a + log(2cos x))", _COS_FULL,
-     "a-theta", 0.0, _appa_f, _appa_rhs, _theta_ok, complex_valued=True,
-     interior_points=_theta_pole_points)
+     "a-theta", 0.0, _appa_f, _appa_rhs, _theta_ok, complex_valued=True)
 
 _CASE_MAP = {c.id: c for c in _CASES}
 

@@ -191,7 +191,7 @@ def test_sweep_integrates_each_shared_lhs_once():
             alone.lhs, alone.rhs, alone.abs_err, alone.status), row
         groups.setdefault(lhs_key(case, row.params), []).append(row)
     # five kernels at three alphas; EX-1, EX-2 and EX-3 join the alpha
-    # cases' groups, EX-3 although its interior point is a lambda of its own
+    # cases' groups
     assert len(report.rows) == 27 and len(groups) == 15
     assert len(groups[lhs_key(case_by_id("EX-3"), {})]) == 2
     for rows in groups.values():
@@ -353,8 +353,8 @@ def test_default_sweep_payload_is_pinned(sweep):
     # records the old and the new hash in CHANGES.md.
     payload = render_rows_json(sweep.rows).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "6a0feb30317b0ffa0ab85a74b8d04617606c78e0d8d79ff88bcee5e128708cd9")
-    assert sum(row.evaluations for row in sweep.rows) == 76_575
+        "121d945cbc947c2d791be4f4621f78d3097924f52285e4a09d1c6e912d0f8dca")
+    assert sum(row.evaluations for row in sweep.rows) == 76_080
 
 
 # Off-grid points where the Kronrod estimate fell short of the error while

@@ -164,6 +164,30 @@ def test_table_complex_cell_reads_a_plus_bj():
     assert complex(cell) == pytest.approx(lhs, rel=1e-9)
 
 
+def test_table_parity_real_cell_reads_as_real(capsys):
+    # SINE's value is i times a real integral: a complex row whose imaginary
+    # part is zero to rounding shows its real part alone
+    assert isinstance(logtrig.evaluate_rhs(logtrig.case_by_id("SINE"),
+                                           {"a": 0.3}), complex)
+    assert main(["verify", "--case", "SINE", "--a", "0.3", "--jobs", "1"]) == 0
+    cells = capsys.readouterr().out.splitlines()[1].split()
+    assert cells[2:4] == ["2.250665999", "2.250665999"]
+
+
+def test_skipped_and_error_rows_render_empty_cells(capsys):
+    # a row without values shows "-" in the table and empty CSV cells
+    assert main(["verify", "--case", "T1-B", "--alpha", "0.2,1",
+                 "--jobs", "1"]) == 0
+    skipped = capsys.readouterr().out.splitlines()[1].split()
+    assert skipped == ["T1-B", "alpha=0.2", "-", "-", "-", "skipped", "0"]
+    # T2's nome underflows at alpha = 300: an error row
+    assert main(["verify", "--case", "T2", "--alpha", "300", "--format", "csv",
+                 "--jobs", "1"]) == 3
+    (cells,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert [cells[k] for k in ("lhs", "rhs", "abs_err", "rel_err")] == [""] * 4
+    assert (cells["pass"], cells["evaluations"]) == ("error", "0")
+
+
 def test_eval_fixed_case(capsys):
     assert main(["eval", "EX-1"]) == 0
     out = capsys.readouterr().out
@@ -196,6 +220,18 @@ def test_eval_at_a_tight_tolerance_reaches_a_verdict(capsys):
 
 def test_eval_missing_parameter(capsys):
     assert main(["eval", "T2"]) == 2
+
+
+def test_eval_closed_form_failure_runs_no_quadrature(monkeypatch, capsys):
+    # below alpha = 0.002 S3-T6's closed-form sum runs past its term limit;
+    # the row is an error before the integral is asked for
+    def no_lhs(*args, **kwargs):
+        raise AssertionError("the quadrature side ran")
+
+    monkeypatch.setattr(sys.modules["logtrig.catalog"], "evaluate_lhs", no_lhs)
+    assert main(["eval", "S3-T6", "--alpha", "0.0005"]) == 3
+    out = capsys.readouterr().out
+    assert "evaluation failed: " in out and "did not converge" in out
 
 
 @pytest.mark.parametrize("argv, flag", (
@@ -263,6 +299,11 @@ def test_verify_rejects_non_finite_value(capsys):
     assert main(["verify", "--case", "DISC-P1", "--a", "inf",
                  "--format", "json", "--jobs", "1"]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_verify_rejects_an_unparsable_value(capsys):
+    assert main(["verify", "--case", "T2", "--alpha", "abc", "--jobs", "1"]) == 2
+    assert "cannot parse numeric value 'abc'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, text", (

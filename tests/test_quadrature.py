@@ -8,9 +8,10 @@ import pytest
 
 from elliptic_oracle import tanh_sinh
 from logtrig import (AccuracyError, DomainError, QuadratureResult, case_by_id,
-                     evaluate_lhs, integrate_adaptive,
+                     catalog, evaluate_lhs, integrate_adaptive,
                      integrate_endpoint_oscillatory)
 from logtrig import quadrature
+from logtrig.catalog import default_params_grid
 from logtrig.quadrature import _WG, _WGK, _XGK, _EndpointMap, _qk15
 
 PI = math.pi
@@ -372,6 +373,33 @@ def test_interior_panel_is_graded_toward_each_split(monkeypatch, case_id, alpha,
     if evaluations is not None:
         assert res.subdivisions == 0
         assert res.evaluations == evaluations
+
+
+def test_interior_cuts_are_distinct(monkeypatch):
+    # a case's cut within rounding of an engine cut (pi/3 lies one ulp below
+    # the grading cut x(0) = acos(1/2)) leaves a panel about 1e-16 wide,
+    # which costs 15 evaluations and resolves nothing
+    interior = []
+    real = quadrature.integrate_adaptive
+
+    def spy(f, a, b, *args, points=(), **kwargs):
+        if kwargs["limit"] == 8192:
+            interior.append(sorted({a, b, *points}))
+        return real(f, a, b, *args, points=points, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate_adaptive", spy)
+    checked = 0
+    for case in catalog():
+        for params in default_params_grid(case):
+            if not case.domain({**case.fixed_params, **params}):
+                continue
+            interior.clear()
+            evaluate_lhs(case, params)
+            for edges in interior:
+                closest = min(hi - lo for lo, hi in zip(edges, edges[1:]))
+                assert closest > 1e-9, (case.id, params, closest)
+                checked += 1
+    assert checked > 200
 
 
 @pytest.mark.parametrize("map_kind, ends", [
