@@ -716,17 +716,19 @@ def check_tolerances(rtol: float, atol: float) -> None:
                           f"got {rtol} and {atol}")
 
 
-# Share of the row tolerance that ``evaluate_lhs`` asks the quadrature for
-# (floors 5e-13 and 5e-15).  The quadrature's estimate can exceed what it
-# was asked, so ``verify_case`` holds it to the row tolerance.
-# Default-sweep / offgrid-alpha (seed 1) evaluations at a share of 0.02:
-# 84,795 / 208,140; 0.1: 76,575 / 187,155; 0.15: 74,730 / 182,430; 0.25:
-# 71,880 / 175,905.  At 0.1 the largest estimate is 0.36 of its row
-# tolerance on the default grid (0.12 at rtol 1e-6) and 0.55 at the seed-1
-# off-grid alphas.  From 0.15 on, DISC-P4 at alpha = 0.0020000663746739303
-# has an error of 1.95e-9 against an estimate of 1.55e-9, where the
-# Richardson close at r near 1 has not settled; at 0.25, DISC-P3 at
-# alpha = 1.166 has an estimate above its row tolerance.
+# Share of the requested tolerance that ``evaluate_lhs`` asks the
+# quadrature for (floors 5e-13 and 5e-15).  ``verify_case`` requests its row
+# tolerance as one absolute budget (rtol 0), so the quadrature gets 0.1 of
+# it as atol and the relative floor as tol.  The quadrature's estimate can
+# exceed what it was asked, so ``verify_case`` holds it to the row
+# tolerance.  Default-sweep / offgrid-alpha (seed 1) evaluations at a
+# share of 0.1: 70,440 / 170,355; 0.15: 69,075 / 166,575; 0.2: 68,145 /
+# 163,710 (84,795 / 208,140 at 0.02, when each row asked for its rtol and
+# atol).  The share stays 0.1 for the decay-only tails with a kernel
+# feature at t = |a| (ROADMAP item 3): over 40 seeded a in [-25, 25] per a,
+# a-theta and a-gamma case, 0.15 adds a miss, INTRO-2 at a = -19.6 with an
+# error 3.55 times its estimate, and 0.2 fails DISC-P1 at a = 12.5 (error
+# 5.7e-6).
 _QUADRATURE_SHARE = 0.1
 
 
@@ -778,10 +780,11 @@ def verify_case(case: IdentityCase, params: Params,
                 shared: dict | None = None) -> VerificationRow:
     """Check one (case, parameter) pair; numerics failures become error rows.
 
-    A row passes when both |lhs - rhs| and the quadrature's error estimate
-    are within max(atol, rtol |rhs|).  It fails when |lhs - rhs| is not; a
-    row whose estimate alone exceeds the tolerance is an error row whose
-    detail names the estimate and the tolerance.
+    The lhs is asked for the row tolerance max(atol, rtol |rhs|) as one
+    absolute budget.  A row passes when both |lhs - rhs| and the
+    quadrature's error estimate are within it.  It fails when |lhs - rhs|
+    is not; a row whose estimate alone exceeds the tolerance is an error
+    row whose detail names the estimate and the tolerance.
 
     Rows whose points share one ``lhs_key`` may pass one ``shared`` dict.
     The first of them to need the integral computes it and leaves its
@@ -793,12 +796,13 @@ def verify_case(case: IdentityCase, params: Params,
         rhs = evaluate_rhs(case, params)
     except _NUMERIC_ERRORS as exc:
         return _error_row(case, params, getattr(exc, "evaluations", 0), exc)
+    tolerance = max(atol, rtol * abs(rhs))
     if shared:
         lhs, estimate, failure, owner = shared["lhs"]
         evaluations, detail = 0, f"lhs of {owner}"
     else:
         try:
-            lhs, cost = evaluate_lhs(case, params, rtol=rtol, atol=atol)
+            lhs, cost = evaluate_lhs(case, params, rtol=0.0, atol=tolerance)
             estimate, failure = cost.error_estimate, None
             evaluations, detail = cost.evaluations, ""
         except _NUMERIC_ERRORS as exc:
@@ -810,7 +814,6 @@ def verify_case(case: IdentityCase, params: Params,
         return _error_row(case, params, evaluations, failure)
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / abs(rhs) if rhs != 0 else abs_err
-    tolerance = max(atol, rtol * abs(rhs))
     if abs_err <= tolerance < estimate:
         # within tolerance, but the estimate cannot show it: neither a pass
         # nor a fail

@@ -12,12 +12,13 @@ Two engines cooperate here:
   dependence on the log term becomes exactly periodic in t.  Every tail
   starts at t = 2, so no panel in x comes closer to a singular end than
   e^{-2}/2, and the interior panel is cut at x(1), x(0) and x(-0.5),
-  geometrically graded toward that end.  The tail is summed period by
-  period, as QUADPACK's QAWF sums cycle by cycle; a period of at least 2.5
-  also cuts each chunk at its quarter periods.  Chunk n of a periodic tail
-  sums to a_1 r^n + a_2 r^{2n} + ..., r = exp(-period), so a Richardson
-  table with the known ratios r, r^2, r^3 extrapolates the partial sums,
-  and the tail closes at the first level whose bound is below tolerance.
+  geometrically graded toward that end.  The tail is summed in chunks of
+  whole periods, at least 0.5 long in t, as QUADPACK's QAWF sums cycle by
+  cycle; a period of at least 2.5 also cuts each chunk at its quarter
+  periods.  Chunk n of a periodic tail sums to a_1 r^n + a_2 r^{2n} + ...,
+  r = exp(-step), so a Richardson table with the known ratios r, r^2, r^3
+  extrapolates the partial sums, and the tail closes at the first level
+  whose bound is below tolerance.
   A tail that decays without oscillating closes with its geometric
   remainder.
   A pole that the caller declares next to the path, with its residue, is
@@ -269,8 +270,19 @@ _T_MAX = 60.0
 # 0.5, 1 and 2: default-sweep 96,855, 96,855, 96,675 and 96,675 evaluations,
 # offgrid-alpha (seed 1) 237,225, 235,845, 234,075 and 234,015; over 102
 # seeded alphas in [0.004, 0.3], DISC-P3/P4 took 523,215, 399,825, 350,100
-# and 349,815, with 4, 3, 0 and 0 estimates above the row tolerance.
+# and 349,815, with 4, 3, 0 and 0 estimates above the row tolerance.  A
+# reach of one period instead of one step of several periods took DISC-P3
+# over 20 seeded alphas in [0.002, 0.1] from 24,270 to 44,805 evaluations.
 _POLE_REACH = 1.0
+# Shortest chunk of a periodic tail: a chunk spans the fewest whole periods
+# that reach this far in t, so r = exp(-step) <= e^{-0.5} and the Richardson
+# weights stay below about 5; one-period chunks at a period of 0.025 (DISC-P3
+# at alpha = 0.004) gave weights of about 10^4, and S3-T6 over 30 alphas in
+# [0.001, 0.0045] took 928,275 evaluations instead of 25,080.  Default-sweep
+# / offgrid-alpha (seed 1) evaluations at a shortest chunk of 0.25, 0.5,
+# 0.75, 1, 2 and 3: 70,500 / 170,535, 70,440 / 170,355, 70,485 / 170,685,
+# 70,635 / 171,420, 71,580 / 174,840 and 72,660 / 181,020.
+_MIN_STEP = 0.5
 # Floor of a tail chunk's absolute tolerance, in ulps of the integral so
 # far.  Below a few dozen ulps a chunk's Kronrod estimate is rounding
 # noise: a chunk of DISC-P4 at alpha = 6.56 and rtol 1e-10 stopped
@@ -298,21 +310,24 @@ _LATTICE_PERIOD = 2.5
 _INTERIOR_GRADING = (1.0, 0.0, -0.5)
 _EPS = sys.float_info.epsilon
 # The split of one integral's tolerance (tol, atol).  The interior panel
-# takes 0.4 of it.  Each tail chunk takes 0.2 of tol relative to its own
-# value, which shrinks by r per chunk, and 0.05 of atol, never below 1e-13
-# and 1e-17, where a chunk's panels reach their rounding floor.  A tail
+# takes 0.4 of it and each tail chunk 0.2, never below 1e-13 relative and
+# 1e-17 absolute, where a chunk's panels reach their rounding floor.  A tail
 # closes once its bound plus its last chunk's estimate is below 0.25 of the
-# tolerance on the integral so far (floor 1e-16).  So the interior and one
-# close per end take 0.65 of a one-ended and 0.9 of a two-ended tolerance,
-# and the chunks, on their shrinking values, the rest.  The reported
-# estimate also carries every chunk's estimate times its Richardson weight,
-# which the stop test does not count, so it is not held to tol: it reaches
-# about 3.6 times tol on the default grid.  As in QUADPACK's QAWF every
-# part is charged to one total, and the caller checks that total against
-# its own tolerance.
+# tolerance on the integral so far (floor 1e-16).  A caller that knows its
+# target asks for it in atol, with tol at a floor, as ``verify_case`` does:
+# then the interior, every chunk and every close are charged to that one
+# number, as in QUADPACK's QAWF, and not to their own values, which the
+# tails' cancellation can leave far below the total.  Default-sweep /
+# offgrid-alpha (seed 1) evaluations: 76,080 / 186,255 with the row
+# tolerance asked relative to each part and a chunk share of 0.05 of atol;
+# 70,440 / 170,355 with one absolute budget.  The reported estimate also
+# carries every chunk's estimate times its Richardson weight, which the
+# stop test does not count: asked relative to each part, it reached 3.6
+# (default grid) and 5.5 (offgrid) times the request on DISC-P3 and
+# DISC-L2; under one absolute budget it reaches at most 0.63 and 0.79
+# times it.  The caller still checks the total against its own tolerance.
 _INTERIOR_SHARE = 0.4
-_CHUNK_SHARE, _CHUNK_FLOOR = 0.2, 1e-13
-_CHUNK_ABS_SHARE, _CHUNK_ABS_FLOOR = 0.05, 1e-17
+_CHUNK_SHARE, _CHUNK_FLOOR, _CHUNK_ABS_FLOOR = 0.2, 1e-13, 1e-17
 _CLOSE_SHARE, _CLOSE_FLOOR = 0.25, 1e-16
 
 
@@ -418,8 +433,13 @@ def integrate_endpoint_oscillatory(
     ``_INTERIOR_GRADING`` (1, 0 and -0.5), about one e-fold apart in
     distance to the singular end, so that bisection does not grade toward
     it by computing panels only to throw them away.  One tail chunk spans
-    one ``period`` (a step of 2 when it is None: a tail that decays without
-    oscillating), and r = exp(-step).
+    the fewest whole periods that reach ``_MIN_STEP`` (0.5) in t, a step of
+    2 when ``period`` is None (a tail that decays without oscillating), and
+    r = exp(-step) <= e^{-0.5}.  The interior, each chunk and each close
+    take their share of max(atol, tol |value|), the value being their own
+    or the integral's so far; a caller that knows its target asks for it in
+    ``atol`` with ``tol`` at a floor, and every part is then charged to
+    that one number.
 
     In a periodic tail the integrand in t is a sum of e^{-kt} p_k(t), each
     p_k periodic, so whole chunks sum to S_n = sum_k a_k r^(kn).  The
@@ -457,7 +477,7 @@ def integrate_endpoint_oscillatory(
     maps = [_EndpointMap.at(map_kind, end) for end in ends]
     quarter = (period / 4.0 if period is not None and period >= _LATTICE_PERIOD
                else None)
-    step = period if period is not None else 2.0
+    step = period * math.ceil(_MIN_STEP / period) if period is not None else 2.0
     reach = _POLE_REACH * step
     poles = tail_points or (lambda end, lo, hi: ())
 
@@ -500,9 +520,9 @@ def integrate_endpoint_oscillatory(
         subdivisions += interior.subdivisions
 
     chunk_tol = max(_CHUNK_SHARE * tol, _CHUNK_FLOOR)
-    chunk_atol = max(_CHUNK_ABS_SHARE * atol, _CHUNK_ABS_FLOOR)
+    chunk_atol = max(_CHUNK_SHARE * atol, _CHUNK_ABS_FLOOR)
     r = math.exp(-step)
-    tail_gain = r / (1.0 - r)          # r + r^2 + ...: all later periods
+    tail_gain = r / (1.0 - r)          # r + r^2 + ...: all later chunks
     powers = [r ** k for k in range(_LEVELS + 2)]
     weights = _richardson_weights(powers)
     for end, emap, t in zip(ends, maps, starts):
