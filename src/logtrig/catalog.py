@@ -2,9 +2,11 @@
 
 A case owns its integrand (as a function of x and the log-trig value w, so
 the endpoint transform can feed exact pairs), the interval and endpoint
-maps, a domain predicate, and the closed-form evaluator.  Denominators of
-the form cosh(u) +/- cos(v) are computed as 2*(sinh(u/2)^2 + cos/sin(v/2)^2),
-which cannot lose precision or hit an accidental zero near the tail spikes.
+maps, a domain predicate, and the closed-form evaluator.  Each kernel writes
+its denominator cosh(u) -/+ cos(v) inline as 2*(sinh(u/2)^2 + sin/cos(v/2)^2),
+which cannot lose precision or hit an accidental zero near the tail spikes,
+or, where u grows large, as expm1(-u)^2 + 4 e^{-u} sin/cos(v/2)^2 = 2 e^{-u}
+(cosh(u) -/+ cos(v)), with the numerator scaled alike.
 
 Domain notes.  The arctan kernel on (0, 2*pi) needs every jump level
 2 sin(x/2) = exp((2m+1) pi alpha / 3), m >= 0, to lie above 2, hence
@@ -19,6 +21,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from functools import partial
 from types import MappingProxyType
 from typing import Callable, NamedTuple, Sequence
 
@@ -105,28 +108,7 @@ class VerificationRow(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# numerically stable building blocks
-
-def cosh_minus_cos(u: float, v: float) -> float:
-    """cosh(u) - cos(v) without cancellation near u = 0, v = pi (mod 2 pi)."""
-    return 2.0 * (math.sinh(0.5 * u) ** 2 + math.sin(0.5 * v) ** 2)
-
-
-def cosh_plus_cos(u: float, v: float) -> float:
-    """cosh(u) + cos(v) as a sum of squares."""
-    return 2.0 * (math.sinh(0.5 * u) ** 2 + math.cos(0.5 * v) ** 2)
-
-
-def scaled_cosh_minus_cos(u: float, v: float) -> float:
-    """2 e^{-u} (cosh(u) - cos(v)) for u >= 0: the kernels that divide by it
-    scale their numerator alike, so neither side overflows at large u."""
-    return math.expm1(-u) ** 2 + 4.0 * math.exp(-u) * math.sin(0.5 * v) ** 2
-
-
-def scaled_cosh_plus_cos(u: float, v: float) -> float:
-    """2 e^{-u} (cosh(u) + cos(v)) for u >= 0, scaled as above."""
-    return math.expm1(-u) ** 2 + 4.0 * math.exp(-u) * math.cos(0.5 * v) ** 2
-
+# building blocks
 
 def _sine_kernel_s(a: float) -> float:
     """1/a^2 + e^b - e^b/(e^b - 1)^2 with b = min(a, ln 2)."""
@@ -196,44 +178,48 @@ def _intro4_rhs(p: Params) -> complex:
     return complex(value, 0.0)
 
 
-# Each T-kernel family divides by den(u, v) = cosh(u) -/+ cos(v); the "a"
-# member takes cosh_minus_cos and the "b" member cosh_plus_cos.
+# Each T-kernel family divides by cosh(u) -/+ cos(v), written as 2
+# (sinh(u/2)^2 + trig(v/2)^2): the "a" member takes trig = sin, the "b" cos.
 
-def _t1_f(den: Callable[[float, float], float]):
-    def integrand(p: Params):
-        al = p["alpha"]
-        return lambda x, w: math.log(den(x / al, w / al))
-    return integrand
-
-
-def _t3_f(den: Callable[[float, float], float]):
-    def integrand(p: Params):
-        al = p["alpha"]
-        return lambda x, w: (math.sin(2.0 * x) * math.sinh(x / al)
-                             / den(x / al, w / al))
-    return integrand
+def _t1_f(trig: Callable[[float], float], p: Params):
+    al, log, sinh = p["alpha"], math.log, math.sinh
+    return lambda x, w: log(2.0 * (sinh(0.5 * (x / al)) ** 2
+                                   + trig(0.5 * (w / al)) ** 2))
 
 
-def _t4_f(den: Callable[[float, float], float]):
-    def integrand(p: Params):
-        al = p["alpha"]
-        return lambda x, w: (math.cos(2.0 * x) * math.sin(w / al)
-                             / den(x / al, w / al))
-    return integrand
+def _t3_f(trig: Callable[[float], float], p: Params):
+    al, sin, sinh = p["alpha"], math.sin, math.sinh
+
+    def f(x: float, w: float) -> float:
+        u = x / al
+        return (sin(2.0 * x) * sinh(u)
+                / (2.0 * (sinh(0.5 * u) ** 2 + trig(0.5 * (w / al)) ** 2)))
+    return f
 
 
-def _t5_f(den: Callable[[float, float], float]):
-    def integrand(p: Params):
-        al = p["alpha"]
-        return lambda x, w: (math.sinh((4.0 * x - PI) / al)
-                             / den((4.0 * x - PI) / al, 4.0 * w / al))
-    return integrand
+def _t4_f(trig: Callable[[float], float], p: Params):
+    al, sin, cos, sinh = p["alpha"], math.sin, math.cos, math.sinh
+
+    def f(x: float, w: float) -> float:
+        v = w / al
+        return (cos(2.0 * x) * sin(v)
+                / (2.0 * (sinh(0.5 * (x / al)) ** 2 + trig(0.5 * v) ** 2)))
+    return f
 
 
-_t1a_f, _t1b_f = _t1_f(cosh_minus_cos), _t1_f(cosh_plus_cos)
-_t3a_f, _t3b_f = _t3_f(cosh_minus_cos), _t3_f(cosh_plus_cos)
-_t4a_f, _t4b_f = _t4_f(cosh_minus_cos), _t4_f(cosh_plus_cos)
-_t5a_f, _t5b_f = _t5_f(cosh_minus_cos), _t5_f(cosh_plus_cos)
+def _t5_f(trig: Callable[[float], float], p: Params):
+    al, sinh = p["alpha"], math.sinh
+
+    def f(x: float, w: float) -> float:
+        u = (4.0 * x - PI) / al
+        return sinh(u) / (2.0 * (sinh(0.5 * u) ** 2 + trig(0.5 * (4.0 * w / al)) ** 2))
+    return f
+
+
+_t1a_f, _t1b_f = partial(_t1_f, math.sin), partial(_t1_f, math.cos)
+_t3a_f, _t3b_f = partial(_t3_f, math.sin), partial(_t3_f, math.cos)
+_t4a_f, _t4b_f = partial(_t4_f, math.sin), partial(_t4_f, math.cos)
+_t5a_f, _t5b_f = partial(_t5_f, math.sin), partial(_t5_f, math.cos)
 
 
 def _t1a_rhs(p: Params) -> float:
@@ -262,9 +248,10 @@ def _t1pb_rhs(p: Params) -> float:
 
 
 def _t2_f(p: Params):
-    al = p["alpha"]
-    return lambda x, w: (math.cosh(0.5 * x / al) * math.cos(0.5 * w / al)
-                         / cosh_plus_cos(x / al, w / al))
+    al, cos, cosh, sinh = p["alpha"], math.cos, math.cosh, math.sinh
+    return lambda x, w: (cosh(0.5 * x / al) * cos(0.5 * w / al)
+                         / (2.0 * (sinh(0.5 * (x / al)) ** 2
+                                   + cos(0.5 * (w / al)) ** 2)))
 
 
 def _t2_rhs(p: Params) -> float:
@@ -354,12 +341,14 @@ def _t5b_rhs(p: Params) -> float:
 def _t6_f(p: Params):
     # sinh(s)/(cosh(s) + cos(v)) with s = (pi - 6x)/2 alpha, both sides
     # scaled by 2 e^{-|s|} as in _im_f
-    al = p["alpha"]
+    al, two_al = p["alpha"], 2.0 * p["alpha"]
+    cos, exp, expm1, copysign = math.cos, math.exp, math.expm1, math.copysign
 
     def f(x: float, w: float) -> float:
-        s = (PI - 6.0 * x) / (2.0 * al)
-        return (math.copysign(-math.expm1(-2.0 * abs(s)), s)
-                / scaled_cosh_plus_cos(abs(s), 3.0 * w / al))
+        s = (PI - 6.0 * x) / two_al
+        u = abs(s)
+        return (copysign(-expm1(-2.0 * u), s)
+                / (expm1(-u) ** 2 + 4.0 * exp(-u) * cos(0.5 * (3.0 * w / al)) ** 2))
 
     return f
 
@@ -426,17 +415,19 @@ def _contour_f(p: Params):
     return f
 
 
-def _l_f(den: Callable[[float, float], float]):
-    # den is the scaled 2 e^{-u} (cosh(u) -/+ cos(v)), so neither side
-    # overflows at small alpha
-    def integrand(p: Params):
-        al = p["alpha"]
-        return lambda x, w: (2.0 * math.exp(-x / al) * math.sin(w / al)
-                             / den(x / al, w / al))
-    return integrand
+def _l_f(trig: Callable[[float], float], p: Params):
+    # sin(v)/(cosh(u) -/+ cos(v)) for trig = sin/cos, u = x/alpha, v = w/alpha,
+    # both sides scaled by 2 e^{-u} so that neither overflows at small alpha
+    al, sin, exp, expm1 = p["alpha"], math.sin, math.exp, math.expm1
+
+    def f(x: float, w: float) -> float:
+        u, v = x / al, w / al
+        e = exp(-u)
+        return 2.0 * e * sin(v) / (expm1(-u) ** 2 + 4.0 * e * trig(0.5 * v) ** 2)
+    return f
 
 
-_l1_f, _l2_f = _l_f(scaled_cosh_minus_cos), _l_f(scaled_cosh_plus_cos)
+_l1_f, _l2_f = partial(_l_f, math.sin), partial(_l_f, math.cos)
 
 
 def _p1_f(p: Params):
@@ -450,8 +441,14 @@ def _p2_f(p: Params):
 
 
 def _p4_f(p: Params):
-    al = p["alpha"]
-    return lambda x, w: -math.expm1(-2.0 * x / al) / scaled_cosh_plus_cos(x / al, w / al)
+    # sinh(u)/(cosh(u) + cos(v)), u = x/alpha, scaled by 2 e^{-u} as in _l_f
+    al, cos, exp, expm1 = p["alpha"], math.cos, math.exp, math.expm1
+
+    def f(x: float, w: float) -> float:
+        u = x / al
+        return (-expm1(-2.0 * x / al)
+                / (expm1(-u) ** 2 + 4.0 * exp(-u) * cos(0.5 * (w / al)) ** 2))
+    return f
 
 
 def _p34_poles(numerator: complex):
@@ -494,10 +491,12 @@ def _im_f(p: Params):
     # sinh(s)/(cosh(s) - cos(v)) with s = w/alpha and v = x/alpha, both sides
     # scaled by 2 e^{-|s|}: nothing overflows however far the tail runs
     al = p["alpha"]
+    sin, exp, expm1, copysign = math.sin, math.exp, math.expm1, math.copysign
 
     def f(x: float, w: float) -> float:
         s = abs(w) / al
-        return math.copysign(-math.expm1(-2.0 * s), w) / scaled_cosh_minus_cos(s, x / al)
+        return (copysign(-expm1(-2.0 * s), w)
+                / (expm1(-s) ** 2 + 4.0 * exp(-s) * sin(0.5 * (x / al)) ** 2))
 
     return f
 

@@ -34,6 +34,7 @@ Two engines cooperate here:
 from __future__ import annotations
 
 import cmath
+import functools
 import heapq
 import math
 import sys
@@ -95,26 +96,28 @@ _WG = (
     0.417959183673469387755102040816327,
 )
 
+# the rule's nodes and weights, bound once rather than unpacked per panel
+_X0, _X1, _X2, _X3, _X4, _X5, _X6 = _XGK[:7]
+_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7 = _WGK
+_G0, _G1, _G2, _G3 = _WG
+
 
 def _qk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
     # straight-line panel: pair sums s0..s6 from the outermost node in; each
     # rule adds the centre term first, then the pairs in that order
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    x0, x1, x2, x3, x4, x5, x6, _ = _XGK
-    k0, k1, k2, k3, k4, k5, k6, k7 = _WGK
-    g0, g1, g2, g3 = _WG
     fc = f(c)
-    s0 = f(c - h * x0) + f(c + h * x0)
-    s1 = f(c - h * x1) + f(c + h * x1)
-    s2 = f(c - h * x2) + f(c + h * x2)
-    s3 = f(c - h * x3) + f(c + h * x3)
-    s4 = f(c - h * x4) + f(c + h * x4)
-    s5 = f(c - h * x5) + f(c + h * x5)
-    s6 = f(c - h * x6) + f(c + h * x6)
-    resk = (k7 * fc + k0 * s0 + k1 * s1 + k2 * s2 + k3 * s3 + k4 * s4
-            + k5 * s5 + k6 * s6)
-    resg = g3 * fc + g0 * s1 + g1 * s3 + g2 * s5
+    s0 = f(c - h * _X0) + f(c + h * _X0)
+    s1 = f(c - h * _X1) + f(c + h * _X1)
+    s2 = f(c - h * _X2) + f(c + h * _X2)
+    s3 = f(c - h * _X3) + f(c + h * _X3)
+    s4 = f(c - h * _X4) + f(c + h * _X4)
+    s5 = f(c - h * _X5) + f(c + h * _X5)
+    s6 = f(c - h * _X6) + f(c + h * _X6)
+    resk = (_K7 * fc + _K0 * s0 + _K1 * s1 + _K2 * s2 + _K3 * s3 + _K4 * s4
+            + _K5 * s5 + _K6 * s6)
+    resg = _G3 * fc + _G0 * s1 + _G1 * s3 + _G2 * s5
     return resk * h, abs((resk - resg) * h)
 
 
@@ -125,12 +128,6 @@ def _fsum(values: Iterable[float | complex]) -> float | complex:
         return complex(math.fsum(v.real for v in values),
                        math.fsum(v.imag for v in values))
     return math.fsum(values)
-
-
-def _initial_segments(a: float, b: float, points: Iterable[float]) -> list[tuple[float, float]]:
-    cuts = sorted({p for p in points if a < p < b})
-    edges = [a] + cuts + [b]
-    return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
 
 
 def integrate_adaptive(f: Callable[[float], float | complex], a: float, b: float,
@@ -155,16 +152,18 @@ def integrate_adaptive(f: Callable[[float], float | complex], a: float, b: float
     counter = 0
     total_val = 0.0
     total_err = 0.0
-    for lo, hi in _initial_segments(a, b, points):
+    edges = [a, *sorted({p for p in points if a < p < b}), b]
+    for lo, hi in zip(edges, edges[1:]):
         val, err = _qk15(f, lo, hi)
         evaluations += 15
         counter += 1
         heap.append((-err, counter, lo, hi, val, err))
         total_val += val
         total_err += err
-    # panels that meet the tolerance at once never become a heap
-    if total_err > max(atol, tol * abs(total_val)):
-        heapq.heapify(heap)
+    if counter == 1 and total_err <= max(atol, tol * abs(total_val)):
+        # a lone panel within tolerance: its sums equal the fsums below
+        return QuadratureResult(total_val, total_err, evaluations, 0)
+    heapq.heapify(heap)
     while total_err > max(atol, tol * abs(total_val)):
         if not heap:
             break
@@ -335,16 +334,18 @@ _CLOSE_SHARE, _CLOSE_FLOOR = 0.25, 1e-16
 _LEVELS = 3
 
 
-def _richardson_weights(powers: Sequence[float]) -> list[list[float]]:
+@functools.lru_cache(maxsize=256)
+def _richardson_weights(powers: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
     """Per level m, the coefficient of chunk S_(n-i) in T[n][m] less the 1
     it has in P_n, for i < m; older chunks keep the 1.  T[n][m] sums
-    lambda_j P_(n-j), the lambda_j of prod_(k<=m) (1 - r^k z) / (1 - r^k)."""
-    lam, weights = [1.0], [[]]
+    lambda_j P_(n-j), the lambda_j of prod_(k<=m) (1 - r^k z) / (1 - r^k).
+    Cached: every integral at one step shares it."""
+    lam, weights = [1.0], [()]
     for k in range(1, _LEVELS + 1):
         lam = [(a - powers[k] * b) / (1.0 - powers[k])
                for a, b in zip(lam + [0.0], [0.0] + lam)]
-        weights.append([abs(sum(lam[:i + 1])) - 1.0 for i in range(k)])
-    return weights
+        weights.append(tuple(abs(sum(lam[:i + 1])) - 1.0 for i in range(k)))
+    return tuple(weights)
 
 
 def _richardson_close(rows: Sequence[Sequence[float]], powers: Sequence[float],
@@ -523,7 +524,7 @@ def integrate_endpoint_oscillatory(
     chunk_atol = max(_CHUNK_SHARE * atol, _CHUNK_ABS_FLOOR)
     r = math.exp(-step)
     tail_gain = r / (1.0 - r)          # r + r^2 + ...: all later chunks
-    powers = [r ** k for k in range(_LEVELS + 2)]
+    powers = tuple(r ** k for k in range(_LEVELS + 2))
     weights = _richardson_weights(powers)
     for end, emap, t in zip(ends, maps, starts):
         g = emap.tail(f)

@@ -13,6 +13,7 @@ from logtrig import (AccuracyError, DomainError, QuadratureResult, case_by_id,
                      catalog, contour_path_points, contour_trace, evaluate_lhs,
                      evaluate_rhs, lambert_alternating, verify_case)
 from logtrig.catalog import ALPHA_GRID, PARAM_NAMES, lhs_key
+from logtrig.quadrature import _EndpointMap
 from logtrig.report import RunConfig, render_rows_json, run_verification
 
 PI = math.pi
@@ -71,6 +72,93 @@ def test_osc_ends_are_the_divergent_ends(case):
 def test_cases_of_one_kernel_share_one_integrand(ids):
     first = case_by_id(ids[0]).integrand
     assert all(case_by_id(i).integrand is first for i in ids[1:])
+
+
+def cosh_minus_cos(u, v):
+    return 2.0 * (math.sinh(0.5 * u) ** 2 + math.sin(0.5 * v) ** 2)
+
+
+def cosh_plus_cos(u, v):
+    return 2.0 * (math.sinh(0.5 * u) ** 2 + math.cos(0.5 * v) ** 2)
+
+
+def scaled_cosh_minus_cos(u, v):
+    return math.expm1(-u) ** 2 + 4.0 * math.exp(-u) * math.sin(0.5 * v) ** 2
+
+
+def scaled_cosh_plus_cos(u, v):
+    return math.expm1(-u) ** 2 + 4.0 * math.exp(-u) * math.cos(0.5 * v) ** 2
+
+
+def t6_reference(al, x, w):
+    s = (PI - 6.0 * x) / (2.0 * al)
+    return (math.copysign(-math.expm1(-2.0 * abs(s)), s)
+            / scaled_cosh_plus_cos(abs(s), 3.0 * w / al))
+
+
+def im_reference(al, x, w):
+    s = abs(w) / al
+    return math.copysign(-math.expm1(-2.0 * s), w) / scaled_cosh_minus_cos(s, x / al)
+
+
+# Each denominator kernel as a call of the four denominator formulas above,
+# the form the catalog computed before it wrote them inline.
+KERNEL_REFERENCES = {
+    "T1-A": lambda al, x, w: math.log(cosh_minus_cos(x / al, w / al)),
+    "T1-B": lambda al, x, w: math.log(cosh_plus_cos(x / al, w / al)),
+    "T2": lambda al, x, w: (math.cosh(0.5 * x / al) * math.cos(0.5 * w / al)
+                            / cosh_plus_cos(x / al, w / al)),
+    "T3-A": lambda al, x, w: (math.sin(2.0 * x) * math.sinh(x / al)
+                              / cosh_minus_cos(x / al, w / al)),
+    "T3-B": lambda al, x, w: (math.sin(2.0 * x) * math.sinh(x / al)
+                              / cosh_plus_cos(x / al, w / al)),
+    "T4-A": lambda al, x, w: (math.cos(2.0 * x) * math.sin(w / al)
+                              / cosh_minus_cos(x / al, w / al)),
+    "T4-B": lambda al, x, w: (math.cos(2.0 * x) * math.sin(w / al)
+                              / cosh_plus_cos(x / al, w / al)),
+    "S3-T5A": lambda al, x, w: (math.sinh((4.0 * x - PI) / al)
+                                / cosh_minus_cos((4.0 * x - PI) / al, 4.0 * w / al)),
+    "S3-T5B": lambda al, x, w: (math.sinh((4.0 * x - PI) / al)
+                                / cosh_plus_cos((4.0 * x - PI) / al, 4.0 * w / al)),
+    "S3-T6": t6_reference,
+    "DISC-L1": lambda al, x, w: (2.0 * math.exp(-x / al) * math.sin(w / al)
+                                 / scaled_cosh_minus_cos(x / al, w / al)),
+    "DISC-L2": lambda al, x, w: (2.0 * math.exp(-x / al) * math.sin(w / al)
+                                 / scaled_cosh_plus_cos(x / al, w / al)),
+    "DISC-P4": lambda al, x, w: (-math.expm1(-2.0 * x / al)
+                                 / scaled_cosh_plus_cos(x / al, w / al)),
+    "DISC-IM": im_reference,
+}
+
+
+@pytest.mark.parametrize("case_id", KERNEL_REFERENCES)
+def test_kernels_match_reference_bit_for_bit(case_id):
+    # seeded (x, w) on the interior panel (w > -2) and on each tail (w = -t,
+    # t in [2, 60], x = x(t) of the endpoint map), over seeded alphas
+    case = case_by_id(case_id)
+    reference = KERNEL_REFERENCES[case_id]
+    trig, c = _TRIG[case.map_kind]
+    lo, hi = case.interval
+    maps = [_EndpointMap.at(case.map_kind, end) for end in case.osc_ends]
+    rng = random.Random(24)
+    checked = 0
+    while checked < 20:
+        alpha = math.exp(rng.uniform(math.log(0.002), math.log(40.0)))
+        if not case.domain({"alpha": alpha}):
+            continue
+        kernel = case.integrand({"alpha": alpha})
+        points = []
+        while len(points) < 50:
+            x = rng.uniform(lo, hi)
+            w = math.log(2.0 * trig(c * x))
+            if w > -2.0:
+                points.append((x, w))
+        for emap in maps:
+            points += [(emap.x(t), -t) for t in
+                       (rng.uniform(2.0, 60.0) for _ in range(50))]
+        for x, w in points:
+            assert kernel(x, w) == reference(alpha, x, w), (alpha, x, w)
+        checked += 1
 
 
 def test_fixed_cases_carry_parameters():
@@ -337,17 +425,23 @@ def test_sweep_all_rows_pass(sweep):
         sweep.summary[k] for k in ("pass", "fail", "error", "skipped"))
 
 
+def row_estimate(row, rtol=1e-8, atol=1e-10):
+    """Error estimate of the integral behind a ``verify_case`` row at (rtol,
+    atol): its row tolerance max(atol, rtol |rhs|), asked as one absolute
+    budget, as ``verify_case`` asks it.  The integral's value must be the
+    row's lhs."""
+    lhs, cost = evaluate_lhs(case_by_id(row.case_id), row.params, rtol=0.0,
+                             atol=max(atol, rtol * abs(row.rhs)))
+    assert lhs == row.lhs, (row.case_id, row.params)
+    return cost.error_estimate
+
+
 def test_sweep_error_estimates_are_honest(sweep):
     # realized error never exceeds the reported estimate (plus the rounding
-    # floor of evaluating both sides in doubles) of the integral the row
-    # used: its row tolerance, asked as one absolute budget
+    # floor of evaluating both sides in doubles) of the integral the row used
     for row in sweep.rows:
-        if row.status != "pass":
-            continue
-        case = case_by_id(row.case_id)
-        tolerance = max(1e-10, 1e-8 * abs(row.rhs))
-        _, cost = evaluate_lhs(case, row.params, rtol=0.0, atol=tolerance)
-        assert row.abs_err <= cost.error_estimate + 5e-13
+        if row.status == "pass":
+            assert row.abs_err <= row_estimate(row) + 5e-13
 
 
 def test_default_sweep_payload_is_pinned(sweep):
@@ -381,11 +475,8 @@ LONG_PERIOD_MISSES = (
 
 @pytest.mark.parametrize("case_id, alpha", LONG_PERIOD_MISSES)
 def test_long_period_estimate_bounds_the_error_off_grid(case_id, alpha):
-    case = case_by_id(case_id)
-    params = {"alpha": alpha}
-    row = verify_case(case, params)
-    _, cost = evaluate_lhs(case, params)
-    assert row.abs_err <= cost.error_estimate + 5e-13
+    row = verify_case(case_by_id(case_id), {"alpha": alpha})
+    assert row.abs_err <= row_estimate(row) + 5e-13
 
 
 @pytest.mark.parametrize("alpha", (4.17, 4.36, 4.77, 5.78, 6.37))
@@ -393,11 +484,9 @@ def test_disc_p4_pinch_points_above_the_split(alpha):
     # the first cos = -1 pinch point, at t = pi alpha = 13-20, lies in the
     # tail, which subtracts its pole; a pinch point left to a plain panel
     # would leave a wrong value behind a tiny estimate
-    case = case_by_id("DISC-P4")
-    row = verify_case(case, {"alpha": alpha})
-    _, cost = evaluate_lhs(case, {"alpha": alpha})
+    row = verify_case(case_by_id("DISC-P4"), {"alpha": alpha})
     assert row.status == "pass"
-    assert row.abs_err <= cost.error_estimate + 5e-13
+    assert row.abs_err <= row_estimate(row) + 5e-13
 
 
 def test_offgrid_disc_p34_over_the_whole_domain():
@@ -439,10 +528,8 @@ def test_disc_p3_small_alpha_estimate_within_tolerance(alpha):
     # t the Richardson weights multiply each chunk's estimate by about 10^4,
     # and the estimates read 66 and 25 times the row tolerance while the
     # poles were resolved by sinh-graded segments
-    case = case_by_id("DISC-P3")
-    params = {"alpha": alpha}
-    _, cost = evaluate_lhs(case, params)
-    assert cost.error_estimate <= max(1e-10, 1e-8 * abs(evaluate_rhs(case, params)))
+    row = verify_case(case_by_id("DISC-P3"), {"alpha": alpha})
+    assert row_estimate(row) <= max(1e-10, 1e-8 * abs(row.rhs))
 
 
 def p34_tail(case_id, alpha, t_m):
@@ -493,11 +580,9 @@ def test_disc_p34_poles_and_residues(case_id, alpha):
 def test_disc_p1_isolated_pole_is_resolved(a):
     # the pole at w = -a pinches the path at t = a with width e^{-a}/2; the
     # tail closes geometrically before t = a and misses its mass pi e^{-a}/2
-    case = case_by_id("DISC-P1")
-    row = verify_case(case, {"a": a})
-    _, cost = evaluate_lhs(case, {"a": a})
+    row = verify_case(case_by_id("DISC-P1"), {"a": a})
     assert row.status == "pass"
-    assert row.abs_err <= cost.error_estimate + 5e-13
+    assert row.abs_err <= row_estimate(row) + 5e-13
 
 
 # Closed forms that hold only on the first branch: each fails below its
@@ -562,14 +647,10 @@ def test_disc_p4_small_alpha_estimate_bounds_the_error(alpha):
     # put r = e^{-period} near 1, and the Richardson close took level 3
     # near t = 6, where the tail had not settled: at alpha = 0.001 the
     # error was 2.1e-12 against an estimate of 2.8e-15
-    case = case_by_id("DISC-P4")
-    params = {"alpha": alpha}
     rtol, atol = 1e-10, 1e-12
-    row = verify_case(case, params, rtol=rtol, atol=atol)
-    _, cost = evaluate_lhs(case, params, rtol=0.0,
-                           atol=max(atol, rtol * abs(row.rhs)))
+    row = verify_case(case_by_id("DISC-P4"), {"alpha": alpha}, rtol=rtol, atol=atol)
     assert row.status == "pass"
-    assert row.abs_err <= cost.error_estimate + 5e-13
+    assert row.abs_err <= row_estimate(row, rtol, atol) + 5e-13
 
 
 def test_s3_t6_small_alpha_tails_are_honest():
@@ -583,10 +664,8 @@ def test_s3_t6_small_alpha_tails_are_honest():
         params = {"alpha": math.exp(rng.uniform(math.log(0.001),
                                                 math.log(0.0045)))}
         row = verify_case(case, params)
-        _, cost = evaluate_lhs(case, params, rtol=0.0,
-                               atol=max(1e-10, 1e-8 * abs(row.rhs)))
         assert row.status == "pass", params
-        assert row.abs_err <= cost.error_estimate, params
+        assert row.abs_err <= row_estimate(row), params
         evaluations += row.evaluations
     assert evaluations < 100_000
 
@@ -608,8 +687,7 @@ def test_extreme_alpha_sweep():
             threshold = FIRST_BRANCH_DEFECTS.get(row.case_id, 0.0)
             assert row.params["alpha"] < threshold, (row.case_id, row.params)
         elif row.status == "pass":
-            _, cost = evaluate_lhs(case_by_id(row.case_id), row.params)
-            assert row.abs_err <= cost.error_estimate + 5e-13, (
+            assert row.abs_err <= row_estimate(row) + 5e-13, (
                 row.case_id, row.params)
 
 
@@ -632,9 +710,8 @@ def test_offgrid_decay_only_tails_are_honest():
             if not case.domain(params):
                 continue
             row = verify_case(case, params)
-            _, cost = evaluate_lhs(case, params)
             assert row.status == "pass", (case.id, params)
-            assert row.abs_err <= cost.error_estimate + 5e-13, (case.id, params)
+            assert row.abs_err <= row_estimate(row) + 5e-13, (case.id, params)
             checked += 1
     assert checked > 100
 
@@ -653,12 +730,23 @@ RICHARDSON_CLOSES = (("S3-T5A", 0.37540666994115257),
 
 @pytest.mark.parametrize("case_id, alpha", RICHARDSON_CLOSES)
 def test_richardson_close_bounds_the_error(case_id, alpha):
-    case = case_by_id(case_id)
-    params = {"alpha": alpha}
-    row = verify_case(case, params)
-    _, cost = evaluate_lhs(case, params)
+    row = verify_case(case_by_id(case_id), {"alpha": alpha})
     assert row.status == "pass"
-    assert row.abs_err <= cost.error_estimate + 5e-13
+    assert row.abs_err <= row_estimate(row) + 5e-13
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="the estimate falls short of the error; cause not traced")
+@pytest.mark.parametrize("case_id", ("T4-A", "T4-PA"))
+def test_t4_estimate_bounds_the_error_at_tight_tolerance(case_id):
+    # one shared integral: error 1.92e-12 against an estimate of 5.72e-13 on
+    # a passing row (tolerance 9.9e-11); at rtol 1e-12 the lhs agrees with
+    # both closed forms to 2e-16, so the quadrature misses, not the closed form
+    rtol, atol = 1e-10, 1e-12
+    row = verify_case(case_by_id(case_id), {"alpha": 0.793444893429258},
+                      rtol=rtol, atol=atol)
+    assert row.status == "pass"
+    assert row.abs_err <= row_estimate(row, rtol, atol) + 5e-13
 
 
 def test_offgrid_short_period_tails_are_honest():
@@ -678,8 +766,7 @@ def test_offgrid_short_period_tails_are_honest():
             row = verify_case(case, params)
             if row.status != "pass":
                 continue
-            _, cost = evaluate_lhs(case, params)
-            assert row.abs_err <= cost.error_estimate + 5e-13, (case.id, alpha)
+            assert row.abs_err <= row_estimate(row) + 5e-13, (case.id, alpha)
             checked += 1
     assert checked > 20
 

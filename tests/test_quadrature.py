@@ -453,6 +453,17 @@ def test_qk15_matches_loop_reference_bit_for_bit():
             assert _qk15(f, a, b) == qk15_loop(f, a, b)
 
 
+def test_lone_panel_within_tolerance_returns_its_kronrod_sums():
+    # one initial panel that meets its tolerance is the whole result: no
+    # bisection, and its value and estimate are the panel's own
+    integrands = (math.exp, lambda x: complex(math.cos(3.0 * x), x * math.sin(x)))
+    for f in integrands:
+        res = integrate_adaptive(f, 0.2, 0.9, tol=1e-8, atol=1e-12)
+        assert (res.value, res.error_estimate) == _qk15(f, 0.2, 0.9)
+        assert (res.evaluations, res.subdivisions) == (15, 0)
+    assert isinstance(res.value, complex)
+
+
 def tail_x_ref(map_kind, endpoint, t):
     u = 0.5 * math.exp(-t)
     if map_kind == "log-cos":
