@@ -715,35 +715,19 @@ def check_tolerances(rtol: float, atol: float) -> None:
                           f"got {rtol} and {atol}")
 
 
-# Share of the requested tolerance that ``evaluate_lhs`` asks the
-# quadrature for (floors 5e-13 and 5e-15).  ``verify_case`` requests its row
-# tolerance as one absolute budget (rtol 0), so the quadrature gets 0.1 of
-# it as atol and the relative floor as tol.  The quadrature's estimate can
-# exceed what it was asked, so ``verify_case`` holds it to the row
-# tolerance.  Default-sweep / offgrid-alpha (seed 1) evaluations at a
-# share of 0.1: 70,440 / 170,355; 0.15: 69,075 / 166,575; 0.2: 68,145 /
-# 163,710 (84,795 / 208,140 at 0.02, when each row asked for its rtol and
-# atol).  The share stays 0.1 for the decay-only tails with a kernel
-# feature at t = |a| (ROADMAP item 3): over 40 seeded a in [-25, 25] per a,
-# a-theta and a-gamma case, 0.15 adds a miss, INTRO-2 at a = -19.6 with an
-# error 3.55 times its estimate, and 0.2 fails DISC-P1 at a = 12.5 (error
-# 5.7e-6).
-_QUADRATURE_SHARE = 0.1
-
-
-def evaluate_lhs(case: IdentityCase, params: Params,
-                 rtol: float = 1e-8, atol: float = 1e-10
+def evaluate_lhs(case: IdentityCase, params: Params, tolerance: float
                  ) -> tuple[float | complex, QuadratureResult]:
     """Quadrature side of one case at one parameter point, in one pass
-    whether the integrand is real or complex."""
+    whether the integrand is real or complex, within the absolute
+    ``tolerance``: one budget for the whole integral, which the quadrature
+    splits between its parts (``integrate_endpoint_oscillatory``)."""
     params = case_params(case, params)
     a, b = case.interval
     period = 2.0 * PI * params["alpha"] / case.freq if case.freq else None
     res = integrate_endpoint_oscillatory(
         case.integrand(params), a, b, case.map_kind, case.osc_ends, period,
-        tol=max(rtol * _QUADRATURE_SHARE, 5e-13),
-        atol=max(atol * _QUADRATURE_SHARE, 5e-15),
-        points=case.interior_points(params), tail_points=case.tail_points(params))
+        tolerance=tolerance, points=case.interior_points(params),
+        tail_points=case.tail_points(params))
     return res.value, res
 
 
@@ -764,6 +748,9 @@ def evaluate_rhs(case: IdentityCase, params: Params) -> float | complex:
 
 
 _NUMERIC_ERRORS = (AccuracyError, SolverError, ArithmeticError)
+# and, once the closed form has admitted the point, a ValueError of the
+# integral: at huge alpha a budget or period that overflowed to inf
+_LHS_ERRORS = (*_NUMERIC_ERRORS, ValueError)
 
 
 def _error_row(case: IdentityCase, params: Params, evaluations: int,
@@ -779,11 +766,14 @@ def verify_case(case: IdentityCase, params: Params,
                 shared: dict | None = None) -> VerificationRow:
     """Check one (case, parameter) pair; numerics failures become error rows.
 
-    The lhs is asked for the row tolerance max(atol, rtol |rhs|) as one
-    absolute budget.  A row passes when both |lhs - rhs| and the
-    quadrature's error estimate are within it.  It fails when |lhs - rhs|
-    is not; a row whose estimate alone exceeds the tolerance is an error
-    row whose detail names the estimate and the tolerance.
+    The lhs is asked for the row tolerance max(atol, rtol |rhs|), the one
+    absolute budget of its integral.  A row passes when both |lhs - rhs|
+    and the quadrature's error estimate are within it.  It fails when
+    |lhs - rhs| is not; a row whose estimate alone exceeds the tolerance is
+    an error row whose detail names the estimate and the tolerance.  A
+    ValueError of the integral at a point the closed form admitted (at
+    huge alpha, a budget or period that overflowed, or a kernel's log of an
+    underflowed 0) is an error row too; an out-of-domain point still raises.
 
     Rows whose points share one ``lhs_key`` may pass one ``shared`` dict.
     The first of them to need the integral computes it and leaves its
@@ -801,10 +791,10 @@ def verify_case(case: IdentityCase, params: Params,
         evaluations, detail = 0, f"lhs of {owner}"
     else:
         try:
-            lhs, cost = evaluate_lhs(case, params, rtol=0.0, atol=tolerance)
+            lhs, cost = evaluate_lhs(case, params, tolerance)
             estimate, failure = cost.error_estimate, None
             evaluations, detail = cost.evaluations, ""
-        except _NUMERIC_ERRORS as exc:
+        except _LHS_ERRORS as exc:
             lhs, estimate, failure = None, None, exc
             evaluations = getattr(exc, "evaluations", 0)
         if shared is not None:
@@ -846,6 +836,6 @@ def contour_path_points(n_points: int) -> list[tuple[float, float, float]]:
 def contour_trace(alpha: float) -> complex:
     """The closed-path integral of 1/(8i (1 - e^-z) cos(z/2 alpha)): the
     quadrature side of DISC-CONTOUR, parametrized by z(x) = log(2 cos x) + ix
-    with dz = (i - tan x) dx."""
-    return evaluate_lhs(case_by_id("DISC-CONTOUR"), {"alpha": alpha})[0]
+    with dz = (i - tan x) dx, within an absolute 1e-10."""
+    return evaluate_lhs(case_by_id("DISC-CONTOUR"), {"alpha": alpha}, 1e-10)[0]
 

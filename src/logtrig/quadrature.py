@@ -28,7 +28,9 @@ Two engines cooperate here:
   Numerical Integration, 2nd ed., 1984).  The map is chosen once per
   integral and end, from ``map_kind`` and the end's name: each tail node
   costs one exp, one arc sine or cosine and one square root before the
-  caller's integrand runs.
+  caller's integrand runs.  The caller states one absolute tolerance for
+  the whole integral, and the engine splits it between the interior panel,
+  each tail chunk and each close.
 """
 
 from __future__ import annotations
@@ -308,26 +310,30 @@ _LATTICE_PERIOD = 2.5
 # 91,860 / 224,340; with none, 96,675 / 234,075.
 _INTERIOR_GRADING = (1.0, 0.0, -0.5)
 _EPS = sys.float_info.epsilon
-# The split of one integral's tolerance (tol, atol).  The interior panel
-# takes 0.4 of it and each tail chunk 0.2, never below 1e-13 relative and
-# 1e-17 absolute, where a chunk's panels reach their rounding floor.  A tail
-# closes once its bound plus its last chunk's estimate is below 0.25 of the
-# tolerance on the integral so far (floor 1e-16).  A caller that knows its
-# target asks for it in atol, with tol at a floor, as ``verify_case`` does:
-# then the interior, every chunk and every close are charged to that one
-# number, as in QUADPACK's QAWF, and not to their own values, which the
-# tails' cancellation can leave far below the total.  Default-sweep /
-# offgrid-alpha (seed 1) evaluations: 76,080 / 186,255 with the row
-# tolerance asked relative to each part and a chunk share of 0.05 of atol;
-# 70,440 / 170,355 with one absolute budget.  The reported estimate also
-# carries every chunk's estimate times its Richardson weight, which the
-# stop test does not count: asked relative to each part, it reached 3.6
-# (default grid) and 5.5 (offgrid) times the request on DISC-P3 and
-# DISC-L2; under one absolute budget it reaches at most 0.63 and 0.79
-# times it.  The caller still checks the total against its own tolerance.
-_INTERIOR_SHARE = 0.4
-_CHUNK_SHARE, _CHUNK_FLOOR, _CHUNK_ABS_FLOOR = 0.2, 1e-13, 1e-17
-_CLOSE_SHARE, _CLOSE_FLOOR = 0.25, 1e-16
+# The split of one integral's budget, the absolute ``tolerance`` that its
+# caller states.  The engine asks itself for _QUADRATURE_SHARE (0.1) of it
+# as its absolute tolerance (floor 5e-15), with a relative one of 5e-13; of
+# that request the interior panel takes 0.4, each tail chunk 0.2 (1e-13
+# relative, where a chunk's panels reach their rounding floor), and a tail
+# closes once its bound plus its last chunk's estimate is below 0.25 of it.
+# Every part is charged to that one number, as in QUADPACK's QAWF, and not
+# to its own value, which the tails' cancellation can leave far below the
+# total.  Default-sweep / offgrid-alpha (seed 1) evaluations at a share of
+# 0.1: 70,440 / 170,355; 0.15: 69,075 / 166,575; 0.2: 68,145 / 163,710;
+# 76,080 / 186,255 with the row tolerance asked relative to each part and a
+# chunk share of 0.05 (84,795 / 208,140 at a share of 0.02, when each row
+# asked for its rtol and atol).  The share stays 0.1 for the decay-only
+# tails with a kernel feature at t = |a| (ROADMAP item 3): over 40 seeded a
+# in [-25, 25] per a, a-theta and a-gamma case, 0.15 adds a miss, INTRO-2
+# at a = -19.6 with an error 3.55 times its estimate, and 0.2 fails DISC-P1
+# at a = 12.5 (error 5.7e-6).  The reported estimate also carries every
+# chunk's estimate times its Richardson weight, which the stop test does
+# not count: asked relative to each part, it reached 3.6 (default grid) and
+# 5.5 (offgrid) times the request on DISC-P3 and DISC-L2; under one
+# absolute budget at most 0.63 and 0.79 times, and ``verify_case`` still
+# holds the total to the row tolerance.
+_QUADRATURE_SHARE, _ABS_FLOOR, _REL_FLOOR = 0.1, 5e-15, 5e-13
+_INTERIOR_SHARE, _CHUNK_SHARE, _CLOSE_SHARE = 0.4, 0.2, 0.25
 
 
 # Levels of the Richardson table that closes a periodic tail.
@@ -419,8 +425,7 @@ def _tail_chunk(g: Callable[[float], float | complex], lo: float, hi: float,
 def integrate_endpoint_oscillatory(
         f: Callable[[float, float], float | complex], a: float, b: float,
         map_kind: str, ends: Sequence[str], period: float | None = None,
-        tol: float = 1e-9, *, atol: float = 1e-11,
-        points: Sequence[float] = (),
+        *, tolerance: float, points: Sequence[float] = (),
         tail_points: Callable[[str, float, float],
                               Sequence[tuple[float, complex, complex]]] | None = None
         ) -> QuadratureResult:
@@ -436,11 +441,10 @@ def integrate_endpoint_oscillatory(
     it by computing panels only to throw them away.  One tail chunk spans
     the fewest whole periods that reach ``_MIN_STEP`` (0.5) in t, a step of
     2 when ``period`` is None (a tail that decays without oscillating), and
-    r = exp(-step) <= e^{-0.5}.  The interior, each chunk and each close
-    take their share of max(atol, tol |value|), the value being their own
-    or the integral's so far; a caller that knows its target asks for it in
-    ``atol`` with ``tol`` at a floor, and every part is then charged to
-    that one number.
+    r = exp(-step) <= e^{-0.5}.  ``tolerance`` is one absolute budget for
+    the whole integral: the interior, each chunk and each close take their
+    share of it (``_QUADRATURE_SHARE``), so every part is charged to that
+    one number and not to its own value.
 
     In a periodic tail the integrand in t is a sum of e^{-kt} p_k(t), each
     p_k periodic, so whole chunks sum to S_n = sum_k a_k r^(kn).  The
@@ -473,6 +477,10 @@ def integrate_endpoint_oscillatory(
     the centres below t = 2, wide enough for bisection, cut the interior
     panel.
     """
+    if not 0.0 < tolerance < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tolerance}")
+    if period is not None and not 0.0 < period < math.inf:
+        raise DomainError(f"period must be None or positive and finite, got {period}")
     if not ends or len(set(ends)) != len(ends):
         raise DomainError(f"need distinct interval ends, got {ends!r}")
     maps = [_EndpointMap.at(map_kind, end) for end in ends]
@@ -481,6 +489,7 @@ def integrate_endpoint_oscillatory(
     step = period * math.ceil(_MIN_STEP / period) if period is not None else 2.0
     reach = _POLE_REACH * step
     poles = tail_points or (lambda end, lo, hi: ())
+    tol, atol = _REL_FLOOR, max(tolerance * _QUADRATURE_SHARE, _ABS_FLOOR)
 
     evaluations = 0
     subdivisions = 0
@@ -520,8 +529,7 @@ def integrate_endpoint_oscillatory(
         evaluations += interior.evaluations
         subdivisions += interior.subdivisions
 
-    chunk_tol = max(_CHUNK_SHARE * tol, _CHUNK_FLOOR)
-    chunk_atol = max(_CHUNK_SHARE * atol, _CHUNK_ABS_FLOOR)
+    chunk_tol, chunk_atol = _CHUNK_SHARE * tol, _CHUNK_SHARE * atol
     r = math.exp(-step)
     tail_gain = r / (1.0 - r)          # r + r^2 + ...: all later chunks
     powers = tuple(r ** k for k in range(_LEVELS + 2))
@@ -543,8 +551,7 @@ def integrate_endpoint_oscillatory(
             evaluations += res.evaluations
             subdivisions += res.subdivisions
             running += res.value
-            stop_at = max(_CLOSE_SHARE * atol, _CLOSE_SHARE * tol * abs(running),
-                          _CLOSE_FLOOR)
+            stop_at = max(_CLOSE_SHARE * atol, _CLOSE_SHARE * tol * abs(running))
             whole = t_next == t + step
             if whole and period is not None:
                 row = [running]

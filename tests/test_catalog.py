@@ -13,6 +13,7 @@ from logtrig import (AccuracyError, DomainError, QuadratureResult, case_by_id,
                      catalog, contour_path_points, contour_trace, evaluate_lhs,
                      evaluate_rhs, lambert_alternating, verify_case)
 from logtrig.catalog import ALPHA_GRID, PARAM_NAMES, lhs_key
+from logtrig import quadrature
 from logtrig.quadrature import _EndpointMap
 from logtrig.report import RunConfig, render_rows_json, run_verification
 
@@ -186,28 +187,28 @@ def test_out_of_domain_raises():
     with pytest.raises(DomainError):
         verify_case(case_by_id("T1-A"), {"alpha": 0.05})
     with pytest.raises(DomainError):
-        evaluate_lhs(case_by_id("T2"), {"alpha": 0.1})
+        evaluate_lhs(case_by_id("T2"), {"alpha": 0.1}, 1e-10)
 
 
 def test_spot_values():
-    lhs, _ = evaluate_lhs(case_by_id("T1-A"), {"alpha": 0.25})
+    lhs, _ = evaluate_lhs(case_by_id("T1-A"), {"alpha": 0.25}, 1e-10)
     assert abs(lhs - T1A_LHS_025) < 1e-9
     assert abs(evaluate_rhs(case_by_id("T1-A"), {"alpha": 1.0}) - T1A_RHS_1) < 1e-13
     assert abs(evaluate_rhs(case_by_id("T2"), {"alpha": 1.0}) - T2_RHS_1) < 1e-13
     assert abs(evaluate_rhs(case_by_id("EX-1"), {}) - EX1_VALUE) < 1e-14
     assert abs(evaluate_rhs(case_by_id("EX-2"), {}) - EX2_VALUE) < 1e-13
     assert abs(evaluate_rhs(case_by_id("EX-3"), {}) - EX3_VALUE) < 1e-13
-    lhs, _ = evaluate_lhs(case_by_id("S3-T7"), {"alpha": 1.0})
+    lhs, _ = evaluate_lhs(case_by_id("S3-T7"), {"alpha": 1.0}, 1e-10)
     assert abs(lhs - T7_LHS_1) < 1e-9
 
 
 def test_sine0_value():
-    lhs, _ = evaluate_lhs(case_by_id("SINE0"), {})
+    lhs, _ = evaluate_lhs(case_by_id("SINE0"), {}, 1e-10)
     assert abs(lhs - SINE0_VALUE) < 1e-10
 
 
 def test_intro1_vanishes_at_a_one():
-    lhs, _ = evaluate_lhs(case_by_id("INTRO-1"), {"a": 1.0})
+    lhs, _ = evaluate_lhs(case_by_id("INTRO-1"), {"a": 1.0}, 1e-10)
     assert abs(lhs) < 1e-10
     assert evaluate_rhs(case_by_id("INTRO-1"), {"a": 1.0}) == 0.0
 
@@ -220,12 +221,14 @@ def test_theta2_heaviside_off_branch():
 def test_appa_reference_point():
     rhs = evaluate_rhs(case_by_id("APPA"), {"theta": PI / 4.0, "a": -1.0})
     assert abs(rhs - APPA_RHS) < 1e-14
-    lhs, _ = evaluate_lhs(case_by_id("APPA"), {"theta": PI / 4.0, "a": -1.0})
+    lhs, _ = evaluate_lhs(case_by_id("APPA"), {"theta": PI / 4.0, "a": -1.0},
+                          1e-10)
     assert abs(lhs - APPA_RHS) < 1e-9
 
 
 def test_complex_cost_carries_the_lhs():
-    lhs, cost = evaluate_lhs(case_by_id("APPA"), {"theta": PI / 4.0, "a": -1.0})
+    lhs, cost = evaluate_lhs(case_by_id("APPA"), {"theta": PI / 4.0, "a": -1.0},
+                             1e-10)
     assert isinstance(lhs, complex)
     assert cost.value == lhs
 
@@ -297,7 +300,7 @@ def test_shared_lhs_payload_does_not_depend_on_jobs():
 def test_failed_shared_lhs_is_attempted_once(monkeypatch):
     calls = []
 
-    def failing(case, params, rtol=1e-8, atol=1e-10):
+    def failing(case, params, tolerance):
         calls.append(case.id)
         raise AccuracyError("no convergence", 0.0, 1.0, evaluations=75)
 
@@ -316,8 +319,7 @@ def test_parity_imaginary_parts_vanish():
     # even/odd pairing makes the imaginary contribution cancel
     for cid, params in (("SINE", {"a": 0.3}), ("COS", {"a": -1.0}),
                         ("INTRO-4", {"gamma": 2.5, "a": 0.3})):
-        lhs, _ = evaluate_lhs(case_by_id(cid), params,
-                              rtol=1e-10, atol=1e-12)
+        lhs, _ = evaluate_lhs(case_by_id(cid), params, 1e-12)
         assert abs(lhs.imag) < 1e-12
 
 
@@ -336,7 +338,7 @@ def test_proof_layer_consistency():
 def test_t2_triple_agreement():
     for alpha in (1.0, 1.5, 2.0):
         case = case_by_id("T2")
-        lhs, _ = evaluate_lhs(case, {"alpha": alpha})
+        lhs, _ = evaluate_lhs(case, {"alpha": alpha}, 1e-10)
         rhs = evaluate_rhs(case, {"alpha": alpha})
         lam = lambert_alternating(alpha).direct
         lam_form = PI / 4.0 - 0.5 * PI * alpha * lam
@@ -350,9 +352,9 @@ def test_log_kernel_linear_combination():
     # alpha and 2 alpha through cosh(2u) - cos(2v) = 2(cosh u - cos v)(cosh u + cos v)
     plus, minus = case_by_id("T1-PB"), case_by_id("T1-PA")
     for alpha0 in (0.5, 1.0):
-        lhs_plus, _ = evaluate_lhs(plus, {"alpha": 2.0 * alpha0})
-        half, _ = evaluate_lhs(minus, {"alpha": alpha0})
-        full, _ = evaluate_lhs(minus, {"alpha": 2.0 * alpha0})
+        lhs_plus, _ = evaluate_lhs(plus, {"alpha": 2.0 * alpha0}, 1e-10)
+        half, _ = evaluate_lhs(minus, {"alpha": alpha0}, 1e-10)
+        full, _ = evaluate_lhs(minus, {"alpha": 2.0 * alpha0}, 1e-10)
         assert abs(lhs_plus - (half - full - 0.5 * PI * LN2)) < 1e-9
 
 
@@ -361,12 +363,13 @@ def test_appa_jump_matches_closed_form_difference():
     delta = 1e-4
     for theta in (0.0, PI / 4.0, -0.4):
         s = math.log(2.0 * math.cos(theta))
-        lhs_in, _ = evaluate_lhs(case, {"theta": theta, "a": s - delta},
-                                 rtol=1e-9, atol=1e-11)
-        lhs_out, _ = evaluate_lhs(case, {"theta": theta, "a": s + delta},
-                                  rtol=1e-9, atol=1e-11)
         rhs_in = evaluate_rhs(case, {"theta": theta, "a": s - delta})
         rhs_out = evaluate_rhs(case, {"theta": theta, "a": s + delta})
+        # each side at its row tolerance for rtol 1e-9, atol 1e-11
+        lhs_in, _ = evaluate_lhs(case, {"theta": theta, "a": s - delta},
+                                 max(1e-11, 1e-9 * abs(rhs_in)))
+        lhs_out, _ = evaluate_lhs(case, {"theta": theta, "a": s + delta},
+                                  max(1e-11, 1e-9 * abs(rhs_out)))
         assert abs((lhs_in - lhs_out) - (rhs_in - rhs_out)) < 1e-6
         # the discontinuity is the Heaviside term up to O(delta) drift
         pure = PI / (1.0 - cmath.exp(complex(-(s - delta), theta)))
@@ -376,8 +379,8 @@ def test_appa_jump_matches_closed_form_difference():
 def test_disc_p_structure():
     for a in (-1.0, 0.3, 2.0):
         scale = PI ** 2 + 4.0 * a * a
-        lhs1, _ = evaluate_lhs(case_by_id("DISC-P1"), {"a": a})
-        lhs2, _ = evaluate_lhs(case_by_id("DISC-P2"), {"a": a})
+        lhs1, _ = evaluate_lhs(case_by_id("DISC-P1"), {"a": a}, 1e-10)
+        lhs2, _ = evaluate_lhs(case_by_id("DISC-P2"), {"a": a}, 1e-10)
         assert abs(lhs1 * scale - 2.0 * PI ** 2) < 1e-8 * scale
         assert abs(lhs2 * scale - 4.0 * PI * a) < 1e-8 * scale
 
@@ -430,8 +433,8 @@ def row_estimate(row, rtol=1e-8, atol=1e-10):
     atol): its row tolerance max(atol, rtol |rhs|), asked as one absolute
     budget, as ``verify_case`` asks it.  The integral's value must be the
     row's lhs."""
-    lhs, cost = evaluate_lhs(case_by_id(row.case_id), row.params, rtol=0.0,
-                             atol=max(atol, rtol * abs(row.rhs)))
+    lhs, cost = evaluate_lhs(case_by_id(row.case_id), row.params,
+                             max(atol, rtol * abs(row.rhs)))
     assert lhs == row.lhs, (row.case_id, row.params)
     return cost.error_estimate
 
@@ -451,6 +454,16 @@ def test_default_sweep_payload_is_pinned(sweep):
     assert hashlib.sha256(payload).hexdigest() == (
         "776c48fd0fe0b1d4986809a03d5308a6720bf24a180ac4f226d8091ae4eb3c81")
     assert sum(row.evaluations for row in sweep.rows) == 70_440
+
+
+def test_tight_sweep_payload_is_pinned():
+    # the default grids at rtol 1e-10 and atol 1e-12, where the tails run
+    # longest: a second budget, pinned like the first
+    report = run_verification(RunConfig(rtol=1e-10, atol=1e-12, jobs=2))
+    payload = render_rows_json(report.rows).encode()
+    assert hashlib.sha256(payload).hexdigest() == (
+        "3ba98570709026ba28e260ff205f105cad306231250a367536dd727de9583193")
+    assert sum(row.evaluations for row in report.rows) == 94_275
 
 
 # Off-grid points where the Kronrod estimate fell short of the error while
@@ -499,11 +512,12 @@ def test_offgrid_disc_p34_over_the_whole_domain():
         for _ in range(16):
             params = {"alpha": math.exp(rng.uniform(math.log(0.002),
                                                     math.log(40.0)))}
-            lhs, cost = evaluate_lhs(case, params)
             rhs = evaluate_rhs(case, params)
+            # verify_case's request and pass test at its default tolerances
+            tolerance = max(1e-10, 1e-8 * abs(rhs))
+            lhs, cost = evaluate_lhs(case, params, tolerance)
             err = abs(lhs - rhs)
-            # verify_case's pass test at its default tolerances
-            assert err <= max(1e-10, 1e-8 * abs(rhs)), (case_id, params)
+            assert err <= tolerance, (case_id, params)
             assert err <= cost.error_estimate + 5e-13, (case_id, params)
 
 
@@ -517,8 +531,9 @@ def test_tight_tolerance_disc_p34_tails_settle():
         case = case_by_id(case_id)
         for _ in range(80):
             params = {"alpha": math.exp(rng.uniform(0.0, math.log(40.0)))}
-            lhs, cost = evaluate_lhs(case, params, rtol=1e-10, atol=1e-12)
-            err = abs(lhs - evaluate_rhs(case, params))
+            rhs = evaluate_rhs(case, params)
+            lhs, cost = evaluate_lhs(case, params, max(1e-12, 1e-10 * abs(rhs)))
+            err = abs(lhs - rhs)
             assert err <= cost.error_estimate + 5e-13, (case_id, params)
 
 
@@ -617,13 +632,14 @@ def test_estimates_stay_within_the_request(monkeypatch):
     evaluate = catalog_module.evaluate_lhs
     where, over = [], []
 
-    def named(case, params, **tolerances):
+    def named(case, params, tolerance):
         where.append((case.id, params))
-        return evaluate(case, params, **tolerances)
+        return evaluate(case, params, tolerance)
 
-    def spy(*args, tol, atol, **kwargs):
-        res = integrate(*args, tol=tol, atol=atol, **kwargs)
-        request = max(atol, tol * abs(res.value))
+    def spy(*args, tolerance, **kwargs):
+        res = integrate(*args, tolerance=tolerance, **kwargs)
+        # what the quadrature asks of itself: its share of the budget
+        request = quadrature._QUADRATURE_SHARE * tolerance
         if res.error_estimate > request:
             over.append((*where[-1], res.error_estimate / request))
         return res
@@ -783,11 +799,12 @@ def test_tails_next_to_the_lattice_period_are_honest():
                 params = {"alpha": 2.5 * scale * case.freq / (2.0 * PI)}
                 if not case.domain(params):
                     continue
-                lhs, cost = evaluate_lhs(case, params, rtol=rtol, atol=atol)
                 rhs = evaluate_rhs(case, params)
+                tolerance = max(atol, rtol * abs(rhs))
+                lhs, cost = evaluate_lhs(case, params, tolerance)
                 where = (case.id, params, rtol)
                 assert abs(lhs - rhs) <= cost.error_estimate + 5e-13, where
-                assert cost.error_estimate <= max(atol, rtol * abs(rhs)), where
+                assert cost.error_estimate <= tolerance, where
                 checked += 1
     assert checked == 170
 
@@ -808,12 +825,13 @@ def test_graded_interior_is_honest_at_tight_tolerance():
             params = {"alpha": alpha}
             if not case.domain(params):
                 continue
-            lhs, cost = evaluate_lhs(case, params, rtol=rtol, atol=atol)
             rhs = evaluate_rhs(case, params)
+            tolerance = max(atol, rtol * abs(rhs))
+            lhs, cost = evaluate_lhs(case, params, tolerance)
             where = (case.id, alpha)
-            assert abs(lhs - rhs) <= max(atol, rtol * abs(rhs)), where
+            assert abs(lhs - rhs) <= tolerance, where
             assert abs(lhs - rhs) <= cost.error_estimate + 5e-13, where
-            assert cost.error_estimate <= max(atol, rtol * abs(rhs)), where
+            assert cost.error_estimate <= tolerance, where
             checked += 1
     assert checked > 150
 
@@ -823,7 +841,7 @@ def test_s3_t6_closed_form_at_large_alpha():
     # k' = 1 - 8.9e-13; a Landen descent from k' was off by 1.9e-12
     case = case_by_id("S3-T6")
     params = {"alpha": 9.492969004585527}
-    lhs, _ = evaluate_lhs(case, params, rtol=1e-12, atol=1e-14)
+    lhs, _ = evaluate_lhs(case, params, 1e-14)
     assert abs(evaluate_rhs(case, params) - lhs) <= 1e-13
 
 
@@ -839,8 +857,8 @@ def test_estimate_above_the_tolerance_is_no_pass(monkeypatch, scale, shift,
     integrate = catalog_module.evaluate_lhs
     tolerance = 1e-8 * abs(evaluate_rhs(case_by_id("T1-A"), {"alpha": 2.0}))
 
-    def patched(case, params, rtol=1e-8, atol=1e-10):
-        lhs, cost = integrate(case, params, rtol=rtol, atol=atol)
+    def patched(case, params, tolerance):
+        lhs, cost = integrate(case, params, tolerance)
         lhs += shift * tolerance
         return lhs, QuadratureResult(lhs, scale * tolerance, cost.evaluations,
                                      cost.subdivisions)

@@ -214,8 +214,9 @@ def test_eval_at_a_tight_tolerance_reaches_a_verdict(capsys):
     assert main(["eval", "DISC-P4", "--alpha", str(params["alpha"]),
                  "--rtol", "1e-10", "--atol", "1e-12"]) == 0
     assert "status  = pass" in capsys.readouterr().out
-    lhs, cost = logtrig.evaluate_lhs(case, params, rtol=1e-10, atol=1e-12)
-    assert abs(lhs - logtrig.evaluate_rhs(case, params)) <= cost.error_estimate
+    rhs = logtrig.evaluate_rhs(case, params)
+    lhs, cost = logtrig.evaluate_lhs(case, params, max(1e-12, 1e-10 * abs(rhs)))
+    assert abs(lhs - rhs) <= cost.error_estimate
 
 
 def test_eval_missing_parameter(capsys):
@@ -299,6 +300,23 @@ def test_verify_rejects_non_finite_value(capsys):
     assert main(["verify", "--case", "DISC-P1", "--a", "inf",
                  "--format", "json", "--jobs", "1"]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_verify_at_huge_alpha_ends_in_error_rows(capsys):
+    # in domain, but T1-PA's closed form overflows to -inf (so does its
+    # tolerance) and 2 pi alpha overflows the tail period at 1e308: error
+    # rows that name the failure, where a traceback ended the sweep before
+    assert main(["verify", "--case", "T1-PA,DISC-P4,S3-T6", "--alpha",
+                 "1e200,1e308", "--format", "json", "--jobs", "1"]) == 3
+    rows = {(r["case_id"], r["params"]["alpha"]): r
+            for r in json.loads(capsys.readouterr().out)["rows"]}
+    for alpha in (1e200, 1e308):
+        assert "tolerance" in rows["T1-PA", alpha]["detail"]
+    for case_id in ("DISC-P4", "S3-T6"):
+        assert rows[case_id, 1e200]["status"] == "pass"
+        assert "period" in rows[case_id, 1e308]["detail"]
+    assert all(row["status"] == "error" for key, row in rows.items()
+               if key[1] == 1e308 or key[0] == "T1-PA")
 
 
 def test_verify_rejects_an_unparsable_value(capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from elliptic_oracle import tanh_sinh
 from logtrig import (AccuracyError, DomainError, QuadratureResult, case_by_id,
-                     catalog, evaluate_lhs, integrate_adaptive,
+                     catalog, evaluate_lhs, evaluate_rhs, integrate_adaptive,
                      integrate_endpoint_oscillatory)
 from logtrig import quadrature
 from logtrig.catalog import default_params_grid
@@ -106,7 +106,8 @@ def test_tail_unsettled_at_t_max_raises():
     with pytest.raises(AccuracyError,
                        match="oscillatory tail did not settle") as info:
         integrate_endpoint_oscillatory(lambda x, w: math.exp(-0.7 * w), 0.0,
-                                       PI / 2, "log-cos", ("upper",))
+                                       PI / 2, "log-cos", ("upper",),
+                                       tolerance=1e-10)
     assert abs(exact - info.value.best - math.exp(-0.3 * 60.0) / 0.6) < 1e-12
 
 
@@ -135,7 +136,7 @@ def test_log_squared_kernel_integrates_to_zero():
     # the log of x^2 + log^2(2 cos x) over (0, pi/2) vanishes exactly
     res = integrate_endpoint_oscillatory(
         lambda x, w: math.log(x * x + w * w), 0.0, PI / 2, "log-cos",
-        ("upper",), tol=1e-11, atol=1e-13)
+        ("upper",), tolerance=1e-12)
     assert abs(res.value) < 1e-11
     assert res.error_estimate < 1e-9
 
@@ -144,7 +145,7 @@ def test_pure_tail_against_reference_and_brute_force():
     # the oscillatory tail alone: start the interval at the split abscissa
     res = integrate_endpoint_oscillatory(
         lambda x, w: math.cos(w), TAIL_X0, PI / 2, "log-cos", ("upper",),
-        2.0 * PI, tol=1e-11, atol=1e-13)
+        2.0 * PI, tolerance=1e-12)
     assert abs(res.value - TAIL_REF) < 1e-12
 
     mesh = graded_mesh(TAIL_X0, PI / 2, False, True, 10, 1_000_000)
@@ -170,12 +171,13 @@ def cos_log_tail_ref(u_edge, beta=1.0):
 def test_interval_inside_the_tail_region(map_kind, end, a, b):
     # the far edge lies at t = 6.32 and 6.44, beyond the tail's start, so the
     # tail must start at the edge, not at the split
+    ref = cos_log_tail_ref(2.0 * (math.cos(a) if end == "upper" else math.sin(b)))
+    tolerance = max(1e-13, 1e-11 * abs(ref))
     res = integrate_endpoint_oscillatory(
         lambda x, w: math.cos(w), a, b, map_kind, (end,), 2.0 * PI,
-        tol=1e-11, atol=1e-13)
-    ref = cos_log_tail_ref(2.0 * (math.cos(a) if end == "upper" else math.sin(b)))
+        tolerance=tolerance)
     assert abs(res.value - ref) <= res.error_estimate + 1e-15
-    assert res.error_estimate <= 1e-11 * abs(ref) + 1e-13
+    assert res.error_estimate <= tolerance
 
 
 @pytest.mark.parametrize("beta", (4.0, 16.0, 40.0))
@@ -185,12 +187,13 @@ def test_short_period_tail_against_term_by_term_sum(beta):
     # the Richardson close removes
     x_split = math.acos(0.5 * math.exp(-2.0))
     ref = cos_log_tail_ref(math.exp(-2.0), beta)
-    for tol, atol in ((1e-9, 1e-11), (1e-11, 1e-13)):
+    for rtol, atol in ((1e-9, 1e-11), (1e-11, 1e-13)):
+        tolerance = max(atol, rtol * abs(ref))
         res = integrate_endpoint_oscillatory(
             lambda x, w: math.cos(beta * w), x_split, PI / 2, "log-cos",
-            ("upper",), 2.0 * PI / beta, tol=tol, atol=atol)
+            ("upper",), 2.0 * PI / beta, tolerance=tolerance)
         assert abs(res.value - ref) <= res.error_estimate
-        assert res.error_estimate <= tol * abs(ref) + atol
+        assert res.error_estimate <= tolerance
 
 
 def test_transform_preserves_value_against_graded_panels():
@@ -214,8 +217,7 @@ def test_transform_preserves_value_against_graded_panels():
     ]
     for f, a, b, kind, freq, ends, both in cases:
         res = integrate_endpoint_oscillatory(f, a, b, kind, ends,
-                                             2.0 * PI / freq,
-                                             tol=1e-11, atol=1e-13)
+                                             2.0 * PI / freq, tolerance=1e-11)
 
         def w_of(x):
             return math.log(2.0 * (math.sin(x) if kind == "log-sin"
@@ -232,12 +234,13 @@ def test_short_period_tail_remainder_against_gamma_ratio():
     beta = 16.0
     ref = complex(mpmath.pi / 2 * mpmath.gamma(1 + 1j * beta)
                   / mpmath.gamma(1 + 0.5j * beta) ** 2)
-    for tol, atol in ((1e-9, 1e-11), (1e-11, 1e-13)):
+    for rtol, atol in ((1e-9, 1e-11), (1e-11, 1e-13)):
+        tolerance = max(atol, rtol * abs(ref))
         res = integrate_endpoint_oscillatory(
             lambda x, w: cmath.exp(1j * beta * w), 0.0, PI / 2, "log-cos",
-            ("upper",), 2.0 * PI / beta, tol=tol, atol=atol)
+            ("upper",), 2.0 * PI / beta, tolerance=tolerance)
         assert abs(res.value - ref) <= res.error_estimate
-        assert res.error_estimate <= tol * abs(ref) + atol
+        assert res.error_estimate <= tolerance
 
 
 # int_0^{pi/2} log^n(2 cos x) dx, from the Taylor coefficients of
@@ -249,12 +252,19 @@ LOG_POWER_REFS = ((2, PI ** 3 / 24.0), (3, -0.75 * PI * 1.2020569031595942854))
 def test_decay_only_tail_remainder_against_log_moments(n, ref):
     # no period: the tail factor t^n is far from the constant the geometric
     # remainder assumes
-    for tol, atol in ((1e-9, 1e-11), (1e-11, 1e-13)):
+    for rtol, atol in ((1e-9, 1e-11), (1e-11, 1e-13)):
+        tolerance = max(atol, rtol * abs(ref))
         res = integrate_endpoint_oscillatory(
             lambda x, w: w ** n, 0.0, PI / 2, "log-cos", ("upper",),
-            tol=tol, atol=atol)
+            tolerance=tolerance)
         assert abs(res.value - ref) <= res.error_estimate
-        assert res.error_estimate <= tol * abs(ref) + atol
+        assert res.error_estimate <= tolerance
+
+
+def row_tolerance(case, params, rtol=1e-8, atol=1e-10):
+    """The budget ``verify_case`` asks the lhs for at (rtol, atol): the row
+    tolerance max(atol, rtol |rhs|)."""
+    return max(atol, rtol * abs(evaluate_rhs(case, params)))
 
 
 def p4_poles(alpha, at_end):
@@ -276,12 +286,12 @@ def test_pinch_substitution_against_tanh_closed_form(alpha):
             2.0 * (math.sinh(0.5 * x / alpha) ** 2 + math.cos(0.5 * w / alpha) ** 2))
 
     ref = PI * math.tanh(0.25 * PI / alpha)
-    tol, atol = 1e-10, 1e-12
+    tolerance = max(1e-12, 1e-10 * ref)
     res = integrate_endpoint_oscillatory(
         f, 0.0, PI, "log-sin", ("lower", "upper"), 2.0 * PI * alpha,
-        tol=tol, atol=atol, tail_points=p4_poles(alpha, "lower"))
+        tolerance=tolerance, tail_points=p4_poles(alpha, "lower"))
     assert abs(res.value - ref) <= res.error_estimate
-    assert res.error_estimate <= tol * ref + atol
+    assert res.error_estimate <= tolerance
 
 
 @pytest.mark.parametrize("alpha", (9.4, 12.8))
@@ -298,7 +308,7 @@ def test_pinch_at_an_upper_end_mirrors_the_lower_end(alpha):
             2.0 * (math.sinh(0.5 * d / alpha) ** 2 + math.cos(0.5 * w / alpha) ** 2))
 
     upper, lower = (integrate_endpoint_oscillatory(
-        f, 0.0, PI / 2, kind, (end,), 2.0 * PI * alpha, tol=1e-11, atol=1e-13,
+        f, 0.0, PI / 2, kind, (end,), 2.0 * PI * alpha, tolerance=1e-13,
         tail_points=p4_poles(alpha, end))
         for kind, end in (("log-cos", "upper"), ("log-sin", "lower")))
     assert abs(upper.value - lower.value) <= upper.error_estimate + lower.error_estimate
@@ -322,7 +332,7 @@ def test_quarter_lattice_only_at_long_periods(monkeypatch, case_id, alpha, latti
     monkeypatch.setattr(quadrature, "integrate_adaptive", spy)
     case = case_by_id(case_id)
     params = {"alpha": alpha}
-    evaluate_lhs(case, params)
+    evaluate_lhs(case, params, row_tolerance(case, params))
     quarter = 2.0 * PI * alpha / case.freq / 4.0
     # tail cuts, in t >= 2, on the lattice t = j * quarter
     on_lattice = [p for points, _ in calls for p in points
@@ -364,7 +374,8 @@ def test_interior_panel_is_graded_toward_each_split(monkeypatch, case_id, alpha,
 
     monkeypatch.setattr(quadrature, "integrate_adaptive", spy)
     case = case_by_id(case_id)
-    evaluate_lhs(case, {"alpha": alpha})
+    params = {"alpha": alpha}
+    evaluate_lhs(case, params, row_tolerance(case, params))
     (points, res), = interior
     for end in case.osc_ends:
         emap = _EndpointMap.at(case.map_kind, end)
@@ -394,7 +405,7 @@ def test_interior_cuts_are_distinct(monkeypatch):
             if not case.domain({**case.fixed_params, **params}):
                 continue
             interior.clear()
-            evaluate_lhs(case, params)
+            evaluate_lhs(case, params, row_tolerance(case, params))
             for edges in interior:
                 closest = min(hi - lo for lo, hi in zip(edges, edges[1:]))
                 assert closest > 1e-9, (case.id, params, closest)
@@ -408,7 +419,25 @@ def test_interior_cuts_are_distinct(monkeypatch):
 def test_endpoint_engine_rejects_bad_arguments(map_kind, ends):
     with pytest.raises(DomainError):
         integrate_endpoint_oscillatory(lambda x, w: w, 0.0, PI / 2,
-                                       map_kind, ends)
+                                       map_kind, ends, tolerance=1e-10)
+
+
+@pytest.mark.parametrize("tolerance, period, refused", [
+    (0.0, 2.0 * PI, "tolerance"), (-1.0, 2.0 * PI, "tolerance"),
+    (math.nan, 2.0 * PI, "tolerance"), (math.inf, 2.0 * PI, "tolerance"),
+    (1e-10, math.inf, "period")])
+def test_endpoint_engine_refuses_a_bad_budget_or_period(tolerance, period,
+                                                        refused):
+    # a budget that no estimate meets (0, -1), that every comparison ignores
+    # (nan) or that any estimate meets (inf) is refused before the integrand
+    # runs; so is the period 2 pi alpha once it overflows (alpha = 1e308),
+    # whose chunk step inf * ceil(0.5 / inf) would be nan
+    def never_called(x, w):
+        raise AssertionError("the integrand ran")
+
+    with pytest.raises(DomainError, match=refused):
+        integrate_endpoint_oscillatory(never_called, 0.0, PI / 2, "log-cos",
+                                       ("upper",), period, tolerance=tolerance)
 
 
 def qk15_loop(f, a, b):
