@@ -93,6 +93,13 @@ class IdentityCase(NamedTuple):
     # subtracts each one (see integrate_endpoint_oscillatory)
     tail_points: Callable[[Params], Callable | None] = lambda p: None
     fixed_params: MappingProxyType[str, float] = MappingProxyType({})
+    # the quarter-period points j period / 4 of t, by j mod 4, where the
+    # kernel's denominator is smallest and its poles pinch the path: the
+    # only lattice cuts of the tails and the interior; none for freq 0
+    pinch_quarters: tuple[int, ...] = ()
+    # f(-x, w) = conj f(x, w) on the symmetric log-cos path, whose halves are
+    # then mirror images: only (0, pi/2) is integrated
+    conjugate_even: bool = False
 
 
 class VerificationRow(NamedTuple):
@@ -137,6 +144,20 @@ def _theta_ok(p: Params) -> bool:
     """|theta| < pi/2, and the pole a - i theta does not sit on the path."""
     return (abs(p["theta"]) < PI / 2
             and abs(p["a"] - math.log(2.0 * math.cos(p["theta"]))) > 1e-9)
+
+
+def _enclosed_sum(step: float, stride: int) -> float:
+    """sum 1/(1 - e^{-j step}) over j = 1, 1 + stride, ... with j step < ln 2:
+    the residues of the poles of a DISC-L kernel that the path encloses,
+    since its Re z = log(2 cos x) reaches up to ln 2."""
+    return math.fsum(-1.0 / math.expm1(-j * step)
+                     for j in range(1, math.ceil(LN2 / step), stride))
+
+
+def _enclosed_count(step: float) -> int:
+    """#{m >= 1 : m step < 1}: DISC-IM's poles z = 2 pi i alpha m lie at x =
+    2 pi alpha m, and the path crosses Re z = 0 at x = pi/3."""
+    return math.ceil(1.0 / step) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +260,9 @@ def _t1b_rhs(p: Params) -> float:
 def _t1pa_rhs(p: Params) -> float:
     al = p["alpha"]
     prod = product_one_minus(al).direct
-    return -0.5 * PI * math.log(2.0 * al * al) - PI * math.log(prod)
+    # -(pi/2) log(2 alpha^2), written without alpha^2, which overflows
+    # above alpha = 1.34e154
+    return -PI * (0.5 * LN2 + math.log(al)) - PI * math.log(prod)
 
 
 def _t1pb_rhs(p: Params) -> float:
@@ -509,6 +532,12 @@ _COS_FULL = ((-PI / 2, PI / 2), "log-cos", ("lower", "upper"))
 _SIN = ((0.0, PI), "log-sin", ("lower", "upper"))
 _SIN_HALF = ((0.0, 2.0 * PI), "log-sin-half", ("lower", "upper"))
 
+# Pinch quarters, from the zeros in w = -t of each kernel's denominator at
+# u = 0: cosh(u) - cos(c w / alpha) at whole periods, cosh(u) + cos(...) at
+# half periods, and cos(w / 2 alpha), or the poles of tan(1.5 w / alpha),
+# at the odd quarters.
+_WHOLE, _HALF, _ODD = (0,), (2,), (1, 3)
+
 _CASES: list[IdentityCase] = []
 
 
@@ -536,66 +565,77 @@ _add("INTRO-3", "x sin 2x over the squared-distance kernel", _COS_HALF, "a",
 
 _add("INTRO-4", "binomial weight (1+e^{2ix})^gamma over the pole kernel",
      _COS_FULL, "a-gamma", 0.0, _intro4_f, _intro4_rhs,
-     lambda p: _a_ok(p) and p["gamma"] >= 0.0, complex_valued=True)
+     lambda p: _a_ok(p) and p["gamma"] >= 0.0, complex_valued=True,
+     conjugate_even=True)
 
 _add("T1-A", "log(cosh(x/a) - cos(log(2cos x)/a)) vs eta-type closed form",
-     _COS_HALF, "alpha", 1.0, _t1a_f, _t1a_rhs, _alpha_above(LN2 / (2.0 * PI)))
+     _COS_HALF, "alpha", 1.0, _t1a_f, _t1a_rhs, _alpha_above(LN2 / (2.0 * PI)),
+     pinch_quarters=_WHOLE)
 
 _add("T1-B", "log(cosh + cos) vs algebraic modulus closed form", _COS_HALF,
-     "alpha", 1.0, _t1b_f, _t1b_rhs, _alpha_above(LN2 / PI))
+     "alpha", 1.0, _t1b_f, _t1b_rhs, _alpha_above(LN2 / PI),
+     pinch_quarters=_HALF)
 
 _add("T1-PA", "log(cosh - cos) vs direct q-product form", _COS_HALF, "alpha",
-     1.0, _t1a_f, _t1pa_rhs, _alpha_above(LN2 / (2.0 * PI)))
+     1.0, _t1a_f, _t1pa_rhs, _alpha_above(LN2 / (2.0 * PI)),
+     pinch_quarters=_WHOLE)
 
 _add("T1-PB", "log(cosh + cos) vs direct q-product form", _COS_HALF, "alpha",
-     1.0, _t1b_f, _t1pb_rhs, _alpha_above(LN2 / PI))
+     1.0, _t1b_f, _t1pb_rhs, _alpha_above(LN2 / PI), pinch_quarters=_HALF)
 
 _add("T2", "half-frequency cosh cos kernel vs pi(alpha+2)/8 - alpha K/4",
-     _COS_HALF, "alpha", 0.5, _t2_f, _t2_rhs, _alpha_above(LN2 / PI))
+     _COS_HALF, "alpha", 0.5, _t2_f, _t2_rhs, _alpha_above(LN2 / PI),
+     pinch_quarters=_ODD)
 
 _add("SINE", "i times the sin 2x pole-kernel integral (parity-real)",
      _COS_FULL, "a", 0.0, _sine_f,
      lambda p: complex(0.5 * PI * _sine_kernel_s(p["a"]), 0.0),
-     _a_ok, complex_valued=True)
+     _a_ok, complex_valued=True, conjugate_even=True)
 
 _add("SINE0", "the a = 0 sin 2x pole-kernel value 13 pi/24", _COS_FULL,
      "fixed", 0.0, _sine_f, lambda p: complex(13.0 * PI / 24.0, 0.0),
-     lambda p: True, complex_valued=True)
+     lambda p: True, complex_valued=True, conjugate_even=True)
 
 _add("T3-A", "sin 2x sinh kernel over cosh - cos", _COS_HALF, "alpha", 1.0,
-     _t3a_f, _t3a_rhs, _alpha_above(LN2 / (2.0 * PI)))
+     _t3a_f, _t3a_rhs, _alpha_above(LN2 / (2.0 * PI)), pinch_quarters=_WHOLE)
 
 _add("T3-B", "sin 2x sinh kernel over cosh + cos", _COS_HALF, "alpha", 1.0,
-     _t3b_f, _t3b_rhs, _alpha_above(LN2 / PI))
+     _t3b_f, _t3b_rhs, _alpha_above(LN2 / PI), pinch_quarters=_HALF)
 
 _add("COS", "cos 2x pole-kernel integral with Heaviside switch", _COS_FULL,
-     "a", 0.0, _cos_f, _cos_rhs, _a_ok, complex_valued=True)
+     "a", 0.0, _cos_f, _cos_rhs, _a_ok, complex_valued=True,
+     conjugate_even=True)
 
 _add("T4-A", "cos 2x sin(log-term) kernel over cosh - cos", _COS_HALF,
-     "alpha", 1.0, _t4a_f, _t4a_rhs, _alpha_above(LN2 / (2.0 * PI)))
+     "alpha", 1.0, _t4a_f, _t4a_rhs, _alpha_above(LN2 / (2.0 * PI)),
+     pinch_quarters=_WHOLE)
 
 _add("T4-B", "cos 2x sin(log-term) kernel over cosh + cos", _COS_HALF,
-     "alpha", 1.0, _t4b_f, _t4b_rhs, _alpha_above(LN2 / PI))
+     "alpha", 1.0, _t4b_f, _t4b_rhs, _alpha_above(LN2 / PI),
+     pinch_quarters=_HALF)
 
 _add("T4-PA", "cos 2x sin kernel vs direct sinh^-2 sum form", _COS_HALF,
-     "alpha", 1.0, _t4a_f, _t4pa_rhs, _alpha_above(LN2 / (2.0 * PI)))
+     "alpha", 1.0, _t4a_f, _t4pa_rhs, _alpha_above(LN2 / (2.0 * PI)),
+     pinch_quarters=_WHOLE)
 
 _add("T4-PB", "cos 2x sin kernel vs direct odd sinh^-2 sum form", _COS_HALF,
-     "alpha", 1.0, _t4b_f, _t4pb_rhs, _alpha_above(LN2 / PI))
+     "alpha", 1.0, _t4b_f, _t4pb_rhs, _alpha_above(LN2 / PI),
+     pinch_quarters=_HALF)
 
 _add("S3-T5A", "sinh((4x-pi)/a) over cosh - cos(4 log(2sin x)/a) on (0, pi)",
      _SIN, "alpha", 4.0, _t5a_f, _t5a_rhs, _alpha_above(LN2 / PI),
-     interior_points=lambda p: (PI / 4.0,))
+     interior_points=lambda p: (PI / 4.0,), pinch_quarters=_WHOLE)
 
 _add("S3-T5B", "same kernel over cosh + cos, sqrt(2+2/k) closed form", _SIN,
      "alpha", 4.0, _t5b_f, _t5b_rhs, _alpha_above(2.0 * LN2 / PI),
-     interior_points=lambda p: (PI / 4.0,))
+     interior_points=lambda p: (PI / 4.0,), pinch_quarters=_HALF)
 
 _add("S3-T6", "sinh((pi-6x)/2a) kernel, cn(i K'/3, k) closed form", _SIN,
-     "alpha", 3.0, _t6_f, _t6_rhs, _alpha_above(0.0))
+     "alpha", 3.0, _t6_f, _t6_rhs, _alpha_above(0.0), pinch_quarters=_HALF)
 
 _add("S3-T7", "arctan(tanh/cot) kernel weighted by cos x on (0, 2 pi)",
-     _SIN_HALF, "alpha", 1.5, _t7_f, _t7_rhs, _alpha_above(3.0 * LN2 / PI))
+     _SIN_HALF, "alpha", 1.5, _t7_f, _t7_rhs, _alpha_above(3.0 * LN2 / PI),
+     pinch_quarters=_ODD)
 
 _add("THETA2", "cos 2x kernel with shifted pole i(x+theta) - a", _COS_FULL,
      "a-theta", 0.0, _theta2_f, _theta2_rhs, _theta_ok, complex_valued=True)
@@ -604,36 +644,45 @@ _add("EX-1", "log(cosh + cos) at alpha = sqrt(3), gamma-free value", _COS_HALF,
      "fixed", 1.0, _t1b_f,
      lambda p: (PI * PI / (8.0 * SQRT3) - 0.25 * PI * math.log(1.0 + SQRT3)
                 + 13.0 * PI / 24.0 * LN2),
-     lambda p: True, fixed_params=MappingProxyType({"alpha": SQRT3}))
+     lambda p: True, fixed_params=MappingProxyType({"alpha": SQRT3}),
+     pinch_quarters=_HALF)
 
 _add("EX-2", "half-frequency kernel at alpha = 2, Gamma(1/4) value", _COS_HALF,
      "fixed", 0.5, _t2_f,
      lambda p: (0.5 * PI - (math.sqrt(2.0) + 1.0) * gamma_fn(0.25) ** 2
                 / (16.0 * math.sqrt(2.0 * PI))),
-     lambda p: True, fixed_params=MappingProxyType({"alpha": 2.0}))
+     lambda p: True, fixed_params=MappingProxyType({"alpha": 2.0}),
+     pinch_quarters=_ODD)
 
 _add("EX-3", "cn(i K'/3) kernel at alpha = sqrt(3), Gamma(1/3) value", _SIN,
      "fixed", 3.0, _t6_f,
      lambda p: (gamma_fn(1.0 / 3.0) ** 3 / (2.0 ** (10.0 / 3.0) * PI)
                 - PI * math.tanh(0.5 * PI / SQRT3)),
-     lambda p: True, fixed_params=MappingProxyType({"alpha": SQRT3}))
+     lambda p: True, fixed_params=MappingProxyType({"alpha": SQRT3}),
+     pinch_quarters=_HALF)
 
 _add("DISC-CONTOUR", "parametrized contour integral of the half-frequency kernel",
      _COS_FULL, "alpha", 0.5, _contour_f, _t2_rhs, _alpha_above(LN2 / PI),
-     complex_valued=True)
+     complex_valued=True, pinch_quarters=_ODD, conjugate_even=True)
 
-_add("DISC-L1", "sin(log-term) over cosh - cos vs plain Lambert sum", _COS_HALF,
-     "alpha", 1.0, _l1_f,
+_add("DISC-L1", "sin(log-term) over cosh - cos vs plain Lambert sum, plus "
+     "pi alpha sum 1/(1 - e^{-2 m pi alpha}) over m >= 1, 2 m pi alpha < ln 2",
+     _COS_HALF, "alpha", 1.0, _l1_f,
      lambda p: 0.5 * PI * p["alpha"]
-     - PI * p["alpha"] * lambert_plain(p["alpha"]).direct,
+     - PI * p["alpha"] * lambert_plain(p["alpha"]).direct
+     + PI * p["alpha"] * _enclosed_sum(2.0 * PI * p["alpha"], 1),
      lambda p: p["alpha"] > 0.0
-     and _not_near_integer(LN2 / (2.0 * PI * p["alpha"]), 1, 1))
+     and _not_near_integer(LN2 / (2.0 * PI * p["alpha"]), 1, 1),
+     pinch_quarters=_WHOLE)
 
-_add("DISC-L2", "sin(log-term) over cosh + cos vs odd Lambert sum", _COS_HALF,
-     "alpha", 1.0, _l2_f,
-     lambda p: PI * p["alpha"] * lambert_plain(p["alpha"], odd=True).direct,
+_add("DISC-L2", "sin(log-term) over cosh + cos vs odd Lambert sum, less pi "
+     "alpha sum 1/(1 - e^{-j pi alpha}) over odd j, j pi alpha < ln 2",
+     _COS_HALF, "alpha", 1.0, _l2_f,
+     lambda p: PI * p["alpha"] * lambert_plain(p["alpha"], odd=True).direct
+     - PI * p["alpha"] * _enclosed_sum(PI * p["alpha"], 2),
      lambda p: p["alpha"] > 0.0
-     and _not_near_integer(LN2 / (PI * p["alpha"]), 1, 2))
+     and _not_near_integer(LN2 / (PI * p["alpha"]), 1, 2),
+     pinch_quarters=_HALF)
 
 _add("DISC-P1", "x over squared-distance kernel of log(2 e^a sin x)", _SIN, "a",
      0.0, _p1_f, lambda p: 2.0 * PI ** 2 / (PI ** 2 + 4.0 * p["a"] ** 2),
@@ -652,14 +701,15 @@ _add("DISC-P2", "log(2 e^a sin x) over its squared-distance kernel", _SIN, "a",
 # sums shrink geometrically and the tail closes early even at small alpha.
 _add("DISC-P3", "sin(log-term)/(cosh + cos) on (0, pi), zero value", _SIN,
      "alpha", 1.0, _l2_f, lambda p: 0.0, _alpha_above(0.0),
-     tail_points=_p34_poles(1j))
+     tail_points=_p34_poles(1j), pinch_quarters=_HALF)
 
 _add("DISC-P4", "sinh(x/a)/(cosh + cos) on (0, pi), tanh closed form", _SIN,
      "alpha", 1.0, _p4_f, lambda p: PI * math.tanh(0.25 * PI / p["alpha"]),
-     _alpha_above(0.0), tail_points=_p34_poles(1.0))
+     _alpha_above(0.0), tail_points=_p34_poles(1.0), pinch_quarters=_HALF)
 
-_add("DISC-IM", "sinh/cosh roles of x and the log term exchanged", _COS_HALF,
-     "alpha", 0.0, _im_f, lambda p: 0.5 * PI * p["alpha"],
+_add("DISC-IM", "sinh/cosh roles of x and the log term exchanged, pi alpha "
+     "(1/2 + #{m >= 1 : 6 m alpha < 1})", _COS_HALF, "alpha", 0.0, _im_f,
+     lambda p: PI * p["alpha"] * (0.5 + _enclosed_count(6.0 * p["alpha"])),
      lambda p: p["alpha"] > 0.0
      and _not_near_integer(1.0 / (6.0 * p["alpha"]), 1, 1))
 
@@ -720,14 +770,26 @@ def evaluate_lhs(case: IdentityCase, params: Params, tolerance: float
     """Quadrature side of one case at one parameter point, in one pass
     whether the integrand is real or complex, within the absolute
     ``tolerance``: one budget for the whole integral, which the quadrature
-    splits between its parts (``integrate_endpoint_oscillatory``)."""
+    splits between its parts (``integrate_endpoint_oscillatory``).  A
+    conjugate-even case integrates its upper half, (0, pi/2) with the upper
+    tail, to half the budget, and returns twice its real part, with twice
+    its estimate: the lower half, x(t) = -x_upper(t) on the log-cos path,
+    is that half's conjugate."""
     params = case_params(case, params)
     a, b = case.interval
+    ends = case.osc_ends
+    if case.conjugate_even:
+        a, ends, tolerance = 0.5 * (a + b), ends[-1:], 0.5 * tolerance
     period = 2.0 * PI * params["alpha"] / case.freq if case.freq else None
     res = integrate_endpoint_oscillatory(
-        case.integrand(params), a, b, case.map_kind, case.osc_ends, period,
-        tolerance=tolerance, points=case.interior_points(params),
+        case.integrand(params), a, b, case.map_kind, ends, period,
+        tolerance=tolerance, pinches=case.pinch_quarters,
+        points=case.interior_points(params),
         tail_points=case.tail_points(params))
+    if case.conjugate_even:
+        res = QuadratureResult(complex(2.0 * res.value.real, 0.0),
+                               2.0 * res.error_estimate, res.evaluations,
+                               res.subdivisions)
     return res.value, res
 
 
@@ -738,7 +800,8 @@ def lhs_key(case: IdentityCase, params: Params) -> tuple:
     as one.  Raises DomainError like ``case_params``."""
     merged = case_params(case, params)
     return (case.integrand, case.interval, case.map_kind, case.osc_ends,
-            case.freq, case.tail_points, tuple(sorted(merged.items())),
+            case.freq, case.pinch_quarters, case.conjugate_even,
+            case.tail_points, tuple(sorted(merged.items())),
             tuple(case.interior_points(merged)))
 
 

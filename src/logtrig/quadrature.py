@@ -14,11 +14,12 @@ Two engines cooperate here:
   e^{-2}/2, and the interior panel is cut at x(1), x(0) and x(-0.5),
   geometrically graded toward that end.  The tail is summed in chunks of
   whole periods, at least 0.5 long in t, as QUADPACK's QAWF sums cycle by
-  cycle; a period of at least 2.5 also cuts each chunk at its quarter
-  periods.  Chunk n of a periodic tail sums to a_1 r^n + a_2 r^{2n} + ...,
-  r = exp(-step), so a Richardson table with the known ratios r, r^2, r^3
-  extrapolates the partial sums, and the tail closes at the first level
-  whose bound is below tolerance.
+  cycle; a period of at least 2.5 also cuts each chunk at the quarter
+  periods where the caller's kernel pinches the path.  Chunk n of a
+  periodic tail sums to a_1 r^n + a_2 r^{2n} + ..., r = exp(-step), so a
+  Richardson table with the known ratios r, r^2, r^3 extrapolates the
+  partial sums, and the tail closes at the first level, holding two
+  differences, whose bound is below tolerance.
   A tail that decays without oscillating closes with its geometric
   remainder.
   A pole that the caller declares next to the path, with its residue, is
@@ -291,9 +292,9 @@ _MIN_STEP = 0.5
 # limit, as it did with a floor of 4 or 16 ulps.
 _CHUNK_ULPS = 32.0
 # Shortest period whose tail chunks and interior panel are cut at the
-# quarter-period lattice; shorter chunks are cut only at their whole-period
-# edges, and bisection finds the rest for fewer
-# evaluations.  Default-sweep / offgrid-alpha (seed 1) evaluations with the
+# kernel's pinch points on the quarter-period lattice; shorter chunks are
+# cut only at their whole-period edges, and bisection finds the rest for
+# fewer evaluations.  Default-sweep / offgrid-alpha (seed 1) evaluations with the
 # lattice dropped below a period of 1.5, 2, 2.5, 3 and 3.5 in every case:
 # 109,515 / 290,205, 107,760 / 288,210, 107,550 / 286,290, 107,760 /
 # 286,215 and 121,275 / 305,265; 113,655 / 315,435 with the lattice at
@@ -363,46 +364,51 @@ def _richardson_close(rows: Sequence[Sequence[float]], powers: Sequence[float],
     rho^n, rho = r^(m+1), so it is delta rho / (1 - rho), delta being the
     last difference, taken four times over.  Two terms of opposite sign can
     shrink one difference far below the next term, so delta is kept at
-    least rho times the difference before it, or, at the first difference
-    of a level, rho times the level below's last one."""
+    least rho times the difference before it.  A level closes only once it
+    holds two differences, three entries, as QUADPACK's qelg extrapolates
+    from no fewer than three terms: T[n][m] converges like rho^n only where
+    the chunk sums have reached their power law, and one difference cannot
+    show that (T4-A at alpha = 0.793 and rtol 1e-10 closed level 1 on its
+    first difference, two chunks from t = 2, with an error 3.4 times its
+    estimate)."""
     oldest, before, last = rows
     for m in range(1, _LEVELS + 1):
-        if len(before) <= m:
+        if len(oldest) <= m:
             return None
         rho = powers[m + 1]
-        older = (before[m] - oldest[m] if len(oldest) > m
-                 else last[m - 1] - before[m - 1])
-        delta = max(abs(last[m] - before[m]), rho * abs(older))
+        delta = max(abs(last[m] - before[m]), rho * abs(before[m] - oldest[m]))
         bound = 4.0 * delta * rho / (1.0 - rho)
         if bound + estimate <= stop_at:
             return m, bound
     return None
 
 
-def _feature_cuts(lo: float, hi: float, quarter: float | None) -> list[float]:
-    """t-positions in (lo, hi) on the quarter-period lattice, where tan poles
-    and cos = -1 pinch points sit; none when ``quarter`` is None, as it is
-    for a period below ``_LATTICE_PERIOD``."""
+def _feature_cuts(lo: float, hi: float, quarter: float | None,
+                  pinches: Sequence[int]) -> list[float]:
+    """t-positions j * quarter in (lo, hi) whose j mod 4 is one of
+    ``pinches``, the quarter-period points where the kernel pinches the
+    path; none when ``quarter`` is None, as it is for a period below
+    ``_LATTICE_PERIOD``."""
     cuts: list[float] = []
     if quarter is not None:
         j = math.floor(lo / quarter) + 1
         while j * quarter < hi:
-            cuts.append(j * quarter)
+            if j % 4 in pinches:
+                cuts.append(j * quarter)
             j += 1
     return cuts
 
 
 def _tail_chunk(g: Callable[[float], float | complex], lo: float, hi: float,
-                quarter: float | None, poles: Sequence[tuple[float, complex, complex]],
+                cuts: list[float], poles: Sequence[tuple[float, complex, complex]],
                 tol: float, atol: float) -> QuadratureResult:
-    """g over the chunk [lo, hi], cut at the quarter lattice, if any, in one
-    adaptive call.  Each of ``poles``, (c, d, R), is a simple pole of the
-    real g at p = c + d with residue R, and p's conjugate carries R's
+    """g over the chunk [lo, hi], cut at ``cuts``, in one adaptive call.
+    Each of ``poles``, (c, d, R), is a simple pole of the real g at p = c +
+    d with residue R, and p's conjugate carries R's
     conjugate: the call integrates g - 2 Re(R / (t - p)), which is smooth
     across c, and the exact 2 Re(R [log(hi - p) - log(lo - p)]) is added
     back.  t - p is taken as (t - c) - d, so a d far below the spacing of
     floats at c is kept; Im d != 0 keeps the logs off their branch cut."""
-    cuts = _feature_cuts(lo, hi, quarter)
     if not poles:
         return integrate_adaptive(g, lo, hi, tol=tol, atol=atol, points=cuts,
                                   limit=4096)
@@ -425,7 +431,8 @@ def _tail_chunk(g: Callable[[float], float | complex], lo: float, hi: float,
 def integrate_endpoint_oscillatory(
         f: Callable[[float, float], float | complex], a: float, b: float,
         map_kind: str, ends: Sequence[str], period: float | None = None,
-        *, tolerance: float, points: Sequence[float] = (),
+        *, tolerance: float, pinches: Sequence[int] = (0, 1, 2, 3),
+        points: Sequence[float] = (),
         tail_points: Callable[[str, float, float],
                               Sequence[tuple[float, complex, complex]]] | None = None
         ) -> QuadratureResult:
@@ -454,9 +461,10 @@ def integrate_endpoint_oscillatory(
     T[n][1] = P_n + S_n r / (1 - r).  At each whole chunk the tail takes
     T[n][m] at the first level m whose bound 4 delta rho / (1 - rho),
     rho = r^(m+1), plus the chunk's estimate is below tolerance, delta being
-    the last difference of level m or rho times the one before
-    (``_richardson_close``).  Its estimate adds the bound and every chunk's
-    estimate weighted by the chunk's coefficient in T[n][m].
+    the larger of the last difference of level m and rho times the one
+    before; a level closes only once it holds both (``_richardson_close``).
+    Its estimate adds the bound and every chunk's estimate weighted by the
+    chunk's coefficient in T[n][m].
     A tail without a period stops at the first whole chunk n >= 1 whose
     bound 2 d_n r / (1 - r)^2, d_n = |S_n - r S_(n-1)|, plus its own
     estimate is below tolerance, and closes with the remainder
@@ -464,9 +472,12 @@ def integrate_endpoint_oscillatory(
     AccuracyError unless its last chunk times r / (1 - r) is below
     tolerance.  A complex f takes one pass.
 
-    The quarter-period lattice in t is cut in every tail chunk and, mapped
-    through x(t), in the interior panel when the period is at least
-    ``_LATTICE_PERIOD``; a shorter period's chunks are cut only at their
+    When the period is at least ``_LATTICE_PERIOD``, every tail chunk and,
+    mapped through x(t), the interior panel are cut at the quarter-period
+    points j period / 4 of t whose j mod 4 is one of ``pinches``: where the
+    kernel's denominator is smallest and its poles come closest to the path
+    (0 for whole periods, 2 for half periods, 1 and 3 for the odd
+    quarters).  A shorter period's chunks are cut only at their
     whole-period edges.
     ``points`` adds features fixed in x.  ``tail_points(end, lo, hi)``, when
     given, lists the poles of the real tail integrand f(x(t), -t) |dx/dt|
@@ -515,7 +526,8 @@ def integrate_endpoint_oscillatory(
         else:
             x_hi = min(x_hi, x_split)
         x_cuts += [emap.x(t) for t in (*_INTERIOR_GRADING,
-                                       *_feature_cuts(0.0, _T_SPLIT, quarter),
+                                       *_feature_cuts(0.0, _T_SPLIT, quarter,
+                                                      pinches),
                                        *(c for c, _, _ in poles(end, 0.0, _T_SPLIT)))]
 
     if x_hi > x_lo:
@@ -543,7 +555,8 @@ def integrate_endpoint_oscillatory(
         while True:
             t_next = min(t + step, _T_MAX)
             floor = _CHUNK_ULPS * _EPS * abs(running)
-            res = _tail_chunk(g, t, t_next, quarter,
+            res = _tail_chunk(g, t, t_next,
+                              _feature_cuts(t, t_next, quarter, pinches),
                               poles(end, t - reach, t_next + reach), chunk_tol,
                               max(chunk_atol, floor))
             pieces.append(res.value)

@@ -12,7 +12,8 @@ import pytest
 from logtrig import (AccuracyError, DomainError, QuadratureResult, case_by_id,
                      catalog, contour_path_points, contour_trace, evaluate_lhs,
                      evaluate_rhs, lambert_alternating, verify_case)
-from logtrig.catalog import ALPHA_GRID, PARAM_NAMES, lhs_key
+from logtrig.catalog import (ALPHA_GRID, PARAM_NAMES, default_params_grid,
+                             lhs_key)
 from logtrig import quadrature
 from logtrig.quadrature import _EndpointMap
 from logtrig.report import RunConfig, render_rows_json, run_verification
@@ -73,6 +74,86 @@ def test_osc_ends_are_the_divergent_ends(case):
 def test_cases_of_one_kernel_share_one_integrand(ids):
     first = case_by_id(ids[0]).integrand
     assert all(case_by_id(i).integrand is first for i in ids[1:])
+
+
+def test_pinch_quarters_are_declared_by_every_periodic_kernel():
+    # a subset of the quarter-period points {0, 1, 2, 3}, non-empty exactly
+    # when the kernel oscillates in t
+    for case in catalog():
+        quarters = case.pinch_quarters
+        assert set(quarters) <= {0, 1, 2, 3}, case.id
+        assert len(set(quarters)) == len(quarters), case.id
+        assert bool(quarters) == bool(case.freq), case.id
+
+
+def nearest_pinch(case, period, t):
+    """Distance from t to the closest quarter point j period / 4 whose j
+    mod 4 the case declares."""
+    j = round(4.0 * t / period)
+    return min(abs(t - k * period / 4.0) for k in range(j - 4, j + 5)
+               if k % 4 in case.pinch_quarters)
+
+
+@pytest.mark.parametrize("period", (20.0, 40.0))
+@pytest.mark.parametrize("case", [c for c in catalog() if c.freq],
+                         ids=lambda c: c.id)
+def test_kernel_pinches_at_a_declared_quarter(case, period):
+    # Over the first tail period from t = 2, at each end, the kernel's
+    # pinch is its largest |f(x(t), -t)|, the minimum of its denominator,
+    # or, where the numerator vanishes there too (sin(w/alpha) over cosh -/+
+    # cos), its steepest change in w, at x = x(2) so that factors of x alone
+    # (sin 2x in T3) do not decay across the period.  Each symptom can be
+    # masked: the largest |f| of T3-B sits at t = 2 by that decay, and the
+    # steepest change of DISC-CONTOUR there by the decay of 1/(1 - e^{-z})
+    # in w.  One of the two lies within period/16 of a declared quarter.
+    alpha = period * case.freq / (2.0 * PI)
+    f = case.integrand({**case.fixed_params, "alpha": alpha})
+    n = 4000
+    ts = [2.0 + period * i / n for i in range(n + 1)]
+    for end in case.osc_ends:
+        emap = _EndpointMap.at(case.map_kind, end)
+        largest = max(ts, key=lambda t: abs(f(emap.x(t), -t)))
+        fixed = [f(emap.x(2.0), -t) for t in ts]
+        steepest = ts[max(range(1, n),
+                          key=lambda i: abs(fixed[i + 1] - fixed[i - 1]))]
+        assert min(nearest_pinch(case, period, largest),
+                   nearest_pinch(case, period, steepest)) <= period / 16.0, (
+            end, largest, steepest)
+
+
+def test_conjugate_even_cases_are_the_symmetric_log_cos_ones():
+    even = [c for c in catalog() if c.conjugate_even]
+    assert [c.id for c in even] == ["INTRO-4", "SINE", "SINE0", "COS",
+                                    "DISC-CONTOUR"]
+    for case in even:
+        assert (case.interval, case.map_kind) == ((-PI / 2, PI / 2), "log-cos")
+        assert case.osc_ends == ("lower", "upper")
+
+
+@pytest.mark.parametrize("case", [c for c in catalog() if c.conjugate_even],
+                         ids=lambda c: c.id)
+def test_conjugate_even_kernels_mirror_across_zero(case):
+    # f(-x, w) = conj f(x, w) to 4 ulps, at every default grid point, at
+    # seeded x of the interior panel and at seeded (x(t), -t) of the tail
+    rng = random.Random(26)
+    upper = _EndpointMap.at("log-cos", "upper")
+    checked = 0
+    for params in default_params_grid(case):
+        merged = {**case.fixed_params, **params}
+        if not case.domain(merged):
+            continue
+        f = case.integrand(merged)
+        xs = [rng.uniform(0.0, PI / 2) for _ in range(40)]
+        points = [(x, math.log(2.0 * math.cos(x))) for x in xs]
+        points += [(upper.x(t), -t)
+                   for t in (rng.uniform(2.0, 60.0) for _ in range(40))]
+        for x, w in points:
+            mirror, conj = f(-x, w), f(x, w).conjugate()
+            ulps = 4.0 * math.ulp(abs(conj))
+            assert abs(mirror.real - conj.real) <= ulps, (merged, x, w)
+            assert abs(mirror.imag - conj.imag) <= ulps, (merged, x, w)
+            checked += 1
+    assert checked >= 80
 
 
 def cosh_minus_cos(u, v):
@@ -452,8 +533,8 @@ def test_default_sweep_payload_is_pinned(sweep):
     # records the old and the new hash in CHANGES.md.
     payload = render_rows_json(sweep.rows).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "776c48fd0fe0b1d4986809a03d5308a6720bf24a180ac4f226d8091ae4eb3c81")
-    assert sum(row.evaluations for row in sweep.rows) == 70_440
+        "b5c750b82b810021f50d0165ac88deae015a0cf9bdb3662d3ff9d13eb37702f0")
+    assert sum(row.evaluations for row in sweep.rows) == 61_590
 
 
 def test_tight_sweep_payload_is_pinned():
@@ -462,8 +543,8 @@ def test_tight_sweep_payload_is_pinned():
     report = run_verification(RunConfig(rtol=1e-10, atol=1e-12, jobs=2))
     payload = render_rows_json(report.rows).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "3ba98570709026ba28e260ff205f105cad306231250a367536dd727de9583193")
-    assert sum(row.evaluations for row in report.rows) == 94_275
+        "49c68fec613bb19b3e3a291be287f1cc56b5e8815025f4a7e589428b3d64c85f")
+    assert sum(row.evaluations for row in report.rows) == 87_555
 
 
 # Off-grid points where the Kronrod estimate fell short of the error while
@@ -600,10 +681,30 @@ def test_disc_p1_isolated_pole_is_resolved(a):
     assert row.abs_err <= row_estimate(row) + 5e-13
 
 
-# Closed forms that hold only on the first branch: each fails below its
-# first jump threshold until the Heaviside sums join its right side.
-FIRST_BRANCH_DEFECTS = {"DISC-IM": 1.0 / 6.0, "DISC-L2": LN2 / PI,
-                        "DISC-L1": LN2 / (2.0 * PI)}
+# Closed forms allowed to fail below an alpha threshold, by case id: none
+# since DISC-IM, DISC-L1 and DISC-L2 add the residues of the poles their
+# path encloses below their first jump threshold.
+FIRST_BRANCH_DEFECTS = {}
+
+# Each such case's first two jump thresholds: the alpha at which one more
+# pole of its kernel enters the path.
+BRANCH_THRESHOLDS = {"DISC-IM": (1.0 / 6.0, 1.0 / 12.0),
+                     "DISC-L1": (LN2 / (2.0 * PI), LN2 / (4.0 * PI)),
+                     "DISC-L2": (LN2 / PI, LN2 / (3.0 * PI))}
+
+
+@pytest.mark.parametrize("case_id", BRANCH_THRESHOLDS)
+@pytest.mark.parametrize("scale", (0.98, 1.02))
+@pytest.mark.parametrize("threshold", (0, 1))
+def test_closed_form_holds_beside_each_branch_threshold(case_id, scale,
+                                                        threshold):
+    # below each threshold the closed form gains one residue term; with
+    # the first branch alone the rows below a threshold failed
+    params = {"alpha": scale * BRANCH_THRESHOLDS[case_id][threshold]}
+    for rtol, atol in ((1e-8, 1e-10), (1e-10, 1e-12)):
+        row = verify_case(case_by_id(case_id), params, rtol=rtol, atol=atol)
+        assert row.status == "pass", (row, rtol)
+        assert row.abs_err <= row_estimate(row, rtol, atol) + 5e-13, (row, rtol)
 
 
 def test_offgrid_alpha_sweep():
@@ -751,13 +852,12 @@ def test_richardson_close_bounds_the_error(case_id, alpha):
     assert row.abs_err <= row_estimate(row) + 5e-13
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="the estimate falls short of the error; cause not traced")
 @pytest.mark.parametrize("case_id", ("T4-A", "T4-PA"))
 def test_t4_estimate_bounds_the_error_at_tight_tolerance(case_id):
     # one shared integral: error 1.92e-12 against an estimate of 5.72e-13 on
-    # a passing row (tolerance 9.9e-11); at rtol 1e-12 the lhs agrees with
-    # both closed forms to 2e-16, so the quadrature misses, not the closed form
+    # a passing row (tolerance 9.9e-11) while the tail closed at level 1 on
+    # its first difference, two chunks from t = 2, before the chunk sums had
+    # reached their power law; a level now closes only on two differences
     rtol, atol = 1e-10, 1e-12
     row = verify_case(case_by_id(case_id), {"alpha": 0.793444893429258},
                       rtol=rtol, atol=atol)

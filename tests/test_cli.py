@@ -66,9 +66,9 @@ def test_verify_forced_failure_exit_code(tmp_path):
     ["eval", "DISC-IM", "--alpha", "0.035"]))
 def test_disc_im_deep_tail_ends_in_a_verdict(command):
     # the tail runs past |w| = 710 alpha, where sinh(w / alpha) overflowed
-    # into a traceback; below alpha = 1/6 the first-branch closed form fails
-    # (ROADMAP item 1)
-    assert main(command) in (0, 1)
+    # into a traceback; below alpha = 1/6 the closed form counts the poles
+    # the path encloses, so the row passes
+    assert main(command) == 0
 
 
 @pytest.mark.parametrize("case_id", ("DISC-P3", "DISC-P4"))
@@ -89,10 +89,11 @@ def test_s3_t6_small_alpha_passes(alpha, capsys):
 
 def test_disc_l1_small_alpha_ends_in_a_verdict(capsys):
     # sinh(x / 2 alpha)^2 in the unscaled denominator overflowed below alpha
-    # = 0.0022; the row then fails as a first-branch point (ROADMAP item 1)
-    assert main(["eval", "DISC-L1", "--alpha", "0.002"]) == 1
+    # = 0.0022; there the closed form adds the residues of the 55 poles its
+    # path encloses, and the row passes
+    assert main(["eval", "DISC-L1", "--alpha", "0.002"]) == 0
     out = capsys.readouterr().out
-    assert "status  = fail" in out
+    assert "status  = pass" in out
     assert "evaluation failed" not in out
 
 
@@ -303,20 +304,27 @@ def test_verify_rejects_non_finite_value(capsys):
 
 
 def test_verify_at_huge_alpha_ends_in_error_rows(capsys):
-    # in domain, but T1-PA's closed form overflows to -inf (so does its
-    # tolerance) and 2 pi alpha overflows the tail period at 1e308: error
-    # rows that name the failure, where a traceback ended the sweep before
+    # in domain, but T1-PA's kernel takes the log of an underflowed 0 and
+    # 2 pi alpha overflows the tail period at 1e308: error rows that name
+    # the failure, where a traceback ended the sweep before
     assert main(["verify", "--case", "T1-PA,DISC-P4,S3-T6", "--alpha",
                  "1e200,1e308", "--format", "json", "--jobs", "1"]) == 3
     rows = {(r["case_id"], r["params"]["alpha"]): r
             for r in json.loads(capsys.readouterr().out)["rows"]}
-    for alpha in (1e200, 1e308):
-        assert "tolerance" in rows["T1-PA", alpha]["detail"]
+    assert rows["T1-PA", 1e200]["detail"] == "ValueError: math domain error"
     for case_id in ("DISC-P4", "S3-T6"):
         assert rows[case_id, 1e200]["status"] == "pass"
+    for case_id in ("T1-PA", "DISC-P4", "S3-T6"):
         assert "period" in rows[case_id, 1e308]["detail"]
     assert all(row["status"] == "error" for key, row in rows.items()
                if key[1] == 1e308 or key[0] == "T1-PA")
+
+
+def test_t1pa_closed_form_at_huge_alpha(capsys):
+    # log(2 alpha^2) overflowed to inf above alpha = 1.34e154, and so did the
+    # row tolerance; the closed form now takes log(alpha) alone
+    assert main(["eval", "T1-PA", "--alpha", "1e155"]) == 0
+    assert "status  = pass" in capsys.readouterr().out
 
 
 def test_verify_rejects_an_unparsable_value(capsys):

@@ -527,3 +527,23 @@ def test_tail_map_matches_reference_bit_for_bit(map_kind, end, endpoint):
         x = tail_x_ref(map_kind, endpoint, t)
         assert emap.x(t) == x
         assert g(t) == f(x, -t) * tail_measure_ref(map_kind, t)
+
+
+def test_richardson_close_needs_two_differences_of_a_level():
+    # chunk sums S_n = 0.3 r^n + 0.1 r^(2n) through the engine's table: a
+    # level closes only once it holds two differences, so the rows whose
+    # level 1 holds none or one return None however loose the stop, as
+    # QUADPACK's qelg extrapolates from no fewer than three terms
+    r = math.exp(-1.0)
+    powers = tuple(r ** k for k in range(quadrature._LEVELS + 2))
+    rows, running, closes = [[], [], [0.0]], 0.0, []
+    for n in range(4):
+        running += 0.3 * r ** n + 0.1 * r ** (2 * n)
+        row = [running]
+        for k in range(1, min(len(rows[-1]), quadrature._LEVELS) + 1):
+            row.append((row[k - 1] - powers[k] * rows[-1][k - 1])
+                       / (1.0 - powers[k]))
+        rows = rows[1:] + [row]
+        closes.append(quadrature._richardson_close(rows, powers, 0.0, 1.0))
+    assert closes[:2] == [None, None]
+    assert [close[0] for close in closes[2:]] == [1, 1]
