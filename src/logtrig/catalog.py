@@ -27,7 +27,8 @@ from typing import Callable, NamedTuple, Sequence
 
 from .elliptic import EllipticParams
 from .errors import AccuracyError, DomainError, SolverError
-from .quadrature import QuadratureResult, integrate_endpoint_oscillatory
+from .quadrature import (QuadratureResult, integrate_endpoint_oscillatory,
+                         singular_end)
 from .series import (cosh_third_sum, csch, gamma_fn, inv_expm1,
                      lambert_plain, product_one_minus, product_one_plus,
                      sinh2_sum_integer, sinh2_sum_odd)
@@ -79,7 +80,7 @@ class IdentityCase(NamedTuple):
     param_kind: str                # a key of PARAM_NAMES, or "fixed"
     map_kind: str                  # "log-cos" | "log-sin" | "log-sin-half"
     freq: float                    # oscillation multiplier c; 0 = decay only
-    osc_ends: tuple[str, ...]      # which interval ends need the transform
+    osc_ends: tuple[str, ...]      # the interval ends where w diverges
     integrand: Callable[[Params], Callable[[float, float], float | complex]]
     rhs: Callable[[Params], float | complex]
     domain: Callable[[Params], bool]
@@ -88,17 +89,16 @@ class IdentityCase(NamedTuple):
     # S3-T5A/B's pi/4): the engine already cuts at x(0), where w = 0, and
     # bisection finds the kernels' dips and poles for less than a cut costs
     interior_points: Callable[[Params], tuple[float, ...]] = lambda p: ()
-    # None, or (end, lo, hi) -> the poles next to that end's path whose
-    # centres t_m lie in [lo, hi], as (t_m, d, residue); the engine
-    # subtracts each one (see integrate_endpoint_oscillatory)
+    # None, or (lo, hi) -> the poles next to the tail's path whose centres
+    # t_m lie in [lo, hi], as (t_m, d, residue); the engine subtracts each
+    # one (see integrate_endpoint_oscillatory)
     tail_points: Callable[[Params], Callable | None] = lambda p: None
     fixed_params: MappingProxyType[str, float] = MappingProxyType({})
     # the quarter-period points j period / 4 of t, by j mod 4, where the
     # kernel's denominator is smallest and its poles pinch the path: the
     # only lattice cuts of the tails and the interior; none for freq 0
     pinch_quarters: tuple[int, ...] = ()
-    # f(-x, w) = conj f(x, w) on the symmetric log-cos path, whose halves are
-    # then mirror images: only (0, pi/2) is integrated
+    # f(-x, w) = conj f(x, w) on the log-cos path (-pi/2, pi/2)
     conjugate_even: bool = False
 
 
@@ -146,18 +146,11 @@ def _theta_ok(p: Params) -> bool:
             and abs(p["a"] - math.log(2.0 * math.cos(p["theta"]))) > 1e-9)
 
 
-def _enclosed_sum(step: float, stride: int) -> float:
-    """sum 1/(1 - e^{-j step}) over j = 1, 1 + stride, ... with j step < ln 2:
-    the residues of the poles of a DISC-L kernel that the path encloses,
-    since its Re z = log(2 cos x) reaches up to ln 2."""
-    return math.fsum(-1.0 / math.expm1(-j * step)
-                     for j in range(1, math.ceil(LN2 / step), stride))
-
-
-def _enclosed_count(step: float) -> int:
-    """#{m >= 1 : m step < 1}: DISC-IM's poles z = 2 pi i alpha m lie at x =
-    2 pi alpha m, and the path crosses Re z = 0 at x = pi/3."""
-    return math.ceil(1.0 / step) - 1
+def _enclosed_count(reach: float, stride: int = 1) -> int:
+    """#{j = 1, 1 + stride, ... : j < reach}: the poles a path encloses, of
+    DISC-IM at x = 2 pi alpha m < pi/3, where Re z crosses 0, and of DISC-L
+    at Re z = j pi alpha < ln 2, the largest Re z = log(2 cos x)."""
+    return len(range(1, math.ceil(reach), stride))
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +446,15 @@ def _l_f(trig: Callable[[float], float], p: Params):
 _l1_f, _l2_f = partial(_l_f, math.sin), partial(_l_f, math.cos)
 
 
+def _lambert_outside(alpha: float, odd: bool) -> float:
+    """pi alpha times DISC-L1's (DISC-L2's, ``odd``) Lambert sum over its
+    poles outside the path, less the count of those inside: an enclosed
+    pole's residue term 1/(1 - e^{-x}) is its Lambert term 1/(e^x - 1) + 1."""
+    n = _enclosed_count(LN2 / (PI * alpha if odd else 2.0 * PI * alpha),
+                        2 if odd else 1)
+    return PI * alpha * lambert_plain(alpha, odd, n).direct - PI * alpha * n
+
+
 def _p1_f(p: Params):
     a = p["a"]
     return lambda x, w: x / (x * x + (w + a) ** 2)
@@ -491,9 +493,7 @@ def _p34_poles(numerator: complex):
         al = p["alpha"]
         half = PI * al
 
-        def poles(end: str, lo: float, hi: float) -> list[tuple[float, complex, complex]]:
-            if end != "lower":
-                return []
+        def poles(lo: float, hi: float) -> list[tuple[float, complex, complex]]:
             out = []
             k = max(0, math.floor(0.5 * (lo / half - 1.0)))
             while (t := (2 * k + 1) * half) <= hi:
@@ -665,21 +665,17 @@ _add("DISC-CONTOUR", "parametrized contour integral of the half-frequency kernel
      _COS_FULL, "alpha", 0.5, _contour_f, _t2_rhs, _alpha_above(LN2 / PI),
      complex_valued=True, pinch_quarters=_ODD, conjugate_even=True)
 
-_add("DISC-L1", "sin(log-term) over cosh - cos vs plain Lambert sum, plus "
-     "pi alpha sum 1/(1 - e^{-2 m pi alpha}) over m >= 1, 2 m pi alpha < ln 2",
+_add("DISC-L1", "sin(log-term) over cosh - cos vs plain Lambert sum over 2 m "
+     "pi alpha > ln 2, plus pi alpha #{m >= 1 : 2 m pi alpha < ln 2}",
      _COS_HALF, "alpha", 1.0, _l1_f,
-     lambda p: 0.5 * PI * p["alpha"]
-     - PI * p["alpha"] * lambert_plain(p["alpha"]).direct
-     + PI * p["alpha"] * _enclosed_sum(2.0 * PI * p["alpha"], 1),
+     lambda p: 0.5 * PI * p["alpha"] - _lambert_outside(p["alpha"], False),
      lambda p: p["alpha"] > 0.0
      and _not_near_integer(LN2 / (2.0 * PI * p["alpha"]), 1, 1),
      pinch_quarters=_WHOLE)
 
-_add("DISC-L2", "sin(log-term) over cosh + cos vs odd Lambert sum, less pi "
-     "alpha sum 1/(1 - e^{-j pi alpha}) over odd j, j pi alpha < ln 2",
-     _COS_HALF, "alpha", 1.0, _l2_f,
-     lambda p: PI * p["alpha"] * lambert_plain(p["alpha"], odd=True).direct
-     - PI * p["alpha"] * _enclosed_sum(PI * p["alpha"], 2),
+_add("DISC-L2", "sin(log-term) over cosh + cos vs odd Lambert sum over j pi "
+     "alpha > ln 2, less pi alpha #{odd j : j pi alpha < ln 2}",
+     _COS_HALF, "alpha", 1.0, _l2_f, lambda p: _lambert_outside(p["alpha"], True),
      lambda p: p["alpha"] > 0.0
      and _not_near_integer(LN2 / (PI * p["alpha"]), 1, 2),
      pinch_quarters=_HALF)
@@ -709,7 +705,7 @@ _add("DISC-P4", "sinh(x/a)/(cosh + cos) on (0, pi), tanh closed form", _SIN,
 
 _add("DISC-IM", "sinh/cosh roles of x and the log term exchanged, pi alpha "
      "(1/2 + #{m >= 1 : 6 m alpha < 1})", _COS_HALF, "alpha", 0.0, _im_f,
-     lambda p: PI * p["alpha"] * (0.5 + _enclosed_count(6.0 * p["alpha"])),
+     lambda p: PI * p["alpha"] * (0.5 + _enclosed_count(1.0 / (6.0 * p["alpha"]))),
      lambda p: p["alpha"] > 0.0
      and _not_near_integer(1.0 / (6.0 * p["alpha"]), 1, 1))
 
@@ -771,25 +767,29 @@ def evaluate_lhs(case: IdentityCase, params: Params, tolerance: float
     whether the integrand is real or complex, within the absolute
     ``tolerance``: one budget for the whole integral, which the quadrature
     splits between its parts (``integrate_endpoint_oscillatory``).  A
-    conjugate-even case integrates its upper half, (0, pi/2) with the upper
-    tail, to half the budget, and returns twice its real part, with twice
-    its estimate: the lower half, x(t) = -x_upper(t) on the log-cos path,
-    is that half's conjugate."""
+    two-ended path is symmetric about its midpoint m, where x and 2m - x
+    carry the same w: it is folded onto the half that ends at
+    ``singular_end``, to half the budget.  There a conjugate-even case
+    returns twice its real part, with twice its estimate; any other
+    integrates f(x, w) + f(2m - x, w)."""
     params = case_params(case, params)
+    f = case.integrand(params)
     a, b = case.interval
-    ends = case.osc_ends
-    if case.conjugate_even:
-        a, ends, tolerance = 0.5 * (a + b), ends[-1:], 0.5 * tolerance
+    if len(case.osc_ends) == 2:
+        m = 0.5 * (a + b)
+        a, b = sorted((m, singular_end(case.map_kind)))
+        tolerance *= 0.5
+        if not case.conjugate_even:
+            kernel = f
+            f = lambda x, w: kernel(x, w) + kernel(2.0 * m - x, w)
     period = 2.0 * PI * params["alpha"] / case.freq if case.freq else None
     res = integrate_endpoint_oscillatory(
-        case.integrand(params), a, b, case.map_kind, ends, period,
-        tolerance=tolerance, pinches=case.pinch_quarters,
-        points=case.interior_points(params),
+        f, a, b, case.map_kind, period, tolerance=tolerance,
+        pinches=case.pinch_quarters, points=case.interior_points(params),
         tail_points=case.tail_points(params))
     if case.conjugate_even:
-        res = QuadratureResult(complex(2.0 * res.value.real, 0.0),
-                               2.0 * res.error_estimate, res.evaluations,
-                               res.subdivisions)
+        res = res._replace(value=complex(2.0 * res.value.real, 0.0),
+                           error_estimate=2.0 * res.error_estimate)
     return res.value, res
 
 

@@ -5,12 +5,14 @@ Two engines cooperate here:
 * ``integrate_adaptive`` is a nested Gauss-Kronrod (7, 15) pair with
   bisection driven by the worst-panel error, the workhorse for smooth and
   mildly singular panels.
-* ``integrate_endpoint_oscillatory`` handles the interval ends where
-  log(2 cos x), log(2 sin x) or log(2 sin(x/2)) diverges.  Near such an end
-  the substitution t = -log(...) maps the endpoint to t -> infinity, where
-  the transformed integrand decays like exp(-t) while any trigonometric
+* ``integrate_endpoint_oscillatory`` handles the one interval end where
+  log(2 cos x), log(2 sin x) or log(2 sin(x/2)) diverges: pi/2, 0 and 0
+  (``singular_end``); a caller whose path diverges at both ends folds it
+  onto the half that ends there.  Near that end the substitution t =
+  -log(...) maps the endpoint to t -> infinity, where the transformed
+  integrand decays like exp(-t) while any trigonometric
   dependence on the log term becomes exactly periodic in t.  Every tail
-  starts at t = 2, so no panel in x comes closer to a singular end than
+  starts at t = 2, so no panel in x comes closer to the singular end than
   e^{-2}/2, and the interior panel is cut at x(1), x(0) and x(-0.5),
   geometrically graded toward that end.  The tail is summed in chunks of
   whole periods, at least 0.5 long in t, as QUADPACK's QAWF sums cycle by
@@ -27,11 +29,11 @@ Two engines cooperate here:
   the exact integral of that pair, a complex logarithm, is added back
   ("subtracting out the singularity": Davis & Rabinowitz, Methods of
   Numerical Integration, 2nd ed., 1984).  The map is chosen once per
-  integral and end, from ``map_kind`` and the end's name: each tail node
-  costs one exp, one arc sine or cosine and one square root before the
-  caller's integrand runs.  The caller states one absolute tolerance for
-  the whole integral, and the engine splits it between the interior panel,
-  each tail chunk and each close.
+  integral, from ``map_kind``: each tail node costs one exp, one arc sine
+  or cosine and one square root before the caller's integrand runs.  The
+  caller states one absolute tolerance for the whole integral, and the
+  engine splits it between the interior panel, each tail chunk and the
+  close.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
     "QuadratureResult",
     "integrate_adaptive",
     "integrate_endpoint_oscillatory",
+    "singular_end",
 ]
 
 
@@ -205,65 +208,68 @@ def integrate_adaptive(f: Callable[[float], float | complex], a: float, b: float
 # endpoint substitution machinery
 
 
-# map_kind -> (trig, c, arc, (offset, scale) at the lower end, at the upper
-# end).  The log-trig value w = log(2 trig(c x)) diverges at each end, arc
-# inverts trig next to it, and on that end's side w(x) = -t at
-# x = offset + scale * arc(u) with u = exp(-t) / 2.
+# map_kind -> (trig, c, arc, scale).  The log-trig value w = log(2 trig(c x))
+# diverges at x = scale * arc(0), the one end that the engine maps: pi/2 for
+# log cos, 0 for log sin and log sin(x/2).  arc inverts trig next to it, and
+# there w(x) = -t at x = scale * arc(u) with u = exp(-t) / 2.
 _MAPS = {
-    "log-cos": (math.cos, 1.0, math.acos, (0.0, -1.0), (0.0, 1.0)),
-    "log-sin": (math.sin, 1.0, math.asin, (0.0, 1.0), (math.pi, -1.0)),
-    "log-sin-half": (math.sin, 0.5, math.asin, (0.0, 2.0), (2.0 * math.pi, -2.0)),
+    "log-cos": (math.cos, 1.0, math.acos, 1.0),
+    "log-sin": (math.sin, 1.0, math.asin, 1.0),
+    "log-sin-half": (math.sin, 0.5, math.asin, 2.0),
 }
 
 
 class _EndpointMap(NamedTuple):
-    """The substitution w = -t at one interval end, chosen once per integral.
+    """The substitution w = -t at the singular end, chosen once per integral.
 
     Both the hot integrands and the cold cut mapping read this one
-    definition; |dx/dt| = |scale| * u / sqrt(1 - u^2).
+    definition; |dx/dt| = scale * u / sqrt(1 - u^2).
     """
 
     trig: Callable[[float], float]
     c: float
     arc: Callable[[float], float]
-    offset: float
     scale: float
 
     @classmethod
-    def at(cls, map_kind: str, end: str) -> "_EndpointMap":
-        if map_kind not in _MAPS or end not in ("lower", "upper"):
-            raise DomainError(f"unknown map kind or end: {map_kind!r}, {end!r}")
-        trig, c, arc, lower, upper = _MAPS[map_kind]
-        return cls(trig, c, arc, *(lower if end == "lower" else upper))
+    def at(cls, map_kind: str) -> "_EndpointMap":
+        if map_kind not in _MAPS:
+            raise DomainError(f"unknown map kind: {map_kind!r}")
+        return cls(*_MAPS[map_kind])
 
     def x(self, t: float) -> float:
         """Abscissa at which the log-trig value equals -t."""
-        return self.offset + self.scale * self.arc(0.5 * math.exp(-t))
+        return self.scale * self.arc(0.5 * math.exp(-t))
 
     def interior(self, f: Callable[[float, float], float | complex]
                  ) -> Callable[[float], float | complex]:
-        """x -> f(x, w(x)), for the panel away from the ends."""
+        """x -> f(x, w(x)), for the panel away from the end."""
         trig, c, log = self.trig, self.c, math.log
         return lambda x: f(x, log(2.0 * trig(c * x)))
 
     def tail(self, f: Callable[[float, float], float | complex]
              ) -> Callable[[float], float | complex]:
         """t -> f(x(t), -t) |dx/dt|, the integrand of the transformed tail."""
-        arc, offset, scale = self.arc, self.offset, self.scale
-        half = 0.5 * abs(scale)
+        arc, scale = self.arc, self.scale
+        half = 0.5 * scale
         exp, sqrt = math.exp, math.sqrt
 
         def g(t: float) -> float | complex:
             e = exp(-t)
             u = 0.5 * e
             # e * half is exact, so the measure rounds once
-            return f(offset + scale * arc(u), -t) * (e * half / sqrt(1.0 - u * u))
+            return f(scale * arc(u), -t) * (e * half / sqrt(1.0 - u * u))
 
         return g
 
 
-# t = -w at which every end's transformed tail starts, and the largest t it
-# reaches.
+def singular_end(map_kind: str) -> float:
+    """The x at which the ``map_kind`` log-trig value diverges: the one end
+    of the interval that ``integrate_endpoint_oscillatory`` maps."""
+    return _EndpointMap.at(map_kind).x(math.inf)
+
+
+# t = -w at which the transformed tail starts, and the largest t it reaches.
 _T_SPLIT = 2.0
 _T_MAX = 60.0
 # Reach, in chunk steps, within which a declared pole centre beside a tail
@@ -301,7 +307,7 @@ _CHUNK_ULPS = 32.0
 # every period and 164,100 / 394,695 with none.  From period pi on the
 # lattice pays again.
 _LATTICE_PERIOD = 2.5
-# t-positions at which each end whose tail starts at _T_SPLIT also cuts the
+# t-positions at which a tail that starts at _T_SPLIT also cuts the
 # interior panel: about one e-fold apart in distance to the singular end,
 # all above the turning point t = -ln 2, so bisection need not grade toward
 # the log singularity itself.  Default-sweep / offgrid-alpha (seed 1)
@@ -430,26 +436,26 @@ def _tail_chunk(g: Callable[[float], float | complex], lo: float, hi: float,
 
 def integrate_endpoint_oscillatory(
         f: Callable[[float, float], float | complex], a: float, b: float,
-        map_kind: str, ends: Sequence[str], period: float | None = None,
+        map_kind: str, period: float | None = None,
         *, tolerance: float, pinches: Sequence[int] = (0, 1, 2, 3),
         points: Sequence[float] = (),
-        tail_points: Callable[[str, float, float],
+        tail_points: Callable[[float, float],
                               Sequence[tuple[float, complex, complex]]] | None = None
         ) -> QuadratureResult:
     """Integrate f(x, w) over [a, b], w being the ``map_kind`` log-trig value.
 
-    The interior panel evaluates w directly from x.  From t = -w = 2 on,
-    at each of ``ends`` ("lower", "upper"), the integral continues in t, so
-    the integrand receives the exact pair (x(t), -t); an interval whose far
-    edge lies beyond x(2) is all tail, from that edge.  Toward each end
-    whose tail starts at t = 2, the interior panel is cut at x(t) for t in
-    ``_INTERIOR_GRADING`` (1, 0 and -0.5), about one e-fold apart in
+    One end of [a, b] is ``singular_end(map_kind)``, where w diverges.  The
+    interior panel evaluates w directly from x; from t = -w = 2 on, toward
+    that end, the integral continues in t, so the integrand receives the
+    exact pair (x(t), -t).  An interval whose far edge lies beyond x(2) is
+    all tail, from that edge; any other interior panel is cut at x(t) for t
+    in ``_INTERIOR_GRADING`` (1, 0 and -0.5), about one e-fold apart in
     distance to the singular end, so that bisection does not grade toward
     it by computing panels only to throw them away.  One tail chunk spans
     the fewest whole periods that reach ``_MIN_STEP`` (0.5) in t, a step of
     2 when ``period`` is None (a tail that decays without oscillating), and
     r = exp(-step) <= e^{-0.5}.  ``tolerance`` is one absolute budget for
-    the whole integral: the interior, each chunk and each close take their
+    the whole integral: the interior, each chunk and the close take their
     share of it (``_QUADRATURE_SHARE``), so every part is charged to that
     one number and not to its own value.
 
@@ -479,11 +485,11 @@ def integrate_endpoint_oscillatory(
     (0 for whole periods, 2 for half periods, 1 and 3 for the odd
     quarters).  A shorter period's chunks are cut only at their
     whole-period edges.
-    ``points`` adds features fixed in x.  ``tail_points(end, lo, hi)``, when
+    ``points`` adds features fixed in x.  ``tail_points(lo, hi)``, when
     given, lists the poles of the real tail integrand f(x(t), -t) |dx/dt|
-    next to that end's path whose centres t_m lie in [lo, hi], as (t_m, d,
-    R): a simple pole at t_m + d with residue R, and its conjugate.  Each
-    tail chunk subtracts the poles whose centres lie within ``_POLE_REACH``
+    next to the path whose centres t_m lie in [lo, hi], as (t_m, d, R): a
+    simple pole at t_m + d with residue R, and its conjugate.  Each tail
+    chunk subtracts the poles whose centres lie within ``_POLE_REACH``
     chunk steps of it and adds back their exact integrals (``_tail_chunk``);
     the centres below t = 2, wide enough for bisection, cut the interior
     panel.
@@ -492,48 +498,37 @@ def integrate_endpoint_oscillatory(
         raise DomainError(f"tolerance must be positive and finite, got {tolerance}")
     if period is not None and not 0.0 < period < math.inf:
         raise DomainError(f"period must be None or positive and finite, got {period}")
-    if not ends or len(set(ends)) != len(ends):
-        raise DomainError(f"need distinct interval ends, got {ends!r}")
-    maps = [_EndpointMap.at(map_kind, end) for end in ends]
+    emap = _EndpointMap.at(map_kind)
+    end = emap.x(math.inf)
+    if not (a < b and end in (a, b)):
+        raise DomainError(f"{map_kind} diverges at x = {end}, not at an end "
+                          f"of [{a}, {b}]")
     quarter = (period / 4.0 if period is not None and period >= _LATTICE_PERIOD
                else None)
     step = period * math.ceil(_MIN_STEP / period) if period is not None else 2.0
     reach = _POLE_REACH * step
-    poles = tail_points or (lambda end, lo, hi: ())
+    poles = tail_points or (lambda lo, hi: ())
     tol, atol = _REL_FLOOR, max(tolerance * _QUADRATURE_SHARE, _ABS_FLOOR)
 
-    evaluations = 0
-    subdivisions = 0
+    evaluations = subdivisions = 0
     pieces: list[float | complex] = []
     err_total = 0.0
 
-    # each end's tail starts at t = 2, or at the far edge when that lies
-    # beyond x(2); the interior stops there and gets that end's grading
-    # cuts, its lattice cuts and the centres of poles below it
-    x_lo, x_hi = a, b
-    x_cuts = list(points)
-    starts = []
-    for end, emap in zip(ends, maps):
-        x_split = emap.x(_T_SPLIT)
-        edge = b if end == "lower" else a
-        if (edge < x_split) if end == "lower" else (edge > x_split):
-            starts.append(-math.log(2.0 * emap.trig(emap.c * edge)))
-            x_hi = x_lo
-            continue
-        starts.append(_T_SPLIT)
-        if end == "lower":
-            x_lo = max(x_lo, x_split)
-        else:
-            x_hi = min(x_hi, x_split)
-        x_cuts += [emap.x(t) for t in (*_INTERIOR_GRADING,
-                                       *_feature_cuts(0.0, _T_SPLIT, quarter,
-                                                      pinches),
-                                       *(c for c, _, _ in poles(end, 0.0, _T_SPLIT)))]
-
-    if x_hi > x_lo:
-        # w(x) depends only on map_kind, so either end's map serves
+    # the tail starts at t = 2, or at the far edge when that lies beyond
+    # x(2); the interior stops there and gets the grading cuts, the lattice
+    # cuts and the centres of poles below it
+    x_split = emap.x(_T_SPLIT)
+    far = a if end == b else b
+    t = _T_SPLIT
+    if (far > x_split) if end == b else (far < x_split):
+        t = -math.log(2.0 * emap.trig(emap.c * far))
+    elif far != x_split:
+        x_lo, x_hi = sorted((far, x_split))
+        x_cuts = [*points, *(emap.x(s) for s in (
+            *_INTERIOR_GRADING, *_feature_cuts(0.0, _T_SPLIT, quarter, pinches),
+            *(c for c, _, _ in poles(0.0, _T_SPLIT))))]
         interior = integrate_adaptive(
-            maps[-1].interior(f), x_lo, x_hi,
+            emap.interior(f), x_lo, x_hi,
             tol=_INTERIOR_SHARE * tol, atol=_INTERIOR_SHARE * atol,
             points=[p for p in x_cuts if x_lo < p < x_hi], limit=8192)
         pieces.append(interior.value)
@@ -546,58 +541,57 @@ def integrate_endpoint_oscillatory(
     tail_gain = r / (1.0 - r)          # r + r^2 + ...: all later chunks
     powers = tuple(r ** k for k in range(_LEVELS + 2))
     weights = _richardson_weights(powers)
-    for end, emap, t in zip(ends, maps, starts):
-        g = emap.tail(f)
-        running = _fsum(pieces)
-        previous = None
-        rows = [[], [], [running]]     # last three rows, from row -1 on
-        estimates: list[float] = []    # of the last chunks, newest first
-        while True:
-            t_next = min(t + step, _T_MAX)
-            floor = _CHUNK_ULPS * _EPS * abs(running)
-            res = _tail_chunk(g, t, t_next,
-                              _feature_cuts(t, t_next, quarter, pinches),
-                              poles(end, t - reach, t_next + reach), chunk_tol,
-                              max(chunk_atol, floor))
-            pieces.append(res.value)
-            err_total += res.error_estimate
-            evaluations += res.evaluations
-            subdivisions += res.subdivisions
-            running += res.value
-            stop_at = max(_CLOSE_SHARE * atol, _CLOSE_SHARE * tol * abs(running))
-            whole = t_next == t + step
-            if whole and period is not None:
-                row = [running]
-                for k in range(1, min(len(rows[-1]), _LEVELS) + 1):
-                    row.append((row[k - 1] - powers[k] * rows[-1][k - 1])
-                               / (1.0 - powers[k]))
-                rows = rows[1:] + [row]
-                estimates = [res.error_estimate] + estimates[:_LEVELS - 1]
-                close = _richardson_close(rows, powers, res.error_estimate,
-                                          stop_at)
-                if close is not None:
-                    m, bound = close
-                    pieces.append(row[m] - running)
-                    err_total += bound + math.fsum(
-                        w * e for w, e in zip(weights[m], estimates))
-                    break
-            elif whole and previous is not None:
-                # twice the remainder's error when f varies linearly in t
-                bound = 2.0 * abs(res.value - r * previous) * tail_gain / (1.0 - r)
-                if bound + res.error_estimate <= stop_at:
-                    pieces.append(res.value * tail_gain)
-                    err_total += bound + res.error_estimate * tail_gain
-                    break
-            if t_next >= _T_MAX:
-                truncation = abs(res.value) * tail_gain
-                if truncation > max(atol, tol * abs(running)):
-                    raise AccuracyError("oscillatory tail did not settle",
-                                        best=running, error_estimate=truncation,
-                                        evaluations=evaluations)
-                err_total += truncation
+    g = emap.tail(f)
+    running = _fsum(pieces)
+    previous = None
+    rows = [[], [], [running]]         # last three rows, from row -1 on
+    estimates: list[float] = []        # of the last chunks, newest first
+    while True:
+        t_next = min(t + step, _T_MAX)
+        floor = _CHUNK_ULPS * _EPS * abs(running)
+        res = _tail_chunk(g, t, t_next,
+                          _feature_cuts(t, t_next, quarter, pinches),
+                          poles(t - reach, t_next + reach), chunk_tol,
+                          max(chunk_atol, floor))
+        pieces.append(res.value)
+        err_total += res.error_estimate
+        evaluations += res.evaluations
+        subdivisions += res.subdivisions
+        running += res.value
+        stop_at = max(_CLOSE_SHARE * atol, _CLOSE_SHARE * tol * abs(running))
+        whole = t_next == t + step
+        if whole and period is not None:
+            row = [running]
+            for k in range(1, min(len(rows[-1]), _LEVELS) + 1):
+                row.append((row[k - 1] - powers[k] * rows[-1][k - 1])
+                           / (1.0 - powers[k]))
+            rows = rows[1:] + [row]
+            estimates = [res.error_estimate] + estimates[:_LEVELS - 1]
+            close = _richardson_close(rows, powers, res.error_estimate,
+                                      stop_at)
+            if close is not None:
+                m, bound = close
+                pieces.append(row[m] - running)
+                err_total += bound + math.fsum(
+                    w * e for w, e in zip(weights[m], estimates))
                 break
-            previous = res.value
-            t = t_next
+        elif whole and previous is not None:
+            # twice the remainder's error when f varies linearly in t
+            bound = 2.0 * abs(res.value - r * previous) * tail_gain / (1.0 - r)
+            if bound + res.error_estimate <= stop_at:
+                pieces.append(res.value * tail_gain)
+                err_total += bound + res.error_estimate * tail_gain
+                break
+        if t_next >= _T_MAX:
+            truncation = abs(res.value) * tail_gain
+            if truncation > max(atol, tol * abs(running)):
+                raise AccuracyError("oscillatory tail did not settle",
+                                    best=running, error_estimate=truncation,
+                                    evaluations=evaluations)
+            err_total += truncation
+            break
+        previous = res.value
+        t = t_next
 
     value = _fsum(pieces)
     return QuadratureResult(value, err_total, evaluations, subdivisions)

@@ -181,15 +181,16 @@ def cn_imag_third(params: EllipticParams) -> float:
             / (params.k * params.big_k))
 
 
-def lambert_plain(alpha: float, odd: bool = False) -> SeriesValue:
+def lambert_plain(alpha: float, odd: bool = False, first: int = 0) -> SeriesValue:
     """Lambert sums: by default sum_{n>=1} 1/(exp(2 pi alpha n) - 1), with
-    ``odd=True`` sum_{n>=0} 1/(exp(pi alpha (2n+1)) - 1)."""
+    ``odd=True`` sum_{n>=0} 1/(exp(pi alpha (2n+1)) - 1); ``first`` terms
+    are left out."""
     _check(alpha)
     a = math.pi * alpha
     return _sum(
         "lambert_plain",
         lambda n: inv_expm1(a * (2 * n + 1) if odd else 2.0 * a * (n + 1)),
-        math.exp(-2.0 * a))
+        math.exp(-2.0 * a), first)
 
 
 def gamma_fn(x: float) -> float:

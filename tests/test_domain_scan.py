@@ -1,0 +1,92 @@
+"""Seeded scans over the cases' declared domains, against one defect ledger.
+
+A scanned row is clean when it passes and its quadrature estimate bounds
+its error, plus the 5e-13 rounding floor of evaluating both sides in
+doubles.  A fail, an error row or a miss (an error above estimate + 5e-13)
+must be named in ``KNOWN_DEFECTS``; an entry leaves when its ROADMAP item
+lands, and no seed or range is chosen to keep a defect out of sight.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+from logtrig import case_by_id, catalog, verify_case
+
+# ROADMAP item 3: a decay-only tail closes before it reaches the kernel's
+# feature at t = |a|, a pole for DISC-P1 and DISC-P2 and a log branch point
+# for INTRO-1.  DISC-P1 fails there; all three can miss their estimate.
+# Case id -> the smallest |a| at which the defect is known.
+KNOWN_DEFECTS = {"DISC-P1": 14.0, "DISC-P2": 14.0, "INTRO-1": 14.0}
+
+
+def known_defect(case_id, params):
+    reach = KNOWN_DEFECTS.get(case_id)
+    return reach is not None and abs(params["a"]) >= reach
+
+
+def wide_a_points():
+    """40 seeded points per a, a-theta and a-gamma case, in catalog order:
+    a in [-25, 25], then theta in [-1.4, 1.4] or gamma in [0, 5]."""
+    rng = random.Random(5)
+    points = []
+    for case in catalog():
+        if case.param_kind not in ("a", "a-theta", "a-gamma"):
+            continue
+        for _ in range(40):
+            params = {"a": rng.uniform(-25.0, 25.0)}
+            if case.param_kind == "a-theta":
+                params["theta"] = rng.uniform(-1.4, 1.4)
+            elif case.param_kind == "a-gamma":
+                params["gamma"] = rng.uniform(0.0, 5.0)
+            points.append((case, params))
+    return points
+
+
+def scan_row(case, params, rtol, atol):
+    """The row and whether its error exceeds its estimate + 5e-13.  The
+    ``shared`` dict of ``verify_case`` hands back the estimate of the
+    integral the row used, (lhs, estimate, failure, owner), so the
+    integral runs once."""
+    shared = {}
+    row = verify_case(case, params, rtol, atol, shared=shared)
+    miss = (row.status in ("pass", "fail")
+            and row.abs_err > shared["lhs"][1] + 5e-13)
+    return row, miss
+
+
+@pytest.mark.parametrize("rtol, atol", ((1e-8, 1e-10), (1e-10, 1e-12)))
+def test_wide_a_scan_stays_inside_the_defect_ledger(rtol, atol):
+    # 400 rows.  Default tolerance: 3 DISC-P1 fails (a = 18.9, 20.5 and
+    # 21.9) and 6 misses; tight: the same fails, 3 misses.  A fold of the
+    # two-ended paths at the full budget added an APPA miss here (a =
+    # -23.40, 1.06 times its estimate), which this scan refuses
+    tally, outside = Counter(), []
+    for case, params in wide_a_points():
+        row, miss = scan_row(case, params, rtol, atol)
+        tally[row.status] += 1
+        tally["miss"] += miss
+        if (row.status != "pass" or miss) and not known_defect(case.id, params):
+            outside.append((case.id, params, row.status, miss))
+    assert outside == [], tally
+    assert tally["pass"] + tally["fail"] == 400, tally
+
+
+# The same seed drawn theta before a meets three APPA rows whose folded
+# tail, f(x, w) + f(-x, w) over (0, pi/2), closes before the kernel's
+# feature at t = |a| (ROADMAP item 3): errors 2.4e-11, 2.6e-11 and 1.2e-11
+# against estimates of 1.3e-11, 1.5e-11 and 0.94e-11, where the two tails
+# of the unfolded path had estimated 4.9e-11, 5.3e-11 and 4.5e-11.  Every
+# error is below 3% of the row tolerance.
+@pytest.mark.xfail(strict=True,
+                   reason="the folded decay-only tail closes before t = |a|")
+@pytest.mark.parametrize("theta, a", (
+    (1.3312086698263252, -24.686365775050856),
+    (-0.8371371775756814, -23.753483751893018),
+    (0.7289726330030653, -24.97801839299959)))
+def test_appa_folded_tail_estimate_bounds_the_error(theta, a):
+    row, miss = scan_row(case_by_id("APPA"), {"theta": theta, "a": a},
+                         1e-8, 1e-10)
+    assert row.status == "pass"
+    assert not miss

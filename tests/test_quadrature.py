@@ -12,7 +12,8 @@ from logtrig import (AccuracyError, DomainError, QuadratureResult, case_by_id,
                      integrate_endpoint_oscillatory)
 from logtrig import quadrature
 from logtrig.catalog import default_params_grid
-from logtrig.quadrature import _WG, _WGK, _XGK, _EndpointMap, _qk15
+from logtrig.quadrature import (_WG, _WGK, _XGK, _EndpointMap, _qk15,
+                                singular_end)
 
 PI = math.pi
 
@@ -106,8 +107,7 @@ def test_tail_unsettled_at_t_max_raises():
     with pytest.raises(AccuracyError,
                        match="oscillatory tail did not settle") as info:
         integrate_endpoint_oscillatory(lambda x, w: math.exp(-0.7 * w), 0.0,
-                                       PI / 2, "log-cos", ("upper",),
-                                       tolerance=1e-10)
+                                       PI / 2, "log-cos", tolerance=1e-10)
     assert abs(exact - info.value.best - math.exp(-0.3 * 60.0) / 0.6) < 1e-12
 
 
@@ -136,7 +136,7 @@ def test_log_squared_kernel_integrates_to_zero():
     # the log of x^2 + log^2(2 cos x) over (0, pi/2) vanishes exactly
     res = integrate_endpoint_oscillatory(
         lambda x, w: math.log(x * x + w * w), 0.0, PI / 2, "log-cos",
-        ("upper",), tolerance=1e-12)
+        tolerance=1e-12)
     assert abs(res.value) < 1e-11
     assert res.error_estimate < 1e-9
 
@@ -144,8 +144,8 @@ def test_log_squared_kernel_integrates_to_zero():
 def test_pure_tail_against_reference_and_brute_force():
     # the oscillatory tail alone: start the interval at the split abscissa
     res = integrate_endpoint_oscillatory(
-        lambda x, w: math.cos(w), TAIL_X0, PI / 2, "log-cos", ("upper",),
-        2.0 * PI, tolerance=1e-12)
+        lambda x, w: math.cos(w), TAIL_X0, PI / 2, "log-cos", 2.0 * PI,
+        tolerance=1e-12)
     assert abs(res.value - TAIL_REF) < 1e-12
 
     mesh = graded_mesh(TAIL_X0, PI / 2, False, True, 10, 1_000_000)
@@ -170,11 +170,12 @@ def cos_log_tail_ref(u_edge, beta=1.0):
     ("log-cos", "upper", 1.5699, PI / 2), ("log-sin", "lower", 0.0, 0.0008)])
 def test_interval_inside_the_tail_region(map_kind, end, a, b):
     # the far edge lies at t = 6.32 and 6.44, beyond the tail's start, so the
-    # tail must start at the edge, not at the split
+    # tail must start at the edge, not at the split; ``end`` names the end
+    # that the map kind diverges at
     ref = cos_log_tail_ref(2.0 * (math.cos(a) if end == "upper" else math.sin(b)))
     tolerance = max(1e-13, 1e-11 * abs(ref))
     res = integrate_endpoint_oscillatory(
-        lambda x, w: math.cos(w), a, b, map_kind, (end,), 2.0 * PI,
+        lambda x, w: math.cos(w), a, b, map_kind, 2.0 * PI,
         tolerance=tolerance)
     assert abs(res.value - ref) <= res.error_estimate + 1e-15
     assert res.error_estimate <= tolerance
@@ -191,13 +192,15 @@ def test_short_period_tail_against_term_by_term_sum(beta):
         tolerance = max(atol, rtol * abs(ref))
         res = integrate_endpoint_oscillatory(
             lambda x, w: math.cos(beta * w), x_split, PI / 2, "log-cos",
-            ("upper",), 2.0 * PI / beta, tolerance=tolerance)
+            2.0 * PI / beta, tolerance=tolerance)
         assert abs(res.value - ref) <= res.error_estimate
         assert res.error_estimate <= tolerance
 
 
 def test_transform_preserves_value_against_graded_panels():
-    # three integrands with one or two log-singular oscillatory ends
+    # three integrands with one or two log-singular oscillatory ends; the
+    # two-ended one is folded onto its lower half, f(x, w) + f(pi - x, w)
+    # over (0, pi/2), against graded panels over all of (0, pi)
     def t1a(x, w):
         return math.log(2.0 * (math.sinh(0.5 * x) ** 2 + math.sin(0.5 * w) ** 2))
 
@@ -210,13 +213,19 @@ def test_transform_preserves_value_against_graded_panels():
                 / (2.0 * (math.sinh((PI - 6.0 * x) / 4.0) ** 2
                           + math.cos(1.5 * w) ** 2)))
 
+    def t6_folded(x, w):
+        return t6(x, w) + t6(PI - x, w)
+
+    # (f, the integrand and the upper end the engine takes, f's upper end,
+    # map kind, freq, whether f's path diverges at both ends); a = 0
     cases = [
-        (t1a, 0.0, PI / 2, "log-cos", 1.0, ("upper",), False),
-        (t3a, 0.0, PI / 2, "log-cos", 1.0, ("upper",), False),
-        (t6, 0.0, PI, "log-sin", 3.0, ("lower", "upper"), True),
+        (t1a, t1a, PI / 2, PI / 2, "log-cos", 1.0, False),
+        (t3a, t3a, PI / 2, PI / 2, "log-cos", 1.0, False),
+        (t6, t6_folded, PI / 2, PI, "log-sin", 3.0, True),
     ]
-    for f, a, b, kind, freq, ends, both in cases:
-        res = integrate_endpoint_oscillatory(f, a, b, kind, ends,
+    a = 0.0
+    for f, engine_f, engine_b, b, kind, freq, both in cases:
+        res = integrate_endpoint_oscillatory(engine_f, a, engine_b, kind,
                                              2.0 * PI / freq, tolerance=1e-11)
 
         def w_of(x):
@@ -238,7 +247,7 @@ def test_short_period_tail_remainder_against_gamma_ratio():
         tolerance = max(atol, rtol * abs(ref))
         res = integrate_endpoint_oscillatory(
             lambda x, w: cmath.exp(1j * beta * w), 0.0, PI / 2, "log-cos",
-            ("upper",), 2.0 * PI / beta, tolerance=tolerance)
+            2.0 * PI / beta, tolerance=tolerance)
         assert abs(res.value - ref) <= res.error_estimate
         assert res.error_estimate <= tolerance
 
@@ -255,8 +264,7 @@ def test_decay_only_tail_remainder_against_log_moments(n, ref):
     for rtol, atol in ((1e-9, 1e-11), (1e-11, 1e-13)):
         tolerance = max(atol, rtol * abs(ref))
         res = integrate_endpoint_oscillatory(
-            lambda x, w: w ** n, 0.0, PI / 2, "log-cos", ("upper",),
-            tolerance=tolerance)
+            lambda x, w: w ** n, 0.0, PI / 2, "log-cos", tolerance=tolerance)
         assert abs(res.value - ref) <= res.error_estimate
         assert res.error_estimate <= tolerance
 
@@ -267,12 +275,11 @@ def row_tolerance(case, params, rtol=1e-8, atol=1e-10):
     return max(atol, rtol * abs(evaluate_rhs(case, params)))
 
 
-def p4_poles(alpha, at_end):
-    """DISC-P4's poles (t_m, d, R) next to one end.  The kernels below are
-    its integrand, and their tail integrand in t is the same next to a
-    log-sin lower end and a log-cos upper end."""
-    lower = case_by_id("DISC-P4").tail_points({"alpha": alpha})
-    return lambda end, lo, hi: lower("lower", lo, hi) if end == at_end else []
+def p4_poles(alpha):
+    """DISC-P4's poles (t_m, d, R) next to the tail's path.  The kernels
+    below are its integrand, and their tail integrand in t is the same next
+    to a log-sin lower end and a log-cos upper end."""
+    return case_by_id("DISC-P4").tail_points({"alpha": alpha})
 
 
 @pytest.mark.parametrize("alpha", (2.0, 5.78))
@@ -280,7 +287,8 @@ def test_pinch_substitution_against_tanh_closed_form(alpha):
     # int_0^pi sinh(x/a) / (cosh(x/a) + cos(w/a)) dx = pi tanh(pi / 4a) with
     # w = log(2 sin x); near x = 0 the poles at t = (2m+1) pi a sit e^{-t}/2
     # from the path, and missing the one at t = pi a costs 4e-8 (a = 2) and
-    # 2.4e-7 (a = 5.78); the engine subtracts them
+    # 2.4e-7 (a = 5.78); the engine subtracts them.  The path is folded onto
+    # (0, pi/2), where next to x = pi/2 no pole comes close
     def f(x, w):
         return math.sinh(x / alpha) / (
             2.0 * (math.sinh(0.5 * x / alpha) ** 2 + math.cos(0.5 * w / alpha) ** 2))
@@ -288,8 +296,8 @@ def test_pinch_substitution_against_tanh_closed_form(alpha):
     ref = PI * math.tanh(0.25 * PI / alpha)
     tolerance = max(1e-12, 1e-10 * ref)
     res = integrate_endpoint_oscillatory(
-        f, 0.0, PI, "log-sin", ("lower", "upper"), 2.0 * PI * alpha,
-        tolerance=tolerance, tail_points=p4_poles(alpha, "lower"))
+        lambda x, w: f(x, w) + f(PI - x, w), 0.0, PI / 2, "log-sin",
+        2.0 * PI * alpha, tolerance=tolerance, tail_points=p4_poles(alpha))
     assert abs(res.value - ref) <= res.error_estimate
     assert res.error_estimate <= tolerance
 
@@ -308,9 +316,9 @@ def test_pinch_at_an_upper_end_mirrors_the_lower_end(alpha):
             2.0 * (math.sinh(0.5 * d / alpha) ** 2 + math.cos(0.5 * w / alpha) ** 2))
 
     upper, lower = (integrate_endpoint_oscillatory(
-        f, 0.0, PI / 2, kind, (end,), 2.0 * PI * alpha, tolerance=1e-13,
-        tail_points=p4_poles(alpha, end))
-        for kind, end in (("log-cos", "upper"), ("log-sin", "lower")))
+        f, 0.0, PI / 2, kind, 2.0 * PI * alpha, tolerance=1e-13,
+        tail_points=p4_poles(alpha))
+        for kind in ("log-cos", "log-sin"))
     assert abs(upper.value - lower.value) <= upper.error_estimate + lower.error_estimate
     for res in (upper, lower):
         assert res.error_estimate <= 1e-11 * abs(res.value) + 1e-13
@@ -341,12 +349,13 @@ def test_quarter_lattice_only_at_long_periods(monkeypatch, case_id, alpha, latti
     if not lattice:
         # tail chunks are cut only at their whole-period edges, and the
         # interior panel (limit 8192) only at the centres of poles below
-        # t = 2, mapped to x = asin(e^{-t}/2), and at x(t) of each grading t
+        # t = 2, mapped to x = asin(e^{-t}/2), and at x(t) of each grading t;
+        # DISC-P3/P4 are folded onto (0, pi/2), so their one interior panel
+        # is graded toward x = 0 alone
         poles = case.tail_points(params)
         centres = [math.asin(0.5 * math.exp(-c))
-                   for c, _, _ in (poles("lower", 0.0, 2.0) if poles else ())]
-        grading = [_EndpointMap.at(case.map_kind, end).x(t)
-                   for end in case.osc_ends
+                   for c, _, _ in (poles(0.0, 2.0) if poles else ())]
+        grading = [_EndpointMap.at(case.map_kind).x(t)
                    for t in quadrature._INTERIOR_GRADING]
         tail = [points for points, limit in calls if limit != 8192]
         interior = [sorted(points) for points, limit in calls if limit == 8192]
@@ -356,8 +365,8 @@ def test_quarter_lattice_only_at_long_periods(monkeypatch, case_id, alpha, latti
 @pytest.mark.parametrize("case_id, alpha, evaluations", (
     ("T1-A", 11.0, 60),         # log-cos, one end: four panels, no bisection
     ("T2", 11.0, 60),
-    ("DISC-P3", 11.0, None),    # log-sin, both ends
-    ("S3-T7", 11.0, None)))     # log-sin-half, both ends
+    ("DISC-P3", 11.0, None),    # log-sin, folded onto (0, pi/2)
+    ("S3-T7", 11.0, None)))     # log-sin-half, folded onto (0, pi)
 def test_interior_panel_is_graded_toward_each_split(monkeypatch, case_id, alpha,
                                                    evaluations):
     # the interior panel runs to x(2), e^{-2}/2 from the log singularity;
@@ -377,10 +386,9 @@ def test_interior_panel_is_graded_toward_each_split(monkeypatch, case_id, alpha,
     params = {"alpha": alpha}
     evaluate_lhs(case, params, row_tolerance(case, params))
     (points, res), = interior
-    for end in case.osc_ends:
-        emap = _EndpointMap.at(case.map_kind, end)
-        for t in (1.0, 0.0, -0.5):
-            assert emap.x(t) in points, (end, t)
+    emap = _EndpointMap.at(case.map_kind)
+    for t in (1.0, 0.0, -0.5):
+        assert emap.x(t) in points, t
     if evaluations is not None:
         assert res.subdivisions == 0
         assert res.evaluations == evaluations
@@ -414,12 +422,14 @@ def test_interior_cuts_are_distinct(monkeypatch):
 
 
 @pytest.mark.parametrize("map_kind, ends", [
-    ("log-cos", ()), ("log-cos", ("middle",)), ("log-cos", ("upper", "upper")),
-    ("log-tan", ("upper",))])
+    ("log-cos", (0.0, 1.0)), ("log-cos", (PI / 2, 0.0)),
+    ("log-cos", (-PI / 2, 0.0)), ("log-tan", (0.0, PI / 2))])
 def test_endpoint_engine_rejects_bad_arguments(map_kind, ends):
+    # an unknown map kind, and intervals (a, b) that are reversed or do not
+    # end where the map diverges: log cos is mapped only at pi/2
     with pytest.raises(DomainError):
-        integrate_endpoint_oscillatory(lambda x, w: w, 0.0, PI / 2,
-                                       map_kind, ends, tolerance=1e-10)
+        integrate_endpoint_oscillatory(lambda x, w: w, *ends, map_kind,
+                                       tolerance=1e-10)
 
 
 @pytest.mark.parametrize("tolerance, period, refused", [
@@ -437,7 +447,7 @@ def test_endpoint_engine_refuses_a_bad_budget_or_period(tolerance, period,
 
     with pytest.raises(DomainError, match=refused):
         integrate_endpoint_oscillatory(never_called, 0.0, PI / 2, "log-cos",
-                                       ("upper",), period, tolerance=tolerance)
+                                       period, tolerance=tolerance)
 
 
 def qk15_loop(f, a, b):
@@ -493,13 +503,13 @@ def test_lone_panel_within_tolerance_returns_its_kronrod_sums():
     assert isinstance(res.value, complex)
 
 
-def tail_x_ref(map_kind, endpoint, t):
+def tail_x_ref(map_kind, t):
     u = 0.5 * math.exp(-t)
     if map_kind == "log-cos":
-        return math.copysign(math.acos(u), endpoint)
+        return math.acos(u)
     if map_kind == "log-sin":
-        return math.asin(u) if endpoint < 1.0 else PI - math.asin(u)
-    return 2.0 * math.asin(u) if endpoint < 1.0 else 2.0 * PI - 2.0 * math.asin(u)
+        return math.asin(u)
+    return 2.0 * math.asin(u)
 
 
 def tail_measure_ref(map_kind, t):
@@ -508,23 +518,22 @@ def tail_measure_ref(map_kind, t):
     return 2.0 * base if map_kind == "log-sin-half" else base
 
 
-TAIL_ENDS = [
-    ("log-cos", "upper", PI / 2), ("log-cos", "lower", -PI / 2),
-    ("log-sin", "lower", 0.0), ("log-sin", "upper", PI),
-    ("log-sin-half", "lower", 0.0), ("log-sin-half", "upper", 2.0 * PI)]
+# each map kind's one singular end
+TAIL_ENDS = [("log-cos", PI / 2), ("log-sin", 0.0), ("log-sin-half", 0.0)]
 
 
-@pytest.mark.parametrize("map_kind, end, endpoint", TAIL_ENDS,
-                         ids=[f"{kind}-{x}" for kind, _, x in TAIL_ENDS])
-def test_tail_map_matches_reference_bit_for_bit(map_kind, end, endpoint):
+@pytest.mark.parametrize("map_kind, endpoint", TAIL_ENDS,
+                         ids=[f"{kind}-{x}" for kind, x in TAIL_ENDS])
+def test_tail_map_matches_reference_bit_for_bit(map_kind, endpoint):
     def f(x, w):
         return x + 3.0 * w
 
-    emap = _EndpointMap.at(map_kind, end)
+    emap = _EndpointMap.at(map_kind)
+    assert singular_end(map_kind) == endpoint
     g = emap.tail(f)
     for i in range(200):
         t = 2.0 + 58.0 * i / 199
-        x = tail_x_ref(map_kind, endpoint, t)
+        x = tail_x_ref(map_kind, t)
         assert emap.x(t) == x
         assert g(t) == f(x, -t) * tail_measure_ref(map_kind, t)
 
