@@ -1,12 +1,13 @@
 """The identity catalog: each case pairs a quadrature side with a closed form.
 
 A case owns its integrand (as a function of x and the log-trig value w, so
-the endpoint transform can feed exact pairs), the interval and endpoint
-maps, a domain predicate, and the closed-form evaluator.  Each kernel writes
-its denominator cosh(u) -/+ cos(v) inline as 2*(sinh(u/2)^2 + sin/cos(v/2)^2),
-which cannot lose precision or hit an accidental zero near the tail spikes,
-or, where u grows large, as expm1(-u)^2 + 4 e^{-u} sin/cos(v/2)^2 = 2 e^{-u}
-(cosh(u) -/+ cos(v)), with the numerator scaled alike.
+the endpoint transform can feed exact pairs), its path, which ``_PATHS``
+carries onto the quadrature's one integral, a domain predicate, and the
+closed-form evaluator.  Each kernel writes its denominator cosh(u) -/+ cos(v)
+inline as 2*(sinh(u/2)^2 + sin/cos(v/2)^2), which cannot lose precision or
+hit an accidental zero near the tail spikes, or, where u grows large, as
+expm1(-u)^2 + 4 e^{-u} sin/cos(v/2)^2 = 2 e^{-u} (cosh(u) -/+ cos(v)), with
+the numerator scaled alike.
 
 Domain notes.  The arctan kernel on (0, 2*pi) needs every jump level
 2 sin(x/2) = exp((2m+1) pi alpha / 3), m >= 0, to lie above 2, hence
@@ -27,8 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .elliptic import EllipticParams
 from .errors import AccuracyError, DomainError, SolverError
-from .quadrature import (QuadratureResult, integrate_endpoint_oscillatory,
-                         singular_end)
+from .quadrature import QuadratureResult, integrate_endpoint_oscillatory
 from .series import (cosh_third_sum, csch, gamma_fn, inv_expm1,
                      lambert_plain, product_one_minus, product_one_plus,
                      sinh2_sum_integer, sinh2_sum_odd)
@@ -85,9 +85,9 @@ class IdentityCase(NamedTuple):
     rhs: Callable[[Params], float | complex]
     domain: Callable[[Params], bool]
     complex_valued: bool = False   # descriptive; complex values take one pass
-    # extra interior cuts, fixed in x, where they save evaluations (only
-    # S3-T5A/B's pi/4): the engine already cuts at x(0), where w = 0, and
-    # bisection finds the kernels' dips and poles for less than a cut costs
+    # extra interior cuts, as t = -w, where a kernel's feature would escape
+    # bisection or a cut saves evaluations; the engine keeps those in
+    # (-ln 2, 2) and already cuts at t = 1, 0 and -0.5
     interior_points: Callable[[Params], tuple[float, ...]] = lambda p: ()
     # None, or (lo, hi) -> the poles next to the tail's path whose centres
     # t_m lie in [lo, hi], as (t_m, d, residue); the engine subtracts each
@@ -479,7 +479,7 @@ def _p4_f(p: Params):
 def _p34_poles(numerator: complex):
     """Poles of a DISC-P3/P4 kernel N / E next to the path, as (t_m, d, R).
 
-    On the lower end's tail x = asin(u), u = e^{-t}/2, |dx/dt| = m = u /
+    On the tail x = y = asin(u), u = e^{-t}/2, |dx/dt| = m = u /
     sqrt(1 - u^2) and E = cosh(x/alpha) + cos(t/alpha).  At t = t_m + d,
     t_m = (2k+1) pi alpha, cos(t/2 alpha) = -/+ sin(d/2 alpha), so E = 0 at
     d = i x(t_m + d); Newton's method settles d from 0 in six steps for t_m
@@ -531,6 +531,17 @@ _COS_HALF = ((0.0, PI / 2), "log-cos", ("upper",))
 _COS_FULL = ((-PI / 2, PI / 2), "log-cos", ("lower", "upper"))
 _SIN = ((0.0, PI), "log-sin", ("lower", "upper"))
 _SIN_HALF = ((0.0, 2.0 * PI), "log-sin-half", ("lower", "upper"))
+
+# Each path as the quadrature's one integral of g(y, w) over (0, pi/2], w =
+# log(2 sin y), keyed by (map_kind, number of ends): x = pi/2 - y, y or 2y
+# carries the same w, and a two-ended path adds its mirror image.
+_PATHS = {
+    ("log-cos", 1): lambda f: lambda y, w: f(PI / 2 - y, w),
+    ("log-cos", 2): lambda f: lambda y, w: f(PI / 2 - y, w) + f(y - PI / 2, w),
+    ("log-sin", 2): lambda f: lambda y, w: f(y, w) + f(PI - y, w),
+    ("log-sin-half", 2):
+        lambda f: lambda y, w: 2.0 * (f(2.0 * y, w) + f(2.0 * PI - 2.0 * y, w)),
+}
 
 # Pinch quarters, from the zeros in w = -t of each kernel's denominator at
 # u = 0: cosh(u) - cos(c w / alpha) at whole periods, cosh(u) + cos(...) at
@@ -622,13 +633,15 @@ _add("T4-PB", "cos 2x sin kernel vs direct odd sinh^-2 sum form", _COS_HALF,
      "alpha", 1.0, _t4b_f, _t4pb_rhs, _alpha_above(LN2 / PI),
      pinch_quarters=_HALF)
 
+_T5_CUT = lambda p: (-0.5 * LN2,)    # x = pi/4 and 3 pi/4, where w = ln 2 / 2
+
 _add("S3-T5A", "sinh((4x-pi)/a) over cosh - cos(4 log(2sin x)/a) on (0, pi)",
      _SIN, "alpha", 4.0, _t5a_f, _t5a_rhs, _alpha_above(LN2 / PI),
-     interior_points=lambda p: (PI / 4.0,), pinch_quarters=_WHOLE)
+     interior_points=_T5_CUT, pinch_quarters=_WHOLE)
 
 _add("S3-T5B", "same kernel over cosh + cos, sqrt(2+2/k) closed form", _SIN,
      "alpha", 4.0, _t5b_f, _t5b_rhs, _alpha_above(2.0 * LN2 / PI),
-     interior_points=lambda p: (PI / 4.0,), pinch_quarters=_HALF)
+     interior_points=_T5_CUT, pinch_quarters=_HALF)
 
 _add("S3-T6", "sinh((pi-6x)/2a) kernel, cn(i K'/3, k) closed form", _SIN,
      "alpha", 3.0, _t6_f, _t6_rhs, _alpha_above(0.0), pinch_quarters=_HALF)
@@ -703,11 +716,15 @@ _add("DISC-P4", "sinh(x/a)/(cosh + cos) on (0, pi), tanh closed form", _SIN,
      "alpha", 1.0, _p4_f, lambda p: PI * math.tanh(0.25 * PI / p["alpha"]),
      _alpha_above(0.0), tail_points=_p34_poles(1.0), pinch_quarters=_HALF)
 
+# DISC-IM's kernel turns from -1 to 1 across about alpha in t around w = 0
+# (x = pi/3), too narrow below alpha ~ 1e-3 for the panels at the cut t = 0:
+# a ladder of cuts reaches in from each side.
 _add("DISC-IM", "sinh/cosh roles of x and the log term exchanged, pi alpha "
      "(1/2 + #{m >= 1 : 6 m alpha < 1})", _COS_HALF, "alpha", 0.0, _im_f,
      lambda p: PI * p["alpha"] * (0.5 + _enclosed_count(1.0 / (6.0 * p["alpha"]))),
      lambda p: p["alpha"] > 0.0
-     and _not_near_integer(1.0 / (6.0 * p["alpha"]), 1, 1))
+     and _not_near_integer(1.0 / (6.0 * p["alpha"]), 1, 1),
+     interior_points=lambda p: tuple(j * p["alpha"] for j in (-64, -16, -4, 4, 16, 64)))
 
 _add("APPA", "pole kernel 1/(i(x+theta) - a + log(2cos x))", _COS_FULL,
      "a-theta", 0.0, _appa_f, _appa_rhs, _theta_ok, complex_valued=True)
@@ -766,25 +783,17 @@ def evaluate_lhs(case: IdentityCase, params: Params, tolerance: float
     """Quadrature side of one case at one parameter point, in one pass
     whether the integrand is real or complex, within the absolute
     ``tolerance``: one budget for the whole integral, which the quadrature
-    splits between its parts (``integrate_endpoint_oscillatory``).  A
-    two-ended path is symmetric about its midpoint m, where x and 2m - x
-    carry the same w: it is folded onto the half that ends at
-    ``singular_end``, to half the budget.  There a conjugate-even case
-    returns twice its real part, with twice its estimate; any other
-    integrates f(x, w) + f(2m - x, w)."""
+    splits between its parts (``integrate_endpoint_oscillatory``).  The
+    case's path becomes the engine's one integral through ``_PATHS``; a
+    two-ended path, folded onto one half, gets half the budget.  A
+    conjugate-even case integrates only (0, pi/2) and returns twice its
+    real part, with twice its estimate."""
     params = case_params(case, params)
-    f = case.integrand(params)
-    a, b = case.interval
-    if len(case.osc_ends) == 2:
-        m = 0.5 * (a + b)
-        a, b = sorted((m, singular_end(case.map_kind)))
-        tolerance *= 0.5
-        if not case.conjugate_even:
-            kernel = f
-            f = lambda x, w: kernel(x, w) + kernel(2.0 * m - x, w)
+    ends = len(case.osc_ends)
+    path = _PATHS[case.map_kind, 1 if case.conjugate_even else ends]
     period = 2.0 * PI * params["alpha"] / case.freq if case.freq else None
     res = integrate_endpoint_oscillatory(
-        f, a, b, case.map_kind, period, tolerance=tolerance,
+        path(case.integrand(params)), period, tolerance=tolerance / ends,
         pinches=case.pinch_quarters, points=case.interior_points(params),
         tail_points=case.tail_points(params))
     if case.conjugate_even:
@@ -832,11 +841,12 @@ def verify_case(case: IdentityCase, params: Params,
     The lhs is asked for the row tolerance max(atol, rtol |rhs|), the one
     absolute budget of its integral.  A row passes when both |lhs - rhs|
     and the quadrature's error estimate are within it.  It fails when
-    |lhs - rhs| is not; a row whose estimate alone exceeds the tolerance is
-    an error row whose detail names the estimate and the tolerance.  A
-    ValueError of the integral at a point the closed form admitted (at
-    huge alpha, a budget or period that overflowed, or a kernel's log of an
-    underflowed 0) is an error row too; an out-of-domain point still raises.
+    |lhs - rhs| exceeds the tolerance and, if the estimate exceeds it too,
+    the tolerance plus the estimate; any other row is an error row whose
+    detail names the estimate and the tolerance.  A ValueError of the
+    integral at a point the closed form admitted (at huge alpha, a budget or
+    period that overflowed, or a kernel's log of an underflowed 0) is an
+    error row too; an out-of-domain point still raises.
 
     Rows whose points share one ``lhs_key`` may pass one ``shared`` dict.
     The first of them to need the integral computes it and leaves its
@@ -866,9 +876,9 @@ def verify_case(case: IdentityCase, params: Params,
         return _error_row(case, params, evaluations, failure)
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / abs(rhs) if rhs != 0 else abs_err
-    if abs_err <= tolerance < estimate:
-        # within tolerance, but the estimate cannot show it: neither a pass
-        # nor a fail
+    if tolerance < estimate and abs_err <= tolerance + estimate:
+        # the estimate can show neither that the row holds nor that it does
+        # not: neither a pass nor a fail
         reason = f"error estimate {estimate:.3e} above the tolerance {tolerance:.3e}"
         return _error_row(case, params, evaluations, AccuracyError(
             f"{detail}: {reason}" if detail else reason, lhs, estimate,

@@ -5,33 +5,32 @@ Two engines cooperate here:
 * ``integrate_adaptive`` is a nested Gauss-Kronrod (7, 15) pair with
   bisection driven by the worst-panel error, the workhorse for smooth and
   mildly singular panels.
-* ``integrate_endpoint_oscillatory`` handles the one interval end where
-  log(2 cos x), log(2 sin x) or log(2 sin(x/2)) diverges: pi/2, 0 and 0
-  (``singular_end``); a caller whose path diverges at both ends folds it
-  onto the half that ends there.  Near that end the substitution t =
-  -log(...) maps the endpoint to t -> infinity, where the transformed
-  integrand decays like exp(-t) while any trigonometric
-  dependence on the log term becomes exactly periodic in t.  Every tail
-  starts at t = 2, so no panel in x comes closer to the singular end than
-  e^{-2}/2, and the interior panel is cut at x(1), x(0) and x(-0.5),
-  geometrically graded toward that end.  The tail is summed in chunks of
-  whole periods, at least 0.5 long in t, as QUADPACK's QAWF sums cycle by
-  cycle; a period of at least 2.5 also cuts each chunk at the quarter
-  periods where the caller's kernel pinches the path.  Chunk n of a
-  periodic tail sums to a_1 r^n + a_2 r^{2n} + ..., r = exp(-step), so a
-  Richardson table with the known ratios r, r^2, r^3 extrapolates the
-  partial sums, and the tail closes at the first level, holding two
-  differences, whose bound is below tolerance.
+* ``integrate_endpoint_oscillatory`` integrates one thing: f(y, w) over
+  (0, pi/2] with w = log(2 sin y), which diverges at y = 0 alone.  Every
+  path of the catalog (log(2 cos x), log(2 sin x), log(2 sin(x/2))) is
+  brought to it by a substitution of x, and a path that diverges at both
+  ends is folded onto one half first.  Near y = 0 the substitution t = -w
+  maps the endpoint to t -> infinity, where the transformed integrand
+  decays like exp(-t) while any trigonometric dependence on the log term
+  becomes exactly periodic in t.  Every tail starts at t = 2, so no panel
+  in y comes closer to y = 0 than e^{-2}/2, and the interior panel is cut
+  at y(1), y(0) and y(-0.5), geometrically graded toward that end.  The
+  tail is summed in chunks of whole periods, at least 0.5 long in t, as
+  QUADPACK's QAWF sums cycle by cycle; a period of at least 2.5 also cuts
+  each chunk at the quarter periods where the caller's kernel pinches the
+  path.  Chunk n of a periodic tail sums to a_1 r^n + a_2 r^{2n} + ...,
+  r = exp(-step), so a Richardson table with the known ratios r, r^2, r^3
+  extrapolates the partial sums, and the tail closes at the first level,
+  holding two differences, whose bound is below tolerance.
   A tail that decays without oscillating closes with its geometric
   remainder.
   A pole that the caller declares next to the path, with its residue, is
   subtracted from each tail chunk near it together with its conjugate, and
   the exact integral of that pair, a complex logarithm, is added back
   ("subtracting out the singularity": Davis & Rabinowitz, Methods of
-  Numerical Integration, 2nd ed., 1984).  The map is chosen once per
-  integral, from ``map_kind``: each tail node costs one exp, one arc sine
-  or cosine and one square root before the caller's integrand runs.  The
-  caller states one absolute tolerance for the whole integral, and the
+  Numerical Integration, 2nd ed., 1984).  Each tail node costs one exp,
+  one arc sine and one square root before the caller's integrand runs.
+  The caller states one absolute tolerance for the whole integral, and the
   engine splits it between the interior panel, each tail chunk and the
   close.
 """
@@ -51,7 +50,6 @@ __all__ = [
     "QuadratureResult",
     "integrate_adaptive",
     "integrate_endpoint_oscillatory",
-    "singular_end",
 ]
 
 
@@ -208,65 +206,26 @@ def integrate_adaptive(f: Callable[[float], float | complex], a: float, b: float
 # endpoint substitution machinery
 
 
-# map_kind -> (trig, c, arc, scale).  The log-trig value w = log(2 trig(c x))
-# diverges at x = scale * arc(0), the one end that the engine maps: pi/2 for
-# log cos, 0 for log sin and log sin(x/2).  arc inverts trig next to it, and
-# there w(x) = -t at x = scale * arc(u) with u = exp(-t) / 2.
-_MAPS = {
-    "log-cos": (math.cos, 1.0, math.acos, 1.0),
-    "log-sin": (math.sin, 1.0, math.asin, 1.0),
-    "log-sin-half": (math.sin, 0.5, math.asin, 2.0),
-}
+# The one substitution: w = log(2 sin y) equals -t at y(t) = asin(e^{-t}/2),
+# where |dy/dt| = u / sqrt(1 - u^2), u = e^{-t}/2.  The cold cut mapping
+# calls _y; the hot tail integrand writes it inline.
+def _y(t: float) -> float:
+    """The y at which log(2 sin y) = -t."""
+    return math.asin(0.5 * math.exp(-t))
 
 
-class _EndpointMap(NamedTuple):
-    """The substitution w = -t at the singular end, chosen once per integral.
+def _tail(g: Callable[[float, float], float | complex]
+          ) -> Callable[[float], float | complex]:
+    """t -> g(y(t), -t) |dy/dt|, the integrand of the transformed tail."""
+    asin, exp, sqrt = math.asin, math.exp, math.sqrt
 
-    Both the hot integrands and the cold cut mapping read this one
-    definition; |dx/dt| = scale * u / sqrt(1 - u^2).
-    """
+    def h(t: float) -> float | complex:
+        e = exp(-t)
+        u = 0.5 * e
+        # e * 0.5 is exact, so the measure rounds once
+        return g(asin(u), -t) * (e * 0.5 / sqrt(1.0 - u * u))
 
-    trig: Callable[[float], float]
-    c: float
-    arc: Callable[[float], float]
-    scale: float
-
-    @classmethod
-    def at(cls, map_kind: str) -> "_EndpointMap":
-        if map_kind not in _MAPS:
-            raise DomainError(f"unknown map kind: {map_kind!r}")
-        return cls(*_MAPS[map_kind])
-
-    def x(self, t: float) -> float:
-        """Abscissa at which the log-trig value equals -t."""
-        return self.scale * self.arc(0.5 * math.exp(-t))
-
-    def interior(self, f: Callable[[float, float], float | complex]
-                 ) -> Callable[[float], float | complex]:
-        """x -> f(x, w(x)), for the panel away from the end."""
-        trig, c, log = self.trig, self.c, math.log
-        return lambda x: f(x, log(2.0 * trig(c * x)))
-
-    def tail(self, f: Callable[[float, float], float | complex]
-             ) -> Callable[[float], float | complex]:
-        """t -> f(x(t), -t) |dx/dt|, the integrand of the transformed tail."""
-        arc, scale = self.arc, self.scale
-        half = 0.5 * scale
-        exp, sqrt = math.exp, math.sqrt
-
-        def g(t: float) -> float | complex:
-            e = exp(-t)
-            u = 0.5 * e
-            # e * half is exact, so the measure rounds once
-            return f(scale * arc(u), -t) * (e * half / sqrt(1.0 - u * u))
-
-        return g
-
-
-def singular_end(map_kind: str) -> float:
-    """The x at which the ``map_kind`` log-trig value diverges: the one end
-    of the interval that ``integrate_endpoint_oscillatory`` maps."""
-    return _EndpointMap.at(map_kind).x(math.inf)
+    return h
 
 
 # t = -w at which the transformed tail starts, and the largest t it reaches.
@@ -317,6 +276,8 @@ _LATTICE_PERIOD = 2.5
 # 91,860 / 224,340; with none, 96,675 / 234,075.
 _INTERIOR_GRADING = (1.0, 0.0, -0.5)
 _EPS = sys.float_info.epsilon
+# The t of y = pi/2, where 2 sin y peaks at 2: no cut lies beyond it.
+_T_TOP = -math.log(2.0)
 # The split of one integral's budget, the absolute ``tolerance`` that its
 # caller states.  The engine asks itself for _QUADRATURE_SHARE (0.1) of it
 # as its absolute tolerance (floor 5e-15), with a relative one of 5e-13; of
@@ -435,29 +396,27 @@ def _tail_chunk(g: Callable[[float], float | complex], lo: float, hi: float,
 
 
 def integrate_endpoint_oscillatory(
-        f: Callable[[float, float], float | complex], a: float, b: float,
-        map_kind: str, period: float | None = None,
+        f: Callable[[float, float], float | complex], period: float | None = None,
         *, tolerance: float, pinches: Sequence[int] = (0, 1, 2, 3),
         points: Sequence[float] = (),
         tail_points: Callable[[float, float],
                               Sequence[tuple[float, complex, complex]]] | None = None
         ) -> QuadratureResult:
-    """Integrate f(x, w) over [a, b], w being the ``map_kind`` log-trig value.
+    """Integrate f(y, w) over (0, pi/2], w = log(2 sin y).
 
-    One end of [a, b] is ``singular_end(map_kind)``, where w diverges.  The
-    interior panel evaluates w directly from x; from t = -w = 2 on, toward
-    that end, the integral continues in t, so the integrand receives the
-    exact pair (x(t), -t).  An interval whose far edge lies beyond x(2) is
-    all tail, from that edge; any other interior panel is cut at x(t) for t
-    in ``_INTERIOR_GRADING`` (1, 0 and -0.5), about one e-fold apart in
-    distance to the singular end, so that bisection does not grade toward
-    it by computing panels only to throw them away.  One tail chunk spans
-    the fewest whole periods that reach ``_MIN_STEP`` (0.5) in t, a step of
-    2 when ``period`` is None (a tail that decays without oscillating), and
-    r = exp(-step) <= e^{-0.5}.  ``tolerance`` is one absolute budget for
-    the whole integral: the interior, each chunk and the close take their
-    share of it (``_QUADRATURE_SHARE``), so every part is charged to that
-    one number and not to its own value.
+    w diverges at y = 0 alone.  The interior panel (y(2), pi/2] evaluates w
+    directly from y; from t = -w = 2 on, toward y = 0, the integral
+    continues in t, so the integrand receives the exact pair (y(t), -t).
+    The interior panel is cut at y(t) for t in ``_INTERIOR_GRADING`` (1, 0
+    and -0.5), about one e-fold apart in distance to y = 0, so that
+    bisection does not grade toward it by computing panels only to throw
+    them away.  One tail chunk spans the fewest whole periods that reach
+    ``_MIN_STEP`` (0.5) in t, a step of 2 when ``period`` is None (a tail
+    that decays without oscillating), and r = exp(-step) <= e^{-0.5}.
+    ``tolerance`` is one absolute budget for the whole integral: the
+    interior, each chunk and the close take their share of it
+    (``_QUADRATURE_SHARE``), so every part is charged to that one number and
+    not to its own value.
 
     In a periodic tail the integrand in t is a sum of e^{-kt} p_k(t), each
     p_k periodic, so whole chunks sum to S_n = sum_k a_k r^(kn).  The
@@ -479,30 +438,26 @@ def integrate_endpoint_oscillatory(
     tolerance.  A complex f takes one pass.
 
     When the period is at least ``_LATTICE_PERIOD``, every tail chunk and,
-    mapped through x(t), the interior panel are cut at the quarter-period
+    mapped through y(t), the interior panel are cut at the quarter-period
     points j period / 4 of t whose j mod 4 is one of ``pinches``: where the
     kernel's denominator is smallest and its poles come closest to the path
     (0 for whole periods, 2 for half periods, 1 and 3 for the odd
     quarters).  A shorter period's chunks are cut only at their
     whole-period edges.
-    ``points`` adds features fixed in x.  ``tail_points(lo, hi)``, when
-    given, lists the poles of the real tail integrand f(x(t), -t) |dx/dt|
-    next to the path whose centres t_m lie in [lo, hi], as (t_m, d, R): a
-    simple pole at t_m + d with residue R, and its conjugate.  Each tail
-    chunk subtracts the poles whose centres lie within ``_POLE_REACH``
-    chunk steps of it and adds back their exact integrals (``_tail_chunk``);
-    the centres below t = 2, wide enough for bisection, cut the interior
-    panel.
+    ``points`` adds features as t-positions, mapped through y(t) like every
+    other interior cut.  ``tail_points(lo, hi)``, when given, lists the
+    poles of the real tail integrand f(y(t), -t) |dy/dt| next to the path
+    whose centres t_m lie in [lo, hi], as (t_m, d, R): a simple pole at
+    t_m + d with residue R, and its conjugate.  Each tail chunk subtracts
+    the poles whose centres lie within ``_POLE_REACH`` chunk steps of it and
+    adds back their exact integrals (``_tail_chunk``); the centres below
+    t = 2, wide enough for bisection, cut the interior panel.  Every
+    interior cut lies in t in (-ln 2, 2), between y = pi/2 and y(2).
     """
     if not 0.0 < tolerance < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tolerance}")
     if period is not None and not 0.0 < period < math.inf:
         raise DomainError(f"period must be None or positive and finite, got {period}")
-    emap = _EndpointMap.at(map_kind)
-    end = emap.x(math.inf)
-    if not (a < b and end in (a, b)):
-        raise DomainError(f"{map_kind} diverges at x = {end}, not at an end "
-                          f"of [{a}, {b}]")
     quarter = (period / 4.0 if period is not None and period >= _LATTICE_PERIOD
                else None)
     step = period * math.ceil(_MIN_STEP / period) if period is not None else 2.0
@@ -510,39 +465,29 @@ def integrate_endpoint_oscillatory(
     poles = tail_points or (lambda lo, hi: ())
     tol, atol = _REL_FLOOR, max(tolerance * _QUADRATURE_SHARE, _ABS_FLOOR)
 
-    evaluations = subdivisions = 0
-    pieces: list[float | complex] = []
-    err_total = 0.0
-
-    # the tail starts at t = 2, or at the far edge when that lies beyond
-    # x(2); the interior stops there and gets the grading cuts, the lattice
-    # cuts and the centres of poles below it
-    x_split = emap.x(_T_SPLIT)
-    far = a if end == b else b
-    t = _T_SPLIT
-    if (far > x_split) if end == b else (far < x_split):
-        t = -math.log(2.0 * emap.trig(emap.c * far))
-    elif far != x_split:
-        x_lo, x_hi = sorted((far, x_split))
-        x_cuts = [*points, *(emap.x(s) for s in (
-            *_INTERIOR_GRADING, *_feature_cuts(0.0, _T_SPLIT, quarter, pinches),
-            *(c for c, _, _ in poles(0.0, _T_SPLIT))))]
-        interior = integrate_adaptive(
-            emap.interior(f), x_lo, x_hi,
-            tol=_INTERIOR_SHARE * tol, atol=_INTERIOR_SHARE * atol,
-            points=[p for p in x_cuts if x_lo < p < x_hi], limit=8192)
-        pieces.append(interior.value)
-        err_total += interior.error_estimate
-        evaluations += interior.evaluations
-        subdivisions += interior.subdivisions
+    # the interior stops at y(2), where the tail starts, and gets the
+    # grading cuts, the lattice cuts, the centres of poles below t = 2 and
+    # the caller's points
+    cuts = (*points, *_INTERIOR_GRADING,
+            *_feature_cuts(0.0, _T_SPLIT, quarter, pinches),
+            *(c for c, _, _ in poles(0.0, _T_SPLIT)))
+    sin, log = math.sin, math.log
+    interior = integrate_adaptive(
+        lambda y: f(y, log(2.0 * sin(y))), _y(_T_SPLIT), 0.5 * math.pi,
+        tol=_INTERIOR_SHARE * tol, atol=_INTERIOR_SHARE * atol,
+        points=[_y(s) for s in cuts if _T_TOP < s < _T_SPLIT], limit=8192)
+    pieces: list[float | complex] = [interior.value]
+    err_total = interior.error_estimate
+    evaluations, subdivisions = interior.evaluations, interior.subdivisions
 
     chunk_tol, chunk_atol = _CHUNK_SHARE * tol, _CHUNK_SHARE * atol
     r = math.exp(-step)
     tail_gain = r / (1.0 - r)          # r + r^2 + ...: all later chunks
     powers = tuple(r ** k for k in range(_LEVELS + 2))
     weights = _richardson_weights(powers)
-    g = emap.tail(f)
-    running = _fsum(pieces)
+    g = _tail(f)
+    t = _T_SPLIT
+    running = interior.value
     previous = None
     rows = [[], [], [running]]         # last three rows, from row -1 on
     estimates: list[float] = []        # of the last chunks, newest first

@@ -11,13 +11,15 @@ import pytest
 
 from logtrig import (AccuracyError, DomainError, QuadratureResult, case_by_id,
                      catalog, contour_path_points, contour_trace, evaluate_lhs,
-                     evaluate_rhs, lambert_alternating, verify_case)
+                     evaluate_rhs, integrate_endpoint_oscillatory,
+                     lambert_alternating, verify_case)
 from logtrig.catalog import (ALPHA_GRID, PARAM_NAMES, default_params_grid,
                              lhs_key)
 from logtrig import quadrature
-from logtrig.quadrature import _EndpointMap
+from logtrig.quadrature import _y
 from logtrig.report import RunConfig, render_rows_json, run_verification
 
+CATALOG_MODULE = importlib.import_module("logtrig.catalog")
 PI = math.pi
 LN2 = math.log(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -56,14 +58,51 @@ _TRIG = {"log-cos": (math.cos, 1.0), "log-sin": (math.sin, 1.0),
 
 
 def tail_abscissae(case):
-    """t -> x(t) next to each end where the case's w diverges: the
-    quadrature's one map and, on a two-ended path, its mirror image 2m -
-    x(t) about the midpoint m, which carries the same w."""
-    emap = _EndpointMap.at(case.map_kind)
-    if len(case.osc_ends) == 1:
-        return [emap.x]
-    mirror = sum(case.interval)
-    return [emap.x, lambda t: mirror - emap.x(t)]
+    """t -> x(t) next to each end where the case's w diverges, as the
+    catalog's path table calls the kernel at the tail node y(t): a
+    recording kernel reads each x, one per end."""
+    calls = []
+    g = CATALOG_MODULE._PATHS[case.map_kind, len(case.osc_ends)](
+        lambda x, w: calls.append(x) or 0.0)
+
+    def x_of(i):
+        def x(t):
+            calls.clear()
+            g(_y(t), -t)
+            return calls[i]
+        return x
+
+    return [x_of(i) for i in range(len(case.osc_ends))]
+
+
+ZETA3 = 1.2020569031595942854
+
+# (path, kernel f(x, w), its integral over the path): f = 1 gives the
+# path's length and f = x its first moment; x w on the one-ended log-cos
+# path is -7 zeta(3)/16, and +7 zeta(3)/16 with the orientation of x = pi/2
+# - y reversed; x^2 w is -pi zeta(3)/2 over (-pi/2, pi/2) and (0, pi) and
+# -4 pi zeta(3) over (0, 2 pi)
+PATH_INTEGRALS = [
+    (("log-cos", 1), "1", PI / 2), (("log-cos", 2), "1", PI),
+    (("log-sin", 2), "1", PI), (("log-sin-half", 2), "1", 2.0 * PI),
+    (("log-cos", 1), "x", PI ** 2 / 8.0), (("log-cos", 2), "x", 0.0),
+    (("log-sin", 2), "x", PI ** 2 / 2.0), (("log-sin-half", 2), "x", 2.0 * PI ** 2),
+    (("log-cos", 1), "x w", -7.0 * ZETA3 / 16.0),
+    (("log-cos", 2), "x^2 w", -PI * ZETA3 / 2.0),
+    (("log-sin", 2), "x^2 w", -PI * ZETA3 / 2.0),
+    (("log-sin-half", 2), "x^2 w", -4.0 * PI * ZETA3)]
+KERNELS = {"1": lambda x, w: 1.0, "x": lambda x, w: x,
+           "x w": lambda x, w: x * w, "x^2 w": lambda x, w: x * x * w}
+
+
+@pytest.mark.parametrize("path, kernel, exact", PATH_INTEGRALS,
+                         ids=[f"{p[0]}-{p[1]}-{k}" for p, k, _ in PATH_INTEGRALS])
+def test_path_table_integrates_each_path(path, kernel, exact):
+    # each entry of the catalog's path table carries a kernel f(x, w) onto
+    # the engine's one integral over (0, pi/2] in log(2 sin y)
+    g = CATALOG_MODULE._PATHS[path](KERNELS[kernel])
+    res = integrate_endpoint_oscillatory(g, tolerance=1e-13)
+    assert abs(res.value - exact) <= res.error_estimate, (res.value, exact)
 
 
 @pytest.mark.parametrize("case", catalog(), ids=lambda c: c.id)
@@ -146,7 +185,6 @@ def test_conjugate_even_kernels_mirror_across_zero(case):
     # f(-x, w) = conj f(x, w) to 4 ulps, at every default grid point, at
     # seeded x of the interior panel and at seeded (x(t), -t) of the tail
     rng = random.Random(26)
-    upper = _EndpointMap.at("log-cos")
     checked = 0
     for params in default_params_grid(case):
         merged = {**case.fixed_params, **params}
@@ -155,7 +193,7 @@ def test_conjugate_even_kernels_mirror_across_zero(case):
         f = case.integrand(merged)
         xs = [rng.uniform(0.0, PI / 2) for _ in range(40)]
         points = [(x, math.log(2.0 * math.cos(x))) for x in xs]
-        points += [(upper.x(t), -t)
+        points += [(PI / 2 - _y(t), -t)
                    for t in (rng.uniform(2.0, 60.0) for _ in range(40))]
         for x, w in points:
             mirror, conj = f(-x, w), f(x, w).conjugate()
@@ -543,7 +581,7 @@ def test_default_sweep_payload_is_pinned(sweep):
     # records the old and the new hash in CHANGES.md.
     payload = render_rows_json(sweep.rows).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "f65495176eac456a670250a8210623cdbaaa2a175db2464b2cb677b4585f28d0")
+        "0169747651c8737312f39a6044a0bc00b2db0c53b6a9367637c033026ff594d7")
     assert sum(row.evaluations for row in sweep.rows) == 50_190
 
 
@@ -553,7 +591,7 @@ def test_tight_sweep_payload_is_pinned():
     report = run_verification(RunConfig(rtol=1e-10, atol=1e-12, jobs=2))
     payload = render_rows_json(report.rows).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "d3312b31d4dfef373a082fc5049d3cc28fd3f81725a4fc3f1a37413d00297400")
+        "e24a576d95349b365c87c8b07c1ab14e33cf4d4c34258d6782ffca12f1fcf129")
     assert sum(row.evaluations for row in report.rows) == 72_375
 
 

@@ -1,6 +1,7 @@
 """Command line interface and report serialization."""
 
 import csv
+import importlib
 import io
 import json
 import math
@@ -53,12 +54,24 @@ def test_verify_unknown_case_is_usage_error(capsys):
     assert main(["verify", "--case", "NOT-A-CASE"]) == 2
 
 
-def test_verify_forced_failure_exit_code(tmp_path):
-    # EX-2 misses its closed form by 4.4e-15 relative, far above rtol
-    code = main(["verify", "--case", "EX-2", "--rtol", "1e-16",
-                 "--atol", "1e-18", "--format", "json",
-                 "--out", str(tmp_path / "r.json")])
-    assert code == 1
+def test_verify_forced_failure_exit_code(monkeypatch, tmp_path):
+    # EX-2 matches its closed form to 1 ulp (1.1e-16), but at rtol 1e-16
+    # its estimate, 3.3e-14, exceeds the tolerance, 7.8e-17: an error row,
+    # exit 3, since neither a pass nor a fail can be shown
+    args = ["verify", "--case", "EX-2", "--format", "json", "--jobs", "1",
+            "--out", str(tmp_path / "r.json")]
+    assert main(args + ["--rtol", "1e-16", "--atol", "1e-18"]) == 3
+    # a genuine failure, an lhs shifted by 1e-3, far beyond the tolerance
+    # plus the estimate, exits 1
+    catalog_module = importlib.import_module("logtrig.catalog")
+    integrate = catalog_module.evaluate_lhs
+
+    def shifted(case, params, tolerance):
+        lhs, cost = integrate(case, params, tolerance)
+        return lhs + 1e-3, cost
+
+    monkeypatch.setattr(catalog_module, "evaluate_lhs", shifted)
+    assert main(args) == 1
 
 
 @pytest.mark.parametrize("command", (

@@ -7,6 +7,7 @@ must be named in ``KNOWN_DEFECTS``; an entry leaves when its ROADMAP item
 lands, and no seed or range is chosen to keep a defect out of sight.
 """
 
+import math
 import random
 from collections import Counter
 
@@ -71,6 +72,26 @@ def test_wide_a_scan_stays_inside_the_defect_ledger(rtol, atol):
             outside.append((case.id, params, row.status, miss))
     assert outside == [], tally
     assert tally["pass"] + tally["fail"] == 400, tally
+
+
+@pytest.mark.parametrize("rtol, atol", ((1e-8, 1e-10), (1e-10, 1e-12)))
+def test_tiny_alpha_disc_im_scan_is_clean(rtol, atol):
+    # 30 alpha log-uniform in [1e-6, 1e-3].  The kernel turns from -1 to 1
+    # across a width of about alpha in t around w = 0, and panels that saw
+    # only the sign of w found pi/6 for its integral: without the case's
+    # ladder of interior cuts, 25 (default) and 23 (tight) rows failed, each
+    # with an error far above its estimate (alpha = 1e-4: 5.24e-5 against
+    # 1.55e-11).  No ledger entry covers this case
+    rng = random.Random(31)
+    case = case_by_id("DISC-IM")
+    tally, outside = Counter(), []
+    for _ in range(30):
+        params = {"alpha": math.exp(rng.uniform(math.log(1e-6), math.log(1e-3)))}
+        row, miss = scan_row(case, params, rtol, atol)
+        tally[row.status] += 1
+        if row.status != "pass" or miss:
+            outside.append((params, row.status, miss))
+    assert outside == [], tally
 
 
 # The same seed drawn theta before a meets three APPA rows whose folded

@@ -12,13 +12,13 @@ from logtrig import (AccuracyError, DomainError, QuadratureResult, case_by_id,
                      integrate_endpoint_oscillatory)
 from logtrig import quadrature
 from logtrig.catalog import default_params_grid
-from logtrig.quadrature import (_WG, _WGK, _XGK, _EndpointMap, _qk15,
-                                singular_end)
+from logtrig.quadrature import _WG, _WGK, _XGK, _qk15, _tail, _y
 
 PI = math.pi
 
 # tail of cos(log(2 cos x)) over (x0, pi/2) with log(2 cos x0) = -2 pi,
-# computed independently with 30-digit arithmetic
+# computed independently with 30-digit arithmetic; through x = pi/2 - y it
+# is the tail of cos(log(2 sin y)) over (0, pi/2 - x0)
 TAIL_X0 = 1.56986260529336732
 TAIL_REF = 0.000466860805034775937
 
@@ -106,8 +106,8 @@ def test_tail_unsettled_at_t_max_raises():
     exact = 2.0 ** -0.7 * math.sqrt(PI) / 2.0 * math.gamma(0.15) / math.gamma(0.65)
     with pytest.raises(AccuracyError,
                        match="oscillatory tail did not settle") as info:
-        integrate_endpoint_oscillatory(lambda x, w: math.exp(-0.7 * w), 0.0,
-                                       PI / 2, "log-cos", tolerance=1e-10)
+        integrate_endpoint_oscillatory(lambda y, w: math.exp(-0.7 * w),
+                                       tolerance=1e-10)
     assert abs(exact - info.value.best - math.exp(-0.3 * 60.0) / 0.6) < 1e-12
 
 
@@ -133,24 +133,35 @@ def test_quadrature_result_validation():
 
 
 def test_log_squared_kernel_integrates_to_zero():
-    # the log of x^2 + log^2(2 cos x) over (0, pi/2) vanishes exactly
+    # the log of x^2 + log^2(2 cos x) over (0, pi/2) vanishes exactly; x =
+    # pi/2 - y carries it onto the engine's log(2 sin y)
     res = integrate_endpoint_oscillatory(
-        lambda x, w: math.log(x * x + w * w), 0.0, PI / 2, "log-cos",
-        tolerance=1e-12)
+        lambda y, w: math.log((PI / 2 - y) ** 2 + w * w), tolerance=1e-12)
     assert abs(res.value) < 1e-11
     assert res.error_estimate < 1e-9
 
 
-def test_pure_tail_against_reference_and_brute_force():
-    # the oscillatory tail alone: start the interval at the split abscissa
-    res = integrate_endpoint_oscillatory(
-        lambda x, w: math.cos(w), TAIL_X0, PI / 2, "log-cos", 2.0 * PI,
-        tolerance=1e-12)
-    assert abs(res.value - TAIL_REF) < 1e-12
+def interior_ref(g, t_edge):
+    """g(y, log(2 sin y)) over (y(t_edge), pi/2], far more tightly than the
+    engine is asked for: the part of the whole integral beside a tail
+    reference from t_edge on."""
+    return integrate_adaptive(lambda y: g(y, math.log(2.0 * math.sin(y))),
+                              _y(t_edge), PI / 2, tol=1e-14, atol=1e-16)
 
-    mesh = graded_mesh(TAIL_X0, PI / 2, False, True, 10, 1_000_000)
-    brute = simpson_sum(lambda x: math.cos(math.log(2.0 * math.cos(x))), mesh)
-    assert abs(res.value - brute) < 1e-9
+
+def test_pure_tail_against_reference_and_brute_force():
+    # the whole (0, pi/2] integral against the 30-digit tail from t = 2 pi
+    # plus the interior beside it, and against graded panels over that tail
+    def g(y, w):
+        return math.cos(w)
+
+    res = integrate_endpoint_oscillatory(g, 2.0 * PI, tolerance=1e-12)
+    interior = interior_ref(g, 2.0 * PI).value
+    assert abs(res.value - (interior + TAIL_REF)) < 1e-12
+
+    mesh = graded_mesh(0.0, PI / 2 - TAIL_X0, True, False, 10, 1_000_000)
+    brute = simpson_sum(lambda y: math.cos(math.log(2.0 * math.sin(y))), mesh)
+    assert abs(res.value - (interior + brute)) < 1e-9
 
 
 def cos_log_tail_ref(u_edge, beta=1.0):
@@ -166,41 +177,30 @@ def cos_log_tail_ref(u_edge, beta=1.0):
     return total
 
 
-@pytest.mark.parametrize("map_kind, end, a, b", [
-    ("log-cos", "upper", 1.5699, PI / 2), ("log-sin", "lower", 0.0, 0.0008)])
-def test_interval_inside_the_tail_region(map_kind, end, a, b):
-    # the far edge lies at t = 6.32 and 6.44, beyond the tail's start, so the
-    # tail must start at the edge, not at the split; ``end`` names the end
-    # that the map kind diverges at
-    ref = cos_log_tail_ref(2.0 * (math.cos(a) if end == "upper" else math.sin(b)))
-    tolerance = max(1e-13, 1e-11 * abs(ref))
-    res = integrate_endpoint_oscillatory(
-        lambda x, w: math.cos(w), a, b, map_kind, 2.0 * PI,
-        tolerance=tolerance)
-    assert abs(res.value - ref) <= res.error_estimate + 1e-15
-    assert res.error_estimate <= tolerance
-
-
 @pytest.mark.parametrize("beta", (4.0, 16.0, 40.0))
 def test_short_period_tail_against_term_by_term_sum(beta):
-    # the tail alone, from t = 2, at periods 2 pi / beta = 1.57, 0.39 and
-    # 0.157: whole-period chunk sums carry the ratios r, r^2, r^3, ... that
-    # the Richardson close removes
-    x_split = math.acos(0.5 * math.exp(-2.0))
-    ref = cos_log_tail_ref(math.exp(-2.0), beta)
+    # the tail from t = 2, at periods 2 pi / beta = 1.57, 0.39 and 0.157:
+    # whole-period chunk sums carry the ratios r, r^2, r^3, ... that the
+    # Richardson close removes.  The whole integral is checked against the
+    # term-by-term tail plus the interior beside it
+    def g(y, w):
+        return math.cos(beta * w)
+
+    interior = interior_ref(g, 2.0)
+    ref = interior.value + cos_log_tail_ref(math.exp(-2.0), beta)
     for rtol, atol in ((1e-9, 1e-11), (1e-11, 1e-13)):
         tolerance = max(atol, rtol * abs(ref))
-        res = integrate_endpoint_oscillatory(
-            lambda x, w: math.cos(beta * w), x_split, PI / 2, "log-cos",
-            2.0 * PI / beta, tolerance=tolerance)
-        assert abs(res.value - ref) <= res.error_estimate
+        res = integrate_endpoint_oscillatory(g, 2.0 * PI / beta,
+                                             tolerance=tolerance)
+        assert abs(res.value - ref) <= res.error_estimate + interior.error_estimate
         assert res.error_estimate <= tolerance
 
 
 def test_transform_preserves_value_against_graded_panels():
-    # three integrands with one or two log-singular oscillatory ends; the
-    # two-ended one is folded onto its lower half, f(x, w) + f(pi - x, w)
-    # over (0, pi/2), against graded panels over all of (0, pi)
+    # three integrands with one or two log-singular oscillatory ends, each
+    # brought onto the engine's (0, pi/2] in y: the log-cos ones through x =
+    # pi/2 - y, the two-ended log-sin one folded, f(y, w) + f(pi - y, w);
+    # against graded panels over all of each path in x
     def t1a(x, w):
         return math.log(2.0 * (math.sinh(0.5 * x) ** 2 + math.sin(0.5 * w) ** 2))
 
@@ -216,17 +216,20 @@ def test_transform_preserves_value_against_graded_panels():
     def t6_folded(x, w):
         return t6(x, w) + t6(PI - x, w)
 
-    # (f, the integrand and the upper end the engine takes, f's upper end,
-    # map kind, freq, whether f's path diverges at both ends); a = 0
+    def on_y(f):
+        return lambda y, w: f(PI / 2 - y, w)
+
+    # (f, the engine's integrand in y, f's upper end, map kind, freq,
+    # whether f's path diverges at both ends); a = 0
     cases = [
-        (t1a, t1a, PI / 2, PI / 2, "log-cos", 1.0, False),
-        (t3a, t3a, PI / 2, PI / 2, "log-cos", 1.0, False),
-        (t6, t6_folded, PI / 2, PI, "log-sin", 3.0, True),
+        (t1a, on_y(t1a), PI / 2, "log-cos", 1.0, False),
+        (t3a, on_y(t3a), PI / 2, "log-cos", 1.0, False),
+        (t6, t6_folded, PI, "log-sin", 3.0, True),
     ]
     a = 0.0
-    for f, engine_f, engine_b, b, kind, freq, both in cases:
-        res = integrate_endpoint_oscillatory(engine_f, a, engine_b, kind,
-                                             2.0 * PI / freq, tolerance=1e-11)
+    for f, engine_f, b, kind, freq, both in cases:
+        res = integrate_endpoint_oscillatory(engine_f, 2.0 * PI / freq,
+                                             tolerance=1e-11)
 
         def w_of(x):
             return math.log(2.0 * (math.sin(x) if kind == "log-sin"
@@ -237,7 +240,7 @@ def test_transform_preserves_value_against_graded_panels():
 
 
 def test_short_period_tail_remainder_against_gamma_ratio():
-    # int_0^{pi/2} (2 cos x)^{i beta} dx = (pi/2) G(1 + i beta) / G(1 + i beta/2)^2;
+    # int_0^{pi/2} (2 sin y)^{i beta} dy = (pi/2) G(1 + i beta) / G(1 + i beta/2)^2;
     # beta = 16 makes the tail period 2 pi / beta = 0.39
     mpmath = pytest.importorskip("mpmath")
     beta = 16.0
@@ -246,13 +249,13 @@ def test_short_period_tail_remainder_against_gamma_ratio():
     for rtol, atol in ((1e-9, 1e-11), (1e-11, 1e-13)):
         tolerance = max(atol, rtol * abs(ref))
         res = integrate_endpoint_oscillatory(
-            lambda x, w: cmath.exp(1j * beta * w), 0.0, PI / 2, "log-cos",
-            2.0 * PI / beta, tolerance=tolerance)
+            lambda y, w: cmath.exp(1j * beta * w), 2.0 * PI / beta,
+            tolerance=tolerance)
         assert abs(res.value - ref) <= res.error_estimate
         assert res.error_estimate <= tolerance
 
 
-# int_0^{pi/2} log^n(2 cos x) dx, from the Taylor coefficients of
+# int_0^{pi/2} log^n(2 sin y) dy, from the Taylor coefficients of
 # (pi/2) G(1 + s) / G(1 + s/2)^2
 LOG_POWER_REFS = ((2, PI ** 3 / 24.0), (3, -0.75 * PI * 1.2020569031595942854))
 
@@ -263,8 +266,8 @@ def test_decay_only_tail_remainder_against_log_moments(n, ref):
     # remainder assumes
     for rtol, atol in ((1e-9, 1e-11), (1e-11, 1e-13)):
         tolerance = max(atol, rtol * abs(ref))
-        res = integrate_endpoint_oscillatory(
-            lambda x, w: w ** n, 0.0, PI / 2, "log-cos", tolerance=tolerance)
+        res = integrate_endpoint_oscillatory(lambda y, w: w ** n,
+                                             tolerance=tolerance)
         assert abs(res.value - ref) <= res.error_estimate
         assert res.error_estimate <= tolerance
 
@@ -276,19 +279,20 @@ def row_tolerance(case, params, rtol=1e-8, atol=1e-10):
 
 
 def p4_poles(alpha):
-    """DISC-P4's poles (t_m, d, R) next to the tail's path.  The kernels
-    below are its integrand, and their tail integrand in t is the same next
-    to a log-sin lower end and a log-cos upper end."""
+    """DISC-P4's poles (t_m, d, R) next to the tail's path; the kernel below
+    is its integrand."""
     return case_by_id("DISC-P4").tail_points({"alpha": alpha})
 
 
-@pytest.mark.parametrize("alpha", (2.0, 5.78))
+@pytest.mark.parametrize("alpha", (2.0, 5.78, 9.4, 12.8))
 def test_pinch_substitution_against_tanh_closed_form(alpha):
     # int_0^pi sinh(x/a) / (cosh(x/a) + cos(w/a)) dx = pi tanh(pi / 4a) with
     # w = log(2 sin x); near x = 0 the poles at t = (2m+1) pi a sit e^{-t}/2
     # from the path, and missing the one at t = pi a costs 4e-8 (a = 2) and
     # 2.4e-7 (a = 5.78); the engine subtracts them.  The path is folded onto
-    # (0, pi/2), where next to x = pi/2 no pole comes close
+    # (0, pi/2], where next to x = pi/2 no pole comes close.  At a = 9.4 the
+    # pole at t = 29.5 carries 4e-12; at a = 12.8 (t = 40.2) its offset d =
+    # 1.7e-18 from its centre is below the spacing of floats there
     def f(x, w):
         return math.sinh(x / alpha) / (
             2.0 * (math.sinh(0.5 * x / alpha) ** 2 + math.cos(0.5 * w / alpha) ** 2))
@@ -296,32 +300,10 @@ def test_pinch_substitution_against_tanh_closed_form(alpha):
     ref = PI * math.tanh(0.25 * PI / alpha)
     tolerance = max(1e-12, 1e-10 * ref)
     res = integrate_endpoint_oscillatory(
-        lambda x, w: f(x, w) + f(PI - x, w), 0.0, PI / 2, "log-sin",
-        2.0 * PI * alpha, tolerance=tolerance, tail_points=p4_poles(alpha))
+        lambda y, w: f(y, w) + f(PI - y, w), 2.0 * PI * alpha,
+        tolerance=tolerance, tail_points=p4_poles(alpha))
     assert abs(res.value - ref) <= res.error_estimate
     assert res.error_estimate <= tolerance
-
-
-@pytest.mark.parametrize("alpha", (9.4, 12.8))
-def test_pinch_at_an_upper_end_mirrors_the_lower_end(alpha):
-    # the same integral over (0, pi/2) through log(2 cos x) with its pole
-    # next to the upper end and through log(2 sin x) next to the lower end.
-    # The kernel reads the distance d to the end from w alone.  At alpha =
-    # 9.4 the pole at t = 29.5 carries 4e-12, ten times the two estimates; at
-    # alpha = 12.8 (t = 40.2) x(t) rounds onto pi/2, and the pole's offset
-    # d = 1.7e-18 from its centre is below the spacing of floats there
-    def f(x, w):
-        d = math.asin(0.5 * math.exp(w))
-        return math.sinh(d / alpha) / (
-            2.0 * (math.sinh(0.5 * d / alpha) ** 2 + math.cos(0.5 * w / alpha) ** 2))
-
-    upper, lower = (integrate_endpoint_oscillatory(
-        f, 0.0, PI / 2, kind, 2.0 * PI * alpha, tolerance=1e-13,
-        tail_points=p4_poles(alpha))
-        for kind in ("log-cos", "log-sin"))
-    assert abs(upper.value - lower.value) <= upper.error_estimate + lower.error_estimate
-    for res in (upper, lower):
-        assert res.error_estimate <= 1e-11 * abs(res.value) + 1e-13
 
 
 @pytest.mark.parametrize("case_id, alpha, lattice", (
@@ -349,14 +331,11 @@ def test_quarter_lattice_only_at_long_periods(monkeypatch, case_id, alpha, latti
     if not lattice:
         # tail chunks are cut only at their whole-period edges, and the
         # interior panel (limit 8192) only at the centres of poles below
-        # t = 2, mapped to x = asin(e^{-t}/2), and at x(t) of each grading t;
-        # DISC-P3/P4 are folded onto (0, pi/2), so their one interior panel
-        # is graded toward x = 0 alone
+        # t = 2, mapped to y = asin(e^{-t}/2), and at y(t) of each grading t
         poles = case.tail_points(params)
         centres = [math.asin(0.5 * math.exp(-c))
                    for c, _, _ in (poles(0.0, 2.0) if poles else ())]
-        grading = [_EndpointMap.at(case.map_kind).x(t)
-                   for t in quadrature._INTERIOR_GRADING]
+        grading = [_y(t) for t in quadrature._INTERIOR_GRADING]
         tail = [points for points, limit in calls if limit != 8192]
         interior = [sorted(points) for points, limit in calls if limit == 8192]
         assert not any(tail) and interior == [sorted(centres + grading)]
@@ -365,12 +344,12 @@ def test_quarter_lattice_only_at_long_periods(monkeypatch, case_id, alpha, latti
 @pytest.mark.parametrize("case_id, alpha, evaluations", (
     ("T1-A", 11.0, 60),         # log-cos, one end: four panels, no bisection
     ("T2", 11.0, 60),
-    ("DISC-P3", 11.0, None),    # log-sin, folded onto (0, pi/2)
-    ("S3-T7", 11.0, None)))     # log-sin-half, folded onto (0, pi)
+    ("DISC-P3", 11.0, None),    # log-sin, folded
+    ("S3-T7", 11.0, None)))     # log-sin-half, folded
 def test_interior_panel_is_graded_toward_each_split(monkeypatch, case_id, alpha,
                                                    evaluations):
-    # the interior panel runs to x(2), e^{-2}/2 from the log singularity;
-    # its cuts at x(1), x(0) and x(-0.5) grade it toward that end so that
+    # the interior panel runs to y(2), e^{-2}/2 from the log singularity;
+    # its cuts at y(1), y(0) and y(-0.5) grade it toward that end so that
     # bisection need not
     interior = []
     real = quadrature.integrate_adaptive
@@ -386,18 +365,17 @@ def test_interior_panel_is_graded_toward_each_split(monkeypatch, case_id, alpha,
     params = {"alpha": alpha}
     evaluate_lhs(case, params, row_tolerance(case, params))
     (points, res), = interior
-    emap = _EndpointMap.at(case.map_kind)
     for t in (1.0, 0.0, -0.5):
-        assert emap.x(t) in points, t
+        assert _y(t) in points, t
     if evaluations is not None:
         assert res.subdivisions == 0
         assert res.evaluations == evaluations
 
 
 def test_interior_cuts_are_distinct(monkeypatch):
-    # a case's cut within rounding of an engine cut (pi/3 lies one ulp below
-    # the grading cut x(0) = acos(1/2)) leaves a panel about 1e-16 wide,
-    # which costs 15 evaluations and resolves nothing
+    # a case's cut within rounding of an engine cut (x = pi/3 lay one ulp
+    # from the grading cut at t = 0, when cuts were fixed in x) leaves a
+    # panel about 1e-16 wide, which costs 15 evaluations and resolves nothing
     interior = []
     real = quadrature.integrate_adaptive
 
@@ -421,17 +399,6 @@ def test_interior_cuts_are_distinct(monkeypatch):
     assert checked > 200
 
 
-@pytest.mark.parametrize("map_kind, ends", [
-    ("log-cos", (0.0, 1.0)), ("log-cos", (PI / 2, 0.0)),
-    ("log-cos", (-PI / 2, 0.0)), ("log-tan", (0.0, PI / 2))])
-def test_endpoint_engine_rejects_bad_arguments(map_kind, ends):
-    # an unknown map kind, and intervals (a, b) that are reversed or do not
-    # end where the map diverges: log cos is mapped only at pi/2
-    with pytest.raises(DomainError):
-        integrate_endpoint_oscillatory(lambda x, w: w, *ends, map_kind,
-                                       tolerance=1e-10)
-
-
 @pytest.mark.parametrize("tolerance, period, refused", [
     (0.0, 2.0 * PI, "tolerance"), (-1.0, 2.0 * PI, "tolerance"),
     (math.nan, 2.0 * PI, "tolerance"), (math.inf, 2.0 * PI, "tolerance"),
@@ -446,8 +413,7 @@ def test_endpoint_engine_refuses_a_bad_budget_or_period(tolerance, period,
         raise AssertionError("the integrand ran")
 
     with pytest.raises(DomainError, match=refused):
-        integrate_endpoint_oscillatory(never_called, 0.0, PI / 2, "log-cos",
-                                       period, tolerance=tolerance)
+        integrate_endpoint_oscillatory(never_called, period, tolerance=tolerance)
 
 
 def qk15_loop(f, a, b):
@@ -503,39 +469,20 @@ def test_lone_panel_within_tolerance_returns_its_kronrod_sums():
     assert isinstance(res.value, complex)
 
 
-def tail_x_ref(map_kind, t):
-    u = 0.5 * math.exp(-t)
-    if map_kind == "log-cos":
-        return math.acos(u)
-    if map_kind == "log-sin":
-        return math.asin(u)
-    return 2.0 * math.asin(u)
+def test_tail_map_matches_reference_bit_for_bit():
+    # the one map y(t) = asin(e^{-t}/2) and the tail integrand f(y(t), -t)
+    # |dy/dt|, |dy/dt| = e^{-t} / (2 sqrt(1 - u^2)) with u = e^{-t}/2
+    def f(y, w):
+        return y + 3.0 * w
 
-
-def tail_measure_ref(map_kind, t):
-    u = 0.5 * math.exp(-t)
-    base = math.exp(-t) / (2.0 * math.sqrt(1.0 - u * u))
-    return 2.0 * base if map_kind == "log-sin-half" else base
-
-
-# each map kind's one singular end
-TAIL_ENDS = [("log-cos", PI / 2), ("log-sin", 0.0), ("log-sin-half", 0.0)]
-
-
-@pytest.mark.parametrize("map_kind, endpoint", TAIL_ENDS,
-                         ids=[f"{kind}-{x}" for kind, x in TAIL_ENDS])
-def test_tail_map_matches_reference_bit_for_bit(map_kind, endpoint):
-    def f(x, w):
-        return x + 3.0 * w
-
-    emap = _EndpointMap.at(map_kind)
-    assert singular_end(map_kind) == endpoint
-    g = emap.tail(f)
+    g = _tail(f)
     for i in range(200):
         t = 2.0 + 58.0 * i / 199
-        x = tail_x_ref(map_kind, t)
-        assert emap.x(t) == x
-        assert g(t) == f(x, -t) * tail_measure_ref(map_kind, t)
+        u = 0.5 * math.exp(-t)
+        y = math.asin(u)
+        assert _y(t) == y
+        assert g(t) == f(y, -t) * (math.exp(-t) / (2.0 * math.sqrt(1.0 - u * u)))
+    assert _y(math.inf) == 0.0
 
 
 def test_richardson_close_needs_two_differences_of_a_level():

@@ -9,7 +9,7 @@ import pytest
 
 from elliptic_oracle import alpha_from_modulus, complete_e, complete_k
 from logtrig import (DomainError, SolverError, case_by_id, cn_imag_third,
-                     modulus_from_alpha, nome, verify_case)
+                     evaluate_rhs, modulus_from_alpha, nome, verify_case)
 
 # classical singular moduli: alpha = sqrt(2) gives sqrt(2)-1,
 # alpha = sqrt(3) gives (sqrt(3)-1)/(2 sqrt(2)), alpha = 2 gives 3-2 sqrt(2)
@@ -30,6 +30,35 @@ def test_singular_values():
     assert abs(ep.k - K_ALPHA_2) < 1e-10
     # the ratio test is the defining check
     assert abs(ep.big_k_prime / ep.big_k - 2.0) < 1e-12
+
+
+def test_singular_values_are_an_exact_oracle():
+    # At alpha = sqrt(n), k is algebraic and K a product of Gamma values
+    # (Borwein & Borwein, Pi and the AGM, 1987).  Each bound sits a little
+    # above the error measured on the nome route; k at alpha = 3 is the
+    # worst, 1.9e-15, and its reference itself cancels
+    s2, s3, s6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
+    moduli = {1.0: 1.0 / s2, s3: (s6 - s2) / 4.0, 2.0: 3.0 - 2.0 * s2,
+              3.0: (s3 - 1.0) * (s2 - 3.0 ** 0.25) / 2.0}
+    for alpha, k in moduli.items():
+        ep = modulus_from_alpha(alpha)
+        k_prime = math.sqrt((1.0 - k) * (1.0 + k))
+        assert abs(ep.k - k) <= 4e-15 * k, alpha
+        assert abs(ep.k_prime - k_prime) <= 4e-15 * k_prime, alpha
+    big_k1 = math.gamma(0.25) ** 2 / (4.0 * math.sqrt(math.pi))
+    big_k3 = 3.0 ** 0.25 * math.gamma(1.0 / 3.0) ** 3 / (2.0 ** (7.0 / 3.0) * math.pi)
+    e1 = big_k1 / 2.0 + math.pi / (4.0 * big_k1)    # Legendre's relation at k1
+    ep1, ep3 = modulus_from_alpha(1.0), modulus_from_alpha(s3)
+    assert abs(ep1.big_k - big_k1) <= 1e-15 * big_k1     # measured 3.6e-16
+    assert abs(ep3.big_k - big_k3) <= 1e-15 * big_k3     # 2.8e-16
+    assert abs(ep1.big_e - e1) <= 1e-15 * e1             # 3.3e-16
+    # EX-1, EX-2 and EX-3 are T1-B, T2 and S3-T6 at their alpha, summed in
+    # closed form: 0, 2 and 1 ulps apart
+    for example, general, alpha in (("EX-1", "T1-B", s3), ("EX-2", "T2", 2.0),
+                                    ("EX-3", "S3-T6", s3)):
+        value = evaluate_rhs(case_by_id(example), {})
+        derived = evaluate_rhs(case_by_id(general), {"alpha": alpha})
+        assert abs(value - derived) <= 4.0 * math.ulp(value), example
 
 
 def test_alpha_from_modulus_values():
