@@ -38,7 +38,6 @@ Two engines cooperate here:
 from __future__ import annotations
 
 import cmath
-import functools
 import heapq
 import math
 import sys
@@ -308,28 +307,15 @@ _INTERIOR_SHARE, _CHUNK_SHARE, _CLOSE_SHARE = 0.4, 0.2, 0.25
 _LEVELS = 3
 
 
-@functools.lru_cache(maxsize=256)
-def _richardson_weights(powers: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
-    """Per level m, the coefficient of chunk S_(n-i) in T[n][m] less the 1
-    it has in P_n, for i < m; older chunks keep the 1.  T[n][m] sums
-    lambda_j P_(n-j), the lambda_j of prod_(k<=m) (1 - r^k z) / (1 - r^k).
-    Cached: every integral at one step shares it."""
-    lam, weights = [1.0], [()]
-    for k in range(1, _LEVELS + 1):
-        lam = [(a - powers[k] * b) / (1.0 - powers[k])
-               for a, b in zip(lam + [0.0], [0.0] + lam)]
-        weights.append(tuple(abs(sum(lam[:i + 1])) - 1.0 for i in range(k)))
-    return tuple(weights)
-
-
 def _richardson_close(rows: Sequence[Sequence[float]], powers: Sequence[float],
-                      estimate: float, stop_at: float
-                      ) -> tuple[int, float] | None:
-    """The first level m whose bound plus the chunk's ``estimate`` is below
-    ``stop_at``, with that bound, or None.  ``rows`` holds the last three
-    rows of the table, newest last.  The error of T[n][m] shrinks like
-    rho^n, rho = r^(m+1), so it is delta rho / (1 - rho), delta being the
-    last difference, taken four times over.  Two terms of opposite sign can
+                      estimates: Sequence[float], stop_at: float
+                      ) -> tuple[float, float] | None:
+    """T[n][m] and its error at the first level m whose bound plus the
+    newest chunk estimate is below ``stop_at``, or None.  ``rows`` holds the
+    table's last three rows, newest last; ``estimates`` the last chunks'
+    estimates, newest first.  The error of T[n][m] shrinks like rho^n, rho =
+    r^(m+1), so its bound is delta rho / (1 - rho), delta being the last
+    difference, taken four times over.  Two terms of opposite sign can
     shrink one difference far below the next term, so delta is kept at
     least rho times the difference before it.  A level closes only once it
     holds two differences, three entries, as QUADPACK's qelg extrapolates
@@ -337,16 +323,24 @@ def _richardson_close(rows: Sequence[Sequence[float]], powers: Sequence[float],
     the chunk sums have reached their power law, and one difference cannot
     show that (T4-A at alpha = 0.793 and rtol 1e-10 closed level 1 on its
     first difference, two chunks from t = 2, with an error 3.4 times its
-    estimate)."""
+    estimate).  T[n][m] sums lambda_j P_(n-j), the lambda_j of prod_(k<=m)
+    (1 - r^k z) / (1 - r^k), one factor per level tested, so the error adds
+    the estimate of chunk S_(n-i), i < m, |lambda_0 + ... + lambda_i| - 1
+    times: its coefficient in T[n][m] less the 1 it has in P_n."""
     oldest, before, last = rows
+    lam = [1.0]
     for m in range(1, _LEVELS + 1):
         if len(oldest) <= m:
             return None
+        lam = [(a - powers[m] * b) / (1.0 - powers[m])
+               for a, b in zip(lam + [0.0], [0.0] + lam)]
         rho = powers[m + 1]
         delta = max(abs(last[m] - before[m]), rho * abs(before[m] - oldest[m]))
         bound = 4.0 * delta * rho / (1.0 - rho)
-        if bound + estimate <= stop_at:
-            return m, bound
+        if bound + estimates[0] <= stop_at:
+            return last[m], bound + math.fsum(
+                (abs(sum(lam[:i + 1])) - 1.0) * e
+                for i, e in enumerate(estimates[:m]))
     return None
 
 
@@ -484,7 +478,6 @@ def integrate_endpoint_oscillatory(
     r = math.exp(-step)
     tail_gain = r / (1.0 - r)          # r + r^2 + ...: all later chunks
     powers = tuple(r ** k for k in range(_LEVELS + 2))
-    weights = _richardson_weights(powers)
     g = _tail(f)
     t = _T_SPLIT
     running = interior.value
@@ -512,13 +505,10 @@ def integrate_endpoint_oscillatory(
                            / (1.0 - powers[k]))
             rows = rows[1:] + [row]
             estimates = [res.error_estimate] + estimates[:_LEVELS - 1]
-            close = _richardson_close(rows, powers, res.error_estimate,
-                                      stop_at)
+            close = _richardson_close(rows, powers, estimates, stop_at)
             if close is not None:
-                m, bound = close
-                pieces.append(row[m] - running)
-                err_total += bound + math.fsum(
-                    w * e for w, e in zip(weights[m], estimates))
+                pieces.append(close[0] - running)
+                err_total += close[1]
                 break
         elif whole and previous is not None:
             # twice the remainder's error when f varies linearly in t

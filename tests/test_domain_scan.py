@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from logtrig import case_by_id, catalog, verify_case
+from logtrig import case_by_id, catalog, evaluate_rhs, verify_case
 
 # ROADMAP item 3: a decay-only tail closes before it reaches the kernel's
 # feature at t = |a|, a pole for DISC-P1 and DISC-P2 and a log branch point
@@ -45,12 +45,12 @@ def wide_a_points():
     return points
 
 
-def scan_row(case, params, rtol, atol):
+def scan_row(case, params, rtol, atol, shared=None):
     """The row and whether its error exceeds its estimate + 5e-13.  The
     ``shared`` dict of ``verify_case`` hands back the estimate of the
     integral the row used, (lhs, estimate, failure, owner), so the
-    integral runs once."""
-    shared = {}
+    integral runs once; a caller that passes its own dict reads it there."""
+    shared = {} if shared is None else shared
     row = verify_case(case, params, rtol, atol, shared=shared)
     miss = (row.status in ("pass", "fail")
             and row.abs_err > shared["lhs"][1] + 5e-13)
@@ -81,17 +81,41 @@ def test_tiny_alpha_disc_im_scan_is_clean(rtol, atol):
     # only the sign of w found pi/6 for its integral: without the case's
     # ladder of interior cuts, 25 (default) and 23 (tight) rows failed, each
     # with an error far above its estimate (alpha = 1e-4: 5.24e-5 against
-    # 1.55e-11).  No ledger entry covers this case
+    # 1.55e-11).  Then 30 in [1e-3, 0.5], where the ladder keeps only the
+    # rungs j alpha with |j alpha| < 1, inside the grading cuts.  No ledger
+    # entry covers this case
     rng = random.Random(31)
     case = case_by_id("DISC-IM")
     tally, outside = Counter(), []
-    for _ in range(30):
-        params = {"alpha": math.exp(rng.uniform(math.log(1e-6), math.log(1e-3)))}
-        row, miss = scan_row(case, params, rtol, atol)
-        tally[row.status] += 1
-        if row.status != "pass" or miss:
-            outside.append((params, row.status, miss))
+    for lo, hi in ((1e-6, 1e-3), (1e-3, 0.5)):
+        for _ in range(30):
+            params = {"alpha": math.exp(rng.uniform(math.log(lo), math.log(hi)))}
+            row, miss = scan_row(case, params, rtol, atol)
+            tally[row.status] += 1
+            if row.status != "pass" or miss:
+                outside.append((params, row.status, miss))
     assert outside == [], tally
+
+
+@pytest.mark.parametrize("rtol, atol", ((1e-8, 1e-10), (1e-10, 1e-12)))
+def test_intro4_large_gamma_rows_are_honest(rtol, atol):
+    # INTRO-4 declares every gamma >= 0; the other scans draw gamma below 5.
+    # At gamma 25 to 50 the quadrature's estimate can exceed the row
+    # tolerance, and such a row must be an honest error row whose lhs still
+    # lies within the tolerance plus the estimate: (a, gamma) = (-0.5, 30)
+    # has error 2.7e-7, estimate 1.1e-5 and tolerance 6.3e-8
+    case = case_by_id("INTRO-4")
+    for gamma in (25.0, 30.0, 40.0, 50.0):
+        for a in (-0.5, 0.3, 2.0):
+            params, shared = {"a": a, "gamma": gamma}, {}
+            row, miss = scan_row(case, params, rtol, atol, shared)
+            assert row.status in ("pass", "error") and not miss, (params, row)
+            if row.status == "error":
+                lhs, estimate, failure, _ = shared["lhs"]
+                rhs = evaluate_rhs(case, params)
+                assert failure is None, (params, row)
+                assert abs(lhs - rhs) <= max(atol, rtol * abs(rhs)) + estimate, (
+                    params, row)
 
 
 # The same seed drawn theta before a meets three APPA rows whose folded
