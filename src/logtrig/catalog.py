@@ -117,11 +117,27 @@ class VerificationRow(NamedTuple):
 # ---------------------------------------------------------------------------
 # building blocks
 
+# Below |a| = _SMALL_A the closed forms sum the Bernoulli series (DLMF
+# 24.2.1) of terms that cancel as written: 1/a^2 - e^a/(e^a - 1)^2 (about
+# eps/a^2 lost) and 1/(e^a - 1) - 1/a (eps/a); their first omitted terms
+# are below 1e-17.  At and above it the direct expressions stay.
+_SMALL_A = 0.05
+
+
 def _sine_kernel_s(a: float) -> float:
     """1/a^2 + e^b - e^b/(e^b - 1)^2 with b = min(a, ln 2)."""
     b = min(a, LN2)
     eb = math.exp(b)
+    if abs(a) < _SMALL_A:
+        a2 = a * a
+        return eb + (1 / 12 - a2 * (1 / 240 - a2 * (1 / 6048 - a2 / 172800)))
     return 1.0 / (a * a) + eb - eb / math.expm1(b) ** 2
+
+
+def _pole_gap(a: float) -> float:
+    """1/(e^a - 1) - 1/a, for |a| < _SMALL_A."""
+    a2 = a * a
+    return -0.5 + a * (1 / 12 - a2 * (1 / 720 - a2 * (1 / 30240 - a2 / 1209600)))
 
 
 def _not_near_integer(value: float, lowest: int, step: int) -> bool:
@@ -175,6 +191,14 @@ def _intro3_f(p: Params):
     return lambda x, w: x * math.sin(2.0 * x) / (x * x + (w - a) ** 2)
 
 
+def _intro2_rhs(p: Params) -> float:
+    a = p["a"]
+    if abs(a) < _SMALL_A:
+        return 0.5 * PI * (_pole_gap(a) - math.expm1(a))
+    b = min(a, LN2)
+    return 0.5 * PI * (1.0 - 1.0 / a - math.exp(b) + 1.0 / math.expm1(b))
+
+
 def _intro4_f(p: Params):
     a, g = p["a"], p["gamma"]
 
@@ -186,6 +210,9 @@ def _intro4_f(p: Params):
 
 def _intro4_rhs(p: Params) -> complex:
     a, g = p["a"], p["gamma"]
+    if abs(a) < _SMALL_A:
+        return complex(PI * (math.expm1((g + 1.0) * a) / math.expm1(a)
+                             + _pole_gap(a)), 0.0)
     value = -PI / a
     if a < LN2:
         value += PI * math.exp((g + 1.0) * a) / math.expm1(a)
@@ -565,10 +592,7 @@ _add("INTRO-1", "log of x^2 + (log(2 cos x) - a)^2 on (0, pi/2)", _COS_HALF,
      _a_ok)
 
 _add("INTRO-2", "same log kernel weighted by cos 2x", _COS_HALF, "a", 0.0,
-     _intro2_f,
-     lambda p: 0.5 * PI * (1.0 - 1.0 / p["a"] - math.exp(min(p["a"], LN2))
-                           + 1.0 / math.expm1(min(p["a"], LN2))),
-     _a_ok)
+     _intro2_f, _intro2_rhs, _a_ok)
 
 _add("INTRO-3", "x sin 2x over the squared-distance kernel", _COS_HALF, "a",
      0.0, _intro3_f, lambda p: 0.25 * PI * _sine_kernel_s(p["a"]),

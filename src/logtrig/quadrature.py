@@ -40,7 +40,6 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-import sys
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import AccuracyError, DomainError
@@ -149,21 +148,20 @@ def integrate_adaptive(f: Callable[[float], float | complex], a: float, b: float
         raise DomainError(f"need a < b, got [{a}, {b}]")
     evaluations = 0
     subdivisions = 0
-    heap: list[tuple[float, int, float, float, float, float]] = []
+    # panels are disjoint, so lo breaks every tie of the error
+    heap: list[tuple[float, float, float, float | complex, float]] = []
     frozen_vals: list[float] = []
     frozen_err = 0.0
-    counter = 0
     total_val = 0.0
     total_err = 0.0
     edges = [a, *sorted({p for p in points if a < p < b}), b]
     for lo, hi in zip(edges, edges[1:]):
         val, err = _qk15(f, lo, hi)
         evaluations += 15
-        counter += 1
-        heap.append((-err, counter, lo, hi, val, err))
+        heap.append((-err, lo, hi, val, err))
         total_val += val
         total_err += err
-    if counter == 1 and total_err <= max(atol, tol * abs(total_val)):
+    if len(heap) == 1 and total_err <= max(atol, tol * abs(total_val)):
         # a lone panel within tolerance: its sums equal the fsums below
         return QuadratureResult(total_val, total_err, evaluations, 0)
     heapq.heapify(heap)
@@ -174,25 +172,24 @@ def integrate_adaptive(f: Callable[[float], float | complex], a: float, b: float
             raise AccuracyError(
                 f"subdivision limit {limit} reached (err {total_err:.3e})",
                 best=total_val, error_estimate=total_err, evaluations=evaluations)
-        neg_err, _, lo, hi, val, err = heapq.heappop(heap)
+        _, lo, hi, val, err = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
             # panel narrower than float spacing; accept as is
             frozen_vals.append(val)
             frozen_err += err
-            total_err = frozen_err + math.fsum(e for (ne, c, l, h, v, e) in heap)
+            total_err = frozen_err + math.fsum(e for (_, _, _, _, e) in heap)
             continue
         v1, e1 = _qk15(f, lo, mid)
         v2, e2 = _qk15(f, mid, hi)
         evaluations += 30
         subdivisions += 1
-        counter += 2
-        heapq.heappush(heap, (-e1, counter - 1, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, counter, mid, hi, v2, e2))
+        heapq.heappush(heap, (-e1, lo, mid, v1, e1))
+        heapq.heappush(heap, (-e2, mid, hi, v2, e2))
         total_val += v1 + v2 - val
         total_err += e1 + e2 - err
-    vals = frozen_vals + [v for (_, _, _, _, v, _) in heap]
-    errs = frozen_err + math.fsum(e for (_, _, _, _, _, e) in heap)
+    vals = frozen_vals + [v for (_, _, _, v, _) in heap]
+    errs = frozen_err + math.fsum(e for (_, _, _, _, e) in heap)
     value = _fsum(vals)
     if errs > max(atol, tol * abs(value)) * 1.001:
         raise AccuracyError(
@@ -249,21 +246,15 @@ _POLE_REACH = 1.0
 # 0.75, 1, 2 and 3: 70,500 / 170,535, 70,440 / 170,355, 70,485 / 170,685,
 # 70,635 / 171,420, 71,580 / 174,840 and 72,660 / 181,020.
 _MIN_STEP = 0.5
-# Floor of a tail chunk's absolute tolerance, in ulps of the integral so
-# far.  Below a few dozen ulps a chunk's Kronrod estimate is rounding
-# noise: a chunk of DISC-P4 at alpha = 6.56 and rtol 1e-10 stopped
-# at 1.6e-15 against a sum of 0.37 (29 ulps) and ran into the subdivision
-# limit, as it did with a floor of 4 or 16 ulps.
-_CHUNK_ULPS = 32.0
-# Shortest period whose tail chunks and interior panel are cut at the
-# kernel's pinch points on the quarter-period lattice; shorter chunks are
-# cut only at their whole-period edges, and bisection finds the rest for
-# fewer evaluations.  Default-sweep / offgrid-alpha (seed 1) evaluations with the
-# lattice dropped below a period of 1.5, 2, 2.5, 3 and 3.5 in every case:
-# 109,515 / 290,205, 107,760 / 288,210, 107,550 / 286,290, 107,760 /
-# 286,215 and 121,275 / 305,265; 113,655 / 315,435 with the lattice at
-# every period and 164,100 / 394,695 with none.  From period pi on the
-# lattice pays again.
+# Shortest period whose tail chunks are cut at the kernel's pinch points on
+# the quarter-period lattice; shorter chunks are cut only at their
+# whole-period edges, and bisection finds the rest for fewer evaluations.
+# Default-sweep / offgrid-alpha (seed 1) evaluations, when the lattice also
+# cut the interior panel, with the lattice dropped below a period of 1.5, 2,
+# 2.5, 3 and 3.5 in every case: 109,515 / 290,205, 107,760 / 288,210,
+# 107,550 / 286,290, 107,760 / 286,215 and 121,275 / 305,265; 113,655 /
+# 315,435 with the lattice at every period and 164,100 / 394,695 with none.
+# From period pi on the lattice pays again.
 _LATTICE_PERIOD = 2.5
 # t-positions at which a tail that starts at _T_SPLIT also cuts the
 # interior panel: about one e-fold apart in distance to the singular end,
@@ -274,7 +265,6 @@ _LATTICE_PERIOD = 2.5
 # 84,720 / 204,900; (1.5, 1, 0.5, 0, -0.5): 88,605 / 213,900; (0.5):
 # 91,860 / 224,340; with none, 96,675 / 234,075.
 _INTERIOR_GRADING = (1.0, 0.0, -0.5)
-_EPS = sys.float_info.epsilon
 # The t of y = pi/2, where 2 sin y peaks at 2: no cut lies beyond it.
 _T_TOP = -math.log(2.0)
 # The split of one integral's budget, the absolute ``tolerance`` that its
@@ -431,13 +421,12 @@ def integrate_endpoint_oscillatory(
     AccuracyError unless its last chunk times r / (1 - r) is below
     tolerance.  A complex f takes one pass.
 
-    When the period is at least ``_LATTICE_PERIOD``, every tail chunk and,
-    mapped through y(t), the interior panel are cut at the quarter-period
-    points j period / 4 of t whose j mod 4 is one of ``pinches``: where the
-    kernel's denominator is smallest and its poles come closest to the path
-    (0 for whole periods, 2 for half periods, 1 and 3 for the odd
-    quarters).  A shorter period's chunks are cut only at their
-    whole-period edges.
+    When the period is at least ``_LATTICE_PERIOD``, every tail chunk is
+    cut at the quarter-period points j period / 4 of t whose j mod 4 is one
+    of ``pinches``: where the kernel's denominator is smallest and its poles
+    come closest to the path (0 for whole periods, 2 for half periods, 1
+    and 3 for the odd quarters).  A shorter period's chunks are cut only at
+    their whole-period edges.
     ``points`` adds features as t-positions, mapped through y(t) like every
     other interior cut.  ``tail_points(lo, hi)``, when given, lists the
     poles of the real tail integrand f(y(t), -t) |dy/dt| next to the path
@@ -460,11 +449,8 @@ def integrate_endpoint_oscillatory(
     tol, atol = _REL_FLOOR, max(tolerance * _QUADRATURE_SHARE, _ABS_FLOOR)
 
     # the interior stops at y(2), where the tail starts, and gets the
-    # grading cuts, the lattice cuts, the centres of poles below t = 2 and
-    # the caller's points
-    cuts = (*points, *_INTERIOR_GRADING,
-            *_feature_cuts(0.0, _T_SPLIT, quarter, pinches),
-            *(c for c, _, _ in poles(0.0, _T_SPLIT)))
+    # grading cuts, the centres of poles below t = 2 and the caller's points
+    cuts = (*points, *_INTERIOR_GRADING, *(c for c, _, _ in poles(0.0, _T_SPLIT)))
     sin, log = math.sin, math.log
     interior = integrate_adaptive(
         lambda y: f(y, log(2.0 * sin(y))), _y(_T_SPLIT), 0.5 * math.pi,
@@ -486,11 +472,9 @@ def integrate_endpoint_oscillatory(
     estimates: list[float] = []        # of the last chunks, newest first
     while True:
         t_next = min(t + step, _T_MAX)
-        floor = _CHUNK_ULPS * _EPS * abs(running)
         res = _tail_chunk(g, t, t_next,
                           _feature_cuts(t, t_next, quarter, pinches),
-                          poles(t - reach, t_next + reach), chunk_tol,
-                          max(chunk_atol, floor))
+                          poles(t - reach, t_next + reach), chunk_tol, chunk_atol)
         pieces.append(res.value)
         err_total += res.error_estimate
         evaluations += res.evaluations

@@ -581,8 +581,8 @@ def test_default_sweep_payload_is_pinned(sweep):
     # records the old and the new hash in CHANGES.md.
     payload = render_rows_json(sweep.rows).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "0169747651c8737312f39a6044a0bc00b2db0c53b6a9367637c033026ff594d7")
-    assert sum(row.evaluations for row in sweep.rows) == 50_190
+        "d36cdc33bb79bf7524356d3b504f853042bac63caa89ecf75254566f1a0016c5")
+    assert sum(row.evaluations for row in sweep.rows) == 50_100
 
 
 def test_tight_sweep_payload_is_pinned():
@@ -591,8 +591,24 @@ def test_tight_sweep_payload_is_pinned():
     report = run_verification(RunConfig(rtol=1e-10, atol=1e-12, jobs=2))
     payload = render_rows_json(report.rows).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "e24a576d95349b365c87c8b07c1ab14e33cf4d4c34258d6782ffca12f1fcf129")
-    assert sum(row.evaluations for row in report.rows) == 72_375
+        "e07cf8649ec8d9f54466ab4ad0d755a6c4dbee68b1e83519387b03ae22d0f540")
+    assert sum(row.evaluations for row in report.rows) == 72_435
+
+
+def test_unreachable_tolerance_stays_cheap():
+    # At rtol 1e-16 no row can pass or fail, and the engine's floors on the
+    # tolerance it asks of itself keep it from chasing the request: the
+    # sweep costs 1.10 times the sweep at rtol 1e-12, where no row fails
+    # either.  Without ``_ABS_FLOOR`` it costs 10.2 times; without
+    # ``_REL_FLOOR`` five rows fail
+    def rows_at(rtol, atol):
+        return run_verification(RunConfig(rtol=rtol, atol=atol, jobs=1)).rows
+
+    reachable, unreachable = rows_at(1e-12, 1e-14), rows_at(1e-16, 1e-30)
+    assert {row.status for row in reachable} <= {"pass", "error", "skipped"}
+    assert {row.status for row in unreachable} <= {"error", "skipped"}
+    assert (sum(row.evaluations for row in unreachable)
+            <= 1.25 * sum(row.evaluations for row in reachable))
 
 
 # Off-grid points where the Kronrod estimate fell short of the error while

@@ -118,6 +118,38 @@ def test_intro4_large_gamma_rows_are_honest(rtol, atol):
                     params, row)
 
 
+@pytest.mark.parametrize("rtol, atol", ((1e-8, 1e-10), (1e-10, 1e-12)))
+def test_near_zero_a_scan_is_clean(rtol, atol):
+    # 40 points per case with |a| log-uniform in [1e-8, 1e-2], either sign.
+    # The lhs is right there; closed forms that cancel 1/a or 1/a^2 terms
+    # made 22 to 33 fails per case for INTRO-3, SINE and COS, up to 15 for
+    # INTRO-2 and INTRO-4, and misses in all five, before they summed their
+    # Bernoulli series.  No ledger entry covers these cases near a = 0
+    rng = random.Random(77)
+    tally, outside = Counter(), []
+    for case_id in ("INTRO-2", "INTRO-3", "INTRO-4", "SINE", "COS"):
+        case = case_by_id(case_id)
+        for _ in range(40):
+            params = {"a": math.copysign(10.0 ** rng.uniform(-8.0, -2.0),
+                                         rng.random() - 0.5)}
+            if case_id == "INTRO-4":
+                params["gamma"] = rng.uniform(0.0, 5.0)
+            row, miss = scan_row(case, params, rtol, atol)
+            tally[row.status] += 1
+            if row.status != "pass" or miss:
+                outside.append((case_id, params, row.status, miss))
+    assert outside == [], tally
+
+
+def test_sine_approaches_its_a_zero_value():
+    # SINE's closed form tends to SINE0's 13 pi/24 as a -> 0, within about
+    # 1.6 |a|
+    sine, sine0 = case_by_id("SINE"), case_by_id("SINE0")
+    limit = evaluate_rhs(sine0, {})
+    for a in (1e-8, -1e-6, 1e-4, -3e-3, 0.049):
+        assert abs(evaluate_rhs(sine, {"a": a}) - limit) <= 2.0 * abs(a), a
+
+
 # The same seed drawn theta before a meets three APPA rows whose folded
 # tail, f(x, w) + f(-x, w) over (0, pi/2), closes before the kernel's
 # feature at t = |a| (ROADMAP item 3): errors 2.4e-11, 2.6e-11 and 1.2e-11

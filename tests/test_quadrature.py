@@ -308,6 +308,7 @@ def test_pinch_substitution_against_tanh_closed_form(alpha):
 
 @pytest.mark.parametrize("case_id, alpha, lattice", (
     ("T1-A", 1.0, True),        # period 6.28
+    ("T2", 0.5, True),          # period 6.28, an odd quarter at t = pi/2 < 2
     ("T1-A", 0.2, False),       # period 1.26
     ("DISC-P3", 0.2, False),    # the same period, with poles declared
     ("DISC-P4", 0.2, False)))
@@ -328,17 +329,18 @@ def test_quarter_lattice_only_at_long_periods(monkeypatch, case_id, alpha, latti
     on_lattice = [p for points, _ in calls for p in points
                   if p >= 2.0 and abs(p / quarter - round(p / quarter)) < 1e-9]
     assert bool(on_lattice) == lattice
+    # the lattice cuts only the tail chunks: the interior panel (limit 8192)
+    # is cut at y(t) of each grading t and at the centres of poles below
+    # t = 2, mapped to y = asin(e^{-t}/2)
+    poles = case.tail_points(params)
+    centres = [math.asin(0.5 * math.exp(-c))
+               for c, _, _ in (poles(0.0, 2.0) if poles else ())]
+    grading = [_y(t) for t in quadrature._INTERIOR_GRADING]
+    interior = [sorted(points) for points, limit in calls if limit == 8192]
+    assert interior == [sorted(centres + grading)]
     if not lattice:
-        # tail chunks are cut only at their whole-period edges, and the
-        # interior panel (limit 8192) only at the centres of poles below
-        # t = 2, mapped to y = asin(e^{-t}/2), and at y(t) of each grading t
-        poles = case.tail_points(params)
-        centres = [math.asin(0.5 * math.exp(-c))
-                   for c, _, _ in (poles(0.0, 2.0) if poles else ())]
-        grading = [_y(t) for t in quadrature._INTERIOR_GRADING]
-        tail = [points for points, limit in calls if limit != 8192]
-        interior = [sorted(points) for points, limit in calls if limit == 8192]
-        assert not any(tail) and interior == [sorted(centres + grading)]
+        # tail chunks are cut only at their whole-period edges
+        assert not any(points for points, limit in calls if limit != 8192)
 
 
 @pytest.mark.parametrize("case_id, alpha, evaluations", (
