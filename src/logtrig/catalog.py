@@ -7,7 +7,10 @@ closed-form evaluator.  Each kernel writes its denominator cosh(u) -/+ cos(v)
 inline as 2*(sinh(u/2)^2 + sin/cos(v/2)^2), which cannot lose precision or
 hit an accidental zero near the tail spikes, or, where u grows large, as
 expm1(-u)^2 + 4 e^{-u} sin/cos(v/2)^2 = 2 e^{-u} (cosh(u) -/+ cos(v)), with
-the numerator scaled alike.
+the numerator scaled alike.  Where such a sum of squares a^2 + b^2 falls
+below the normal range (alpha above about 1e154), it has lost its digits;
+the T1, T4, DISC-L and DISC-IM kernels then divide by h = hypot(a, b) twice,
+or take 2 log h, instead.
 
 Domain notes.  The arctan kernel on (0, 2*pi) needs every jump level
 2 sin(x/2) = exp((2m+1) pi alpha / 3), m >= 0, to lie above 2, hence
@@ -22,6 +25,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
 from functools import partial
 from types import MappingProxyType
 from typing import Callable, NamedTuple, Sequence
@@ -89,9 +93,9 @@ class IdentityCase(NamedTuple):
     # bisection or a cut saves evaluations; the engine keeps those in
     # (-ln 2, 2) and already cuts at t = 1, 0 and -0.5
     interior_points: Callable[[Params], tuple[float, ...]] = lambda p: ()
-    # None, or (lo, hi) -> the poles next to the tail's path whose centres
-    # t_m lie in [lo, hi], as (t_m, d, residue); the engine subtracts each
-    # one (see integrate_endpoint_oscillatory)
+    # None, or (lo, hi) -> the kernel's poles next to the path with centres
+    # c in [lo, hi], as (c, rho): a simple pole where w + ix = -c, the kernel
+    # ~ i rho / (w + ix + c), and its conjugate (integrate_endpoint_oscillatory)
     tail_points: Callable[[Params], Callable | None] = lambda p: None
     fixed_params: MappingProxyType[str, float] = MappingProxyType({})
     # the quarter-period points j period / 4 of t, by j mod 4, where the
@@ -223,9 +227,14 @@ def _intro4_rhs(p: Params) -> complex:
 # (sinh(u/2)^2 + trig(v/2)^2): the "a" member takes trig = sin, the "b" cos.
 
 def _t1_f(trig: Callable[[float], float], p: Params):
-    al, log, sinh = p["alpha"], math.log, math.sinh
-    return lambda x, w: log(2.0 * (sinh(0.5 * (x / al)) ** 2
-                                   + trig(0.5 * (w / al)) ** 2))
+    al, log, sinh, hypot = p["alpha"], math.log, math.sinh, math.hypot
+    tiny = sys.float_info.min
+
+    def f(x: float, w: float) -> float:
+        a, b = sinh(0.5 * (x / al)), trig(0.5 * (w / al))
+        d = a ** 2 + b ** 2
+        return log(2.0 * d) if d >= tiny else LN2 + 2.0 * log(hypot(a, b))
+    return f
 
 
 def _t3_f(trig: Callable[[float], float], p: Params):
@@ -240,11 +249,16 @@ def _t3_f(trig: Callable[[float], float], p: Params):
 
 def _t4_f(trig: Callable[[float], float], p: Params):
     al, sin, cos, sinh = p["alpha"], math.sin, math.cos, math.sinh
+    hypot, tiny = math.hypot, sys.float_info.min
 
     def f(x: float, w: float) -> float:
         v = w / al
-        return (cos(2.0 * x) * sin(v)
-                / (2.0 * (sinh(0.5 * (x / al)) ** 2 + trig(0.5 * v) ** 2)))
+        a, b = sinh(0.5 * (x / al)), trig(0.5 * v)
+        d = a ** 2 + b ** 2
+        if d >= tiny:
+            return cos(2.0 * x) * sin(v) / (2.0 * d)
+        h = hypot(a, b)
+        return cos(2.0 * x) * sin(v) / (2.0 * h) / h
     return f
 
 
@@ -306,28 +320,25 @@ def _sine_f(p: Params):
     return lambda x, w: 1j * math.sin(2.0 * x) / complex(w - a, x)
 
 
-def _ell_term_a(ep: EllipticParams) -> float:
-    return ep.big_e - (2.0 - ep.k ** 2) / 3.0 * ep.big_k
-
-
-def _t3a_rhs(p: Params) -> float:
+# one closed form per T3/T4 pair, with sign 1 for T3 and -1 for T4
+def _t34a_rhs(constant: float, sign: float, p: Params) -> float:
     al = p["alpha"]
     ep = _elliptic(p)
-    return (13.0 * PI * al / 48.0 + PI / (24.0 * al)
+    return (constant * PI * al / 48.0 + sign * PI / (24.0 * al)
             + PI * al / (4.0 * math.tanh(PI * al))
-            + al / (4.0 * PI) * _ell_term_a(ep) * ep.big_k)
+            + sign * al / (4.0 * PI)
+            * (ep.big_e - (2.0 - ep.k ** 2) / 3.0 * ep.big_k) * ep.big_k)
 
 
-def _t3b_rhs(p: Params) -> float:
+def _t34b_rhs(sign: float, p: Params) -> float:
     al = p["alpha"]
     ep = _elliptic(p)
-    return (PI / (8.0 * al) + PI * al / (4.0 * math.sinh(PI * al))
+    return (PI / (8.0 * al) + sign * PI * al / (4.0 * math.sinh(PI * al))
             + al / (4.0 * PI) * (ep.big_e - ep.big_k) * ep.big_k)
 
 
-def _cos_f(p: Params):
-    a = p["a"]
-    return lambda x, w: math.cos(2.0 * x) / complex(w - a, x)
+_t3a_rhs, _t3b_rhs = partial(_t34a_rhs, 13.0, 1.0), partial(_t34b_rhs, 1.0)
+_t4a_rhs, _t4b_rhs = partial(_t34a_rhs, 11.0, -1.0), partial(_t34b_rhs, -1.0)
 
 
 def _cos_rhs(p: Params) -> complex:
@@ -336,21 +347,6 @@ def _cos_rhs(p: Params) -> complex:
     if a < LN2:
         value += PI * math.exp(a)
     return complex(value, 0.0)
-
-
-def _t4a_rhs(p: Params) -> float:
-    al = p["alpha"]
-    ep = _elliptic(p)
-    return (11.0 * PI * al / 48.0 - PI / (24.0 * al)
-            + PI * al / (4.0 * math.tanh(PI * al))
-            - al / (4.0 * PI) * _ell_term_a(ep) * ep.big_k)
-
-
-def _t4b_rhs(p: Params) -> float:
-    al = p["alpha"]
-    ep = _elliptic(p)
-    return (PI / (8.0 * al) - PI * al / (4.0 * math.sinh(PI * al))
-            + al / (4.0 * PI) * (ep.big_e - ep.big_k) * ep.big_k)
 
 
 def _t4pa_rhs(p: Params) -> float:
@@ -420,7 +416,8 @@ def _t7_rhs(p: Params) -> float:
 
 
 def _theta2_f(p: Params):
-    a, th = p["a"], p["theta"]
+    # COS is theta = 0: its half path has x >= 0, where x + 0.0 is x
+    a, th = p["a"], p.get("theta", 0.0)
     return lambda x, w: math.cos(2.0 * x) / complex(w - a, x + th)
 
 
@@ -460,13 +457,20 @@ def _contour_f(p: Params):
 
 def _l_f(trig: Callable[[float], float], p: Params):
     # sin(v)/(cosh(u) -/+ cos(v)) for trig = sin/cos, u = x/alpha, v = w/alpha,
-    # both sides scaled by 2 e^{-u} so that neither overflows at small alpha
+    # both sides scaled by 2 e^{-u} so that neither overflows at small alpha;
+    # a denominator below the normal range has u < 1e-154, so e = 1 there
     al, sin, exp, expm1 = p["alpha"], math.sin, math.exp, math.expm1
+    hypot, tiny = math.hypot, sys.float_info.min
 
     def f(x: float, w: float) -> float:
         u, v = x / al, w / al
         e = exp(-u)
-        return 2.0 * e * sin(v) / (expm1(-u) ** 2 + 4.0 * e * trig(0.5 * v) ** 2)
+        a, b = expm1(-u), trig(0.5 * v)
+        d = a ** 2 + 4.0 * e * b ** 2
+        if d >= tiny:
+            return 2.0 * e * sin(v) / d
+        h = hypot(a, 2.0 * b)
+        return 2.0 * e * sin(v) / h / h
     return f
 
 
@@ -504,49 +508,37 @@ def _p4_f(p: Params):
 
 
 def _p34_poles(numerator: complex):
-    """Poles of a DISC-P3/P4 kernel N / E next to the path, as (t_m, d, R).
-
-    On the tail x = y = asin(u), u = e^{-t}/2, |dx/dt| = m = u /
-    sqrt(1 - u^2) and E = cosh(x/alpha) + cos(t/alpha).  At t = t_m + d,
-    t_m = (2k+1) pi alpha, cos(t/2 alpha) = -/+ sin(d/2 alpha), so E = 0 at
-    d = i x(t_m + d); Newton's method settles d from 0 in six steps for t_m
-    >= 0.05.  There E' = -(m sinh(x/alpha) + sin(t/alpha)) / alpha with
-    sin(t/alpha) = -sin(d/alpha) = -i sinh(x/alpha), so the residue N m / E'
-    is alpha m / (i - m) for N = sinh(x/alpha) (DISC-P4) and i times that for
-    N = sin(w/alpha) = i sinh(x/alpha) (DISC-P3); the conjugate pole has the
-    conjugate residue.  Next to the upper end no pole comes close.
-    """
+    """Poles of a DISC-P3/P4 kernel next to the path, as (c, rho): in z = w
+    + ix the kernel is (tan(z/2 alpha) - tan(z*/2 alpha)) / 2i (DISC-P4) or
+    (tan(z/2 alpha) + tan(z*/2 alpha)) / 2 (DISC-P3), and tan(z/2 alpha) ~
+    -2 alpha / (z + c) at c = (2k+1) pi alpha, so rho = ``numerator`` alpha.
+    Next to the upper end no pole comes close."""
     def tail_points(p: Params):
-        al = p["alpha"]
-        half = PI * al
+        half, rho = PI * p["alpha"], numerator * p["alpha"]
 
-        def poles(lo: float, hi: float) -> list[tuple[float, complex, complex]]:
-            out = []
-            k = max(0, math.floor(0.5 * (lo / half - 1.0)))
-            while (t := (2 * k + 1) * half) <= hi:
-                if t >= lo:
-                    e, d = 0.5 * math.exp(-t), 0j
-                    for _ in range(7):     # m is taken at the settled d
-                        u = e * cmath.exp(-d)
-                        m = u / cmath.sqrt(1.0 - u * u)
-                        d -= (d - 1j * cmath.asin(u)) / (1.0 + 1j * m)
-                    out.append((t, d, numerator * al * m / (1j - m)))
-                k += 1
-            return out
+        def poles(lo: float, hi: float) -> list[tuple[float, complex]]:
+            ks = range(max(0, math.floor(0.5 * (lo / half - 1.0))),
+                       math.ceil(0.5 * (hi / half + 1.0)))
+            return [(c, rho) for k in ks if lo <= (c := (2 * k + 1) * half) <= hi]
         return poles
     return tail_points
 
 
 def _im_f(p: Params):
     # sinh(s)/(cosh(s) - cos(v)) with s = w/alpha and v = x/alpha, both sides
-    # scaled by 2 e^{-|s|}: nothing overflows however far the tail runs
-    al = p["alpha"]
+    # scaled by 2 e^{-|s|}: nothing overflows however far the tail runs; a
+    # denominator below the normal range has s < 1e-154, so e^{-s} = 1 there
+    al, hypot, tiny = p["alpha"], math.hypot, sys.float_info.min
     sin, exp, expm1, copysign = math.sin, math.exp, math.expm1, math.copysign
 
     def f(x: float, w: float) -> float:
         s = abs(w) / al
-        return (copysign(-expm1(-2.0 * s), w)
-                / (expm1(-s) ** 2 + 4.0 * exp(-s) * sin(0.5 * (x / al)) ** 2))
+        a, b = expm1(-s), sin(0.5 * (x / al))
+        d = a ** 2 + 4.0 * exp(-s) * b ** 2
+        if d >= tiny:
+            return copysign(-expm1(-2.0 * s), w) / d
+        h = hypot(a, 2.0 * b)
+        return copysign(-expm1(-2.0 * s), w) / h / h
 
     return f
 
@@ -638,7 +630,7 @@ _add("T3-B", "sin 2x sinh kernel over cosh + cos", _COS_HALF, "alpha", 1.0,
      _t3b_f, _t3b_rhs, _alpha_above(LN2 / PI), pinch_quarters=_HALF)
 
 _add("COS", "cos 2x pole-kernel integral with Heaviside switch", _COS_FULL,
-     "a", 0.0, _cos_f, _cos_rhs, _a_ok, complex_valued=True,
+     "a", 0.0, _theta2_f, _cos_rhs, _a_ok, complex_valued=True,
      conjugate_even=True)
 
 _add("T4-A", "cos 2x sin(log-term) kernel over cosh - cos", _COS_HALF,
@@ -725,9 +717,9 @@ _add("DISC-P2", "log(2 e^a sin x) over its squared-distance kernel", _SIN, "a",
      0.0, _p2_f, lambda p: 4.0 * PI * p["a"] / (PI ** 2 + 4.0 * p["a"] ** 2),
      lambda p: True)
 
-# The cos = -1 poles of DISC-P3 and DISC-P4 at t_m = (2m+1) pi alpha lie at
-# a distance of about e^{-t_m}/2 from the path next to the lower end; each
-# case declares them with their residues, and the engine subtracts each
+# The cos = -1 poles of DISC-P3 and DISC-P4 at t = (2m+1) pi alpha lie at
+# a distance of about e^{-t}/2 from the path next to the lower end; each
+# case declares them as (c, rho), and the engine subtracts each
 # conjugate pair from the tail chunks near it and adds back its exact
 # integral.
 # freq 1 is the kernels' true period 2 pi alpha in t, so whole-period chunk

@@ -24,8 +24,8 @@ Two engines cooperate here:
   holding two differences, whose bound is below tolerance.
   A tail that decays without oscillating closes with its geometric
   remainder.
-  A pole that the caller declares next to the path, with its residue, is
-  subtracted from each tail chunk near it together with its conjugate, and
+  A pole of f that the caller declares next to the path is mapped onto the
+  tail and subtracted from each chunk near it together with its conjugate, and
   the exact integral of that pair, a complex logarithm, is added back
   ("subtracting out the singularity": Davis & Rabinowitz, Methods of
   Numerical Integration, 2nd ed., 1984).  Each tail node costs one exp,
@@ -161,9 +161,6 @@ def integrate_adaptive(f: Callable[[float], float | complex], a: float, b: float
         heap.append((-err, lo, hi, val, err))
         total_val += val
         total_err += err
-    if len(heap) == 1 and total_err <= max(atol, tol * abs(total_val)):
-        # a lone panel within tolerance: its sums equal the fsums below
-        return QuadratureResult(total_val, total_err, evaluations, 0)
     heapq.heapify(heap)
     while total_err > max(atol, tol * abs(total_val)):
         if not heap:
@@ -350,20 +347,35 @@ def _feature_cuts(lo: float, hi: float, quarter: float | None,
     return cuts
 
 
+def _pole(c: float, rho: complex) -> tuple[float, complex, complex]:
+    """The (c, d, R) of ``_tail_chunk`` for a pole of f declared as (c, rho),
+    f ~ i rho / (z + c) at z = w + i y = -c.  On the tail z(t) = -t + i y(t)
+    has dz/dt = -1 - i m, m = |dy/dt| = u / sqrt(1 - u^2), u = e^{-t}/2, so
+    g = f(y(t), -t) m has its pole at t = c + d, d = i y(c + d), with residue
+    i rho m / (dz/dt) = rho m / (i - m).  Newton's method on d - i asin(u)
+    (derivative 1 + i m) settles d from 0 in six steps for c >= 0.05."""
+    e, d = 0.5 * math.exp(-c), 0j
+    for _ in range(7):     # m is taken at the settled d
+        u = e * cmath.exp(-d)
+        m = u / cmath.sqrt(1.0 - u * u)
+        d -= (d - 1j * cmath.asin(u)) / (1.0 + 1j * m)
+    return c, d, rho * m / (1j - m)
+
+
 def _tail_chunk(g: Callable[[float], float | complex], lo: float, hi: float,
-                cuts: list[float], poles: Sequence[tuple[float, complex, complex]],
+                cuts: list[float], poles: Sequence[tuple[float, complex]],
                 tol: float, atol: float) -> QuadratureResult:
     """g over the chunk [lo, hi], cut at ``cuts``, in one adaptive call.
-    Each of ``poles``, (c, d, R), is a simple pole of the real g at p = c +
-    d with residue R, and p's conjugate carries R's
-    conjugate: the call integrates g - 2 Re(R / (t - p)), which is smooth
-    across c, and the exact 2 Re(R [log(hi - p) - log(lo - p)]) is added
-    back.  t - p is taken as (t - c) - d, so a d far below the spacing of
-    floats at c is kept; Im d != 0 keeps the logs off their branch cut."""
+    ``_pole`` maps each of ``poles``, (c, rho), to a simple pole of the real
+    g at p = c + d with residue R, and p's conjugate carries R's conjugate:
+    the call integrates g - 2 Re(R / (t - p)), smooth across c, and adds
+    back the exact 2 Re(R [log(hi - p) - log(lo - p)]).  t - p is taken as
+    (t - c) - d, so a d far below the spacing of floats at c is kept; Im d
+    != 0 keeps the logs off their branch cut."""
     if not poles:
         return integrate_adaptive(g, lo, hi, tol=tol, atol=atol, points=cuts,
                                   limit=4096)
-    terms = [(c, d, 2.0 * r) for c, d, r in poles]
+    terms = [(c, d, 2.0 * r) for c, d, r in (_pole(*p) for p in poles)]
 
     def smooth(t: float) -> float:
         s = g(t)
@@ -384,7 +396,7 @@ def integrate_endpoint_oscillatory(
         *, tolerance: float, pinches: Sequence[int] = (0, 1, 2, 3),
         points: Sequence[float] = (),
         tail_points: Callable[[float, float],
-                              Sequence[tuple[float, complex, complex]]] | None = None
+                              Sequence[tuple[float, complex]]] | None = None
         ) -> QuadratureResult:
     """Integrate f(y, w) over (0, pi/2], w = log(2 sin y).
 
@@ -429,9 +441,9 @@ def integrate_endpoint_oscillatory(
     their whole-period edges.
     ``points`` adds features as t-positions, mapped through y(t) like every
     other interior cut.  ``tail_points(lo, hi)``, when given, lists the
-    poles of the real tail integrand f(y(t), -t) |dy/dt| next to the path
-    whose centres t_m lie in [lo, hi], as (t_m, d, R): a simple pole at
-    t_m + d with residue R, and its conjugate.  Each tail chunk subtracts
+    poles of f next to the path with centres c in [lo, hi], as (c, rho): a
+    simple pole where w + i y = -c, f ~ i rho / (w + i y + c), and its
+    conjugate, which ``_pole`` maps onto the tail.  Each tail chunk subtracts
     the poles whose centres lie within ``_POLE_REACH`` chunk steps of it and
     adds back their exact integrals (``_tail_chunk``); the centres below
     t = 2, wide enough for bisection, cut the interior panel.  Every
@@ -450,7 +462,7 @@ def integrate_endpoint_oscillatory(
 
     # the interior stops at y(2), where the tail starts, and gets the
     # grading cuts, the centres of poles below t = 2 and the caller's points
-    cuts = (*points, *_INTERIOR_GRADING, *(c for c, _, _ in poles(0.0, _T_SPLIT)))
+    cuts = (*points, *_INTERIOR_GRADING, *(c for c, _ in poles(0.0, _T_SPLIT)))
     sin, log = math.sin, math.log
     interior = integrate_adaptive(
         lambda y: f(y, log(2.0 * sin(y))), _y(_T_SPLIT), 0.5 * math.pi,

@@ -120,7 +120,8 @@ def test_osc_ends_are_the_divergent_ends(case):
 @pytest.mark.parametrize("ids", (("T1-A", "T1-PA"), ("T1-B", "T1-PB", "EX-1"),
                                  ("T4-A", "T4-PA"), ("T4-B", "T4-PB"),
                                  ("T2", "EX-2"), ("S3-T6", "EX-3"),
-                                 ("DISC-L2", "DISC-P3"), ("SINE", "SINE0")))
+                                 ("DISC-L2", "DISC-P3"), ("SINE", "SINE0"),
+                                 ("THETA2", "COS")))
 def test_cases_of_one_kernel_share_one_integrand(ids):
     first = case_by_id(ids[0]).integrand
     assert all(case_by_id(i).integrand is first for i in ids[1:])
@@ -711,12 +712,13 @@ def p34_tail(case_id, alpha, t_m):
 @pytest.mark.parametrize("case_id", ("DISC-P3", "DISC-P4"))
 @pytest.mark.parametrize("alpha", (0.01, 0.3, 2.0, 20.0))
 def test_disc_p34_poles_and_residues(case_id, alpha):
-    # each declared pole t_m + d zeroes cosh + cos, and its residue matches
-    # a 32-point trapezoid rule on a circle about it, a quarter as wide as
-    # the distance to the nearest other pole: the conjugate one, 2 Im d
-    # away, or the next on the lattice, 2 pi alpha away
+    # each declared pole (t_m, rho), mapped onto the tail as t_m + d with
+    # residue R, zeroes cosh + cos, and R matches a 32-point trapezoid rule
+    # on a circle about it, a quarter as wide as the distance to the nearest
+    # other pole: the conjugate one, 2 Im d away, or the next on the
+    # lattice, 2 pi alpha away
     poles = case_by_id(case_id).tail_points({"alpha": alpha})
-    declared = poles(1.0, 70.0)
+    declared = [quadrature._pole(c, rho) for c, rho in poles(1.0, 70.0)]
     lattice = ((2 * m + 1) * PI * alpha for m in range(int(70.0 / (PI * alpha))))
     assert [t_m for t_m, _, _ in declared] == pytest.approx(
         [t for t in lattice if 1.0 <= t <= 70.0], rel=1e-15)

@@ -150,6 +150,70 @@ def test_sine_approaches_its_a_zero_value():
         assert abs(evaluate_rhs(sine, {"a": a}) - limit) <= 2.0 * abs(a), a
 
 
+def edge_points():
+    """20 seeded points per case next to the edges of its domain: THETA2
+    and APPA with pi/2 - |theta| log-uniform in [1e-7, 0.17], either sign,
+    and a in [-14, 14]; DISC-P1, DISC-P2 and INTRO-1 with a within +-[1e-8,
+    1e-2] of 0 or of ln 2."""
+    rng = random.Random(4)
+    points = []
+    for case_id in ("THETA2", "APPA"):
+        for _ in range(20):
+            gap = math.exp(rng.uniform(math.log(1e-7), math.log(0.17)))
+            theta = math.copysign(0.5 * math.pi - gap, rng.random() - 0.5)
+            points.append((case_id, {"theta": theta, "a": rng.uniform(-14.0, 14.0)}))
+    for case_id in ("DISC-P1", "DISC-P2", "INTRO-1"):
+        for _ in range(20):
+            offset = math.copysign(
+                math.exp(rng.uniform(math.log(1e-8), math.log(1e-2))),
+                rng.random() - 0.5)
+            points.append((case_id, {"a": rng.choice((0.0, math.log(2.0))) + offset}))
+    return points
+
+
+@pytest.mark.parametrize("rtol, atol", ((1e-8, 1e-10), (1e-10, 1e-12)))
+def test_domain_edge_scan_is_clean(rtol, atol):
+    # 100 rows next to the edges: theta -> +-pi/2, where the pole a - i
+    # theta nears the end of the path, and a -> 0 or ln 2, where the
+    # closed forms switch branch.  |a| stays below 14, where ROADMAP item
+    # 3's decay-only defect begins (KNOWN_DEFECTS); with a in [-25, 25] this
+    # seed meets an APPA miss at (theta, a) = (-1.4725, -24.530), error
+    # 3.2e-11 against an estimate of 1.5e-11 at rtol 1e-8.  No ledger entry
+    # covers these points
+    tally, outside = Counter(), []
+    for case_id, params in edge_points():
+        row, miss = scan_row(case_by_id(case_id), params, rtol, atol)
+        tally[row.status] += 1
+        if row.status != "pass" or miss:
+            outside.append((case_id, params, row.status, miss))
+    assert outside == [], tally
+    assert tally["pass"] == 100, tally
+
+
+@pytest.mark.parametrize("rtol, atol", ((1e-8, 1e-10), (1e-10, 1e-12)))
+def test_huge_alpha_cosh_cos_kernels_are_clean(rtol, atol):
+    # T1-PA, T4-PA, DISC-L1 and DISC-IM at six alphas from 1e157 to 1e300,
+    # then at 30 per case log-uniform in [1e3, 1e300], where the sums of
+    # squares in their kernels' denominators fall below the normal range.
+    # While those sums kept their direct form they lost their digits: at
+    # the six alphas, 3 fails and 17 error rows (rtol 1e-8) and 23 error
+    # rows (rtol 1e-10) of 24, T1-PA raising ValueError and the others
+    # ZeroDivisionError from 1e200; 58 of the 120 drawn rows were error rows
+    rng = random.Random(157)
+    ids = ("T1-PA", "T4-PA", "DISC-L1", "DISC-IM")
+    points = [(case_id, alpha) for case_id in ids
+              for alpha in (1e157, 1e159, 3e160, 1e161, 1e200, 1e300)]
+    points += [(case_id, math.exp(rng.uniform(math.log(1e3), math.log(1e300))))
+               for case_id in ids for _ in range(30)]
+    tally, outside = Counter(), []
+    for case_id, alpha in points:
+        row, miss = scan_row(case_by_id(case_id), {"alpha": alpha}, rtol, atol)
+        tally[row.status] += 1
+        if row.status != "pass" or miss:
+            outside.append((case_id, alpha, row.status, miss))
+    assert outside == [], tally
+
+
 # The same seed drawn theta before a meets three APPA rows whose folded
 # tail, f(x, w) + f(-x, w) over (0, pi/2), closes before the kernel's
 # feature at t = |a| (ROADMAP item 3): errors 2.4e-11, 2.6e-11 and 1.2e-11

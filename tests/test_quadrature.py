@@ -279,8 +279,8 @@ def row_tolerance(case, params, rtol=1e-8, atol=1e-10):
 
 
 def p4_poles(alpha):
-    """DISC-P4's poles (t_m, d, R) next to the tail's path; the kernel below
-    is its integrand."""
+    """DISC-P4's poles (c, rho) next to the path; the kernel below is its
+    integrand."""
     return case_by_id("DISC-P4").tail_points({"alpha": alpha})
 
 
@@ -334,7 +334,7 @@ def test_quarter_lattice_only_at_long_periods(monkeypatch, case_id, alpha, latti
     # t = 2, mapped to y = asin(e^{-t}/2)
     poles = case.tail_points(params)
     centres = [math.asin(0.5 * math.exp(-c))
-               for c, _, _ in (poles(0.0, 2.0) if poles else ())]
+               for c, _ in (poles(0.0, 2.0) if poles else ())]
     grading = [_y(t) for t in quadrature._INTERIOR_GRADING]
     interior = [sorted(points) for points, limit in calls if limit == 8192]
     assert interior == [sorted(centres + grading)]
