@@ -18,12 +18,9 @@ Two engines cooperate here:
   tail is summed in chunks of whole periods, at least 0.5 long in t, as
   QUADPACK's QAWF sums cycle by cycle; a period of at least 2.5 also cuts
   each chunk at the quarter periods where the caller's kernel pinches the
-  path.  Chunk n of a periodic tail sums to a_1 r^n + a_2 r^{2n} + ...,
-  r = exp(-step), so a Richardson table with the known ratios r, r^2, r^3
-  extrapolates the partial sums, and the tail closes at the first level,
-  holding two differences, whose bound is below tolerance.
-  A tail that decays without oscillating closes with its geometric
-  remainder.
+  path.  Chunk n sums to about S r^n, r = exp(-step), whether the tail
+  oscillates or only decays, so every tail closes with its geometric
+  remainder once the bound on that remainder is below tolerance.
   A pole of f that the caller declares next to the path is mapped onto the
   tail and subtracted from each chunk near it together with its conjugate, and
   the exact integral of that pair, a complex logarithm, is added back
@@ -68,6 +65,10 @@ class QuadratureResult(_QuadratureFields):
         if error_estimate < 0 or evaluations < 1:
             raise ValueError("inconsistent quadrature result")
         return tuple.__new__(cls, (value, error_estimate, evaluations, subdivisions))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace copies through here: check copies too
+        return cls(*iterable)
 
 
 # 15-point Kronrod nodes with the embedded 7-point Gauss rule.
@@ -235,13 +236,12 @@ _T_MAX = 60.0
 # over 20 seeded alphas in [0.002, 0.1] from 24,270 to 44,805 evaluations.
 _POLE_REACH = 1.0
 # Shortest chunk of a periodic tail: a chunk spans the fewest whole periods
-# that reach this far in t, so r = exp(-step) <= e^{-0.5} and the Richardson
-# weights stay below about 5; one-period chunks at a period of 0.025 (DISC-P3
-# at alpha = 0.004) gave weights of about 10^4, and S3-T6 over 30 alphas in
-# [0.001, 0.0045] took 928,275 evaluations instead of 25,080.  Default-sweep
-# / offgrid-alpha (seed 1) evaluations at a shortest chunk of 0.25, 0.5,
-# 0.75, 1, 2 and 3: 70,500 / 170,535, 70,440 / 170,355, 70,485 / 170,685,
-# 70,635 / 171,420, 71,580 / 174,840 and 72,660 / 181,020.
+# that reach this far in t, so r = exp(-step) <= e^{-0.5} and the close's
+# bound factor r / (1 - r)^2 stays below about 4; it grows like 1/step^2, so
+# one-period chunks took DISC-P3/P4 over 30 seeded alphas in [0.002, 0.02]
+# 150,840 evaluations instead of 38,940.  Default-sweep / offgrid-alpha
+# (seed 1) evaluations at a shortest chunk of 0.25, 0.5 and 1: 50,415 /
+# 133,230, 50,355 / 132,945 and 50,610 / 133,305.
 _MIN_STEP = 0.5
 # Shortest period whose tail chunks are cut at the kernel's pinch points on
 # the quarter-period lattice; shorter chunks are cut only at their
@@ -272,63 +272,20 @@ _T_TOP = -math.log(2.0)
 # closes once its bound plus its last chunk's estimate is below 0.25 of it.
 # Every part is charged to that one number, as in QUADPACK's QAWF, and not
 # to its own value, which the tails' cancellation can leave far below the
-# total.  Default-sweep / offgrid-alpha (seed 1) evaluations at a share of
-# 0.1: 70,440 / 170,355; 0.15: 69,075 / 166,575; 0.2: 68,145 / 163,710;
-# 76,080 / 186,255 with the row tolerance asked relative to each part and a
-# chunk share of 0.05 (84,795 / 208,140 at a share of 0.02, when each row
-# asked for its rtol and atol).  The share stays 0.1 for the decay-only
-# tails with a kernel feature at t = |a| (ROADMAP item 3): over 40 seeded a
-# in [-25, 25] per a, a-theta and a-gamma case, 0.15 adds a miss, INTRO-2
-# at a = -19.6 with an error 3.55 times its estimate, and 0.2 fails DISC-P1
-# at a = 12.5 (error 5.7e-6).  The reported estimate also carries every
-# chunk's estimate times its Richardson weight, which the stop test does
-# not count: asked relative to each part, it reached 3.6 (default grid) and
-# 5.5 (offgrid) times the request on DISC-P3 and DISC-L2; under one
-# absolute budget at most 0.63 and 0.79 times, and ``verify_case`` still
-# holds the total to the row tolerance.
+# total; asked relative to each part, an earlier engine took 76,080 /
+# 186,255 default-sweep / offgrid-alpha (seed 1) evaluations instead of
+# 70,440 / 170,355.  Here, at a share of 0.1, 0.15 and 0.2: 50,355 /
+# 132,945, 48,855 / 128,625 and 47,940 / 125,850.  The share stays 0.1 for
+# the decay-only tails with a kernel feature at t = |a| (ROADMAP item 3):
+# at 0.2 seeded scans fail DISC-P1 at a = 13.95 (rtol 1e-8, error 1.4e-6
+# against an estimate of 7.5e-12), and INTRO-1 at a = -11.72 (rtol 1e-6)
+# and APPA at (theta, a) = (-1.4725, -24.53) miss their estimates.  The
+# reported estimate also carries the last chunk's estimate times r / (1 -
+# r), which the stop test does not count; over those two sweeps it reached
+# at most 0.65 and 0.81 times the request, and ``verify_case`` still holds
+# the total to the row tolerance.
 _QUADRATURE_SHARE, _ABS_FLOOR, _REL_FLOOR = 0.1, 5e-15, 5e-13
 _INTERIOR_SHARE, _CHUNK_SHARE, _CLOSE_SHARE = 0.4, 0.2, 0.25
-
-
-# Levels of the Richardson table that closes a periodic tail.
-_LEVELS = 3
-
-
-def _richardson_close(rows: Sequence[Sequence[float]], powers: Sequence[float],
-                      estimates: Sequence[float], stop_at: float
-                      ) -> tuple[float, float] | None:
-    """T[n][m] and its error at the first level m whose bound plus the
-    newest chunk estimate is below ``stop_at``, or None.  ``rows`` holds the
-    table's last three rows, newest last; ``estimates`` the last chunks'
-    estimates, newest first.  The error of T[n][m] shrinks like rho^n, rho =
-    r^(m+1), so its bound is delta rho / (1 - rho), delta being the last
-    difference, taken four times over.  Two terms of opposite sign can
-    shrink one difference far below the next term, so delta is kept at
-    least rho times the difference before it.  A level closes only once it
-    holds two differences, three entries, as QUADPACK's qelg extrapolates
-    from no fewer than three terms: T[n][m] converges like rho^n only where
-    the chunk sums have reached their power law, and one difference cannot
-    show that (T4-A at alpha = 0.793 and rtol 1e-10 closed level 1 on its
-    first difference, two chunks from t = 2, with an error 3.4 times its
-    estimate).  T[n][m] sums lambda_j P_(n-j), the lambda_j of prod_(k<=m)
-    (1 - r^k z) / (1 - r^k), one factor per level tested, so the error adds
-    the estimate of chunk S_(n-i), i < m, |lambda_0 + ... + lambda_i| - 1
-    times: its coefficient in T[n][m] less the 1 it has in P_n."""
-    oldest, before, last = rows
-    lam = [1.0]
-    for m in range(1, _LEVELS + 1):
-        if len(oldest) <= m:
-            return None
-        lam = [(a - powers[m] * b) / (1.0 - powers[m])
-               for a, b in zip(lam + [0.0], [0.0] + lam)]
-        rho = powers[m + 1]
-        delta = max(abs(last[m] - before[m]), rho * abs(before[m] - oldest[m]))
-        bound = 4.0 * delta * rho / (1.0 - rho)
-        if bound + estimates[0] <= stop_at:
-            return last[m], bound + math.fsum(
-                (abs(sum(lam[:i + 1])) - 1.0) * e
-                for i, e in enumerate(estimates[:m]))
-    return None
 
 
 def _feature_cuts(lo: float, hi: float, quarter: float | None,
@@ -414,24 +371,16 @@ def integrate_endpoint_oscillatory(
     (``_QUADRATURE_SHARE``), so every part is charged to that one number and
     not to its own value.
 
-    In a periodic tail the integrand in t is a sum of e^{-kt} p_k(t), each
-    p_k periodic, so whole chunks sum to S_n = sum_k a_k r^(kn).  The
-    partial sums P_n, P_(-1) being the value before the tail, start the
-    rows of a Richardson table T[n][k] = (T[n][k-1] - r^k T[n-1][k-1]) /
-    (1 - r^k), k <= 3, whose level m has removed the terms up to r^m;
-    T[n][1] = P_n + S_n r / (1 - r).  At each whole chunk the tail takes
-    T[n][m] at the first level m whose bound 4 delta rho / (1 - rho),
-    rho = r^(m+1), plus the chunk's estimate is below tolerance, delta being
-    the larger of the last difference of level m and rho times the one
-    before; a level closes only once it holds both (``_richardson_close``).
-    Its estimate adds the bound and every chunk's estimate weighted by the
-    chunk's coefficient in T[n][m].
-    A tail without a period stops at the first whole chunk n >= 1 whose
-    bound 2 d_n r / (1 - r)^2, d_n = |S_n - r S_(n-1)|, plus its own
-    estimate is below tolerance, and closes with the remainder
-    S_n r / (1 - r).  A tail that reaches ``_T_MAX`` first raises
-    AccuracyError unless its last chunk times r / (1 - r) is below
-    tolerance.  A complex f takes one pass.
+    Whole chunks of a periodic tail sum to S_n = sum_k a_k r^(kn), and
+    those of a tail without a period to about a_1 r^n, so every tail closes
+    by one rule.  It stops at the first whole chunk n >= 1 whose bound
+    4 delta r / (1 - r)^2 plus its own estimate is below tolerance, and
+    adds the remainder S_n r / (1 - r); its error counts the bound and the
+    chunk's estimate times r / (1 - r).  delta is the larger of d_n =
+    |S_n - r S_(n-1)| and r^2 d_(n-1), the next term's decay, since two
+    terms of opposite sign can cancel in one difference.  A tail that
+    reaches ``_T_MAX`` first raises AccuracyError unless its last chunk
+    times r / (1 - r) is below tolerance.  A complex f takes one pass.
 
     When the period is at least ``_LATTICE_PERIOD``, every tail chunk is
     cut at the quarter-period points j period / 4 of t whose j mod 4 is one
@@ -475,13 +424,11 @@ def integrate_endpoint_oscillatory(
     chunk_tol, chunk_atol = _CHUNK_SHARE * tol, _CHUNK_SHARE * atol
     r = math.exp(-step)
     tail_gain = r / (1.0 - r)          # r + r^2 + ...: all later chunks
-    powers = tuple(r ** k for k in range(_LEVELS + 2))
     g = _tail(f)
     t = _T_SPLIT
     running = interior.value
     previous = None
-    rows = [[], [], [running]]         # last three rows, from row -1 on
-    estimates: list[float] = []        # of the last chunks, newest first
+    drift = 0.0                        # |S_n - r S_(n-1)| of the last chunk
     while True:
         t_next = min(t + step, _T_MAX)
         res = _tail_chunk(g, t, t_next,
@@ -492,23 +439,15 @@ def integrate_endpoint_oscillatory(
         evaluations += res.evaluations
         subdivisions += res.subdivisions
         running += res.value
-        stop_at = max(_CLOSE_SHARE * atol, _CLOSE_SHARE * tol * abs(running))
-        whole = t_next == t + step
-        if whole and period is not None:
-            row = [running]
-            for k in range(1, min(len(rows[-1]), _LEVELS) + 1):
-                row.append((row[k - 1] - powers[k] * rows[-1][k - 1])
-                           / (1.0 - powers[k]))
-            rows = rows[1:] + [row]
-            estimates = [res.error_estimate] + estimates[:_LEVELS - 1]
-            close = _richardson_close(rows, powers, estimates, stop_at)
-            if close is not None:
-                pieces.append(close[0] - running)
-                err_total += close[1]
-                break
-        elif whole and previous is not None:
-            # twice the remainder's error when f varies linearly in t
-            bound = 2.0 * abs(res.value - r * previous) * tail_gain / (1.0 - r)
+        if t_next == t + step and previous is not None:
+            # four times the remainder's error when f varies linearly in t;
+            # two terms of opposite sign can cancel in one difference, so it
+            # is taken as at least r^2 times the one before, the ratio at
+            # which the next term, a_2 r^(2n), falls
+            d = abs(res.value - r * previous)
+            bound = 4.0 * max(d, r * r * drift) * tail_gain / (1.0 - r)
+            drift = d
+            stop_at = max(_CLOSE_SHARE * atol, _CLOSE_SHARE * tol * abs(running))
             if bound + res.error_estimate <= stop_at:
                 pieces.append(res.value * tail_gain)
                 err_total += bound + res.error_estimate * tail_gain

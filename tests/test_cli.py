@@ -18,6 +18,7 @@ import logtrig.cli
 import logtrig.report
 from logtrig.cli import _build_parser, main
 from logtrig.errors import AccuracyError, DomainError
+from logtrig.quadrature import QuadratureResult
 from logtrig.report import (CSV_COLUMNS, RunConfig, render_csv, render_json,
                             render_report, render_rows_json, run_verification)
 
@@ -582,6 +583,15 @@ def test_runconfig_validation():
     report = run_verification(RunConfig(case_filter=("EX-1",)))
     with pytest.raises(DomainError):
         render_report(report, "yaml")
+
+
+def test_quadrature_result_copy_is_checked():
+    # a _replace copy of a QuadratureResult is checked as RunConfig's is
+    result = QuadratureResult(1.0, 0.0, 15, 0)
+    assert result._replace(value=2.0) == QuadratureResult(2.0, 0.0, 15, 0)
+    for kwargs in ({"error_estimate": -1.0}, {"evaluations": 0}):
+        with pytest.raises(ValueError):
+            result._replace(**kwargs)
 
 
 def test_domain_error_during_evaluation_propagates(monkeypatch):

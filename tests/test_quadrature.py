@@ -180,9 +180,9 @@ def cos_log_tail_ref(u_edge, beta=1.0):
 @pytest.mark.parametrize("beta", (4.0, 16.0, 40.0))
 def test_short_period_tail_against_term_by_term_sum(beta):
     # the tail from t = 2, at periods 2 pi / beta = 1.57, 0.39 and 0.157:
-    # whole-period chunk sums carry the ratios r, r^2, r^3, ... that the
-    # Richardson close removes.  The whole integral is checked against the
-    # term-by-term tail plus the interior beside it
+    # whole-period chunk sums carry the ratios r, r^2, r^3, ..., which the
+    # geometric remainder's bound covers.  The whole integral is checked
+    # against the term-by-term tail plus the interior beside it
     def g(y, w):
         return math.cos(beta * w)
 
@@ -485,70 +485,3 @@ def test_tail_map_matches_reference_bit_for_bit():
         assert _y(t) == y
         assert g(t) == f(y, -t) * (math.exp(-t) / (2.0 * math.sqrt(1.0 - u * u)))
     assert _y(math.inf) == 0.0
-
-
-def richardson_rows(sums, r):
-    """The engine's last three table rows after each chunk sum of ``sums``,
-    from row -1 = [0] on, with the powers r^0 .. r^(_LEVELS + 1)."""
-    powers = tuple(r ** k for k in range(quadrature._LEVELS + 2))
-    rows, running = [[], [], [0.0]], 0.0
-    for s in sums:
-        running += s
-        row = [running]
-        for k in range(1, min(len(rows[-1]), quadrature._LEVELS) + 1):
-            row.append((row[k - 1] - powers[k] * rows[-1][k - 1])
-                       / (1.0 - powers[k]))
-        rows = rows[1:] + [row]
-        yield rows, powers
-
-
-def test_richardson_close_needs_two_differences_of_a_level():
-    # chunk sums S_n = 0.3 r^n + 0.1 r^(2n) through the engine's table: a
-    # level closes only once it holds two differences, so the rows whose
-    # level 1 holds none or one return None however loose the stop, as
-    # QUADPACK's qelg extrapolates from no fewer than three terms
-    r = math.exp(-1.0)
-    sums = [0.3 * r ** n + 0.1 * r ** (2 * n) for n in range(4)]
-    closes, levels_1 = [], []
-    for rows, powers in richardson_rows(sums, r):
-        closes.append(quadrature._richardson_close(rows, powers, [0.0], 1.0))
-        levels_1.append(rows[-1][1])
-    assert closes[:2] == [None, None]
-    assert [close[0] for close in closes[2:]] == levels_1[2:]
-
-
-@pytest.mark.parametrize("level", (1, 2, 3))
-def test_richardson_close_error_weighs_each_chunk_estimate(level):
-    # T[n][m] sums lambda_j P_(n-j), lambda_j the coefficients of
-    # prod_(k<=m) (1 - r^k z) / (1 - r^k), so chunk S_(n-i), i < m, enters
-    # it |lambda_0 + ... + lambda_i| - 1 times more than the partial sum
-    # P_n; the close adds each of the last m estimates that many times to
-    # its bound 4 delta rho / (1 - rho), rho = r^(m+1)
-    r = math.exp(-1.0)
-    sums = [0.3 * r ** n + 0.1 * r ** (2 * n) - 0.05 * r ** (3 * n)
-            + 0.02 * r ** (4 * n) for n in range(6)]
-    *_, (rows, powers) = richardson_rows(sums, r)
-    oldest, before, last = rows
-    bounds = []
-    for m in (1, 2, 3):
-        rho = r ** (m + 1)
-        delta = max(abs(last[m] - before[m]), rho * abs(before[m] - oldest[m]))
-        bounds.append(4.0 * delta * rho / (1.0 - rho))
-    estimates = [1e-10, 2e-10, 3e-10]
-    # a stop that the levels below ``level`` miss and ``level`` meets
-    stop_at = bounds[level - 1] + estimates[0]
-    assert all(b + estimates[0] > stop_at for b in bounds[:level - 1])
-    lam = [1.0]
-    for k in range(1, level + 1):
-        c = r ** k
-        lam = [(lam[j] if j < len(lam) else 0.0) / (1.0 - c)
-               - c * (lam[j - 1] if j else 0.0) / (1.0 - c)
-               for j in range(len(lam) + 1)]
-    weights = [abs(sum(lam[:i + 1])) - 1.0 for i in range(level)]
-    if level == 1:
-        assert weights == pytest.approx([r / (1.0 - r)], rel=1e-14)
-    value, error = quadrature._richardson_close(rows, powers, estimates, stop_at)
-    assert value == last[level]
-    assert error == pytest.approx(
-        bounds[level - 1] + sum(w * e for w, e in zip(weights, estimates)),
-        rel=1e-13)
