@@ -1,16 +1,20 @@
 """The identity catalog: each case pairs a quadrature side with a closed form.
 
-A case owns its integrand (as a function of x and the log-trig value w, so
-the endpoint transform can feed exact pairs), its path, which ``_PATHS``
-carries onto the quadrature's one integral, a domain predicate, and the
-closed-form evaluator.  Each kernel writes its denominator cosh(u) -/+ cos(v)
-inline as 2*(sinh(u/2)^2 + sin/cos(v/2)^2), which cannot lose precision or
-hit an accidental zero near the tail spikes, or, where u grows large, as
-expm1(-u)^2 + 4 e^{-u} sin/cos(v/2)^2 = 2 e^{-u} (cosh(u) -/+ cos(v)), with
-the numerator scaled alike.  Where such a sum of squares a^2 + b^2 falls
-below the normal range (alpha above about 1e154), it has lost its digits;
-the T1, T4, DISC-L and DISC-IM kernels then divide by h = hypot(a, b) twice,
-or take 2 log h, instead.
+A case owns its integrand, a domain predicate and the closed-form evaluator.
+The integrand is the quadrature's one integral: f(y, w) over (0, pi/2], w =
+log(2 sin y) (``integrate_endpoint_oscillatory``), with the case's path
+written into the kernel.  Every path meets the same w at x = pi/2 - y (log
+cos), y (log sin) or 2y (log sin(x/2)).  A one-ended or conjugate-even
+kernel takes x = pi/2 - y; a two-ended kernel computes its factors of w
+once and adds its two mirror abscissae: pi/2 - y and y - pi/2, y and pi - y,
+or 2y and 2 pi - 2y times 2.  Each kernel writes its denominator
+cosh(u) -/+ cos(v) inline as 2*(sinh(u/2)^2 + sin/cos(v/2)^2), which cannot
+lose precision or hit an accidental zero near the tail spikes, or, where u
+grows large, as expm1(-u)^2 + 4 e^{-u} sin/cos(v/2)^2 = 2 e^{-u} (cosh(u)
+-/+ cos(v)), with the numerator scaled alike.  Where such a sum of squares
+a^2 + b^2 falls below the normal range (alpha above about 1e154), it has
+lost its digits; the T1, T4, DISC-L and DISC-IM kernels then divide by h =
+hypot(a, b) twice, or take 2 log h, instead.
 
 Domain notes.  The arctan kernel on (0, 2*pi) needs every jump level
 2 sin(x/2) = exp((2m+1) pi alpha / 3), m >= 0, to lie above 2, hence
@@ -61,6 +65,7 @@ __all__ = [
 
 LN2 = math.log(2.0)
 PI = math.pi
+_HALF_PI = PI / 2
 SQRT3 = math.sqrt(3.0)
 
 ALPHA_GRID = (0.25, 0.5, 0.8, 1.0, 1.5, SQRT3, 2.0, 3.0)
@@ -85,6 +90,7 @@ class IdentityCase(NamedTuple):
     map_kind: str                  # "log-cos" | "log-sin" | "log-sin-half"
     freq: float                    # oscillation multiplier c; 0 = decay only
     osc_ends: tuple[str, ...]      # the interval ends where w diverges
+    # params -> f(y, w), the path's abscissae written in (module docstring)
     integrand: Callable[[Params], Callable[[float, float], float | complex]]
     rhs: Callable[[Params], float | complex]
     domain: Callable[[Params], bool]
@@ -102,7 +108,8 @@ class IdentityCase(NamedTuple):
     # kernel's denominator is smallest and its poles pinch the path: the
     # only lattice cuts of the tails and the interior; none for freq 0
     pinch_quarters: tuple[int, ...] = ()
-    # f(-x, w) = conj f(x, w) on the log-cos path (-pi/2, pi/2)
+    # the x-form kernel has f(-x, w) = conj f(x, w) on the log-cos path
+    # (-pi/2, pi/2), so the integrand takes only its half x = pi/2 - y
     conjugate_even: bool = False
 
 
@@ -182,17 +189,29 @@ def _elliptic(p: Params) -> EllipticParams:
 
 def _intro1_f(p: Params):
     a = p["a"]
-    return lambda x, w: math.log(x * x + (w - a) ** 2)
+
+    def f(y: float, w: float) -> float:
+        x = _HALF_PI - y
+        return math.log(x * x + (w - a) ** 2)
+    return f
 
 
 def _intro2_f(p: Params):
     a = p["a"]
-    return lambda x, w: math.log(x * x + (w - a) ** 2) * math.cos(2.0 * x)
+
+    def f(y: float, w: float) -> float:
+        x = _HALF_PI - y
+        return math.log(x * x + (w - a) ** 2) * math.cos(2.0 * x)
+    return f
 
 
 def _intro3_f(p: Params):
     a = p["a"]
-    return lambda x, w: x * math.sin(2.0 * x) / (x * x + (w - a) ** 2)
+
+    def f(y: float, w: float) -> float:
+        x = _HALF_PI - y
+        return x * math.sin(2.0 * x) / (x * x + (w - a) ** 2)
+    return f
 
 
 def _intro2_rhs(p: Params) -> float:
@@ -206,7 +225,8 @@ def _intro2_rhs(p: Params) -> float:
 def _intro4_f(p: Params):
     a, g = p["a"], p["gamma"]
 
-    def f(x, w):
+    def f(y, w):
+        x = _HALF_PI - y
         weight = math.exp(g * w) * complex(math.cos(g * x), math.sin(g * x))
         return weight / complex(w - a, x)
     return f
@@ -230,8 +250,8 @@ def _t1_f(trig: Callable[[float], float], p: Params):
     al, log, sinh, hypot = p["alpha"], math.log, math.sinh, math.hypot
     tiny = sys.float_info.min
 
-    def f(x: float, w: float) -> float:
-        a, b = sinh(0.5 * (x / al)), trig(0.5 * (w / al))
+    def f(y: float, w: float) -> float:
+        a, b = sinh(0.5 * ((_HALF_PI - y) / al)), trig(0.5 * (w / al))
         d = a ** 2 + b ** 2
         return log(2.0 * d) if d >= tiny else LN2 + 2.0 * log(hypot(a, b))
     return f
@@ -240,7 +260,8 @@ def _t1_f(trig: Callable[[float], float], p: Params):
 def _t3_f(trig: Callable[[float], float], p: Params):
     al, sin, sinh = p["alpha"], math.sin, math.sinh
 
-    def f(x: float, w: float) -> float:
+    def f(y: float, w: float) -> float:
+        x = _HALF_PI - y
         u = x / al
         return (sin(2.0 * x) * sinh(u)
                 / (2.0 * (sinh(0.5 * u) ** 2 + trig(0.5 * (w / al)) ** 2)))
@@ -251,8 +272,8 @@ def _t4_f(trig: Callable[[float], float], p: Params):
     al, sin, cos, sinh = p["alpha"], math.sin, math.cos, math.sinh
     hypot, tiny = math.hypot, sys.float_info.min
 
-    def f(x: float, w: float) -> float:
-        v = w / al
+    def f(y: float, w: float) -> float:
+        x, v = _HALF_PI - y, w / al
         a, b = sinh(0.5 * (x / al)), trig(0.5 * v)
         d = a ** 2 + b ** 2
         if d >= tiny:
@@ -265,9 +286,11 @@ def _t4_f(trig: Callable[[float], float], p: Params):
 def _t5_f(trig: Callable[[float], float], p: Params):
     al, sinh = p["alpha"], math.sinh
 
-    def f(x: float, w: float) -> float:
-        u = (4.0 * x - PI) / al
-        return sinh(u) / (2.0 * (sinh(0.5 * u) ** 2 + trig(0.5 * (4.0 * w / al)) ** 2))
+    def f(y: float, w: float) -> float:
+        b2 = trig(0.5 * (4.0 * w / al)) ** 2
+        u, v = (4.0 * y - PI) / al, (4.0 * (PI - y) - PI) / al
+        return (sinh(u) / (2.0 * (sinh(0.5 * u) ** 2 + b2))
+                + sinh(v) / (2.0 * (sinh(0.5 * v) ** 2 + b2)))
     return f
 
 
@@ -306,9 +329,12 @@ def _t1pb_rhs(p: Params) -> float:
 
 def _t2_f(p: Params):
     al, cos, cosh, sinh = p["alpha"], math.cos, math.cosh, math.sinh
-    return lambda x, w: (cosh(0.5 * x / al) * cos(0.5 * w / al)
-                         / (2.0 * (sinh(0.5 * (x / al)) ** 2
-                                   + cos(0.5 * (w / al)) ** 2)))
+
+    def f(y: float, w: float) -> float:
+        x = _HALF_PI - y
+        return (cosh(0.5 * x / al) * cos(0.5 * w / al)
+                / (2.0 * (sinh(0.5 * (x / al)) ** 2 + cos(0.5 * (w / al)) ** 2)))
+    return f
 
 
 def _t2_rhs(p: Params) -> float:
@@ -317,7 +343,11 @@ def _t2_rhs(p: Params) -> float:
 
 def _sine_f(p: Params):
     a = p.get("a", 0.0)
-    return lambda x, w: 1j * math.sin(2.0 * x) / complex(w - a, x)
+
+    def f(y: float, w: float) -> complex:
+        x = _HALF_PI - y
+        return 1j * math.sin(2.0 * x) / complex(w - a, x)
+    return f
 
 
 # one closed form per T3/T4 pair, with sign 1 for T3 and -1 for T4
@@ -383,12 +413,12 @@ def _t6_f(p: Params):
     al, two_al = p["alpha"], 2.0 * p["alpha"]
     cos, exp, expm1, copysign = math.cos, math.exp, math.expm1, math.copysign
 
-    def f(x: float, w: float) -> float:
-        s = (PI - 6.0 * x) / two_al
-        u = abs(s)
-        return (copysign(-expm1(-2.0 * u), s)
-                / (expm1(-u) ** 2 + 4.0 * exp(-u) * cos(0.5 * (3.0 * w / al)) ** 2))
-
+    def f(y: float, w: float) -> float:
+        c2 = cos(0.5 * (3.0 * w / al)) ** 2
+        s, r = (PI - 6.0 * y) / two_al, (PI - 6.0 * (PI - y)) / two_al
+        u, v = abs(s), abs(r)
+        return (copysign(-expm1(-2.0 * u), s) / (expm1(-u) ** 2 + 4.0 * exp(-u) * c2)
+                + copysign(-expm1(-2.0 * v), r) / (expm1(-v) ** 2 + 4.0 * exp(-v) * c2))
     return f
 
 
@@ -399,11 +429,12 @@ def _t6_rhs(p: Params) -> float:
 
 
 def _t7_f(p: Params):
-    al = p["alpha"]
+    al, atan, tanh, cos = p["alpha"], math.atan, math.tanh, math.cos
 
-    def f(x, w):
-        return (math.atan(math.tanh((PI - 3.0 * x) / (4.0 * al))
-                          * math.tan(1.5 * w / al)) * math.cos(x))
+    def f(y: float, w: float) -> float:
+        tn, x, z = math.tan(1.5 * w / al), 2.0 * y, 2.0 * PI - 2.0 * y
+        return 2.0 * (atan(tanh((PI - 3.0 * x) / (4.0 * al)) * tn) * cos(x)
+                      + atan(tanh((PI - 3.0 * z) / (4.0 * al)) * tn) * cos(z))
     return f
 
 
@@ -416,9 +447,22 @@ def _t7_rhs(p: Params) -> float:
 
 
 def _theta2_f(p: Params):
-    # COS is theta = 0: its half path has x >= 0, where x + 0.0 is x
-    a, th = p["a"], p.get("theta", 0.0)
-    return lambda x, w: math.cos(2.0 * x) / complex(w - a, x + th)
+    a, th, cos = p["a"], p["theta"], math.cos
+
+    def f(y: float, w: float) -> complex:
+        d, x, z = w - a, _HALF_PI - y, y - _HALF_PI
+        return cos(2.0 * x) / complex(d, x + th) + cos(2.0 * z) / complex(d, z + th)
+    return f
+
+
+def _cos_f(p: Params):
+    # THETA2's kernel at theta = 0 on its half path x >= 0, where x + 0.0 is x
+    a = p["a"]
+
+    def f(y: float, w: float) -> complex:
+        x = _HALF_PI - y
+        return math.cos(2.0 * x) / complex(w - a, x)
+    return f
 
 
 def _theta2_rhs(p: Params) -> complex:
@@ -433,7 +477,11 @@ def _theta2_rhs(p: Params) -> complex:
 
 def _appa_f(p: Params):
     a, th = p["a"], p["theta"]
-    return lambda x, w: 1.0 / complex(w - a, x + th)
+
+    def f(y: float, w: float) -> complex:
+        d, x, z = w - a, _HALF_PI - y, y - _HALF_PI
+        return 1.0 / complex(d, x + th) + 1.0 / complex(d, z + th)
+    return f
 
 
 def _appa_rhs(p: Params) -> complex:
@@ -447,7 +495,8 @@ def _appa_rhs(p: Params) -> complex:
 def _contour_f(p: Params):
     al = p["alpha"]
 
-    def f(x, w):
+    def f(y, w):
+        x = _HALF_PI - y
         z = complex(w, x)
         num = complex(-math.tan(x), 1.0)
         den = (1.0 - cmath.exp(-z)) * cmath.cos(z / (2.0 * al))
@@ -462,8 +511,8 @@ def _l_f(trig: Callable[[float], float], p: Params):
     al, sin, exp, expm1 = p["alpha"], math.sin, math.exp, math.expm1
     hypot, tiny = math.hypot, sys.float_info.min
 
-    def f(x: float, w: float) -> float:
-        u, v = x / al, w / al
+    def f(y: float, w: float) -> float:
+        u, v = (_HALF_PI - y) / al, w / al
         e = exp(-u)
         a, b = expm1(-u), trig(0.5 * v)
         d = a ** 2 + 4.0 * e * b ** 2
@@ -488,22 +537,48 @@ def _lambert_outside(alpha: float, odd: bool) -> float:
 
 def _p1_f(p: Params):
     a = p["a"]
-    return lambda x, w: x / (x * x + (w + a) ** 2)
+
+    def f(y: float, w: float) -> float:
+        d2, x = (w + a) ** 2, PI - y
+        return y / (y * y + d2) + x / (x * x + d2)
+    return f
 
 
 def _p2_f(p: Params):
     a = p["a"]
-    return lambda x, w: (w + a) / (x * x + (w + a) ** 2)
+
+    def f(y: float, w: float) -> float:
+        d, x = w + a, PI - y
+        d2 = d ** 2
+        return d / (y * y + d2) + d / (x * x + d2)
+    return f
+
+
+def _p3_f(p: Params):
+    # DISC-L2's kernel on (0, pi), without its hypot branch: a denominator
+    # below the normal range needs x/alpha < 1e-154 and |cos(v/2)| < 1e-154,
+    # so |w| > pi alpha, at once, but |w| <= 60 and x >= e^{-60}/2 here
+    al, sin, cos, exp, expm1 = p["alpha"], math.sin, math.cos, math.exp, math.expm1
+
+    def f(y: float, w: float) -> float:
+        v = w / al
+        sv, b2 = sin(v), cos(0.5 * v) ** 2
+        u, r = y / al, (PI - y) / al
+        e, q = exp(-u), exp(-r)
+        return (2.0 * e * sv / (expm1(-u) ** 2 + 4.0 * e * b2)
+                + 2.0 * q * sv / (expm1(-r) ** 2 + 4.0 * q * b2))
+    return f
 
 
 def _p4_f(p: Params):
     # sinh(u)/(cosh(u) + cos(v)), u = x/alpha, scaled by 2 e^{-u} as in _l_f
     al, cos, exp, expm1 = p["alpha"], math.cos, math.exp, math.expm1
 
-    def f(x: float, w: float) -> float:
-        u = x / al
-        return (-expm1(-2.0 * x / al)
-                / (expm1(-u) ** 2 + 4.0 * exp(-u) * cos(0.5 * (w / al)) ** 2))
+    def f(y: float, w: float) -> float:
+        c2 = cos(0.5 * (w / al)) ** 2
+        u, r = y / al, (PI - y) / al
+        return (-expm1(-2.0 * y / al) / (expm1(-u) ** 2 + 4.0 * exp(-u) * c2)
+                - expm1(-2.0 * (PI - y) / al) / (expm1(-r) ** 2 + 4.0 * exp(-r) * c2))
     return f
 
 
@@ -531,9 +606,9 @@ def _im_f(p: Params):
     al, hypot, tiny = p["alpha"], math.hypot, sys.float_info.min
     sin, exp, expm1, copysign = math.sin, math.exp, math.expm1, math.copysign
 
-    def f(x: float, w: float) -> float:
+    def f(y: float, w: float) -> float:
         s = abs(w) / al
-        a, b = expm1(-s), sin(0.5 * (x / al))
+        a, b = expm1(-s), sin(0.5 * ((_HALF_PI - y) / al))
         d = a ** 2 + 4.0 * exp(-s) * b ** 2
         if d >= tiny:
             return copysign(-expm1(-2.0 * s), w) / d
@@ -550,17 +625,6 @@ _COS_HALF = ((0.0, PI / 2), "log-cos", ("upper",))
 _COS_FULL = ((-PI / 2, PI / 2), "log-cos", ("lower", "upper"))
 _SIN = ((0.0, PI), "log-sin", ("lower", "upper"))
 _SIN_HALF = ((0.0, 2.0 * PI), "log-sin-half", ("lower", "upper"))
-
-# Each path as the quadrature's one integral of g(y, w) over (0, pi/2], w =
-# log(2 sin y), keyed by (map_kind, number of ends): x = pi/2 - y, y or 2y
-# carries the same w, and a two-ended path adds its mirror image.
-_PATHS = {
-    ("log-cos", 1): lambda f: lambda y, w: f(PI / 2 - y, w),
-    ("log-cos", 2): lambda f: lambda y, w: f(PI / 2 - y, w) + f(y - PI / 2, w),
-    ("log-sin", 2): lambda f: lambda y, w: f(y, w) + f(PI - y, w),
-    ("log-sin-half", 2):
-        lambda f: lambda y, w: 2.0 * (f(2.0 * y, w) + f(2.0 * PI - 2.0 * y, w)),
-}
 
 # Pinch quarters, from the zeros in w = -t of each kernel's denominator at
 # u = 0: cosh(u) - cos(c w / alpha) at whole periods, cosh(u) + cos(...) at
@@ -630,7 +694,7 @@ _add("T3-B", "sin 2x sinh kernel over cosh + cos", _COS_HALF, "alpha", 1.0,
      _t3b_f, _t3b_rhs, _alpha_above(LN2 / PI), pinch_quarters=_HALF)
 
 _add("COS", "cos 2x pole-kernel integral with Heaviside switch", _COS_FULL,
-     "a", 0.0, _theta2_f, _cos_rhs, _a_ok, complex_valued=True,
+     "a", 0.0, _cos_f, _cos_rhs, _a_ok, complex_valued=True,
      conjugate_even=True)
 
 _add("T4-A", "cos 2x sin(log-term) kernel over cosh - cos", _COS_HALF,
@@ -725,7 +789,7 @@ _add("DISC-P2", "log(2 e^a sin x) over its squared-distance kernel", _SIN, "a",
 # freq 1 is the kernels' true period 2 pi alpha in t, so whole-period chunk
 # sums shrink geometrically and the tail closes early even at small alpha.
 _add("DISC-P3", "sin(log-term)/(cosh + cos) on (0, pi), zero value", _SIN,
-     "alpha", 1.0, _l2_f, lambda p: 0.0, _alpha_above(0.0),
+     "alpha", 1.0, _p3_f, lambda p: 0.0, _alpha_above(0.0),
      tail_points=_p34_poles(1j), pinch_quarters=_HALF)
 
 _add("DISC-P4", "sinh(x/a)/(cosh + cos) on (0, pi), tanh closed form", _SIN,
@@ -800,17 +864,14 @@ def evaluate_lhs(case: IdentityCase, params: Params, tolerance: float
     """Quadrature side of one case at one parameter point, in one pass
     whether the integrand is real or complex, within the absolute
     ``tolerance``: one budget for the whole integral, which the quadrature
-    splits between its parts (``integrate_endpoint_oscillatory``).  The
-    case's path becomes the engine's one integral through ``_PATHS``; a
-    two-ended path, folded onto one half, gets half the budget.  A
-    conjugate-even case integrates only (0, pi/2) and returns twice its
-    real part, with twice its estimate."""
+    splits between its parts (``integrate_endpoint_oscillatory``), which
+    integrates the case's kernel as it stands.  A two-ended path, folded onto
+    one half, gets half the budget.  A conjugate-even case integrates only
+    (0, pi/2) and returns twice its real part, with twice its estimate."""
     params = case_params(case, params)
-    ends = len(case.osc_ends)
-    path = _PATHS[case.map_kind, 1 if case.conjugate_even else ends]
     period = 2.0 * PI * params["alpha"] / case.freq if case.freq else None
     res = integrate_endpoint_oscillatory(
-        path(case.integrand(params)), period, tolerance=tolerance / ends,
+        case.integrand(params), period, tolerance=tolerance / len(case.osc_ends),
         pinches=case.pinch_quarters, points=case.interior_points(params),
         tail_points=case.tail_points(params))
     if case.conjugate_even:

@@ -8,8 +8,9 @@ Two engines cooperate here:
 * ``integrate_endpoint_oscillatory`` integrates one thing: f(y, w) over
   (0, pi/2] with w = log(2 sin y), which diverges at y = 0 alone.  Every
   path of the catalog (log(2 cos x), log(2 sin x), log(2 sin(x/2))) is
-  brought to it by a substitution of x, and a path that diverges at both
-  ends is folded onto one half first.  Near y = 0 the substitution t = -w
+  brought to it by a substitution of x that the caller's kernel writes in,
+  and a path that diverges at both ends is folded onto one half: its kernel
+  adds both mirror abscissae in one call.  Near y = 0 the substitution t = -w
   maps the endpoint to t -> infinity, where the transformed integrand
   decays like exp(-t) while any trigonometric dependence on the log term
   becomes exactly periodic in t.  Every tail starts at t = 2, so no panel
@@ -228,12 +229,13 @@ _T_MAX = 60.0
 # Reach, in chunk steps, within which a declared pole centre beside a tail
 # chunk has its pole subtracted there; a pole left in lies at least this far
 # from the chunk, where one chunk's panels resolve it.  Reaches of 0.25,
-# 0.5, 1 and 2: default-sweep 96,855, 96,855, 96,675 and 96,675 evaluations,
-# offgrid-alpha (seed 1) 237,225, 235,845, 234,075 and 234,015; over 102
-# seeded alphas in [0.004, 0.3], DISC-P3/P4 took 523,215, 399,825, 350,100
-# and 349,815, with 4, 3, 0 and 0 estimates above the row tolerance.  A
-# reach of one period instead of one step of several periods took DISC-P3
-# over 20 seeded alphas in [0.002, 0.1] from 24,270 to 44,805 evaluations.
+# 0.5, 1 and 2: default-sweep 50,445, 50,445, 50,355 and 50,355
+# evaluations, offgrid-alpha (seed 1) 134,715, 133,725, 132,945 and
+# 132,945; over 102 alphas log-uniform in [0.004, 0.3] (Random(102)),
+# DISC-P3/P4 took 197,805, 164,910, 154,080 and 154,080, every row passing.
+# A reach of one period instead of one step of several periods took DISC-P3
+# over 20 such alphas in [0.002, 0.1] (Random(20)) from 21,090 to 42,420
+# evaluations.
 _POLE_REACH = 1.0
 # Shortest chunk of a periodic tail: a chunk spans the fewest whole periods
 # that reach this far in t, so r = exp(-step) <= e^{-0.5} and the close's
@@ -246,21 +248,21 @@ _MIN_STEP = 0.5
 # Shortest period whose tail chunks are cut at the kernel's pinch points on
 # the quarter-period lattice; shorter chunks are cut only at their
 # whole-period edges, and bisection finds the rest for fewer evaluations.
-# Default-sweep / offgrid-alpha (seed 1) evaluations, when the lattice also
-# cut the interior panel, with the lattice dropped below a period of 1.5, 2,
-# 2.5, 3 and 3.5 in every case: 109,515 / 290,205, 107,760 / 288,210,
-# 107,550 / 286,290, 107,760 / 286,215 and 121,275 / 305,265; 113,655 /
-# 315,435 with the lattice at every period and 164,100 / 394,695 with none.
-# From period pi on the lattice pays again.
+# Default-sweep / offgrid-alpha (seed 1) evaluations with the lattice
+# dropped below a period of 1.5, 2, 2.5, 3 and 3.5 in every case: 51,210 /
+# 134,865, 50,280 / 134,055, 50,355 / 132,945, 50,445 / 132,675 and 50,340
+# / 133,005; 51,855 / 143,490 with the lattice at every period and 50,205 /
+# 132,525 with none.  The tight sweep (rtol 1e-10) takes 74,460 at 2.5 and
+# 76,140 with none, the loose one (rtol 1e-6) 36,240 and 35,070.
 _LATTICE_PERIOD = 2.5
 # t-positions at which a tail that starts at _T_SPLIT also cuts the
 # interior panel: about one e-fold apart in distance to the singular end,
 # all above the turning point t = -ln 2, so bisection need not grade toward
 # the log singularity itself.  Default-sweep / offgrid-alpha (seed 1)
-# evaluations with cuts at t = (1, 0): 87,030 / 213,885; (1, 0, -0.5):
-# 84,795 / 208,140; (1, 0, -0.6): 83,865 / 207,420; (1.2, 0.4, -0.4):
-# 84,720 / 204,900; (1.5, 1, 0.5, 0, -0.5): 88,605 / 213,900; (0.5):
-# 91,860 / 224,340; with none, 96,675 / 234,075.
+# evaluations with cuts at t = (1, 0): 51,060 / 133,500; (1, 0, -0.5):
+# 50,355 / 132,945; (1, 0, -0.6): 50,175 / 133,155; (1.2, 0.4, -0.4):
+# 50,415 / 132,195; (1.5, 1, 0.5, 0, -0.5): 52,275 / 137,775; (0.5):
+# 55,425 / 145,755; with none, 59,550 / 154,830.
 _INTERIOR_GRADING = (1.0, 0.0, -0.5)
 # The t of y = pi/2, where 2 sin y peaks at 2: no cut lies beyond it.
 _T_TOP = -math.log(2.0)

@@ -71,6 +71,7 @@ def _sum(name: str, term: Callable[[int], float], ratio: float,
     more than _MAX_TERMS terms raises AccuracyError naming ``name``.
     """
     n = first
+    t = math.inf       # a first term past the limit leaves nothing to bound
     while n < _MAX_TERMS:
         t = term(n)
         if t < _TERM_FLOOR:

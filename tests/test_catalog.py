@@ -19,7 +19,6 @@ from logtrig import quadrature
 from logtrig.quadrature import _y
 from logtrig.report import RunConfig, render_rows_json, run_verification
 
-CATALOG_MODULE = importlib.import_module("logtrig.catalog")
 PI = math.pi
 LN2 = math.log(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -57,12 +56,30 @@ _TRIG = {"log-cos": (math.cos, 1.0), "log-sin": (math.sin, 1.0),
          "log-sin-half": (math.sin, 0.5)}
 
 
+# Each path as the catalog's kernels write it in: an x-form kernel f(x, w)
+# read at the path's abscissae x(y), in the order the kernels add them, as
+# the engine's one integrand g(y, w) over (0, pi/2], w = log(2 sin y).
+# Keyed by (map_kind, number of ends); a conjugate-even case takes one end.
+FOLDS = {
+    ("log-cos", 1): lambda f: lambda y, w: f(PI / 2 - y, w),
+    ("log-cos", 2): lambda f: lambda y, w: f(PI / 2 - y, w) + f(y - PI / 2, w),
+    ("log-sin", 2): lambda f: lambda y, w: f(y, w) + f(PI - y, w),
+    ("log-sin-half", 2):
+        lambda f: lambda y, w: 2.0 * (f(2.0 * y, w) + f(2.0 * PI - 2.0 * y, w)),
+}
+
+
+def path_of(case):
+    """The FOLDS key of the path that the case's integrand writes in."""
+    return case.map_kind, 1 if case.conjugate_even else len(case.osc_ends)
+
+
 def tail_abscissae(case):
-    """t -> x(t) next to each end where the case's w diverges, as the
-    catalog's path table calls the kernel at the tail node y(t): a
-    recording kernel reads each x, one per end."""
+    """t -> x(t) next to each end where the case's w diverges, as its path
+    reads the x-form kernel at the tail node y(t): a recording kernel reads
+    each x, one per end."""
     calls = []
-    g = CATALOG_MODULE._PATHS[case.map_kind, len(case.osc_ends)](
+    g = FOLDS[case.map_kind, len(case.osc_ends)](
         lambda x, w: calls.append(x) or 0.0)
 
     def x_of(i):
@@ -98,9 +115,11 @@ KERNELS = {"1": lambda x, w: 1.0, "x": lambda x, w: x,
 @pytest.mark.parametrize("path, kernel, exact", PATH_INTEGRALS,
                          ids=[f"{p[0]}-{p[1]}-{k}" for p, k, _ in PATH_INTEGRALS])
 def test_path_table_integrates_each_path(path, kernel, exact):
-    # each entry of the catalog's path table carries a kernel f(x, w) onto
-    # the engine's one integral over (0, pi/2] in log(2 sin y)
-    g = CATALOG_MODULE._PATHS[path](KERNELS[kernel])
+    # each path's abscissae, as the catalog's kernels read them, carry a
+    # kernel f(x, w) onto the engine's one integral over (0, pi/2] in
+    # log(2 sin y); test_kernels_match_reference_bit_for_bit holds every
+    # kernel to its x-form reference read through the same table
+    g = FOLDS[path](KERNELS[kernel])
     res = integrate_endpoint_oscillatory(g, tolerance=1e-13)
     assert abs(res.value - exact) <= res.error_estimate, (res.value, exact)
 
@@ -123,8 +142,15 @@ def test_osc_ends_are_the_divergent_ends(case):
                                  ("DISC-L2", "DISC-P3"), ("SINE", "SINE0"),
                                  ("THETA2", "COS")))
 def test_cases_of_one_kernel_share_one_integrand(ids):
-    first = case_by_id(ids[0]).integrand
-    assert all(case_by_id(i).integrand is first for i in ids[1:])
+    # one factory per kernel on one path; a kernel on two paths (DISC-L2 and
+    # DISC-P3, COS and THETA2) has one x-form reference, which each path's
+    # factory matches bit for bit
+    first, *rest = (case_by_id(i) for i in ids)
+    for case in rest:
+        if path_of(case) == path_of(first):
+            assert case.integrand is first.integrand, case.id
+        else:
+            assert reference_of(case) is reference_of(first), case.id
 
 
 def test_pinch_quarters_are_declared_by_every_periodic_kernel():
@@ -157,8 +183,13 @@ def test_kernel_pinches_at_a_declared_quarter(case, period):
     # masked: the largest |f| of T3-B sits at t = 2 by that decay, and the
     # steepest change of DISC-CONTOUR there by the decay of 1/(1 - e^{-z})
     # in w.  One of the two lies within period/16 of a declared quarter.
+    # Each end reads the kernel through its x-form reference, which the
+    # integrand matches bit for bit.
     alpha = period * case.freq / (2.0 * PI)
-    f = case.integrand({**case.fixed_params, "alpha": alpha})
+    params, reference = {**case.fixed_params, "alpha": alpha}, reference_of(case)
+
+    def f(x, w):
+        return reference(params, x, w)
     n = 4000
     ts = [2.0 + period * i / n for i in range(n + 1)]
     for x_of in tail_abscissae(case):
@@ -184,20 +215,24 @@ def test_conjugate_even_cases_are_the_symmetric_log_cos_ones():
                          ids=lambda c: c.id)
 def test_conjugate_even_kernels_mirror_across_zero(case):
     # f(-x, w) = conj f(x, w) to 4 ulps, at every default grid point, at
-    # seeded x of the interior panel and at seeded (x(t), -t) of the tail
+    # seeded x of the interior panel and at seeded (x(t), -t) of the tail.
+    # The integrand reads x = pi/2 - y, so the x-form kernel at x is the
+    # integrand at y = pi/2 - x, and at -x the integrand at pi/2 + x; with x
+    # on the grid of 2^-49, which holds pi/2, both y and both x are exact.
     rng = random.Random(26)
     checked = 0
     for params in default_params_grid(case):
         merged = {**case.fixed_params, **params}
         if not case.domain(merged):
             continue
-        f = case.integrand(merged)
-        xs = [rng.uniform(0.0, PI / 2) for _ in range(40)]
+        g = case.integrand(merged)
+        xs = [round(rng.uniform(0.0, PI / 2) * 2.0 ** 49) / 2.0 ** 49
+              for _ in range(40)]
         points = [(x, math.log(2.0 * math.cos(x))) for x in xs]
-        points += [(PI / 2 - _y(t), -t)
+        points += [(round((PI / 2 - _y(t)) * 2.0 ** 49) / 2.0 ** 49, -t)
                    for t in (rng.uniform(2.0, 60.0) for _ in range(40))]
         for x, w in points:
-            mirror, conj = f(-x, w), f(x, w).conjugate()
+            mirror, conj = g(PI / 2 + x, w), g(PI / 2 - x, w).conjugate()
             ulps = 4.0 * math.ulp(abs(conj))
             assert abs(mirror.real - conj.real) <= ulps, (merged, x, w)
             assert abs(mirror.imag - conj.imag) <= ulps, (merged, x, w)
@@ -232,9 +267,16 @@ def im_reference(al, x, w):
     return math.copysign(-math.expm1(-2.0 * s), w) / scaled_cosh_minus_cos(s, x / al)
 
 
-# Each denominator kernel as a call of the four denominator formulas above,
-# the form the catalog computed before it wrote them inline.
-KERNEL_REFERENCES = {
+def contour_reference(al, x, w):
+    z = complex(w, x)
+    return (complex(-math.tan(x), 1.0)
+            / ((1.0 - cmath.exp(-z)) * cmath.cos(z / (2.0 * al))) / 8j)
+
+
+# Each alpha kernel in x-form, the denominator kernels as a call of the four
+# denominator formulas above, the form the catalog computed before it wrote
+# them inline.
+ALPHA_REFERENCES = {
     "T1-A": lambda al, x, w: math.log(cosh_minus_cos(x / al, w / al)),
     "T1-B": lambda al, x, w: math.log(cosh_plus_cos(x / al, w / al)),
     "T2": lambda al, x, w: (math.cosh(0.5 * x / al) * math.cos(0.5 * w / al)
@@ -252,6 +294,9 @@ KERNEL_REFERENCES = {
     "S3-T5B": lambda al, x, w: (math.sinh((4.0 * x - PI) / al)
                                 / cosh_plus_cos((4.0 * x - PI) / al, 4.0 * w / al)),
     "S3-T6": t6_reference,
+    "S3-T7": lambda al, x, w: (math.atan(math.tanh((PI - 3.0 * x) / (4.0 * al))
+                                         * math.tan(1.5 * w / al)) * math.cos(x)),
+    "DISC-CONTOUR": contour_reference,
     "DISC-L1": lambda al, x, w: (2.0 * math.exp(-x / al) * math.sin(w / al)
                                  / scaled_cosh_minus_cos(x / al, w / al)),
     "DISC-L2": lambda al, x, w: (2.0 * math.exp(-x / al) * math.sin(w / al)
@@ -262,33 +307,75 @@ KERNEL_REFERENCES = {
 }
 
 
+def by_alpha(reference):
+    return lambda p, x, w: reference(p["alpha"], x, w)
+
+
+def intro4_reference(p, x, w):
+    g = p["gamma"]
+    return (math.exp(g * w) * complex(math.cos(g * x), math.sin(g * x))
+            / complex(w - p["a"], x))
+
+
+def theta2_reference(p, x, w):
+    # COS is theta = 0
+    return math.cos(2.0 * x) / complex(w - p["a"], x + p.get("theta", 0.0))
+
+
+# Every kernel in x-form, as reference(params, x, w); a kernel that two
+# paths read (DISC-L2 and DISC-P3, COS and THETA2) has one reference.
+KERNEL_REFERENCES = {
+    **{case_id: by_alpha(ref) for case_id, ref in ALPHA_REFERENCES.items()},
+    "INTRO-1": lambda p, x, w: math.log(x * x + (w - p["a"]) ** 2),
+    "INTRO-2": lambda p, x, w: (math.log(x * x + (w - p["a"]) ** 2)
+                                * math.cos(2.0 * x)),
+    "INTRO-3": lambda p, x, w: x * math.sin(2.0 * x) / (x * x + (w - p["a"]) ** 2),
+    "INTRO-4": intro4_reference,
+    "SINE": lambda p, x, w: 1j * math.sin(2.0 * x) / complex(w - p["a"], x),
+    "COS": theta2_reference,
+    "THETA2": theta2_reference,
+    "APPA": lambda p, x, w: 1.0 / complex(w - p["a"], x + p["theta"]),
+    "DISC-P1": lambda p, x, w: x / (x * x + (w + p["a"]) ** 2),
+    "DISC-P2": lambda p, x, w: (w + p["a"]) / (x * x + (w + p["a"]) ** 2),
+}
+KERNEL_REFERENCES["DISC-P3"] = KERNEL_REFERENCES["DISC-L2"]
+
+
+def reference_of(case):
+    """The x-form reference of the case's kernel, found through the case
+    that names it in KERNEL_REFERENCES when the kernel is shared."""
+    return next(ref for case_id, ref in KERNEL_REFERENCES.items()
+                if case_by_id(case_id).integrand is case.integrand)
+
+
+# seeded parameter draws, alpha log-uniform
+DRAWS = {"alpha": lambda rng: math.exp(rng.uniform(math.log(0.002), math.log(40.0))),
+         "a": lambda rng: rng.uniform(-20.0, 20.0),
+         "theta": lambda rng: rng.uniform(-1.5, 1.5),
+         "gamma": lambda rng: rng.uniform(0.0, 5.0)}
+
+
 @pytest.mark.parametrize("case_id", KERNEL_REFERENCES)
 def test_kernels_match_reference_bit_for_bit(case_id):
-    # seeded (x, w) on the interior panel (w > -2) and on each tail (w = -t,
-    # t in [2, 60], x = x(t) of the endpoint map), over seeded alphas
+    # The integrand g(y, w) equals its x-form reference read at the path's
+    # abscissae and summed in the kernels' order (FOLDS): seeded y on the
+    # interior panel (w > -2) and on the tail (w = -t, t in [2, 60]), at 20
+    # seeded in-domain parameter points
     case = case_by_id(case_id)
     reference = KERNEL_REFERENCES[case_id]
-    trig, c = _TRIG[case.map_kind]
-    lo, hi = case.interval
-    maps = tail_abscissae(case)
     rng = random.Random(24)
     checked = 0
     while checked < 20:
-        alpha = math.exp(rng.uniform(math.log(0.002), math.log(40.0)))
-        if not case.domain({"alpha": alpha}):
+        params = {n: DRAWS[n](rng) for n in PARAM_NAMES[case.param_kind]}
+        if not case.domain(params):
             continue
-        kernel = case.integrand({"alpha": alpha})
-        points = []
-        while len(points) < 50:
-            x = rng.uniform(lo, hi)
-            w = math.log(2.0 * trig(c * x))
-            if w > -2.0:
-                points.append((x, w))
-        for x_of in maps:
-            points += [(x_of(t), -t) for t in
-                       (rng.uniform(2.0, 60.0) for _ in range(50))]
-        for x, w in points:
-            assert kernel(x, w) == reference(alpha, x, w), (alpha, x, w)
+        kernel = case.integrand(params)
+        folded = FOLDS[path_of(case)](lambda x, w: reference(params, x, w))
+        ys = [rng.uniform(_y(2.0), PI / 2) for _ in range(50)]
+        points = [(y, math.log(2.0 * math.sin(y))) for y in ys]
+        points += [(_y(t), -t) for t in (rng.uniform(2.0, 60.0) for _ in range(50))]
+        for y, w in points:
+            assert kernel(y, w) == folded(y, w), (params, y, w)
         checked += 1
 
 
@@ -594,6 +681,25 @@ def test_tight_sweep_payload_is_pinned():
     assert hashlib.sha256(payload).hexdigest() == (
         "e7dc7071165e1ac1d0e76de535f5e740fdae81cbe2b3a622952cfc5e62b71310")
     assert sum(row.evaluations for row in report.rows) == 74_460
+
+
+def test_offgrid_payload_is_pinned():
+    # Seeded points off every grid at the default tolerances: one alpha in
+    # each quarter of [0.1, 12] on a log scale, a in [-3, 3], theta in
+    # [-1.4, 1.4] and gamma in [0, 3].  The default pins cover grid points only.
+    rng = random.Random(34)
+    config = RunConfig(
+        alpha_grid=tuple(0.1 * 120.0 ** ((j + rng.random()) / 4.0) for j in range(4)),
+        a_grid=tuple(rng.uniform(-3.0, 3.0) for _ in range(4)),
+        theta_grid=tuple(rng.uniform(-1.4, 1.4) for _ in range(2)),
+        gamma_grid=tuple(rng.uniform(0.0, 3.0) for _ in range(2)), jobs=2)
+    report = run_verification(config)
+    assert report.summary == {"pass": 130, "fail": 0, "error": 0, "skipped": 10,
+                              "total": 140}
+    payload = render_rows_json(report.rows).encode()
+    assert hashlib.sha256(payload).hexdigest() == (
+        "c4bff3f88c7d0a03b97e660b608bcc8e0ba4d44ce57b0d862cfca2248f65e186")
+    assert sum(row.evaluations for row in report.rows) == 31_455
 
 
 def test_unreachable_tolerance_stays_cheap():
@@ -1081,6 +1187,15 @@ def test_s3_t6_sum_past_its_term_limit_is_an_error_row():
     row = verify_case(case_by_id("S3-T6"), {"alpha": 0.0002})
     assert (row.status, row.evaluations) == ("error", 0)
     assert row.detail == "cosh_third_sum did not converge in 20000 terms"
+
+
+@pytest.mark.parametrize("case_id", ("DISC-L1", "DISC-L2"))
+def test_lambert_sum_past_its_term_limit_is_an_error_row(case_id):
+    # at alpha = 3e-6 the path encloses more than 20,000 poles, the first
+    # term the Lambert sum would take: an error row, not an UnboundLocalError
+    row = verify_case(case_by_id(case_id), {"alpha": 3e-6})
+    assert (row.status, row.evaluations) == ("error", 0)
+    assert row.detail == "lambert_plain did not converge in 0 terms"
 
 
 def test_sweep_row_order_is_canonical(sweep):

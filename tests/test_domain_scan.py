@@ -234,3 +234,38 @@ def test_appa_folded_tail_estimate_bounds_the_error(theta, a):
                          1e-8, 1e-10)
     assert row.status == "pass"
     assert not miss
+
+
+def known_miss(case_id, params, rtol, reason):
+    point = "-".join(f"{v:.6g}" for v in params.values())
+    return pytest.param(case_id, params, rtol, id=f"{case_id}-{point}-{rtol:g}",
+                        marks=pytest.mark.xfail(strict=True, reason=reason))
+
+
+# Passing rows whose error exceeds their estimate + 5e-13 (error/estimate
+# 1.3 to 18), none yet mended, each at its rtol with atol 1e-10 and named
+# by its CHANGES.md FOUND entry and ROADMAP item, where one holds it.  Both long-period rows
+# read the same under the Richardson table and under the one close.
+@pytest.mark.parametrize("case_id, params, rtol", (
+    known_miss("S3-T6", {"alpha": 13.929807072310703}, 1e-6,
+               "FOUND: long periods (ROADMAP item 10); error 3.3e-9, "
+               "estimate 2.5e-9"),
+    known_miss("S3-T5B", {"alpha": 24.6812865247834}, 1e-8,
+               "FOUND: long periods (ROADMAP item 10); error 1.1e-11, "
+               "estimate 5.0e-12"),
+    known_miss("APPA", {"theta": -0.10672217136708118, "a": -20.012577551751615},
+               1e-6, "FOUND: decay-only tails of APPA and INTRO-2 (ROADMAP "
+               "item 3); error 9.9e-10, estimate 3.7e-10"),
+    known_miss("INTRO-2", {"a": -17.714904522965874}, 1e-6,
+               "FOUND: decay-only tails of APPA and INTRO-2 (ROADMAP item 3); "
+               "error 1.3e-9, estimate 7.6e-10"),
+    known_miss("INTRO-2", {"a": -19.597356546758355}, 1e-6,
+               "FOUND: decay-only tails of APPA and INTRO-2 (ROADMAP item 3); "
+               "error 1.8e-10, estimate 1.3e-10"),
+    known_miss("DISC-P4", {"alpha": 0.009501612535909231}, 1e-6,
+               "FOUND: DISC-P4 at small alpha and rtol 1e-6, the chunk rule; "
+               "error 6.8e-7, estimate 3.7e-8")))
+def test_estimate_bounds_the_error_of_a_known_miss(case_id, params, rtol):
+    row, miss = scan_row(case_by_id(case_id), params, rtol, 1e-10)
+    assert row.status == "pass"
+    assert not miss

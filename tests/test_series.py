@@ -129,3 +129,12 @@ def test_product_past_its_term_limit_raises():
     with pytest.raises(AccuracyError,
                        match="product_one_minus did not converge in 20000 terms"):
         product_one_minus(1e-4)
+
+
+def test_sum_that_starts_past_its_term_limit_raises():
+    # DISC-L1/L2 leave out the poles their path encloses, more than 20,000
+    # below alpha = 5.5e-6: an AccuracyError, where an unbound name raised
+    with pytest.raises(AccuracyError,
+                       match="lambert_plain did not converge in 0 terms") as info:
+        lambert_plain(3e-6, first=23_000)
+    assert info.value.error_estimate == math.inf
