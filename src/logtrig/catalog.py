@@ -106,7 +106,8 @@ class IdentityCase(NamedTuple):
     fixed_params: MappingProxyType[str, float] = MappingProxyType({})
     # the quarter-period points j period / 4 of t, by j mod 4, where the
     # kernel's denominator is smallest and its poles pinch the path: the
-    # only lattice cuts of the tails and the interior; none for freq 0
+    # only lattice cuts of the tails; none for freq 0, and none where
+    # ``tail_points`` declares those poles, which the tails subtract
     pinch_quarters: tuple[int, ...] = ()
     # the x-form kernel has f(-x, w) = conj f(x, w) on the log-cos path
     # (-pi/2, pi/2), so the integrand takes only its half x = pi/2 - y
@@ -629,7 +630,7 @@ _SIN_HALF = ((0.0, 2.0 * PI), "log-sin-half", ("lower", "upper"))
 # Pinch quarters, from the zeros in w = -t of each kernel's denominator at
 # u = 0: cosh(u) - cos(c w / alpha) at whole periods, cosh(u) + cos(...) at
 # half periods, and cos(w / 2 alpha), or the poles of tan(1.5 w / alpha),
-# at the odd quarters.
+# at the odd quarters.  DISC-P3/P4 declare their poles instead.
 _WHOLE, _HALF, _ODD = (0,), (2,), (1, 3)
 
 _CASES: list[IdentityCase] = []
@@ -713,15 +714,13 @@ _add("T4-PB", "cos 2x sin kernel vs direct odd sinh^-2 sum form", _COS_HALF,
      "alpha", 1.0, _t4b_f, _t4pb_rhs, _alpha_above(LN2 / PI),
      pinch_quarters=_HALF)
 
-_T5_CUT = lambda p: (-0.5 * LN2,)    # x = pi/4 and 3 pi/4, where w = ln 2 / 2
-
 _add("S3-T5A", "sinh((4x-pi)/a) over cosh - cos(4 log(2sin x)/a) on (0, pi)",
      _SIN, "alpha", 4.0, _t5a_f, _t5a_rhs, _alpha_above(LN2 / PI),
-     interior_points=_T5_CUT, pinch_quarters=_WHOLE)
+     pinch_quarters=_WHOLE)
 
 _add("S3-T5B", "same kernel over cosh + cos, sqrt(2+2/k) closed form", _SIN,
      "alpha", 4.0, _t5b_f, _t5b_rhs, _alpha_above(2.0 * LN2 / PI),
-     interior_points=_T5_CUT, pinch_quarters=_HALF)
+     pinch_quarters=_HALF)
 
 _add("S3-T6", "sinh((pi-6x)/2a) kernel, cn(i K'/3, k) closed form", _SIN,
      "alpha", 3.0, _t6_f, _t6_rhs, _alpha_above(0.0), pinch_quarters=_HALF)
@@ -785,16 +784,16 @@ _add("DISC-P2", "log(2 e^a sin x) over its squared-distance kernel", _SIN, "a",
 # a distance of about e^{-t}/2 from the path next to the lower end; each
 # case declares them as (c, rho), and the engine subtracts each
 # conjugate pair from the tail chunks near it and adds back its exact
-# integral.
+# integral, so neither case cuts its tails at the half periods as well.
 # freq 1 is the kernels' true period 2 pi alpha in t, so whole-period chunk
 # sums shrink geometrically and the tail closes early even at small alpha.
 _add("DISC-P3", "sin(log-term)/(cosh + cos) on (0, pi), zero value", _SIN,
      "alpha", 1.0, _p3_f, lambda p: 0.0, _alpha_above(0.0),
-     tail_points=_p34_poles(1j), pinch_quarters=_HALF)
+     tail_points=_p34_poles(1j))
 
 _add("DISC-P4", "sinh(x/a)/(cosh + cos) on (0, pi), tanh closed form", _SIN,
      "alpha", 1.0, _p4_f, lambda p: PI * math.tanh(0.25 * PI / p["alpha"]),
-     _alpha_above(0.0), tail_points=_p34_poles(1.0), pinch_quarters=_HALF)
+     _alpha_above(0.0), tail_points=_p34_poles(1.0))
 
 # DISC-IM's kernel turns from -1 to 1 across about alpha in t around w = 0
 # (x = pi/3), too narrow below alpha ~ 1e-3 for the panels at the cut t = 0:
@@ -881,14 +880,14 @@ def evaluate_lhs(case: IdentityCase, params: Params, tolerance: float
 
 
 def lhs_key(case: IdentityCase, params: Params) -> tuple:
-    """Everything ``evaluate_lhs`` integrates at one in-domain point, so
-    points with equal keys (and equal tolerances) share one integral.  The
-    interior points enter by value: equal lambdas of different cases count
-    as one.  Raises DomainError like ``case_params``."""
+    """What ``evaluate_lhs`` reads of the case and of one in-domain point,
+    and nothing else, so points with equal keys (and equal tolerances)
+    share one integral.  The interior points enter by value: equal lambdas
+    of different cases count as one.  Raises DomainError like
+    ``case_params``."""
     merged = case_params(case, params)
-    return (case.integrand, case.interval, case.map_kind, case.osc_ends,
-            case.freq, case.pinch_quarters, case.conjugate_even,
-            case.tail_points, tuple(sorted(merged.items())),
+    return (case.integrand, case.osc_ends, case.freq, case.pinch_quarters,
+            case.conjugate_even, case.tail_points, tuple(sorted(merged.items())),
             tuple(case.interior_points(merged)))
 
 

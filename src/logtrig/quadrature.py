@@ -5,32 +5,15 @@ Two engines cooperate here:
 * ``integrate_adaptive`` is a nested Gauss-Kronrod (7, 15) pair with
   bisection driven by the worst-panel error, the workhorse for smooth and
   mildly singular panels.
-* ``integrate_endpoint_oscillatory`` integrates one thing: f(y, w) over
-  (0, pi/2] with w = log(2 sin y), which diverges at y = 0 alone.  Every
-  path of the catalog (log(2 cos x), log(2 sin x), log(2 sin(x/2))) is
-  brought to it by a substitution of x that the caller's kernel writes in,
-  and a path that diverges at both ends is folded onto one half: its kernel
-  adds both mirror abscissae in one call.  Near y = 0 the substitution t = -w
-  maps the endpoint to t -> infinity, where the transformed integrand
-  decays like exp(-t) while any trigonometric dependence on the log term
-  becomes exactly periodic in t.  Every tail starts at t = 2, so no panel
-  in y comes closer to y = 0 than e^{-2}/2, and the interior panel is cut
-  at y(1), y(0) and y(-0.5), geometrically graded toward that end.  The
-  tail is summed in chunks of whole periods, at least 0.5 long in t, as
-  QUADPACK's QAWF sums cycle by cycle; a period of at least 2.5 also cuts
-  each chunk at the quarter periods where the caller's kernel pinches the
-  path.  Chunk n sums to about S r^n, r = exp(-step), whether the tail
-  oscillates or only decays, so every tail closes with its geometric
-  remainder once the bound on that remainder is below tolerance.
-  A pole of f that the caller declares next to the path is mapped onto the
-  tail and subtracted from each chunk near it together with its conjugate, and
-  the exact integral of that pair, a complex logarithm, is added back
-  ("subtracting out the singularity": Davis & Rabinowitz, Methods of
-  Numerical Integration, 2nd ed., 1984).  Each tail node costs one exp,
-  one arc sine and one square root before the caller's integrand runs.
-  The caller states one absolute tolerance for the whole integral, and the
-  engine splits it between the interior panel, each tail chunk and the
-  close.
+* ``integrate_endpoint_oscillatory`` integrates the one integral to which
+  the catalog brings every path: f(y, w) over (0, pi/2], w = log(2 sin y),
+  which diverges at y = 0 alone.  Toward that end it continues in t = -w,
+  where the integrand decays like exp(-t) and any trigonometric dependence
+  on w is exactly periodic.  It sums that tail in chunks of whole periods,
+  as QUADPACK's QAWF sums cycle by cycle, closes it by its geometric
+  remainder, and subtracts from each chunk the poles that the caller
+  declares next to the path ("subtracting out the singularity": Davis &
+  Rabinowitz, Methods of Numerical Integration, 2nd ed., 1984).
 """
 
 from __future__ import annotations
@@ -226,17 +209,6 @@ def _tail(g: Callable[[float, float], float | complex]
 # t = -w at which the transformed tail starts, and the largest t it reaches.
 _T_SPLIT = 2.0
 _T_MAX = 60.0
-# Reach, in chunk steps, within which a declared pole centre beside a tail
-# chunk has its pole subtracted there; a pole left in lies at least this far
-# from the chunk, where one chunk's panels resolve it.  Reaches of 0.25,
-# 0.5, 1 and 2: default-sweep 50,445, 50,445, 50,355 and 50,355
-# evaluations, offgrid-alpha (seed 1) 134,715, 133,725, 132,945 and
-# 132,945; over 102 alphas log-uniform in [0.004, 0.3] (Random(102)),
-# DISC-P3/P4 took 197,805, 164,910, 154,080 and 154,080, every row passing.
-# A reach of one period instead of one step of several periods took DISC-P3
-# over 20 such alphas in [0.002, 0.1] (Random(20)) from 21,090 to 42,420
-# evaluations.
-_POLE_REACH = 1.0
 # Shortest chunk of a periodic tail: a chunk spans the fewest whole periods
 # that reach this far in t, so r = exp(-step) <= e^{-0.5} and the close's
 # bound factor r / (1 - r)^2 stays below about 4; it grows like 1/step^2, so
@@ -253,7 +225,9 @@ _MIN_STEP = 0.5
 # 134,865, 50,280 / 134,055, 50,355 / 132,945, 50,445 / 132,675 and 50,340
 # / 133,005; 51,855 / 143,490 with the lattice at every period and 50,205 /
 # 132,525 with none.  The tight sweep (rtol 1e-10) takes 74,460 at 2.5 and
-# 76,140 with none, the loose one (rtol 1e-6) 36,240 and 35,070.
+# 76,140 with none, the loose one (rtol 1e-6) 36,240 and 35,070.  Without
+# it the rows of ``test_pinch_lattice_keeps_long_period_estimates_honest``
+# miss their estimates.
 _LATTICE_PERIOD = 2.5
 # t-positions at which a tail that starts at _T_SPLIT also cuts the
 # interior panel: about one e-fold apart in distance to the singular end,
@@ -395,8 +369,8 @@ def integrate_endpoint_oscillatory(
     poles of f next to the path with centres c in [lo, hi], as (c, rho): a
     simple pole where w + i y = -c, f ~ i rho / (w + i y + c), and its
     conjugate, which ``_pole`` maps onto the tail.  Each tail chunk subtracts
-    the poles whose centres lie within ``_POLE_REACH`` chunk steps of it and
-    adds back their exact integrals (``_tail_chunk``); the centres below
+    the poles whose centres lie within one chunk step of it and adds back
+    their exact integrals (``_tail_chunk``); the centres below
     t = 2, wide enough for bisection, cut the interior panel.  Every
     interior cut lies in t in (-ln 2, 2), between y = pi/2 and y(2).
     """
@@ -407,7 +381,6 @@ def integrate_endpoint_oscillatory(
     quarter = (period / 4.0 if period is not None and period >= _LATTICE_PERIOD
                else None)
     step = period * math.ceil(_MIN_STEP / period) if period is not None else 2.0
-    reach = _POLE_REACH * step
     poles = tail_points or (lambda lo, hi: ())
     tol, atol = _REL_FLOOR, max(tolerance * _QUADRATURE_SHARE, _ABS_FLOOR)
 
@@ -433,9 +406,11 @@ def integrate_endpoint_oscillatory(
     drift = 0.0                        # |S_n - r S_(n-1)| of the last chunk
     while True:
         t_next = min(t + step, _T_MAX)
+        # a pole left in lies a step or more from the chunk, where its
+        # panels resolve it (ROADMAP item 7 gives the narrower reaches)
         res = _tail_chunk(g, t, t_next,
                           _feature_cuts(t, t_next, quarter, pinches),
-                          poles(t - reach, t_next + reach), chunk_tol, chunk_atol)
+                          poles(t - step, t_next + step), chunk_tol, chunk_atol)
         pieces.append(res.value)
         err_total += res.error_estimate
         evaluations += res.evaluations

@@ -153,19 +153,29 @@ def test_cases_of_one_kernel_share_one_integrand(ids):
             assert reference_of(case) is reference_of(first), case.id
 
 
+def declared_poles(case, params):
+    """The case's pole declaration at ``params``, or None."""
+    return case.tail_points({**case.fixed_params, **params})
+
+
 def test_pinch_quarters_are_declared_by_every_periodic_kernel():
-    # a subset of the quarter-period points {0, 1, 2, 3}, non-empty exactly
-    # when the kernel oscillates in t
+    # a subset of the quarter-period points {0, 1, 2, 3}; a kernel that
+    # oscillates in t declares its pinches either as quarters, which cut
+    # its tails, or as poles, which its tails subtract, never both
     for case in catalog():
         quarters = case.pinch_quarters
+        poles = declared_poles(case, {"alpha": 1.0}) is not None
         assert set(quarters) <= {0, 1, 2, 3}, case.id
         assert len(set(quarters)) == len(quarters), case.id
-        assert bool(quarters) == bool(case.freq), case.id
+        assert bool(quarters) + poles == bool(case.freq), case.id
 
 
-def nearest_pinch(case, period, t):
-    """Distance from t to the closest quarter point j period / 4 whose j
-    mod 4 the case declares."""
+def nearest_pinch(case, params, period, t):
+    """Distance from t to the closest declared pinch: a quarter point j
+    period / 4 whose j mod 4 the case declares, or a declared pole centre."""
+    poles = declared_poles(case, params)
+    if poles is not None:
+        return min(abs(t - c) for c, _ in poles(t - period, t + period))
     j = round(4.0 * t / period)
     return min(abs(t - k * period / 4.0) for k in range(j - 4, j + 5)
                if k % 4 in case.pinch_quarters)
@@ -182,9 +192,10 @@ def test_kernel_pinches_at_a_declared_quarter(case, period):
     # (sin 2x in T3) do not decay across the period.  Each symptom can be
     # masked: the largest |f| of T3-B sits at t = 2 by that decay, and the
     # steepest change of DISC-CONTOUR there by the decay of 1/(1 - e^{-z})
-    # in w.  One of the two lies within period/16 of a declared quarter.
-    # Each end reads the kernel through its x-form reference, which the
-    # integrand matches bit for bit.
+    # in w.  One of the two lies within period/16 of a declared quarter, or
+    # of a declared pole centre for DISC-P3/P4, (2k+1) pi alpha.  Each end
+    # reads the kernel through its x-form reference, which the integrand
+    # matches bit for bit.
     alpha = period * case.freq / (2.0 * PI)
     params, reference = {**case.fixed_params, "alpha": alpha}, reference_of(case)
 
@@ -197,8 +208,8 @@ def test_kernel_pinches_at_a_declared_quarter(case, period):
         fixed = [f(x_of(2.0), -t) for t in ts]
         steepest = ts[max(range(1, n),
                           key=lambda i: abs(fixed[i + 1] - fixed[i - 1]))]
-        assert min(nearest_pinch(case, period, largest),
-                   nearest_pinch(case, period, steepest)) <= period / 16.0, (
+        assert min(nearest_pinch(case, params, period, largest),
+                   nearest_pinch(case, params, period, steepest)) <= period / 16.0, (
             x_of(2.0), largest, steepest)
 
 
@@ -508,6 +519,40 @@ def test_sweep_integrates_each_shared_lhs_once():
         assert all(r.detail == "lhs of " + rows[0].case_id for r in rows[1:])
 
 
+def offgrid_alphas(seed, n=30, lo=0.1, hi=12.0):
+    """The alphas of the benchmark's offgrid-alpha workload at ``seed``: one
+    log-uniform draw in each of n equal slices of [log lo, log hi)."""
+    rng = random.Random(seed)
+    span = math.log(hi / lo)
+    return tuple(lo * math.exp(span * (i + rng.random()) / n) for i in range(n))
+
+
+@pytest.mark.parametrize("config, groups", (
+    (RunConfig(), 34),
+    (RunConfig(case_filter=tuple(c.id for c in catalog() if c.param_kind == "alpha"),
+               alpha_grid=offgrid_alphas(1)), 108)), ids=("default", "offgrid-1"))
+def test_equal_lhs_keys_give_identical_integrals(config, groups):
+    # run_verification integrates each lhs_key once and hands the result to
+    # every row of the group; that holds only if every member, integrated
+    # on its own at the same tolerance, gives the same value, estimate and
+    # evaluation count to the bit
+    keys = {}
+    for case in catalog():
+        if config.case_filter and case.id not in config.case_filter:
+            continue
+        for params in default_params_grid(case, config.alpha_grid):
+            try:
+                keys.setdefault(lhs_key(case, params), []).append((case, params))
+            except DomainError:
+                pass
+    shared = [members for members in keys.values() if len(members) > 1]
+    assert len(shared) == groups
+    for members in shared:
+        results = {repr(evaluate_lhs(case, params, 1e-10)[1][:3])
+                   for case, params in members}
+        assert len(results) == 1, [(case.id, params) for case, params in members]
+
+
 def test_shared_lhs_payload_does_not_depend_on_jobs():
     serial = run_verification(SHARED_LHS_CONFIG)
     pooled = run_verification(SHARED_LHS_CONFIG._replace(jobs=2))
@@ -669,8 +714,8 @@ def test_default_sweep_payload_is_pinned(sweep):
     # records the old and the new hash in CHANGES.md.
     payload = render_rows_json(sweep.rows).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "0b0e9c94e81981295951eb4d17116c3d677f1dee85ce9aa6db5ad50effd354e6")
-    assert sum(row.evaluations for row in sweep.rows) == 50_355
+        "04f9d2837ac066c22719f7f7246413d2ff18992fe437e720e251e841e351ec73")
+    assert sum(row.evaluations for row in sweep.rows) == 50_190
 
 
 def test_tight_sweep_payload_is_pinned():
@@ -679,8 +724,8 @@ def test_tight_sweep_payload_is_pinned():
     report = run_verification(RunConfig(rtol=1e-10, atol=1e-12, jobs=2))
     payload = render_rows_json(report.rows).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "e7dc7071165e1ac1d0e76de535f5e740fdae81cbe2b3a622952cfc5e62b71310")
-    assert sum(row.evaluations for row in report.rows) == 74_460
+        "0837f331eb4a272698c1cf387ffa3ffb3173428a12efc11ca2508e090becd140")
+    assert sum(row.evaluations for row in report.rows) == 74_655
 
 
 def test_offgrid_payload_is_pinned():
@@ -698,8 +743,8 @@ def test_offgrid_payload_is_pinned():
                               "total": 140}
     payload = render_rows_json(report.rows).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "c4bff3f88c7d0a03b97e660b608bcc8e0ba4d44ce57b0d862cfca2248f65e186")
-    assert sum(row.evaluations for row in report.rows) == 31_455
+        "48908aceadd155d5daf568647ddd5bddfbe97c2e4e71c90c830862725d06dc9d")
+    assert sum(row.evaluations for row in report.rows) == 31_350
 
 
 def test_unreachable_tolerance_stays_cheap():
@@ -742,6 +787,25 @@ LONG_PERIOD_MISSES = (
 def test_long_period_estimate_bounds_the_error_off_grid(case_id, alpha):
     row = verify_case(case_by_id(case_id), {"alpha": alpha})
     assert row.abs_err <= row_estimate(row) + 5e-13
+
+
+# Off-grid rows that the quarter-period lattice of pinch cuts keeps honest,
+# each at its rtol with atol rtol / 100: error/estimate is at most 0.01.
+# With the lattice dropped (``_LATTICE_PERIOD`` = inf) all six miss their
+# estimates, the first by 9.7 times (error 1.36e-8 against 1.41e-9); with
+# each long-period chunk cut at its midpoint alone the first, the fourth
+# and the fifth miss.
+LATTICE_ROWS = (
+    ("S3-T6", 16.40213174844623, 1e-6), ("S3-T7", 4.6314482170110765, 1e-10),
+    ("S3-T6", 7.165439237537455, 1e-8), ("S3-T5B", 22.919020004127578, 1e-6),
+    ("S3-T6", 8.22881720206958, 1e-10), ("S3-T5B", 9.593006210316489, 1e-8))
+
+
+@pytest.mark.parametrize("case_id, alpha, rtol", LATTICE_ROWS)
+def test_pinch_lattice_keeps_long_period_estimates_honest(case_id, alpha, rtol):
+    row = verify_case(case_by_id(case_id), {"alpha": alpha}, rtol, rtol / 100)
+    assert row.status == "pass"
+    assert row.abs_err <= row_estimate(row, rtol, rtol / 100) + 5e-13
 
 
 @pytest.mark.parametrize("alpha", (4.17, 4.36, 4.77, 5.78, 6.37))
