@@ -30,7 +30,7 @@ import cmath
 import itertools
 import math
 import sys
-from functools import partial
+from functools import lru_cache, partial
 from types import MappingProxyType
 from typing import Callable, NamedTuple, Sequence
 
@@ -146,6 +146,13 @@ def _sine_kernel_s(a: float) -> float:
     return 1.0 / (a * a) + eb - eb / math.expm1(b) ** 2
 
 
+# Above |a| = _HUGE_A a square (w -/+ a)^2 would overflow (it does from
+# 1.34e154): the squared-distance kernels of INTRO-1 to INTRO-3 and DISC-P1/P2
+# then divide by h = hypot(x, w -/+ a) twice, or take 2 log h, and DISC-P1/P2's
+# closed forms drop the pi^2 that no longer moves 4 a^2.
+_HUGE_A = 1e150
+
+
 def _pole_gap(a: float) -> float:
     """1/(e^a - 1) - 1/a, for |a| < _SMALL_A."""
     a2 = a * a
@@ -184,35 +191,62 @@ def _enclosed_count(reach: float, stride: int = 1) -> int:
 # ---------------------------------------------------------------------------
 # case table
 
-def _elliptic(p: Params) -> EllipticParams:
-    return modulus_from_alpha(p["alpha"])
+# run_verification and a closed-form loop alike visit one case across all
+# its alpha before the next case, so a K-based form meets an alpha again only
+# after every other distinct alpha of the sweep: an LRU smaller than that
+# count never hits.  1024 holds the default grid plus several hundred drawn
+# alpha, at about 0.5 kB an entry (0.5 MB when full).
+_ELLIPTIC_CACHE = 1024
+
+
+@lru_cache(maxsize=_ELLIPTIC_CACHE)
+def _elliptic(alpha: float) -> EllipticParams:
+    """``modulus_from_alpha(alpha)``, solved and AGM-checked once per alpha
+    (of the ``_ELLIPTIC_CACHE`` latest) in a process, and shared by T1-A/B,
+    T3-A/B, T4-A/B and S3-T5A/B; only ``_t2_rhs`` solves each time.  A miss
+    looks the solver up in this module at call time, so a traced or patched
+    solver sees every solve.  A failed solve raises at every call and is
+    never cached."""
+    return modulus_from_alpha(alpha)
 
 
 def _intro1_f(p: Params):
-    a = p["a"]
+    a, huge = p["a"], abs(p["a"]) > _HUGE_A
 
     def f(y: float, w: float) -> float:
         x = _HALF_PI - y
         return math.log(x * x + (w - a) ** 2)
-    return f
+
+    def f_huge(y: float, w: float) -> float:
+        return 2.0 * math.log(math.hypot(_HALF_PI - y, w - a))
+    return f_huge if huge else f
 
 
 def _intro2_f(p: Params):
-    a = p["a"]
+    a, huge = p["a"], abs(p["a"]) > _HUGE_A
 
     def f(y: float, w: float) -> float:
         x = _HALF_PI - y
         return math.log(x * x + (w - a) ** 2) * math.cos(2.0 * x)
-    return f
+
+    def f_huge(y: float, w: float) -> float:
+        x = _HALF_PI - y
+        return 2.0 * math.log(math.hypot(x, w - a)) * math.cos(2.0 * x)
+    return f_huge if huge else f
 
 
 def _intro3_f(p: Params):
-    a = p["a"]
+    a, huge = p["a"], abs(p["a"]) > _HUGE_A
 
     def f(y: float, w: float) -> float:
         x = _HALF_PI - y
         return x * math.sin(2.0 * x) / (x * x + (w - a) ** 2)
-    return f
+
+    def f_huge(y: float, w: float) -> float:
+        x = _HALF_PI - y
+        h = math.hypot(x, w - a)
+        return x * math.sin(2.0 * x) / h / h
+    return f_huge if huge else f
 
 
 def _intro2_rhs(p: Params) -> float:
@@ -303,14 +337,14 @@ _t5a_f, _t5b_f = partial(_t5_f, math.sin), partial(_t5_f, math.cos)
 
 def _t1a_rhs(p: Params) -> float:
     al = p["alpha"]
-    ep = _elliptic(p)
+    ep = _elliptic(al)
     return (-PI * PI * al / 12.0
             - PI / 6.0 * math.log(16.0 * ep.k * ep.k_prime * ep.big_k ** 3
                                   * al ** 6 / PI ** 3))
 
 
 def _t1b_rhs(p: Params) -> float:
-    ep = _elliptic(p)
+    ep = _elliptic(p["alpha"])
     return (PI * PI * p["alpha"] / 24.0
             + PI / 6.0 * math.log(4.0 * math.sqrt(ep.k) / ep.k_prime))
 
@@ -339,7 +373,13 @@ def _t2_f(p: Params):
 
 
 def _t2_rhs(p: Params) -> float:
-    return PI * (p["alpha"] + 2.0) / 8.0 - p["alpha"] * _elliptic(p).big_k / 4.0
+    # T2 and DISC-CONTOUR solve afresh, not through _elliptic: three tests
+    # pin a solve and an AGM call from this closed form, perfbench's
+    # test_tracer_reaches_catalog_module_despite_function_shadowing_it,
+    # test_solver's test_agm_residual_refuses_a_wrong_modulus and
+    # test_catalog's test_alpha_only_closed_forms_need_no_solve
+    big_k = modulus_from_alpha(p["alpha"]).big_k
+    return PI * (p["alpha"] + 2.0) / 8.0 - p["alpha"] * big_k / 4.0
 
 
 def _sine_f(p: Params):
@@ -354,7 +394,7 @@ def _sine_f(p: Params):
 # one closed form per T3/T4 pair, with sign 1 for T3 and -1 for T4
 def _t34a_rhs(constant: float, sign: float, p: Params) -> float:
     al = p["alpha"]
-    ep = _elliptic(p)
+    ep = _elliptic(al)
     return (constant * PI * al / 48.0 + sign * PI / (24.0 * al)
             + PI * al / (4.0 * math.tanh(PI * al))
             + sign * al / (4.0 * PI)
@@ -363,7 +403,7 @@ def _t34a_rhs(constant: float, sign: float, p: Params) -> float:
 
 def _t34b_rhs(sign: float, p: Params) -> float:
     al = p["alpha"]
-    ep = _elliptic(p)
+    ep = _elliptic(al)
     return (PI / (8.0 * al) + sign * PI * al / (4.0 * math.sinh(PI * al))
             + al / (4.0 * PI) * (ep.big_e - ep.big_k) * ep.big_k)
 
@@ -396,14 +436,14 @@ def _t4pb_rhs(p: Params) -> float:
 
 def _t5a_rhs(p: Params) -> float:
     al = p["alpha"]
-    ep = _elliptic(p)
+    ep = _elliptic(al)
     return (PI / math.tanh(0.5 * PI / al) - PI * al / (8.0 * (math.sqrt(2.0) - 1.0))
             - al * ep.big_k / 4.0 * (1.0 + math.sqrt(2.0 + 2.0 * ep.k)))
 
 
 def _t5b_rhs(p: Params) -> float:
     al = p["alpha"]
-    ep = _elliptic(p)
+    ep = _elliptic(al)
     return (PI * math.tanh(0.5 * PI / al)
             - al * ep.k * ep.big_k / 4.0 * (1.0 + math.sqrt(2.0 + 2.0 / ep.k)))
 
@@ -537,22 +577,46 @@ def _lambert_outside(alpha: float, odd: bool) -> float:
 
 
 def _p1_f(p: Params):
-    a = p["a"]
+    a, huge = p["a"], abs(p["a"]) > _HUGE_A
 
     def f(y: float, w: float) -> float:
         d2, x = (w + a) ** 2, PI - y
         return y / (y * y + d2) + x / (x * x + d2)
-    return f
+
+    def f_huge(y: float, w: float) -> float:
+        d, x = w + a, PI - y
+        h, g = math.hypot(y, d), math.hypot(x, d)
+        return y / h / h + x / g / g
+    return f_huge if huge else f
 
 
 def _p2_f(p: Params):
-    a = p["a"]
+    a, huge = p["a"], abs(p["a"]) > _HUGE_A
 
     def f(y: float, w: float) -> float:
         d, x = w + a, PI - y
         d2 = d ** 2
         return d / (y * y + d2) + d / (x * x + d2)
-    return f
+
+    def f_huge(y: float, w: float) -> float:
+        d, x = w + a, PI - y
+        h, g = math.hypot(y, d), math.hypot(x, d)
+        return d / h / h + d / g / g
+    return f_huge if huge else f
+
+
+def _p1_rhs(p: Params) -> float:
+    a = p["a"]
+    if abs(a) > _HUGE_A:
+        return 0.5 * PI ** 2 / a / a
+    return 2.0 * PI ** 2 / (PI ** 2 + 4.0 * a ** 2)
+
+
+def _p2_rhs(p: Params) -> float:
+    a = p["a"]
+    if abs(a) > _HUGE_A:
+        return PI / a
+    return 4.0 * PI * a / (PI ** 2 + 4.0 * a ** 2)
 
 
 def _p3_f(p: Params):
@@ -773,12 +837,10 @@ _add("DISC-L2", "sin(log-term) over cosh + cos vs odd Lambert sum over j pi "
      pinch_quarters=_HALF)
 
 _add("DISC-P1", "x over squared-distance kernel of log(2 e^a sin x)", _SIN, "a",
-     0.0, _p1_f, lambda p: 2.0 * PI ** 2 / (PI ** 2 + 4.0 * p["a"] ** 2),
-     lambda p: True)
+     0.0, _p1_f, _p1_rhs, lambda p: True)
 
 _add("DISC-P2", "log(2 e^a sin x) over its squared-distance kernel", _SIN, "a",
-     0.0, _p2_f, lambda p: 4.0 * PI * p["a"] / (PI ** 2 + 4.0 * p["a"] ** 2),
-     lambda p: True)
+     0.0, _p2_f, _p2_rhs, lambda p: True)
 
 # The cos = -1 poles of DISC-P3 and DISC-P4 at t = (2m+1) pi alpha lie at
 # a distance of about e^{-t}/2 from the path next to the lower end; each

@@ -13,7 +13,9 @@ swapped, since alpha(k') = 1/alpha(k); so q <= exp(-pi), and four theta
 terms and a few Lambert terms reach double precision.  K - E and log k'
 come out as sums free of cancellation, so E, E' and log k' keep their
 digits where k' rounds to 1.  The AGM ratio agm(1, k') / agm(1, k) = K'/K
-is the one independent check of each solve.
+is the one independent check of each solve.  The catalog keeps each checked
+bundle per alpha (``catalog._elliptic``), so a process solves and checks an
+alpha once, except through T2's closed form, which solves afresh.
 """
 
 from __future__ import annotations
