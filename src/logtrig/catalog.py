@@ -14,7 +14,10 @@ grows large, as expm1(-u)^2 + 4 e^{-u} sin/cos(v/2)^2 = 2 e^{-u} (cosh(u)
 -/+ cos(v)), with the numerator scaled alike.  Where such a sum of squares
 a^2 + b^2 falls below the normal range (alpha above about 1e154), it has
 lost its digits; the T1, T4, DISC-L and DISC-IM kernels then divide by h =
-hypot(a, b) twice, or take 2 log h, instead.
+hypot(a, b) twice, or take 2 log h, instead.  A case states its kernel's
+features in one declaration, ``features(params)``: the one ``Pinch`` of a
+periodic kernel, with the residue of its poles where the tails subtract
+them (DISC-P3/P4), and t-positions that cut the interior panel (DISC-IM).
 
 Domain notes.  The arctan kernel on (0, 2*pi) needs every jump level
 2 sin(x/2) = exp((2m+1) pi alpha / 3), m >= 0, to lie above 2, hence
@@ -36,7 +39,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .elliptic import EllipticParams
 from .errors import AccuracyError, DomainError, SolverError
-from .quadrature import QuadratureResult, integrate_endpoint_oscillatory
+from .quadrature import Pinch, QuadratureResult, integrate_endpoint_oscillatory
 from .series import (cosh_third_sum, csch, gamma_fn, inv_expm1,
                      lambert_plain, product_one_minus, product_one_plus,
                      sinh2_sum_integer, sinh2_sum_odd)
@@ -95,23 +98,21 @@ class IdentityCase(NamedTuple):
     rhs: Callable[[Params], float | complex]
     domain: Callable[[Params], bool]
     complex_valued: bool = False   # descriptive; complex values take one pass
-    # extra interior cuts, as t = -w, where a kernel's feature would escape
-    # bisection or a cut saves evaluations; the engine keeps those in
-    # (-ln 2, 2) and already cuts at t = 1, 0 and -0.5
-    interior_points: Callable[[Params], tuple[float, ...]] = lambda p: ()
-    # None, or (lo, hi) -> the kernel's poles next to the path with centres
-    # c in [lo, hi], as (c, rho): a simple pole where w + ix = -c, the kernel
-    # ~ i rho / (w + ix + c), and its conjugate (integrate_endpoint_oscillatory)
-    tail_points: Callable[[Params], Callable | None] = lambda p: None
+    # params -> the kernel's features (integrate_endpoint_oscillatory): one
+    # Pinch for a periodic kernel, the quarter points j period / 4 of t, by
+    # j mod 4, where its denominator is smallest and its poles pinch the
+    # path, with the residue rho of those poles where the tails subtract
+    # them; and t-positions where a feature would escape bisection or a cut
+    # saves evaluations, which the engine keeps in (-ln 2, 2)
+    features: Callable[[Params], tuple] = lambda p: ()
     fixed_params: MappingProxyType[str, float] = MappingProxyType({})
-    # the quarter-period points j period / 4 of t, by j mod 4, where the
-    # kernel's denominator is smallest and its poles pinch the path: the
-    # only lattice cuts of the tails; none for freq 0, and none where
-    # ``tail_points`` declares those poles, which the tails subtract
-    pinch_quarters: tuple[int, ...] = ()
     # the x-form kernel has f(-x, w) = conj f(x, w) on the log-cos path
     # (-pi/2, pi/2), so the integrand takes only its half x = pi/2 - y
     conjugate_even: bool = False
+
+    # perfbench/tracer.py keys repeated integrals by these two former fields;
+    # both read ``features``, which holds what they held
+    interior_points = tail_points = property(lambda self: self.features)
 
 
 class VerificationRow(NamedTuple):
@@ -529,7 +530,11 @@ def _appa_rhs(p: Params) -> complex:
     a, th = p["a"], p["theta"]
     value = PI / complex(-a, th)
     if a < math.log(2.0 * math.cos(th)):
-        value += PI / (1.0 - cmath.exp(complex(-a, th)))
+        try:
+            value += PI / (1.0 - cmath.exp(complex(-a, th)))
+        except OverflowError:  # below a = -709.78: u = e^{a - i theta}
+            u = cmath.exp(complex(a, -th))
+            value += PI * u / (u - 1.0)
     return value
 
 
@@ -647,23 +652,6 @@ def _p4_f(p: Params):
     return f
 
 
-def _p34_poles(numerator: complex):
-    """Poles of a DISC-P3/P4 kernel next to the path, as (c, rho): in z = w
-    + ix the kernel is (tan(z/2 alpha) - tan(z*/2 alpha)) / 2i (DISC-P4) or
-    (tan(z/2 alpha) + tan(z*/2 alpha)) / 2 (DISC-P3), and tan(z/2 alpha) ~
-    -2 alpha / (z + c) at c = (2k+1) pi alpha, so rho = ``numerator`` alpha.
-    Next to the upper end no pole comes close."""
-    def tail_points(p: Params):
-        half, rho = PI * p["alpha"], numerator * p["alpha"]
-
-        def poles(lo: float, hi: float) -> list[tuple[float, complex]]:
-            ks = range(max(0, math.floor(0.5 * (lo / half - 1.0))),
-                       math.ceil(0.5 * (hi / half + 1.0)))
-            return [(c, rho) for k in ks if lo <= (c := (2 * k + 1) * half) <= hi]
-        return poles
-    return tail_points
-
-
 def _im_f(p: Params):
     # sinh(s)/(cosh(s) - cos(v)) with s = w/alpha and v = x/alpha, both sides
     # scaled by 2 e^{-|s|}: nothing overflows however far the tail runs; a
@@ -691,11 +679,17 @@ _COS_FULL = ((-PI / 2, PI / 2), "log-cos", ("lower", "upper"))
 _SIN = ((0.0, PI), "log-sin", ("lower", "upper"))
 _SIN_HALF = ((0.0, 2.0 * PI), "log-sin-half", ("lower", "upper"))
 
-# Pinch quarters, from the zeros in w = -t of each kernel's denominator at
-# u = 0: cosh(u) - cos(c w / alpha) at whole periods, cosh(u) + cos(...) at
-# half periods, and cos(w / 2 alpha), or the poles of tan(1.5 w / alpha),
-# at the odd quarters.  DISC-P3/P4 declare their poles instead.
-_WHOLE, _HALF, _ODD = (0,), (2,), (1, 3)
+
+def _pinch(*quarters: int) -> Callable[[Params], tuple]:
+    features = (Pinch(quarters),)
+    return lambda p: features
+
+
+# Pinches, from the zeros in w = -t of each kernel's denominator at u = 0:
+# cosh(u) - cos(c w / alpha) at whole periods, cosh(u) + cos(...) at half
+# periods, and cos(w / 2 alpha), or the poles of tan(1.5 w / alpha), at the
+# odd quarters.
+_WHOLE, _HALF, _ODD = _pinch(0), _pinch(2), _pinch(1, 3)
 
 _CASES: list[IdentityCase] = []
 
@@ -726,22 +720,19 @@ _add("INTRO-4", "binomial weight (1+e^{2ix})^gamma over the pole kernel",
 
 _add("T1-A", "log(cosh(x/a) - cos(log(2cos x)/a)) vs eta-type closed form",
      _COS_HALF, "alpha", 1.0, _t1a_f, _t1a_rhs, _alpha_above(LN2 / (2.0 * PI)),
-     pinch_quarters=_WHOLE)
+     features=_WHOLE)
 
 _add("T1-B", "log(cosh + cos) vs algebraic modulus closed form", _COS_HALF,
-     "alpha", 1.0, _t1b_f, _t1b_rhs, _alpha_above(LN2 / PI),
-     pinch_quarters=_HALF)
+     "alpha", 1.0, _t1b_f, _t1b_rhs, _alpha_above(LN2 / PI), features=_HALF)
 
 _add("T1-PA", "log(cosh - cos) vs direct q-product form", _COS_HALF, "alpha",
-     1.0, _t1a_f, _t1pa_rhs, _alpha_above(LN2 / (2.0 * PI)),
-     pinch_quarters=_WHOLE)
+     1.0, _t1a_f, _t1pa_rhs, _alpha_above(LN2 / (2.0 * PI)), features=_WHOLE)
 
 _add("T1-PB", "log(cosh + cos) vs direct q-product form", _COS_HALF, "alpha",
-     1.0, _t1b_f, _t1pb_rhs, _alpha_above(LN2 / PI), pinch_quarters=_HALF)
+     1.0, _t1b_f, _t1pb_rhs, _alpha_above(LN2 / PI), features=_HALF)
 
 _add("T2", "half-frequency cosh cos kernel vs pi(alpha+2)/8 - alpha K/4",
-     _COS_HALF, "alpha", 0.5, _t2_f, _t2_rhs, _alpha_above(LN2 / PI),
-     pinch_quarters=_ODD)
+     _COS_HALF, "alpha", 0.5, _t2_f, _t2_rhs, _alpha_above(LN2 / PI), features=_ODD)
 
 _add("SINE", "i times the sin 2x pole-kernel integral (parity-real)",
      _COS_FULL, "a", 0.0, _sine_f,
@@ -753,45 +744,39 @@ _add("SINE0", "the a = 0 sin 2x pole-kernel value 13 pi/24", _COS_FULL,
      lambda p: True, complex_valued=True, conjugate_even=True)
 
 _add("T3-A", "sin 2x sinh kernel over cosh - cos", _COS_HALF, "alpha", 1.0,
-     _t3a_f, _t3a_rhs, _alpha_above(LN2 / (2.0 * PI)), pinch_quarters=_WHOLE)
+     _t3a_f, _t3a_rhs, _alpha_above(LN2 / (2.0 * PI)), features=_WHOLE)
 
 _add("T3-B", "sin 2x sinh kernel over cosh + cos", _COS_HALF, "alpha", 1.0,
-     _t3b_f, _t3b_rhs, _alpha_above(LN2 / PI), pinch_quarters=_HALF)
+     _t3b_f, _t3b_rhs, _alpha_above(LN2 / PI), features=_HALF)
 
 _add("COS", "cos 2x pole-kernel integral with Heaviside switch", _COS_FULL,
      "a", 0.0, _cos_f, _cos_rhs, _a_ok, complex_valued=True,
      conjugate_even=True)
 
 _add("T4-A", "cos 2x sin(log-term) kernel over cosh - cos", _COS_HALF,
-     "alpha", 1.0, _t4a_f, _t4a_rhs, _alpha_above(LN2 / (2.0 * PI)),
-     pinch_quarters=_WHOLE)
+     "alpha", 1.0, _t4a_f, _t4a_rhs, _alpha_above(LN2 / (2.0 * PI)), features=_WHOLE)
 
 _add("T4-B", "cos 2x sin(log-term) kernel over cosh + cos", _COS_HALF,
-     "alpha", 1.0, _t4b_f, _t4b_rhs, _alpha_above(LN2 / PI),
-     pinch_quarters=_HALF)
+     "alpha", 1.0, _t4b_f, _t4b_rhs, _alpha_above(LN2 / PI), features=_HALF)
 
 _add("T4-PA", "cos 2x sin kernel vs direct sinh^-2 sum form", _COS_HALF,
-     "alpha", 1.0, _t4a_f, _t4pa_rhs, _alpha_above(LN2 / (2.0 * PI)),
-     pinch_quarters=_WHOLE)
+     "alpha", 1.0, _t4a_f, _t4pa_rhs, _alpha_above(LN2 / (2.0 * PI)), features=_WHOLE)
 
 _add("T4-PB", "cos 2x sin kernel vs direct odd sinh^-2 sum form", _COS_HALF,
-     "alpha", 1.0, _t4b_f, _t4pb_rhs, _alpha_above(LN2 / PI),
-     pinch_quarters=_HALF)
+     "alpha", 1.0, _t4b_f, _t4pb_rhs, _alpha_above(LN2 / PI), features=_HALF)
 
 _add("S3-T5A", "sinh((4x-pi)/a) over cosh - cos(4 log(2sin x)/a) on (0, pi)",
-     _SIN, "alpha", 4.0, _t5a_f, _t5a_rhs, _alpha_above(LN2 / PI),
-     pinch_quarters=_WHOLE)
+     _SIN, "alpha", 4.0, _t5a_f, _t5a_rhs, _alpha_above(LN2 / PI), features=_WHOLE)
 
 _add("S3-T5B", "same kernel over cosh + cos, sqrt(2+2/k) closed form", _SIN,
-     "alpha", 4.0, _t5b_f, _t5b_rhs, _alpha_above(2.0 * LN2 / PI),
-     pinch_quarters=_HALF)
+     "alpha", 4.0, _t5b_f, _t5b_rhs, _alpha_above(2.0 * LN2 / PI), features=_HALF)
 
 _add("S3-T6", "sinh((pi-6x)/2a) kernel, cn(i K'/3, k) closed form", _SIN,
-     "alpha", 3.0, _t6_f, _t6_rhs, _alpha_above(0.0), pinch_quarters=_HALF)
+     "alpha", 3.0, _t6_f, _t6_rhs, _alpha_above(0.0), features=_HALF)
 
 _add("S3-T7", "arctan(tanh/cot) kernel weighted by cos x on (0, 2 pi)",
      _SIN_HALF, "alpha", 1.5, _t7_f, _t7_rhs, _alpha_above(3.0 * LN2 / PI),
-     pinch_quarters=_ODD)
+     features=_ODD)
 
 _add("THETA2", "cos 2x kernel with shifted pole i(x+theta) - a", _COS_FULL,
      "a-theta", 0.0, _theta2_f, _theta2_rhs, _theta_ok, complex_valued=True)
@@ -800,26 +785,23 @@ _add("EX-1", "log(cosh + cos) at alpha = sqrt(3), gamma-free value", _COS_HALF,
      "fixed", 1.0, _t1b_f,
      lambda p: (PI * PI / (8.0 * SQRT3) - 0.25 * PI * math.log(1.0 + SQRT3)
                 + 13.0 * PI / 24.0 * LN2),
-     lambda p: True, fixed_params=MappingProxyType({"alpha": SQRT3}),
-     pinch_quarters=_HALF)
+     lambda p: True, fixed_params=MappingProxyType({"alpha": SQRT3}), features=_HALF)
 
 _add("EX-2", "half-frequency kernel at alpha = 2, Gamma(1/4) value", _COS_HALF,
      "fixed", 0.5, _t2_f,
      lambda p: (0.5 * PI - (math.sqrt(2.0) + 1.0) * gamma_fn(0.25) ** 2
                 / (16.0 * math.sqrt(2.0 * PI))),
-     lambda p: True, fixed_params=MappingProxyType({"alpha": 2.0}),
-     pinch_quarters=_ODD)
+     lambda p: True, fixed_params=MappingProxyType({"alpha": 2.0}), features=_ODD)
 
 _add("EX-3", "cn(i K'/3) kernel at alpha = sqrt(3), Gamma(1/3) value", _SIN,
      "fixed", 3.0, _t6_f,
      lambda p: (gamma_fn(1.0 / 3.0) ** 3 / (2.0 ** (10.0 / 3.0) * PI)
                 - PI * math.tanh(0.5 * PI / SQRT3)),
-     lambda p: True, fixed_params=MappingProxyType({"alpha": SQRT3}),
-     pinch_quarters=_HALF)
+     lambda p: True, fixed_params=MappingProxyType({"alpha": SQRT3}), features=_HALF)
 
 _add("DISC-CONTOUR", "parametrized contour integral of the half-frequency kernel",
      _COS_FULL, "alpha", 0.5, _contour_f, _t2_rhs, _alpha_above(LN2 / PI),
-     complex_valued=True, pinch_quarters=_ODD, conjugate_even=True)
+     complex_valued=True, features=_ODD, conjugate_even=True)
 
 _add("DISC-L1", "sin(log-term) over cosh - cos vs plain Lambert sum over 2 m "
      "pi alpha > ln 2, plus pi alpha #{m >= 1 : 2 m pi alpha < ln 2}",
@@ -827,14 +809,14 @@ _add("DISC-L1", "sin(log-term) over cosh - cos vs plain Lambert sum over 2 m "
      lambda p: 0.5 * PI * p["alpha"] - _lambert_outside(p["alpha"], False),
      lambda p: p["alpha"] > 0.0
      and _not_near_integer(LN2 / (2.0 * PI * p["alpha"]), 1, 1),
-     pinch_quarters=_WHOLE)
+     features=_WHOLE)
 
 _add("DISC-L2", "sin(log-term) over cosh + cos vs odd Lambert sum over j pi "
      "alpha > ln 2, less pi alpha #{odd j : j pi alpha < ln 2}",
      _COS_HALF, "alpha", 1.0, _l2_f, lambda p: _lambert_outside(p["alpha"], True),
      lambda p: p["alpha"] > 0.0
      and _not_near_integer(LN2 / (PI * p["alpha"]), 1, 2),
-     pinch_quarters=_HALF)
+     features=_HALF)
 
 _add("DISC-P1", "x over squared-distance kernel of log(2 e^a sin x)", _SIN, "a",
      0.0, _p1_f, _p1_rhs, lambda p: True)
@@ -842,20 +824,23 @@ _add("DISC-P1", "x over squared-distance kernel of log(2 e^a sin x)", _SIN, "a",
 _add("DISC-P2", "log(2 e^a sin x) over its squared-distance kernel", _SIN, "a",
      0.0, _p2_f, _p2_rhs, lambda p: True)
 
-# The cos = -1 poles of DISC-P3 and DISC-P4 at t = (2m+1) pi alpha lie at
-# a distance of about e^{-t}/2 from the path next to the lower end; each
-# case declares them as (c, rho), and the engine subtracts each
-# conjugate pair from the tail chunks near it and adds back its exact
-# integral, so neither case cuts its tails at the half periods as well.
-# freq 1 is the kernels' true period 2 pi alpha in t, so whole-period chunk
-# sums shrink geometrically and the tail closes early even at small alpha.
+# The cos = -1 poles of DISC-P3 and DISC-P4 at the half periods t = (2m+1)
+# pi alpha lie at a distance of about e^{-t}/2 from the path next to the
+# lower end; next to the upper end no pole comes close.  In z = w + ix the
+# kernel is (tan(z/2 alpha) -/+ tan(z*/2 alpha)) / 2i or / 2, and
+# tan(z/2 alpha) ~ -2 alpha / (z + c) there, so each case declares its half
+# periods with the residue rho = alpha or i alpha, and the engine subtracts
+# each conjugate pair from the tail chunks near it and adds back its exact
+# integral.  freq 1 is the kernels' true period 2 pi alpha in t, so
+# whole-period chunk sums shrink geometrically and the tail closes early
+# even at small alpha.
 _add("DISC-P3", "sin(log-term)/(cosh + cos) on (0, pi), zero value", _SIN,
      "alpha", 1.0, _p3_f, lambda p: 0.0, _alpha_above(0.0),
-     tail_points=_p34_poles(1j))
+     features=lambda p: (Pinch((2,), 1j * p["alpha"]),))
 
 _add("DISC-P4", "sinh(x/a)/(cosh + cos) on (0, pi), tanh closed form", _SIN,
      "alpha", 1.0, _p4_f, lambda p: PI * math.tanh(0.25 * PI / p["alpha"]),
-     _alpha_above(0.0), tail_points=_p34_poles(1.0))
+     _alpha_above(0.0), features=lambda p: (Pinch((2,), p["alpha"]),))
 
 # DISC-IM's kernel turns from -1 to 1 across about alpha in t around w = 0
 # (x = pi/3), too narrow below alpha ~ 1e-3 for the panels at the cut t = 0:
@@ -865,8 +850,8 @@ _add("DISC-IM", "sinh/cosh roles of x and the log term exchanged, pi alpha "
      lambda p: PI * p["alpha"] * (0.5 + _enclosed_count(1.0 / (6.0 * p["alpha"]))),
      lambda p: p["alpha"] > 0.0
      and _not_near_integer(1.0 / (6.0 * p["alpha"]), 1, 1),
-     interior_points=lambda p: tuple(j * p["alpha"] for j in (-64, -16, -4, 4, 16, 64)
-                                     if abs(j * p["alpha"]) < 1.0))
+     features=lambda p: tuple(j * p["alpha"] for j in (-64, -16, -4, 4, 16, 64)
+                              if abs(j * p["alpha"]) < 1.0))
 
 _add("APPA", "pole kernel 1/(i(x+theta) - a + log(2cos x))", _COS_FULL,
      "a-theta", 0.0, _appa_f, _appa_rhs, _theta_ok, complex_valued=True)
@@ -933,8 +918,7 @@ def evaluate_lhs(case: IdentityCase, params: Params, tolerance: float
     period = 2.0 * PI * params["alpha"] / case.freq if case.freq else None
     res = integrate_endpoint_oscillatory(
         case.integrand(params), period, tolerance=tolerance / len(case.osc_ends),
-        pinches=case.pinch_quarters, points=case.interior_points(params),
-        tail_points=case.tail_points(params))
+        features=case.features(params))
     if case.conjugate_even:
         res = res._replace(value=complex(2.0 * res.value.real, 0.0),
                            error_estimate=2.0 * res.error_estimate)
@@ -944,13 +928,12 @@ def evaluate_lhs(case: IdentityCase, params: Params, tolerance: float
 def lhs_key(case: IdentityCase, params: Params) -> tuple:
     """What ``evaluate_lhs`` reads of the case and of one in-domain point,
     and nothing else, so points with equal keys (and equal tolerances)
-    share one integral.  The interior points enter by value: equal lambdas
-    of different cases count as one.  Raises DomainError like
+    share one integral.  The features enter by value, so equal
+    declarations of different cases count as one.  Raises DomainError like
     ``case_params``."""
     merged = case_params(case, params)
-    return (case.integrand, case.osc_ends, case.freq, case.pinch_quarters,
-            case.conjugate_even, case.tail_points, tuple(sorted(merged.items())),
-            tuple(case.interior_points(merged)))
+    return (case.integrand, case.osc_ends, case.freq, case.conjugate_even,
+            tuple(sorted(merged.items())), tuple(case.features(merged)))
 
 
 def evaluate_rhs(case: IdentityCase, params: Params) -> float | complex:

@@ -13,7 +13,10 @@ Two engines cooperate here:
   as QUADPACK's QAWF sums cycle by cycle, closes it by its geometric
   remainder, and subtracts from each chunk the poles that the caller
   declares next to the path ("subtracting out the singularity": Davis &
-  Rabinowitz, Methods of Numerical Integration, 2nd ed., 1984).
+  Rabinowitz, Methods of Numerical Integration, 2nd ed., 1984).  The
+  caller declares the integrand's features in one sequence, as QUADPACK's
+  QAGP takes its breakpoints (Piessens et al., 1983): a ``Pinch`` lattice,
+  with a residue where its points are poles, and t-positions.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .errors import AccuracyError, DomainError
 
 __all__ = [
+    "Pinch",
     "QuadratureResult",
     "integrate_adaptive",
     "integrate_endpoint_oscillatory",
@@ -264,20 +268,26 @@ _QUADRATURE_SHARE, _ABS_FLOOR, _REL_FLOOR = 0.1, 5e-15, 5e-13
 _INTERIOR_SHARE, _CHUNK_SHARE, _CLOSE_SHARE = 0.4, 0.2, 0.25
 
 
-def _feature_cuts(lo: float, hi: float, quarter: float | None,
-                  pinches: Sequence[int]) -> list[float]:
-    """t-positions j * quarter in (lo, hi) whose j mod 4 is one of
-    ``pinches``, the quarter-period points where the kernel pinches the
-    path; none when ``quarter`` is None, as it is for a period below
-    ``_LATTICE_PERIOD``."""
-    cuts: list[float] = []
-    if quarter is not None:
-        j = math.floor(lo / quarter) + 1
-        while j * quarter < hi:
-            if j % 4 in pinches:
-                cuts.append(j * quarter)
-            j += 1
-    return cuts
+class Pinch(NamedTuple):
+    """The t = j period / 4, j >= 1, whose j mod 4 is one of ``quarters``,
+    where f's poles pinch the path; with ``rho``, each is the centre c of a
+    simple pole f ~ i rho / (w + i y + c) and of its conjugate."""
+    quarters: tuple[int, ...]
+    rho: complex | None = None
+
+
+def _lattice(lo: float, hi: float, quarter: float,
+             quarters: Sequence[int]) -> list[float]:
+    """The t = j * quarter in [lo, hi], j >= 1, whose j mod 4 is one of
+    ``quarters``, in ascending order: the order in which a chunk subtracts
+    its poles."""
+    points: list[float] = []
+    j = max(1, math.floor(lo / quarter))
+    while (t := j * quarter) <= hi:
+        if t >= lo and j % 4 in quarters:
+            points.append(t)
+        j += 1
+    return points
 
 
 def _pole(c: float, rho: complex) -> tuple[float, complex, complex]:
@@ -326,10 +336,7 @@ def _tail_chunk(g: Callable[[float], float | complex], lo: float, hi: float,
 
 def integrate_endpoint_oscillatory(
         f: Callable[[float, float], float | complex], period: float | None = None,
-        *, tolerance: float, pinches: Sequence[int] = (0, 1, 2, 3),
-        points: Sequence[float] = (),
-        tail_points: Callable[[float, float],
-                              Sequence[tuple[float, complex]]] | None = None
+        *, tolerance: float, features: Sequence[Pinch | float] = ()
         ) -> QuadratureResult:
     """Integrate f(y, w) over (0, pi/2], w = log(2 sin y).
 
@@ -358,35 +365,39 @@ def integrate_endpoint_oscillatory(
     reaches ``_T_MAX`` first raises AccuracyError unless its last chunk
     times r / (1 - r) is below tolerance.  A complex f takes one pass.
 
-    When the period is at least ``_LATTICE_PERIOD``, every tail chunk is
-    cut at the quarter-period points j period / 4 of t whose j mod 4 is one
-    of ``pinches``: where the kernel's denominator is smallest and its poles
-    come closest to the path (0 for whole periods, 2 for half periods, 1
-    and 3 for the odd quarters).  A shorter period's chunks are cut only at
-    their whole-period edges.
-    ``points`` adds features as t-positions, mapped through y(t) like every
-    other interior cut.  ``tail_points(lo, hi)``, when given, lists the
-    poles of f next to the path with centres c in [lo, hi], as (c, rho): a
-    simple pole where w + i y = -c, f ~ i rho / (w + i y + c), and its
-    conjugate, which ``_pole`` maps onto the tail.  Each tail chunk subtracts
-    the poles whose centres lie within one chunk step of it and adds back
-    their exact integrals (``_tail_chunk``); the centres below
-    t = 2, wide enough for bisection, cut the interior panel.  Every
-    interior cut lies in t in (-ln 2, 2), between y = pi/2 and y(2).
+    ``features`` holds a periodic f's ``Pinch`` and t-positions.  A Pinch
+    without ``rho`` cuts every tail chunk at its points (0 for whole
+    periods, 2 for half periods, 1 and 3 for the odd quarters) once the
+    period is at least ``_LATTICE_PERIOD``; a shorter period's chunks are
+    cut only at their whole-period edges.  With ``rho``, ``_pole`` maps the
+    pole at each point onto the tail at every period: each tail chunk
+    subtracts the poles whose centres lie within one chunk step of it and
+    adds back their exact integrals (``_tail_chunk``), and the centres
+    below t = 2, wide enough for bisection, cut the interior panel.  A
+    t-position cuts the interior panel, mapped through y(t) like every
+    other cut there, all in t in (-ln 2, 2), between y = pi/2 and y(2).
     """
     if not 0.0 < tolerance < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tolerance}")
     if period is not None and not 0.0 < period < math.inf:
         raise DomainError(f"period must be None or positive and finite, got {period}")
-    quarter = (period / 4.0 if period is not None and period >= _LATTICE_PERIOD
-               else None)
+    quarter = period / 4.0 if period is not None else None
     step = period * math.ceil(_MIN_STEP / period) if period is not None else 2.0
-    poles = tail_points or (lambda lo, hi: ())
     tol, atol = _REL_FLOOR, max(tolerance * _QUADRATURE_SHARE, _ABS_FLOOR)
+    pinches = [s for s in features if isinstance(s, Pinch)]
+    cut_quarters = (tuple(q for s in pinches if s.rho is None for q in s.quarters)
+                    if period is not None and period >= _LATTICE_PERIOD else ())
+    residues = [s for s in pinches if s.rho is not None]
+
+    def poles(lo: float, hi: float) -> list[tuple[float, complex]]:
+        return [(c, s.rho) for s in residues
+                for c in _lattice(lo, hi, quarter, s.quarters)]
 
     # the interior stops at y(2), where the tail starts, and gets the
-    # grading cuts, the centres of poles below t = 2 and the caller's points
-    cuts = (*points, *_INTERIOR_GRADING, *(c for c, _ in poles(0.0, _T_SPLIT)))
+    # caller's t-positions, the grading cuts and the centres of poles below
+    # t = 2
+    cuts = (*(s for s in features if not isinstance(s, Pinch)),
+            *_INTERIOR_GRADING, *(c for c, _ in poles(0.0, _T_SPLIT)))
     sin, log = math.sin, math.log
     interior = integrate_adaptive(
         lambda y: f(y, log(2.0 * sin(y))), _y(_T_SPLIT), 0.5 * math.pi,
@@ -408,9 +419,9 @@ def integrate_endpoint_oscillatory(
         t_next = min(t + step, _T_MAX)
         # a pole left in lies a step or more from the chunk, where its
         # panels resolve it (ROADMAP item 7 gives the narrower reaches)
-        res = _tail_chunk(g, t, t_next,
-                          _feature_cuts(t, t_next, quarter, pinches),
-                          poles(t - step, t_next + step), chunk_tol, chunk_atol)
+        cuts = _lattice(t, t_next, quarter, cut_quarters) if cut_quarters else []
+        res = _tail_chunk(g, t, t_next, cuts, poles(t - step, t_next + step),
+                          chunk_tol, chunk_atol)
         pieces.append(res.value)
         err_total += res.error_estimate
         evaluations += res.evaluations

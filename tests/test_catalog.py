@@ -16,7 +16,7 @@ from logtrig import (AccuracyError, DomainError, QuadratureResult, case_by_id,
 from logtrig.catalog import (ALPHA_GRID, PARAM_NAMES, default_params_grid,
                              lhs_key)
 from logtrig import quadrature
-from logtrig.quadrature import _y
+from logtrig.quadrature import Pinch, _y
 from logtrig.report import RunConfig, render_rows_json, run_verification
 
 PI = math.pi
@@ -153,32 +153,33 @@ def test_cases_of_one_kernel_share_one_integrand(ids):
             assert reference_of(case) is reference_of(first), case.id
 
 
-def declared_poles(case, params):
-    """The case's pole declaration at ``params``, or None."""
-    return case.tail_points({**case.fixed_params, **params})
+def declared_pinches(case, params):
+    """The Pinch records among the case's features at ``params``."""
+    return [s for s in case.features({**case.fixed_params, **params})
+            if isinstance(s, Pinch)]
 
 
 def test_pinch_quarters_are_declared_by_every_periodic_kernel():
-    # a subset of the quarter-period points {0, 1, 2, 3}; a kernel that
-    # oscillates in t declares its pinches either as quarters, which cut
-    # its tails, or as poles, which its tails subtract, never both
+    # exactly the kernels that oscillate in t declare one Pinch, whose
+    # quarters are a subset of the quarter-period points {0, 1, 2, 3}; with
+    # a residue its tails subtract those pinches as poles, without one they
+    # cut at them
     for case in catalog():
-        quarters = case.pinch_quarters
-        poles = declared_poles(case, {"alpha": 1.0}) is not None
-        assert set(quarters) <= {0, 1, 2, 3}, case.id
-        assert len(set(quarters)) == len(quarters), case.id
-        assert bool(quarters) + poles == bool(case.freq), case.id
+        pinches = declared_pinches(case, {"alpha": 1.0})
+        assert len(pinches) == bool(case.freq), case.id
+        for pinch in pinches:
+            assert set(pinch.quarters) <= {0, 1, 2, 3}, case.id
+            assert len(set(pinch.quarters)) == len(pinch.quarters), case.id
 
 
 def nearest_pinch(case, params, period, t):
     """Distance from t to the closest declared pinch: a quarter point j
-    period / 4 whose j mod 4 the case declares, or a declared pole centre."""
-    poles = declared_poles(case, params)
-    if poles is not None:
-        return min(abs(t - c) for c, _ in poles(t - period, t + period))
+    period / 4 whose j mod 4 the case's Pinch declares, a pole centre where
+    the Pinch has a residue."""
+    pinch, = declared_pinches(case, params)
     j = round(4.0 * t / period)
     return min(abs(t - k * period / 4.0) for k in range(j - 4, j + 5)
-               if k % 4 in case.pinch_quarters)
+               if k % 4 in pinch.quarters)
 
 
 @pytest.mark.parametrize("period", (20.0, 40.0))
@@ -192,8 +193,8 @@ def test_kernel_pinches_at_a_declared_quarter(case, period):
     # (sin 2x in T3) do not decay across the period.  Each symptom can be
     # masked: the largest |f| of T3-B sits at t = 2 by that decay, and the
     # steepest change of DISC-CONTOUR there by the decay of 1/(1 - e^{-z})
-    # in w.  One of the two lies within period/16 of a declared quarter, or
-    # of a declared pole centre for DISC-P3/P4, (2k+1) pi alpha.  Each end
+    # in w.  One of the two lies within period/16 of a declared quarter,
+    # which for DISC-P3/P4 is a pole centre (2k+1) pi alpha.  Each end
     # reads the kernel through its x-form reference, which the integrand
     # matches bit for bit.
     alpha = period * case.freq / (2.0 * PI)
@@ -887,11 +888,16 @@ def test_disc_p34_poles_and_residues(case_id, alpha):
     # on a circle about it, a quarter as wide as the distance to the nearest
     # other pole: the conjugate one, 2 Im d away, or the next on the
     # lattice, 2 pi alpha away
-    poles = case_by_id(case_id).tail_points({"alpha": alpha})
-    declared = [quadrature._pole(c, rho) for c, rho in poles(1.0, 70.0)]
-    lattice = ((2 * m + 1) * PI * alpha for m in range(int(70.0 / (PI * alpha))))
-    assert [t_m for t_m, _, _ in declared] == pytest.approx(
-        [t for t in lattice if 1.0 <= t <= 70.0], rel=1e-15)
+    case = case_by_id(case_id)
+    (quarters, rho), = case.features({"alpha": alpha})
+    # the engine's lattice, at the period evaluate_lhs passes it, holds the
+    # half periods (2m+1) pi alpha to the bit
+    quarter = 2.0 * PI * alpha / case.freq / 4.0
+    declared = [quadrature._pole(c, rho)
+                for c in quadrature._lattice(1.0, 70.0, quarter, quarters)]
+    half = PI * alpha
+    lattice = ((2 * m + 1) * half for m in range(int(70.0 / half)))
+    assert [t_m for t_m, _, _ in declared] == [t for t in lattice if 1.0 <= t <= 70.0]
     for t_m, d, res in declared:
         parts = p34_tail(case_id, alpha, t_m)
         _, sinh2, sin2 = parts(d)

@@ -219,14 +219,17 @@ def test_huge_alpha_cosh_cos_kernels_are_clean(rtol, atol):
 
 
 @pytest.mark.parametrize("case_id", ("INTRO-1", "INTRO-2", "INTRO-3", "DISC-P1",
-                                     "DISC-P2"))
+                                     "DISC-P2", "APPA"))
 def test_huge_a_squared_distance_kernels_are_clean(case_id):
     # (w -/+ a)^2 overflows from |a| = 1.34e154; while the kernels and
     # DISC-P1/P2's closed forms squared it, each of these rows was an error
-    # row naming an OverflowError
-    for a in (1.4e154, -1.4e154, 1e200, -1e200, 1e300, -1e300):
-        row, miss = scan_row(case_by_id(case_id), {"a": a}, 1e-8, 1e-10)
-        assert row.status == "pass" and not miss, row
+    # row naming an OverflowError.  APPA's closed form took e^{-a}, which
+    # overflows below a = -709.78, so its rows there were error rows too
+    angles = ({"theta": 0.5}, {"theta": -1.2}) if case_id == "APPA" else ({},)
+    for angle in angles:
+        for a in (1.4e154, -1.4e154, 1e200, -1e200, 1e300, -1e300):
+            row, miss = scan_row(case_by_id(case_id), {**angle, "a": a}, 1e-8, 1e-10)
+            assert row.status == "pass" and not miss, row
 
 
 # The same seed drawn theta before a met three APPA rows whose folded

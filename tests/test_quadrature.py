@@ -12,7 +12,10 @@ from logtrig import (AccuracyError, DomainError, QuadratureResult, case_by_id,
                      integrate_endpoint_oscillatory)
 from logtrig import quadrature
 from logtrig.catalog import default_params_grid
-from logtrig.quadrature import _WG, _WGK, _XGK, _qk15, _tail, _y
+from logtrig.quadrature import _WG, _WGK, _XGK, Pinch, _qk15, _tail, _y
+
+# a Pinch at every quarter point: a long-period tail chunk is cut at all four
+ALL_QUARTERS = (Pinch((0, 1, 2, 3)),)
 
 PI = math.pi
 
@@ -155,7 +158,8 @@ def test_pure_tail_against_reference_and_brute_force():
     def g(y, w):
         return math.cos(w)
 
-    res = integrate_endpoint_oscillatory(g, 2.0 * PI, tolerance=1e-12)
+    res = integrate_endpoint_oscillatory(g, 2.0 * PI, tolerance=1e-12,
+                                         features=ALL_QUARTERS)
     interior = interior_ref(g, 2.0 * PI).value
     assert abs(res.value - (interior + TAIL_REF)) < 1e-12
 
@@ -191,7 +195,8 @@ def test_short_period_tail_against_term_by_term_sum(beta):
     for rtol, atol in ((1e-9, 1e-11), (1e-11, 1e-13)):
         tolerance = max(atol, rtol * abs(ref))
         res = integrate_endpoint_oscillatory(g, 2.0 * PI / beta,
-                                             tolerance=tolerance)
+                                             tolerance=tolerance,
+                                             features=ALL_QUARTERS)
         assert abs(res.value - ref) <= res.error_estimate + interior.error_estimate
         assert res.error_estimate <= tolerance
 
@@ -229,7 +234,8 @@ def test_transform_preserves_value_against_graded_panels():
     a = 0.0
     for f, engine_f, b, kind, freq, both in cases:
         res = integrate_endpoint_oscillatory(engine_f, 2.0 * PI / freq,
-                                             tolerance=1e-11)
+                                             tolerance=1e-11,
+                                             features=ALL_QUARTERS)
 
         def w_of(x):
             return math.log(2.0 * (math.sin(x) if kind == "log-sin"
@@ -250,7 +256,7 @@ def test_short_period_tail_remainder_against_gamma_ratio():
         tolerance = max(atol, rtol * abs(ref))
         res = integrate_endpoint_oscillatory(
             lambda y, w: cmath.exp(1j * beta * w), 2.0 * PI / beta,
-            tolerance=tolerance)
+            tolerance=tolerance, features=ALL_QUARTERS)
         assert abs(res.value - ref) <= res.error_estimate
         assert res.error_estimate <= tolerance
 
@@ -278,10 +284,10 @@ def row_tolerance(case, params, rtol=1e-8, atol=1e-10):
     return max(atol, rtol * abs(evaluate_rhs(case, params)))
 
 
-def p4_poles(alpha):
-    """DISC-P4's poles (c, rho) next to the path; the kernel below is its
-    integrand."""
-    return case_by_id("DISC-P4").tail_points({"alpha": alpha})
+def p4_features(alpha):
+    """DISC-P4's features, the half periods with the residue of its poles
+    next to the path; the kernel below is its integrand."""
+    return case_by_id("DISC-P4").features({"alpha": alpha})
 
 
 @pytest.mark.parametrize("alpha", (2.0, 5.78, 9.4, 12.8))
@@ -301,9 +307,17 @@ def test_pinch_substitution_against_tanh_closed_form(alpha):
     tolerance = max(1e-12, 1e-10 * ref)
     res = integrate_endpoint_oscillatory(
         lambda y, w: f(y, w) + f(PI - y, w), 2.0 * PI * alpha,
-        tolerance=tolerance, tail_points=p4_poles(alpha))
+        tolerance=tolerance, features=p4_features(alpha))
     assert abs(res.value - ref) <= res.error_estimate
     assert res.error_estimate <= tolerance
+
+
+def test_lattice_is_ascending_from_the_first_quarter():
+    # the points j * quarter in [lo, hi], j >= 1, by j mod 4, in the order
+    # in which a chunk subtracts its poles; the closed ends hold a pole centre
+    assert quadrature._lattice(-1.0, 3.0, 0.5, (1, 3)) == [0.5, 1.5, 2.5]
+    assert quadrature._lattice(0.0, 4.0, 0.5, (0,)) == [2.0, 4.0]
+    assert quadrature._lattice(1.0, 3.5, 0.5, (0, 2)) == [1.0, 2.0, 3.0]
 
 
 @pytest.mark.parametrize("case_id, alpha, lattice", (
@@ -311,7 +325,8 @@ def test_pinch_substitution_against_tanh_closed_form(alpha):
     ("T2", 0.5, True),          # period 6.28, an odd quarter at t = pi/2 < 2
     ("T1-A", 0.2, False),       # period 1.26
     ("DISC-P3", 0.2, False),    # the same period, with poles declared
-    ("DISC-P4", 0.2, False)))
+    ("DISC-P4", 0.2, False),
+    ("DISC-P4", 1.0, False)))   # period 6.28, its poles subtracted, not cut
 def test_quarter_lattice_only_at_long_periods(monkeypatch, case_id, alpha, lattice):
     calls = []
     real = quadrature.integrate_adaptive
@@ -331,10 +346,12 @@ def test_quarter_lattice_only_at_long_periods(monkeypatch, case_id, alpha, latti
     assert bool(on_lattice) == lattice
     # the lattice cuts only the tail chunks: the interior panel (limit 8192)
     # is cut at y(t) of each grading t and at the centres of poles below
-    # t = 2, mapped to y = asin(e^{-t}/2)
-    poles = case.tail_points(params)
-    centres = [math.asin(0.5 * math.exp(-c))
-               for c, _ in (poles(0.0, 2.0) if poles else ())]
+    # t = 2, the declared half periods (2m+1) pi alpha, mapped to y =
+    # asin(e^{-t}/2)
+    residues = any(s.rho is not None for s in case.features(params))
+    half = PI * alpha
+    centres = [_y(c) for c in ((2 * m + 1) * half for m in range(8))
+               if residues and c <= 2.0]
     grading = [_y(t) for t in quadrature._INTERIOR_GRADING]
     interior = [sorted(points) for points, limit in calls if limit == 8192]
     assert interior == [sorted(centres + grading)]
