@@ -11,13 +11,14 @@ or 2y and 2 pi - 2y times 2.  Each kernel writes its denominator
 cosh(u) -/+ cos(v) inline as 2*(sinh(u/2)^2 + sin/cos(v/2)^2), which cannot
 lose precision or hit an accidental zero near the tail spikes, or, where u
 grows large, as expm1(-u)^2 + 4 e^{-u} sin/cos(v/2)^2 = 2 e^{-u} (cosh(u)
--/+ cos(v)), with the numerator scaled alike.  Where such a sum of squares
-a^2 + b^2 falls below the normal range (alpha above about 1e154), it has
-lost its digits; the T1, T4, DISC-L and DISC-IM kernels then divide by h =
-hypot(a, b) twice, or take 2 log h, instead.  A case states its kernel's
-features in one declaration, ``features(params)``: the one ``Pinch`` of a
-periodic kernel, with the residue of its poles where the tails subtract
-them (DISC-P3/P4), and t-positions that cut the interior panel (DISC-IM).
+-/+ cos(v)), with the numerator scaled alike.  A sum of squares a^2 + b^2
+that leaves the normal range somewhere in its domain (T1, T4, DISC-L and
+DISC-IM at huge alpha; INTRO-1 to -3 and DISC-P1/P2 at huge |a|) is taken
+as h^2, h = hypot(a, b), everywhere: the kernel divides by h twice or takes
+2 log h.  A case states its kernel's features in one declaration,
+``features(params)``: the one ``Pinch`` of a periodic kernel, with the
+residue of its poles where the tails subtract them (DISC-P3/P4), and
+t-positions that cut the interior panel (DISC-IM).
 
 Domain notes.  The arctan kernel on (0, 2*pi) needs every jump level
 2 sin(x/2) = exp((2m+1) pi alpha / 3), m >= 0, to lie above 2, hence
@@ -32,7 +33,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import sys
 from functools import lru_cache, partial
 from types import MappingProxyType
 from typing import Callable, NamedTuple, Sequence
@@ -147,13 +147,6 @@ def _sine_kernel_s(a: float) -> float:
     return 1.0 / (a * a) + eb - eb / math.expm1(b) ** 2
 
 
-# Above |a| = _HUGE_A a square (w -/+ a)^2 would overflow (it does from
-# 1.34e154): the squared-distance kernels of INTRO-1 to INTRO-3 and DISC-P1/P2
-# then divide by h = hypot(x, w -/+ a) twice, or take 2 log h, and DISC-P1/P2's
-# closed forms drop the pi^2 that no longer moves 4 a^2.
-_HUGE_A = 1e150
-
-
 def _pole_gap(a: float) -> float:
     """1/(e^a - 1) - 1/a, for |a| < _SMALL_A."""
     a2 = a * a
@@ -212,42 +205,30 @@ def _elliptic(alpha: float) -> EllipticParams:
 
 
 def _intro1_f(p: Params):
-    a, huge = p["a"], abs(p["a"]) > _HUGE_A
+    a = p["a"]
 
     def f(y: float, w: float) -> float:
-        x = _HALF_PI - y
-        return math.log(x * x + (w - a) ** 2)
-
-    def f_huge(y: float, w: float) -> float:
         return 2.0 * math.log(math.hypot(_HALF_PI - y, w - a))
-    return f_huge if huge else f
+    return f
 
 
 def _intro2_f(p: Params):
-    a, huge = p["a"], abs(p["a"]) > _HUGE_A
+    a = p["a"]
 
     def f(y: float, w: float) -> float:
         x = _HALF_PI - y
-        return math.log(x * x + (w - a) ** 2) * math.cos(2.0 * x)
-
-    def f_huge(y: float, w: float) -> float:
-        x = _HALF_PI - y
         return 2.0 * math.log(math.hypot(x, w - a)) * math.cos(2.0 * x)
-    return f_huge if huge else f
+    return f
 
 
 def _intro3_f(p: Params):
-    a, huge = p["a"], abs(p["a"]) > _HUGE_A
+    a = p["a"]
 
     def f(y: float, w: float) -> float:
         x = _HALF_PI - y
-        return x * math.sin(2.0 * x) / (x * x + (w - a) ** 2)
-
-    def f_huge(y: float, w: float) -> float:
-        x = _HALF_PI - y
         h = math.hypot(x, w - a)
         return x * math.sin(2.0 * x) / h / h
-    return f_huge if huge else f
+    return f
 
 
 def _intro2_rhs(p: Params) -> float:
@@ -284,12 +265,10 @@ def _intro4_rhs(p: Params) -> complex:
 
 def _t1_f(trig: Callable[[float], float], p: Params):
     al, log, sinh, hypot = p["alpha"], math.log, math.sinh, math.hypot
-    tiny = sys.float_info.min
 
     def f(y: float, w: float) -> float:
-        a, b = sinh(0.5 * ((_HALF_PI - y) / al)), trig(0.5 * (w / al))
-        d = a ** 2 + b ** 2
-        return log(2.0 * d) if d >= tiny else LN2 + 2.0 * log(hypot(a, b))
+        return LN2 + 2.0 * log(hypot(sinh(0.5 * ((_HALF_PI - y) / al)),
+                                     trig(0.5 * (w / al))))
     return f
 
 
@@ -305,16 +284,11 @@ def _t3_f(trig: Callable[[float], float], p: Params):
 
 
 def _t4_f(trig: Callable[[float], float], p: Params):
-    al, sin, cos, sinh = p["alpha"], math.sin, math.cos, math.sinh
-    hypot, tiny = math.hypot, sys.float_info.min
+    al, sin, cos, sinh, hypot = p["alpha"], math.sin, math.cos, math.sinh, math.hypot
 
     def f(y: float, w: float) -> float:
         x, v = _HALF_PI - y, w / al
-        a, b = sinh(0.5 * (x / al)), trig(0.5 * v)
-        d = a ** 2 + b ** 2
-        if d >= tiny:
-            return cos(2.0 * x) * sin(v) / (2.0 * d)
-        h = hypot(a, b)
+        h = hypot(sinh(0.5 * (x / al)), trig(0.5 * v))
         return cos(2.0 * x) * sin(v) / (2.0 * h) / h
     return f
 
@@ -530,11 +504,9 @@ def _appa_rhs(p: Params) -> complex:
     a, th = p["a"], p["theta"]
     value = PI / complex(-a, th)
     if a < math.log(2.0 * math.cos(th)):
-        try:
-            value += PI / (1.0 - cmath.exp(complex(-a, th)))
-        except OverflowError:  # below a = -709.78: u = e^{a - i theta}
-            u = cmath.exp(complex(a, -th))
-            value += PI * u / (u - 1.0)
+        # pi / (1 - e^{-a + i theta}) in u = e^{a - i theta}, where |u| < 2
+        u = cmath.exp(complex(a, -th))
+        value += PI * u / (u - 1.0)
     return value
 
 
@@ -552,20 +524,15 @@ def _contour_f(p: Params):
 
 def _l_f(trig: Callable[[float], float], p: Params):
     # sin(v)/(cosh(u) -/+ cos(v)) for trig = sin/cos, u = x/alpha, v = w/alpha,
-    # both sides scaled by 2 e^{-u} so that neither overflows at small alpha;
-    # a denominator below the normal range has u < 1e-154, so e = 1 there
-    al, sin, exp, expm1 = p["alpha"], math.sin, math.exp, math.expm1
-    hypot, tiny = math.hypot, sys.float_info.min
+    # both sides scaled by 2 e^{-u} so that neither overflows at small alpha:
+    # the denominator is h^2, h = hypot(expm1(-u), 2 e^{-u/2} trig(v/2))
+    al, sin, exp, expm1, hypot = p["alpha"], math.sin, math.exp, math.expm1, math.hypot
 
     def f(y: float, w: float) -> float:
         u, v = (_HALF_PI - y) / al, w / al
-        e = exp(-u)
-        a, b = expm1(-u), trig(0.5 * v)
-        d = a ** 2 + 4.0 * e * b ** 2
-        if d >= tiny:
-            return 2.0 * e * sin(v) / d
-        h = hypot(a, 2.0 * b)
-        return 2.0 * e * sin(v) / h / h
+        e = exp(-0.5 * u)
+        h = hypot(expm1(-u), 2.0 * e * trig(0.5 * v))
+        return 2.0 * e * e * sin(v) / h / h
     return f
 
 
@@ -582,52 +549,39 @@ def _lambert_outside(alpha: float, odd: bool) -> float:
 
 
 def _p1_f(p: Params):
-    a, huge = p["a"], abs(p["a"]) > _HUGE_A
+    a, hypot = p["a"], math.hypot
 
     def f(y: float, w: float) -> float:
-        d2, x = (w + a) ** 2, PI - y
-        return y / (y * y + d2) + x / (x * x + d2)
-
-    def f_huge(y: float, w: float) -> float:
         d, x = w + a, PI - y
-        h, g = math.hypot(y, d), math.hypot(x, d)
+        h, g = hypot(y, d), hypot(x, d)
         return y / h / h + x / g / g
-    return f_huge if huge else f
+    return f
 
 
 def _p2_f(p: Params):
-    a, huge = p["a"], abs(p["a"]) > _HUGE_A
+    a, hypot = p["a"], math.hypot
 
     def f(y: float, w: float) -> float:
         d, x = w + a, PI - y
-        d2 = d ** 2
-        return d / (y * y + d2) + d / (x * x + d2)
-
-    def f_huge(y: float, w: float) -> float:
-        d, x = w + a, PI - y
-        h, g = math.hypot(y, d), math.hypot(x, d)
+        h, g = hypot(y, d), hypot(x, d)
         return d / h / h + d / g / g
-    return f_huge if huge else f
+    return f
 
 
 def _p1_rhs(p: Params) -> float:
-    a = p["a"]
-    if abs(a) > _HUGE_A:
-        return 0.5 * PI ** 2 / a / a
-    return 2.0 * PI ** 2 / (PI ** 2 + 4.0 * a ** 2)
+    h = math.hypot(PI, 2.0 * p["a"])  # h^2 = pi^2 + 4 a^2, never formed
+    return 2.0 * (PI / h) ** 2
 
 
 def _p2_rhs(p: Params) -> float:
-    a = p["a"]
-    if abs(a) > _HUGE_A:
-        return PI / a
-    return 4.0 * PI * a / (PI ** 2 + 4.0 * a ** 2)
+    h = math.hypot(PI, 2.0 * p["a"])
+    return 4.0 * PI / h * (p["a"] / h)
 
 
 def _p3_f(p: Params):
-    # DISC-L2's kernel on (0, pi), without its hypot branch: a denominator
-    # below the normal range needs x/alpha < 1e-154 and |cos(v/2)| < 1e-154,
-    # so |w| > pi alpha, at once, but |w| <= 60 and x >= e^{-60}/2 here
+    # DISC-L2's kernel on (0, pi), its sums of squares written out: one below
+    # the normal range needs x/alpha < 1e-154 and |cos(v/2)| < 1e-154, so
+    # |w| > pi alpha, at once, but |w| <= 60 and x >= e^{-60}/2 here
     al, sin, cos, exp, expm1 = p["alpha"], math.sin, math.cos, math.exp, math.expm1
 
     def f(y: float, w: float) -> float:
@@ -654,20 +608,14 @@ def _p4_f(p: Params):
 
 def _im_f(p: Params):
     # sinh(s)/(cosh(s) - cos(v)) with s = w/alpha and v = x/alpha, both sides
-    # scaled by 2 e^{-|s|}: nothing overflows however far the tail runs; a
-    # denominator below the normal range has s < 1e-154, so e^{-s} = 1 there
-    al, hypot, tiny = p["alpha"], math.hypot, sys.float_info.min
+    # scaled by 2 e^{-|s|} as in _l_f, however far the tail runs
+    al, hypot = p["alpha"], math.hypot
     sin, exp, expm1, copysign = math.sin, math.exp, math.expm1, math.copysign
 
     def f(y: float, w: float) -> float:
         s = abs(w) / al
-        a, b = expm1(-s), sin(0.5 * ((_HALF_PI - y) / al))
-        d = a ** 2 + 4.0 * exp(-s) * b ** 2
-        if d >= tiny:
-            return copysign(-expm1(-2.0 * s), w) / d
-        h = hypot(a, 2.0 * b)
+        h = hypot(expm1(-s), 2.0 * exp(-0.5 * s) * sin(0.5 * ((_HALF_PI - y) / al)))
         return copysign(-expm1(-2.0 * s), w) / h / h
-
     return f
 
 

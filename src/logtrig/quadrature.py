@@ -306,19 +306,19 @@ def _pole(c: float, rho: complex) -> tuple[float, complex, complex]:
 
 
 def _tail_chunk(g: Callable[[float], float | complex], lo: float, hi: float,
-                cuts: list[float], poles: Sequence[tuple[float, complex]],
+                cuts: list[float], poles: Sequence[tuple[float, complex, complex]],
                 tol: float, atol: float) -> QuadratureResult:
     """g over the chunk [lo, hi], cut at ``cuts``, in one adaptive call.
-    ``_pole`` maps each of ``poles``, (c, rho), to a simple pole of the real
-    g at p = c + d with residue R, and p's conjugate carries R's conjugate:
-    the call integrates g - 2 Re(R / (t - p)), smooth across c, and adds
-    back the exact 2 Re(R [log(hi - p) - log(lo - p)]).  t - p is taken as
-    (t - c) - d, so a d far below the spacing of floats at c is kept; Im d
-    != 0 keeps the logs off their branch cut."""
+    Each of ``poles``, (c, d, R) as ``_pole`` maps it, is a simple pole of
+    the real g at p = c + d with residue R, and p's conjugate carries R's
+    conjugate: the call integrates g - 2 Re(R / (t - p)), smooth across c,
+    and adds back the exact 2 Re(R [log(hi - p) - log(lo - p)]).  t - p is
+    taken as (t - c) - d, so a d far below the spacing of floats at c is
+    kept; Im d != 0 keeps the logs off their branch cut."""
     if not poles:
         return integrate_adaptive(g, lo, hi, tol=tol, atol=atol, points=cuts,
                                   limit=4096)
-    terms = [(c, d, 2.0 * r) for c, d, r in (_pole(*p) for p in poles)]
+    terms = [(c, d, 2.0 * r) for c, d, r in poles]
 
     def smooth(t: float) -> float:
         s = g(t)
@@ -370,7 +370,7 @@ def integrate_endpoint_oscillatory(
     periods, 2 for half periods, 1 and 3 for the odd quarters) once the
     period is at least ``_LATTICE_PERIOD``; a shorter period's chunks are
     cut only at their whole-period edges.  With ``rho``, ``_pole`` maps the
-    pole at each point onto the tail at every period: each tail chunk
+    pole at each point onto the tail once per call: each tail chunk
     subtracts the poles whose centres lie within one chunk step of it and
     adds back their exact integrals (``_tail_chunk``), and the centres
     below t = 2, wide enough for bisection, cut the interior panel.  A
@@ -388,6 +388,7 @@ def integrate_endpoint_oscillatory(
     cut_quarters = (tuple(q for s in pinches if s.rho is None for q in s.quarters)
                     if period is not None and period >= _LATTICE_PERIOD else ())
     residues = [s for s in pinches if s.rho is not None]
+    mapped: dict = {}  # (c, rho) -> _pole(c, rho) in the last chunk's reach
 
     def poles(lo: float, hi: float) -> list[tuple[float, complex]]:
         return [(c, s.rho) for s in residues
@@ -420,7 +421,9 @@ def integrate_endpoint_oscillatory(
         # a pole left in lies a step or more from the chunk, where its
         # panels resolve it (ROADMAP item 7 gives the narrower reaches)
         cuts = _lattice(t, t_next, quarter, cut_quarters) if cut_quarters else []
-        res = _tail_chunk(g, t, t_next, cuts, poles(t - step, t_next + step),
+        reach = poles(t - step, t_next + step)
+        mapped = {p: mapped[p] if p in mapped else _pole(*p) for p in reach}
+        res = _tail_chunk(g, t, t_next, cuts, [mapped[p] for p in reach],
                           chunk_tol, chunk_atol)
         pieces.append(res.value)
         err_total += res.error_estimate

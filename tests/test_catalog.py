@@ -22,6 +22,7 @@ from logtrig.report import RunConfig, render_rows_json, run_verification
 PI = math.pi
 LN2 = math.log(2.0)
 SQRT3 = math.sqrt(3.0)
+EPS = 2.0 ** -52
 
 # 30-digit spot references
 T1A_LHS_025 = 4.173044420530432
@@ -142,15 +143,16 @@ def test_osc_ends_are_the_divergent_ends(case):
                                  ("DISC-L2", "DISC-P3"), ("SINE", "SINE0"),
                                  ("THETA2", "COS")))
 def test_cases_of_one_kernel_share_one_integrand(ids):
-    # one factory per kernel on one path; a kernel on two paths (DISC-L2 and
-    # DISC-P3, COS and THETA2) has one x-form reference, which each path's
-    # factory matches bit for bit
+    # one factory per kernel on one path; a kernel on two paths (COS and
+    # THETA2) has one x-form reference, which each path's factory matches
+    # bit for bit, and DISC-P3 matches DISC-L2's in its squared form
     first, *rest = (case_by_id(i) for i in ids)
     for case in rest:
         if path_of(case) == path_of(first):
             assert case.integrand is first.integrand, case.id
         else:
-            assert reference_of(case) is reference_of(first), case.id
+            assert reference_of(case) in (reference_of(first),
+                                          SQUARED_REFERENCES.get(first.id)), case.id
 
 
 def declared_pinches(case, params):
@@ -268,6 +270,35 @@ def scaled_cosh_plus_cos(u, v):
     return math.expm1(-u) ** 2 + 4.0 * math.exp(-u) * math.cos(0.5 * v) ** 2
 
 
+# The root h of a denominator that can leave the normal range, for trig =
+# sin (cosh - cos) or cos (cosh + cos): cosh(u) -/+ cos(v) = 2 h^2, and
+# scaled by 2 e^{-u}, h^2
+def cosh_cos_root(trig, u, v):
+    return math.hypot(math.sinh(0.5 * u), trig(0.5 * v))
+
+
+def scaled_cosh_cos_root(trig, u, v):
+    return math.hypot(math.expm1(-u), 2.0 * math.exp(-0.5 * u) * trig(0.5 * v))
+
+
+def t1_reference(trig):
+    return lambda al, x, w: LN2 + 2.0 * math.log(cosh_cos_root(trig, x / al, w / al))
+
+
+def t4_reference(trig):
+    def f(al, x, w):
+        h = cosh_cos_root(trig, x / al, w / al)
+        return math.cos(2.0 * x) * math.sin(w / al) / (2.0 * h) / h
+    return f
+
+
+def l_reference(trig):
+    def f(al, x, w):
+        e, h = math.exp(-0.5 * (x / al)), scaled_cosh_cos_root(trig, x / al, w / al)
+        return 2.0 * e * e * math.sin(w / al) / h / h
+    return f
+
+
 def t6_reference(al, x, w):
     s = (PI - 6.0 * x) / (2.0 * al)
     return (math.copysign(-math.expm1(-2.0 * abs(s)), s)
@@ -275,6 +306,12 @@ def t6_reference(al, x, w):
 
 
 def im_reference(al, x, w):
+    s = abs(w) / al
+    h = scaled_cosh_cos_root(math.sin, s, x / al)
+    return math.copysign(-math.expm1(-2.0 * s), w) / h / h
+
+
+def im_squared(al, x, w):
     s = abs(w) / al
     return math.copysign(-math.expm1(-2.0 * s), w) / scaled_cosh_minus_cos(s, x / al)
 
@@ -285,22 +322,20 @@ def contour_reference(al, x, w):
             / ((1.0 - cmath.exp(-z)) * cmath.cos(z / (2.0 * al))) / 8j)
 
 
-# Each alpha kernel in x-form, the denominator kernels as a call of the four
+# Each alpha kernel in x-form, the denominator kernels as a call of the
 # denominator formulas above, the form the catalog computed before it wrote
 # them inline.
 ALPHA_REFERENCES = {
-    "T1-A": lambda al, x, w: math.log(cosh_minus_cos(x / al, w / al)),
-    "T1-B": lambda al, x, w: math.log(cosh_plus_cos(x / al, w / al)),
+    "T1-A": t1_reference(math.sin),
+    "T1-B": t1_reference(math.cos),
     "T2": lambda al, x, w: (math.cosh(0.5 * x / al) * math.cos(0.5 * w / al)
                             / cosh_plus_cos(x / al, w / al)),
     "T3-A": lambda al, x, w: (math.sin(2.0 * x) * math.sinh(x / al)
                               / cosh_minus_cos(x / al, w / al)),
     "T3-B": lambda al, x, w: (math.sin(2.0 * x) * math.sinh(x / al)
                               / cosh_plus_cos(x / al, w / al)),
-    "T4-A": lambda al, x, w: (math.cos(2.0 * x) * math.sin(w / al)
-                              / cosh_minus_cos(x / al, w / al)),
-    "T4-B": lambda al, x, w: (math.cos(2.0 * x) * math.sin(w / al)
-                              / cosh_plus_cos(x / al, w / al)),
+    "T4-A": t4_reference(math.sin),
+    "T4-B": t4_reference(math.cos),
     "S3-T5A": lambda al, x, w: (math.sinh((4.0 * x - PI) / al)
                                 / cosh_minus_cos((4.0 * x - PI) / al, 4.0 * w / al)),
     "S3-T5B": lambda al, x, w: (math.sinh((4.0 * x - PI) / al)
@@ -309,10 +344,8 @@ ALPHA_REFERENCES = {
     "S3-T7": lambda al, x, w: (math.atan(math.tanh((PI - 3.0 * x) / (4.0 * al))
                                          * math.tan(1.5 * w / al)) * math.cos(x)),
     "DISC-CONTOUR": contour_reference,
-    "DISC-L1": lambda al, x, w: (2.0 * math.exp(-x / al) * math.sin(w / al)
-                                 / scaled_cosh_minus_cos(x / al, w / al)),
-    "DISC-L2": lambda al, x, w: (2.0 * math.exp(-x / al) * math.sin(w / al)
-                                 / scaled_cosh_plus_cos(x / al, w / al)),
+    "DISC-L1": l_reference(math.sin),
+    "DISC-L2": l_reference(math.cos),
     "DISC-P4": lambda al, x, w: (-math.expm1(-2.0 * x / al)
                                  / scaled_cosh_plus_cos(x / al, w / al)),
     "DISC-IM": im_reference,
@@ -334,23 +367,67 @@ def theta2_reference(p, x, w):
     return math.cos(2.0 * x) / complex(w - p["a"], x + p.get("theta", 0.0))
 
 
+def distance(p, x, w, sign):
+    """hypot(x, w - sign a): the distance whose square the INTRO and
+    DISC-P1/P2 kernels divide by or take the log of."""
+    return math.hypot(x, w - sign * p["a"])
+
+
+def intro3_reference(p, x, w):
+    h = distance(p, x, w, 1.0)
+    return x * math.sin(2.0 * x) / h / h
+
+
+def p1_reference(p, x, w):
+    h = distance(p, x, w, -1.0)
+    return x / h / h
+
+
+def p2_reference(p, x, w):
+    h = distance(p, x, w, -1.0)
+    return (w + p["a"]) / h / h
+
+
 # Every kernel in x-form, as reference(params, x, w); a kernel that two
-# paths read (DISC-L2 and DISC-P3, COS and THETA2) has one reference.
+# paths read (COS and THETA2) has one reference.
 KERNEL_REFERENCES = {
     **{case_id: by_alpha(ref) for case_id, ref in ALPHA_REFERENCES.items()},
-    "INTRO-1": lambda p, x, w: math.log(x * x + (w - p["a"]) ** 2),
-    "INTRO-2": lambda p, x, w: (math.log(x * x + (w - p["a"]) ** 2)
+    "INTRO-1": lambda p, x, w: 2.0 * math.log(distance(p, x, w, 1.0)),
+    "INTRO-2": lambda p, x, w: (2.0 * math.log(distance(p, x, w, 1.0))
                                 * math.cos(2.0 * x)),
-    "INTRO-3": lambda p, x, w: x * math.sin(2.0 * x) / (x * x + (w - p["a"]) ** 2),
+    "INTRO-3": intro3_reference,
     "INTRO-4": intro4_reference,
     "SINE": lambda p, x, w: 1j * math.sin(2.0 * x) / complex(w - p["a"], x),
     "COS": theta2_reference,
     "THETA2": theta2_reference,
     "APPA": lambda p, x, w: 1.0 / complex(w - p["a"], x + p["theta"]),
+    "DISC-P1": p1_reference,
+    "DISC-P2": p2_reference,
+}
+
+# The kernels above that take a root through hypot, in the squared x-forms
+# the catalog computed before, which lose their digits once a square leaves
+# the normal range.  DISC-P3 reads DISC-L2's kernel in this form.
+SQUARED_REFERENCES = {
+    "T1-A": by_alpha(lambda al, x, w: math.log(cosh_minus_cos(x / al, w / al))),
+    "T1-B": by_alpha(lambda al, x, w: math.log(cosh_plus_cos(x / al, w / al))),
+    "T4-A": by_alpha(lambda al, x, w: (math.cos(2.0 * x) * math.sin(w / al)
+                                       / cosh_minus_cos(x / al, w / al))),
+    "T4-B": by_alpha(lambda al, x, w: (math.cos(2.0 * x) * math.sin(w / al)
+                                       / cosh_plus_cos(x / al, w / al))),
+    "DISC-L1": by_alpha(lambda al, x, w: (2.0 * math.exp(-x / al) * math.sin(w / al)
+                                          / scaled_cosh_minus_cos(x / al, w / al))),
+    "DISC-L2": by_alpha(lambda al, x, w: (2.0 * math.exp(-x / al) * math.sin(w / al)
+                                          / scaled_cosh_plus_cos(x / al, w / al))),
+    "DISC-IM": by_alpha(im_squared),
+    "INTRO-1": lambda p, x, w: math.log(x * x + (w - p["a"]) ** 2),
+    "INTRO-2": lambda p, x, w: (math.log(x * x + (w - p["a"]) ** 2)
+                                * math.cos(2.0 * x)),
+    "INTRO-3": lambda p, x, w: x * math.sin(2.0 * x) / (x * x + (w - p["a"]) ** 2),
     "DISC-P1": lambda p, x, w: x / (x * x + (w + p["a"]) ** 2),
     "DISC-P2": lambda p, x, w: (w + p["a"]) / (x * x + (w + p["a"]) ** 2),
 }
-KERNEL_REFERENCES["DISC-P3"] = KERNEL_REFERENCES["DISC-L2"]
+KERNEL_REFERENCES["DISC-P3"] = SQUARED_REFERENCES["DISC-L2"]
 
 
 def reference_of(case):
@@ -367,28 +444,56 @@ DRAWS = {"alpha": lambda rng: math.exp(rng.uniform(math.log(0.002), math.log(40.
          "gamma": lambda rng: rng.uniform(0.0, 5.0)}
 
 
-@pytest.mark.parametrize("case_id", KERNEL_REFERENCES)
-def test_kernels_match_reference_bit_for_bit(case_id):
-    # The integrand g(y, w) equals its x-form reference read at the path's
-    # abscissae and summed in the kernels' order (FOLDS): seeded y on the
-    # interior panel (w > -2) and on the tail (w = -t, t in [2, 60]), at 20
-    # seeded in-domain parameter points
-    case = case_by_id(case_id)
-    reference = KERNEL_REFERENCES[case_id]
+def kernel_draws(case):
+    """20 seeded in-domain parameter points of the case, each with 100
+    seeded (y, w): 50 on the interior panel (w > -2) and 50 on the tail (w =
+    -t, t in [2, 60])."""
     rng = random.Random(24)
     checked = 0
     while checked < 20:
         params = {n: DRAWS[n](rng) for n in PARAM_NAMES[case.param_kind]}
         if not case.domain(params):
             continue
-        kernel = case.integrand(params)
-        folded = FOLDS[path_of(case)](lambda x, w: reference(params, x, w))
         ys = [rng.uniform(_y(2.0), PI / 2) for _ in range(50)]
         points = [(y, math.log(2.0 * math.sin(y))) for y in ys]
         points += [(_y(t), -t) for t in (rng.uniform(2.0, 60.0) for _ in range(50))]
-        for y, w in points:
-            assert kernel(y, w) == folded(y, w), (params, y, w)
+        yield params, points
         checked += 1
+
+
+def folded(case, reference, params):
+    """The x-form reference read at the case's path abscissae and summed in
+    the kernels' order (FOLDS), as the integrand g(y, w)."""
+    return FOLDS[path_of(case)](lambda x, w: reference(params, x, w))
+
+
+@pytest.mark.parametrize("case_id", KERNEL_REFERENCES)
+def test_kernels_match_reference_bit_for_bit(case_id):
+    # The integrand g(y, w) equals its folded x-form reference at every draw
+    case = case_by_id(case_id)
+    for params, points in kernel_draws(case):
+        kernel, reference = case.integrand(params), folded(
+            case, KERNEL_REFERENCES[case_id], params)
+        for y, w in points:
+            assert kernel(y, w) == reference(y, w), (params, y, w)
+
+
+@pytest.mark.parametrize("case_id", SQUARED_REFERENCES)
+def test_root_kernels_agree_with_their_squared_forms(case_id):
+    # Where every square stays in the normal range, as at every draw of the
+    # bit-for-bit test, the kernel that takes its root through hypot agrees
+    # with its squared form within 4 eps of the value, or of 1 for the log
+    # kernels, whose value crosses 0.  The largest difference seen is 2.9
+    # eps (DISC-L1 at alpha = 0.66, t = 44.6)
+    case = case_by_id(case_id)
+    scale = 1.0 if case_id in ("T1-A", "T1-B", "INTRO-1", "INTRO-2") else 0.0
+    for params, points in kernel_draws(case):
+        root, squared = (folded(case, ref[case_id], params)
+                         for ref in (KERNEL_REFERENCES, SQUARED_REFERENCES))
+        for y, w in points:
+            value = squared(y, w)
+            assert abs(root(y, w) - value) <= 4.0 * EPS * max(abs(value), scale), (
+                params, y, w)
 
 
 def test_fixed_cases_carry_parameters():
@@ -715,7 +820,7 @@ def test_default_sweep_payload_is_pinned(sweep):
     # records the old and the new hash in CHANGES.md.
     payload = render_rows_json(sweep.rows).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "04f9d2837ac066c22719f7f7246413d2ff18992fe437e720e251e841e351ec73")
+        "7f5839d426a775c2b1406f9003b49fc832ff39fc28e2ad1acf78f9f8e3f5f5b5")
     assert sum(row.evaluations for row in sweep.rows) == 50_190
 
 
@@ -725,7 +830,7 @@ def test_tight_sweep_payload_is_pinned():
     report = run_verification(RunConfig(rtol=1e-10, atol=1e-12, jobs=2))
     payload = render_rows_json(report.rows).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "0837f331eb4a272698c1cf387ffa3ffb3173428a12efc11ca2508e090becd140")
+        "0d5a33efcd83c310cb1ee1c16a695c2a4748e0d5ee597897c27e97f23a92e6d2")
     assert sum(row.evaluations for row in report.rows) == 74_655
 
 
@@ -744,7 +849,7 @@ def test_offgrid_payload_is_pinned():
                               "total": 140}
     payload = render_rows_json(report.rows).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "48908aceadd155d5daf568647ddd5bddfbe97c2e4e71c90c830862725d06dc9d")
+        "d4a4d78472b855780c69318c74a96f18e52498d607158bcccfa264853963c457")
     assert sum(row.evaluations for row in report.rows) == 31_350
 
 

@@ -224,12 +224,27 @@ def test_huge_a_squared_distance_kernels_are_clean(case_id):
     # (w -/+ a)^2 overflows from |a| = 1.34e154; while the kernels and
     # DISC-P1/P2's closed forms squared it, each of these rows was an error
     # row naming an OverflowError.  APPA's closed form took e^{-a}, which
-    # overflows below a = -709.78, so its rows there were error rows too
-    angles = ({"theta": 0.5}, {"theta": -1.2}) if case_id == "APPA" else ({},)
-    for angle in angles:
-        for a in (1.4e154, -1.4e154, 1e200, -1e200, 1e300, -1e300):
-            row, miss = scan_row(case_by_id(case_id), {**angle, "a": a}, 1e-8, 1e-10)
-            assert row.status == "pass" and not miss, row
+    # overflows below a = -709.78, so its rows there were error rows too.
+    # Every |a| from 1e3 on, across the 1e150 at which the kernels and
+    # closed forms once turned to hypot, and APPA on each side of -709.78,
+    # where its closed form once caught the overflow, at two tolerances.
+    # Every row passes with no miss but INTRO-2's at |a| = 1e300 and rtol
+    # 1e-10, an honest error row: its kernel is about 1381 cos 2x, whose
+    # integral cancels to 1e-300, and the estimate 1.04e-12 of that
+    # cancellation sits just above the row tolerance, atol 1e-12
+    case = case_by_id(case_id)
+    points = [{"a": a} for a in (1e3, 1e10, 1e100, 1e150, 1.3e154, 1.4e154,
+                                 1e200, 1e300) for a in (a, -a)]
+    if case_id == "APPA":
+        points = [{"theta": theta, **point} for theta in (0.5, -1.2)
+                  for point in points]
+        points += [{"theta": theta, "a": a} for theta in (0.5, -1.2, 0.0)
+                   for a in (-709.0, -709.78, -709.79, -710.0)]
+    for rtol, atol in ((1e-8, 1e-10), (1e-10, 1e-12)):
+        for params in points:
+            row, miss = scan_row(case, params, rtol, atol)
+            floor = case_id == "INTRO-2" and abs(params["a"]) == 1e300 and rtol == 1e-10
+            assert row.status == ("error" if floor else "pass") and not miss, row
 
 
 # The same seed drawn theta before a met three APPA rows whose folded

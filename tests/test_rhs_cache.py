@@ -116,4 +116,4 @@ def test_closed_form_payload_is_pinned(fresh_bundles):
     for _ in ("cold", "warm"):
         payload = closed_form_payload().encode()
         assert hashlib.sha256(payload).hexdigest() == (
-            "b464e0ab17fbf5bac25385bd7892c06376cc24efc4c512244eac2d07c19121d6")
+            "19464ca4752bf49e49cd58ee88d48e30268b27a44c3db342298d2337a4d9865e")
