@@ -84,9 +84,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar="N",
                         help="processes that share the sweep: this one "
                              "plus N-1 forked children, each taking every "
-                             "N-th integral; serial where the platform "
-                             "cannot fork (default: the CPUs this process "
-                             "may run on)")
+                             "N-th integral, each on its own CPU of this "
+                             "process's mask, taken in turn, so that a "
+                             "child does not share its parent's core; "
+                             "serial where the platform cannot fork "
+                             "(default: the CPUs this process may run on)")
 
     pp = sub.add_parser("params", help="elliptic parameter bundle for alpha")
     pp.set_defaults(run=_cmd_params)

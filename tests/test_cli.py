@@ -445,8 +445,10 @@ def test_failing_share_fails_the_run_and_leaves_no_zombie(monkeypatch, alpha,
     forks = _count_forks(monkeypatch)
     monkeypatch.setattr(logtrig.report, "verify_case", verify)
     config = RunConfig(case_filter=("T2",), alpha_grid=(1.0, 2.0), jobs=2)
+    mask = _affinity()
     with pytest.raises(raised, match=f"raised in the {where}") as info:
         run_verification(config)
+    assert _affinity() == mask
     if where == "child":
         # the child's own traceback is the cause, down to the raising frame
         assert ', in verify\n' in str(info.value.__cause__)
@@ -455,6 +457,69 @@ def test_failing_share_fails_the_run_and_leaves_no_zombie(monkeypatch, alpha,
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _affinity() -> set[int] | None:
+    """This process's CPU mask, where the platform can set one."""
+    if hasattr(os, "sched_setaffinity"):
+        return os.sched_getaffinity(0)
+    return None
+
+
+@pytest.mark.skipif(len(_affinity() or ()) < 2,
+                    reason="needs a CPU mask of at least 2 CPUs")
+def test_forked_shares_run_on_different_cpus():
+    # the parent's share and the child's each on one CPU of the caller's
+    # mask, not both on the parent's; the caller's mask comes back whole
+    mask = _affinity()
+    parent, child = logtrig.report._run_forked(
+        lambda task: sorted(os.sched_getaffinity(0)), [0, 1], 2)
+    assert len(parent) == len(child) == 1
+    assert parent != child
+    assert set(parent + child) <= mask
+    assert _affinity() == mask
+
+
+def _refuse_affinity(pid, mask):
+    raise OSError("sched_setaffinity refused")
+
+
+@pytest.mark.parametrize("platform", ("no sched_setaffinity",
+                                      "sched_setaffinity refuses"))
+def test_unpinned_forked_run_matches_serial(monkeypatch, platform):
+    # where a process cannot be pinned, the sweep forks and runs unpinned
+    serial = RunConfig(case_filter=("T2",), alpha_grid=(1.0, 2.0), jobs=1)
+    expected = render_rows_json(run_verification(serial).rows)
+    if platform == "no sched_setaffinity":
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_setaffinity", _refuse_affinity,
+                            raising=False)
+    forks = _count_forks(monkeypatch)
+    config = serial._replace(jobs=2)
+    assert render_rows_json(run_verification(config).rows) == expected
+    assert len(forks) == 1
+
+
+ONE_CPU_RUNS = textwrap.dedent("""
+    import os
+
+    from logtrig.report import RunConfig, render_rows_json, run_verification
+
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    mask = os.sched_getaffinity(0)
+    config = RunConfig(case_filter=("T2", "EX-2"), alpha_grid=(1.0, 2.0))
+    serial, forked = (
+        render_rows_json(run_verification(config._replace(jobs=j)).rows)
+        for j in (1, 2))
+    print(serial == forked, os.sched_getaffinity(0) == mask)
+""")
+
+
+@pytest.mark.skipif(_affinity() is None, reason="needs sched_setaffinity")
+def test_more_jobs_than_cpus_share_them_round_robin():
+    # a mask of one CPU: every process is pinned to it, and it stays the mask
+    assert _run_fresh(ONE_CPU_RUNS).split() == ["True", "True"]
 
 
 def test_no_fork_platform_runs_serial(monkeypatch):
